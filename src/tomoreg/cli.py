@@ -11,6 +11,7 @@ failure during optimization.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -112,8 +113,7 @@ def _loss_cfg(args, mode: str) -> LossConfig:
 
 
 def _opt_cfg(args) -> OptimConfig:
-    return OptimConfig(max_iters=args.iters, step_size=args.step_size,
-                       optimizer=args.optimizer)
+    return OptimConfig(max_iters=args.iters, step_size=args.step_size)
 
 
 def _write_reg_outputs(args, u, report, alpha=None) -> None:
@@ -122,14 +122,7 @@ def _write_reg_outputs(args, u, report, alpha=None) -> None:
     if alpha is not None and getattr(args, "out_alpha", None):
         tio.write_alpha(args.out_alpha, alpha)
     if args.report:
-        tio.write_report(args.report, {
-            "final_loss": report.final_loss,
-            "loss_trace": list(report.loss_trace),
-            "iterations": report.iterations,
-            "stop_reason": report.stop_reason,
-            "alpha": None if report.alpha is None else [float(a) for a in report.alpha],
-            "wall_time_s": report.wall_time_s,
-        })
+        tio.write_report(args.report, dataclasses.asdict(report))
 
 
 def _cmd_register_subspace3d(args) -> int:
@@ -186,8 +179,6 @@ def _add_register_common(p, with_alpha: bool) -> None:
                    help="regularization weight")
     p.add_argument("--iters", type=int, default=200, help="max iterations")
     p.add_argument("--step-size", type=float, default=1.0, help="initial step size")
-    p.add_argument("--optimizer", default="gradient_descent_with_backtracking",
-                   help="optimizer name")
     p.add_argument("--out-dvf", help="output displacement container")
     if with_alpha:
         p.add_argument("--out-alpha", help="output coefficient JSON")

@@ -19,6 +19,7 @@ from .grids import GridSpec, Image3D, _snap_fraction
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
+_CHUNK_PIXELS = 2048  # detector pixels per block when building the matrix
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +86,6 @@ class SdctGeometry:
         return (self.detector_origin[None, None, :]
                 + iu[:, None, None] * self.detector_axes[0][None, None, :]
                 + iv[None, :, None] * self.detector_axes[1][None, None, :])
-
-    def detector_center(self) -> np.ndarray:
-        wd, hd = self.detector_dims
-        pu, pv = self.detector_spacing
-        return (self.detector_origin
-                + 0.5 * (wd - 1) * pu * self.detector_axes[0]
-                + 0.5 * (hd - 1) * pv * self.detector_axes[1])
 
     def allclose(self, other: "SdctGeometry", tol: float = 1e-9) -> bool:
         return (self.n_emitters == other.n_emitters
@@ -268,7 +262,7 @@ class DrrOperator:
     """
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
-                 step_mm: float | None = None, chunk_pixels: int = 2048):
+                 step_mm: float | None = None):
         if step_mm is None:
             step_mm = default_step_mm(grid.spacing)
         if step_mm <= 0.0:
@@ -276,7 +270,6 @@ class DrrOperator:
         self.grid = grid
         self.geometry = geometry
         self.step_mm = float(step_mm)
-        self._chunk_pixels = int(chunk_pixels)
         self._mats: dict[int, sparse.csr_matrix] = {}
 
     def _mat(self, emitter_index: int) -> sparse.csr_matrix:
@@ -284,11 +277,11 @@ class DrrOperator:
             raise ValueError(f"emitter_index {emitter_index} out of range")
         mat = self._mats.get(emitter_index)
         if mat is None:
-            mat = self._build(emitter_index, self._chunk_pixels)
+            mat = self._build(emitter_index)
             self._mats[emitter_index] = mat
         return mat
 
-    def _build(self, emitter_index: int, chunk_pixels: int):
+    def _build(self, emitter_index: int):
         grid, geom, step = self.grid, self.geometry, self.step_mm
         c = geom.emitter_positions[emitter_index]
         pix = geom.pixel_centers().reshape(-1, 3)
@@ -313,8 +306,8 @@ class DrrOperator:
         count = np.maximum(0, k1 - k0 + 1)
 
         rows_acc, cols_acc, vals_acc = [], [], []
-        for start in range(0, npix, chunk_pixels):
-            sl = slice(start, min(start + chunk_pixels, npix))
+        for start in range(0, npix, _CHUNK_PIXELS):
+            sl = slice(start, min(start + _CHUNK_PIXELS, npix))
             cnt = count[sl]
             m = int(cnt.max()) if cnt.size else 0
             if m == 0:

@@ -144,19 +144,8 @@ def read_grid(path: str):
 
 def write_volume_stack(path: str, grid, arrays: list, extra: dict | None = None) -> None:
     """Multi-channel scalar volume container (kind 'volume')."""
-    stack = np.stack(arrays, axis=-1)
-    header = {
-        "kind": "volume",
-        "dims": list(grid.dims),
-        "spacing": list(grid.spacing),
-        "origin": list(grid.origin),
-        "channels": len(arrays),
-        "dtype": _DTYPE,
-        "layout": _LAYOUT,
-    }
-    if extra:
-        header.update(extra)
-    _write_payload(path, header, stack)
+    _write_payload(path, _grid_header("volume", grid, len(arrays), extra),
+                   np.stack(arrays, axis=-1))
 
 
 def write_dvf(path: str, u: DisplacementField) -> None:
@@ -194,13 +183,6 @@ def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
              f"image dims {dims} vs geometry detector_dims {tuple(geometry.detector_dims)}")
     images = [Image2D(dims, spacing, data[..., i]) for i in range(h["channels"])]
     return ProjectionSet(geometry=geometry, images=images)
-
-
-def read_image2d_stack(path: str):
-    """Projection images without a geometry: (dims, spacing, list of arrays)."""
-    h, data = _read_payload(path, "image2d")
-    dims = tuple(h["dims"])
-    return dims, tuple(h["spacing"]), [data[..., i] for i in range(h["channels"])]
 
 
 def write_subspace(path: str, sub: DeformationSubspace) -> None:

@@ -135,6 +135,9 @@ class LossContext:
                  source_mask: Mask3D, target=None, target_mask=None,
                  projections: ProjectionSet | None = None,
                  drr_op: DrrOperator | None = None):
+        if mode != cfg.loss_mode:
+            raise ValueError(f"loss context mode {mode!r} does not match "
+                             f"loss_mode {cfg.loss_mode!r}")
         self.mode = mode
         self.cfg = cfg
         self.grid = source.grid
@@ -156,7 +159,7 @@ class LossContext:
                 self._sel = None
             flat = fixed.reshape(-1)
             self._fixed = flat[self._sel] if self._sel is not None else flat
-        elif mode == "sim2d":
+        else:
             if projections is None:
                 raise ValueError("sim2d needs a projection set")
             if drr_op is None:
@@ -170,8 +173,6 @@ class LossContext:
             self.drr_op = drr_op
             self._proj = [im.data.astype(np.float64).reshape(-1)
                           for im in projections.images]
-        else:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
 
     # -- similarity -------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Registration drivers: subspace coefficients or dense fields by descent.
 
-All drivers minimize the total loss with analytic gradients.  The default
-optimizer is gradient descent with an Armijo backtracking line search
+All drivers minimize the same total loss with analytic gradients, pulled
+back to their own parameters: subspace coefficients or a per-voxel field.
+The optimizer is gradient descent with an Armijo backtracking line search
 (c = 1e-4, shrink factor 0.5, greedy step growth between iterations), which
-guarantees a non-increasing trace of accepted losses.  A plain momentum
-variant is available for experimentation; it makes no monotonicity claim.
+guarantees a non-increasing trace of accepted losses.
 
 Everything is deterministic: fixed evaluation order, no stochastic
 sampling, so repeated runs on identical inputs reproduce results bitwise.
@@ -12,7 +12,7 @@ sampling, so repeated runs on identical inputs reproduce results bitwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -21,8 +21,6 @@ from .geometry import DrrOperator, ProjectionSet
 from .grids import DisplacementField, Image3D, Mask3D
 from .losses import LossConfig, LossContext
 from .subspace import DeformationSubspace, reconstruct
-
-OPTIMIZERS = ("gradient_descent_with_backtracking", "momentum")
 
 _ARMIJO_C = 1e-4
 _SHRINK = 0.5
@@ -38,19 +36,14 @@ class NumericalAbort(RuntimeError):
 class OptimConfig:
     max_iters: int = 200
     step_size: float = 1.0
-    optimizer: str = "gradient_descent_with_backtracking"
     tol_grad: float = 1e-9
     tol_loss: float = 1e-8
-    momentum: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.step_size <= 0.0:
             raise ValueError("step_size must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.tol_grad < 0.0 or self.tol_loss < 0.0:
             raise ValueError("tolerances must be >= 0")
 
@@ -71,33 +64,45 @@ def _check_finite(value, what: str):
         raise NumericalAbort(f"non-finite {what} encountered")
 
 
-def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
-              direction_hook=None):
-    """Shared descent loop over a flat parameter vector."""
+def _require_contrast(ctx: LossContext):
+    """Reject inputs whose correlation is undefined at every field."""
+    operands = [("masked source", ctx.msrc)]
+    if ctx.mode == "sim3d":
+        operands.append(("masked target", ctx._fixed))
+    else:
+        operands += [(f"projection {i}", p) for i, p in enumerate(ctx._proj)]
+    for name, arr in operands:
+        if np.ptp(arr) == 0.0:
+            raise ValueError(f"{name} is constant, so its correlation is undefined")
+
+
+def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
+              cfg: OptimConfig | None, smooth=None):
+    """Descent on a flat parameter vector x for the loss at to_field(x).
+
+    ``pullback`` maps dL/du to dL/dx; ``smooth``, when given, filters the
+    descent direction.  Returns x and the report (with no alpha).
+    """
+    _require_contrast(ctx)
+    cfg = cfg or OptimConfig()
+
+    def loss_fn(x):
+        loss = ctx.loss(to_field(x))
+        _check_finite(loss, "loss")
+        return loss
+
+    def loss_grad_fn(x):
+        loss, g = ctx.loss_and_grad(to_field(x))
+        grad = pullback(g)
+        _check_finite(loss, "loss")
+        _check_finite(grad, "gradient")
+        return loss, grad
+
     x = np.asarray(x0, dtype=np.float64).copy()
     t0 = time.perf_counter()
     loss, grad = loss_grad_fn(x)
-    _check_finite(loss, "loss")
-    _check_finite(grad, "gradient")
     trace = [float(loss)]
     stop = "max_iters"
-
-    if cfg.optimizer == "momentum":
-        vel = np.zeros_like(x)
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            if np.max(np.abs(grad)) < cfg.tol_grad:
-                stop = "converged_grad"
-                it -= 1
-                break
-            vel = cfg.momentum * vel - cfg.step_size * grad
-            x = x + vel
-            loss, grad = loss_grad_fn(x)
-            _check_finite(loss, "loss")
-            _check_finite(grad, "gradient")
-            trace.append(float(loss))
-        return x, trace, it, stop, time.perf_counter() - t0
-
     t = cfg.step_size
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -106,7 +111,7 @@ def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
             it -= 1
             break
 
-        d = -grad if direction_hook is None else -direction_hook(grad)
+        d = -grad if smooth is None else -smooth(grad)
         slope = float(grad @ d)
         if slope >= 0.0:  # smoothed direction degenerated; fall back
             d = -grad
@@ -118,7 +123,6 @@ def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t_try * d
             cand_loss = loss_fn(cand)
-            _check_finite(cand_loss, "loss")
             if cand_loss <= loss + _ARMIJO_C * t_try * slope:
                 accepted = (cand, cand_loss, t_try)
                 break
@@ -136,7 +140,6 @@ def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
             t_big = 2.0 * t_acc
             big = x + t_big * d
             big_loss = loss_fn(big)
-            _check_finite(big_loss, "loss")
             if big_loss <= loss + _ARMIJO_C * t_big * slope and big_loss < cand_loss:
                 cand, cand_loss, t_acc = big, big_loss, t_big
             else:
@@ -147,8 +150,6 @@ def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
         t = 2.0 * t_acc
         trace.append(float(loss))
         loss, grad = loss_grad_fn(x)
-        _check_finite(loss, "loss")
-        _check_finite(grad, "gradient")
 
         if len(trace) > _LOSS_WINDOW:
             prev = trace[-1 - _LOSS_WINDOW]
@@ -156,33 +157,25 @@ def _minimize(loss_fn, loss_grad_fn, x0: np.ndarray, cfg: OptimConfig,
                 stop = "converged_loss"
                 break
 
-    return x, trace, it, stop, time.perf_counter() - t0
+    report = RegistrationReport(final_loss=trace[-1], loss_trace=trace,
+                                iterations=it, stop_reason=stop, alpha=None,
+                                wall_time_s=time.perf_counter() - t0)
+    return x, report
 
 
-def _subspace_objectives(ctx: LossContext, sub: DeformationSubspace):
-    def loss_fn(alpha):
-        return ctx.loss(reconstruct(sub, alpha))
-
-    def loss_grad_fn(alpha):
-        loss, g = ctx.loss_and_grad(reconstruct(sub, alpha))
-        return loss, sub.basis @ g.reshape(-1)
-
-    return loss_fn, loss_grad_fn
-
-
-def _finish_subspace(ctx, sub, cfg_opt):
+def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
+                       opt_cfg: OptimConfig | None):
+    if sub.grid != ctx.grid:
+        raise ValueError("subspace grid does not match source grid")
     # structural checks happen at load time; non-finite payloads are a
     # numerical failure of the optimization state, not an input-format error
     _check_finite(sub.mean, "subspace mean field")
     _check_finite(sub.basis, "subspace basis")
-    loss_fn, loss_grad_fn = _subspace_objectives(ctx, sub)
-    alpha0 = np.zeros(sub.n_components)
-    alpha, trace, iters, stop, wall = _minimize(loss_fn, loss_grad_fn, alpha0, cfg_opt)
-    u = reconstruct(sub, alpha)
-    report = RegistrationReport(final_loss=trace[-1], loss_trace=trace,
-                                iterations=iters, stop_reason=stop,
-                                alpha=[float(a) for a in alpha], wall_time_s=wall)
-    return alpha, u, report
+    alpha, report = _minimize(ctx, lambda a: reconstruct(sub, a),
+                              lambda g: sub.basis @ g.reshape(-1),
+                              np.zeros(sub.n_components), opt_cfg)
+    report.alpha = [float(a) for a in alpha]
+    return alpha, reconstruct(sub, alpha), report
 
 
 def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
@@ -190,15 +183,9 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          loss_cfg: LossConfig | None = None,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
-    loss_cfg = loss_cfg or LossConfig(loss_mode="sim3d")
-    opt_cfg = opt_cfg or OptimConfig()
-    if loss_cfg.loss_mode != "sim3d":
-        raise ValueError("register_subspace_3d requires loss_mode sim3d")
-    if sub.grid != source.grid:
-        raise ValueError("subspace grid does not match source grid")
-    ctx = LossContext("sim3d", loss_cfg, source, source_mask,
-                      target=target, target_mask=target_mask)
-    return _finish_subspace(ctx, sub, opt_cfg)
+    ctx = LossContext("sim3d", loss_cfg or LossConfig(loss_mode="sim3d"),
+                      source, source_mask, target=target, target_mask=target_mask)
+    return _register_subspace(ctx, sub, opt_cfg)
 
 
 def register_subspace_2d(source: Image3D, projections: ProjectionSet,
@@ -207,15 +194,9 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          opt_cfg: OptimConfig | None = None,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
-    loss_cfg = loss_cfg or LossConfig(loss_mode="sim2d")
-    opt_cfg = opt_cfg or OptimConfig()
-    if loss_cfg.loss_mode != "sim2d":
-        raise ValueError("register_subspace_2d requires loss_mode sim2d")
-    if sub.grid != source.grid:
-        raise ValueError("subspace grid does not match source grid")
-    ctx = LossContext("sim2d", loss_cfg, source, source_mask,
-                      projections=projections, drr_op=drr_op)
-    return _finish_subspace(ctx, sub, opt_cfg)
+    ctx = LossContext("sim2d", loss_cfg or LossConfig(loss_mode="sim2d"),
+                      source, source_mask, projections=projections, drr_op=drr_op)
+    return _register_subspace(ctx, sub, opt_cfg)
 
 
 def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
@@ -228,25 +209,14 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
     voxel) before each step; the Armijo test still uses the raw gradient's
     directional derivative so accepted steps always descend.
     """
-    loss_cfg = loss_cfg or LossConfig(loss_mode="sim3d")
-    opt_cfg = opt_cfg or OptimConfig()
-    if loss_cfg.loss_mode != "sim3d":
-        raise ValueError("register_dense_3d requires loss_mode sim3d")
-    ctx = LossContext("sim3d", loss_cfg, source, source_mask,
-                      target=target, target_mask=target_mask)
+    ctx = LossContext("sim3d", loss_cfg or LossConfig(loss_mode="sim3d"),
+                      source, source_mask, target=target, target_mask=target_mask)
     grid = source.grid
     shape = grid.dims + (3,)
 
     def to_field(x):
         return DisplacementField(grid.dims, grid.spacing, grid.origin,
                                  x.reshape(shape))
-
-    def loss_fn(x):
-        return ctx.loss(to_field(x))
-
-    def loss_grad_fn(x):
-        loss, g = ctx.loss_and_grad(to_field(x))
-        return loss, g.reshape(-1)
 
     def smooth(gflat):
         g = gflat.reshape(shape)
@@ -256,12 +226,8 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                                           mode="nearest")
         return out.reshape(-1)
 
-    x0 = np.zeros(grid.n_voxels * 3)
-    x, trace, iters, stop, wall = _minimize(loss_fn, loss_grad_fn, x0, opt_cfg,
-                                            direction_hook=smooth)
-    report = RegistrationReport(final_loss=trace[-1], loss_trace=trace,
-                                iterations=iters, stop_reason=stop,
-                                alpha=None, wall_time_s=wall)
+    x, report = _minimize(ctx, to_field, lambda g: g.reshape(-1),
+                          np.zeros(grid.n_voxels * 3), opt_cfg, smooth)
     return to_field(x), report
 
 

@@ -553,6 +553,22 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
 
+    # an empty target mask leaves nothing to correlate against
+    empty = tio.read_mask3d(str(sd / "target_mask.json"))
+    empty.data[...] = 0.0
+    tio.write_mask3d(str(tmp_path / "empty_mask.json"), empty)
+    capsys.readouterr()
+    rc = main(["register", "dense",
+               "--source", str(sd / "source.json"),
+               "--target", str(sd / "target.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--target-mask", str(tmp_path / "empty_mask.json"),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: masked target")
+    assert not os.path.exists(tmp_path / "u.json")
+
 
 def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
                                                  tmp_path, capsys):

@@ -242,6 +242,9 @@ def test_missing_mode_inputs_are_rejected():
         LossContext("sim3d", LossConfig(0.1, "sim3d"), img, mask)
     with pytest.raises(ValueError):
         LossContext("sim2d", LossConfig(0.1, "sim2d"), img, mask)
+    with pytest.raises(ValueError):
+        LossContext("sim3d", LossConfig(0.1, "sim2d"), img, mask,
+                    target=img, target_mask=mask)
 
 
 # ---------------------------------------------------------------------------
