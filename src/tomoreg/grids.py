@@ -203,12 +203,62 @@ def _snap_fraction(g: np.ndarray):
     return i0, f
 
 
-def _corner(volc: np.ndarray, i0: np.ndarray, dx: int, dy: int, dz: int) -> np.ndarray:
-    W, H, D = volc.shape[:3]
-    ix, iy, iz = i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz
-    ok = (ix >= 0) & (ix < W) & (iy >= 0) & (iy < H) & (iz >= 0) & (iz < D)
-    vals = volc[np.clip(ix, 0, W - 1), np.clip(iy, 0, H - 1), np.clip(iz, 0, D - 1)]
-    return np.where(ok[:, None], vals, 0.0)
+def _gather_corners(data: np.ndarray, g: np.ndarray):
+    """The 8 cell corners around each voxel coord g (n,3), in one gather.
+
+    Returns the corners (8, n) or (8, n, C), ordered with x fastest
+    (c000, c100, c010, c110, c001, ...), and the snapped fractions (n, 3).
+    The volume is zero-padded by two voxels and each base index is clipped
+    into that pad, so a cell with any corner outside the grid reads zeros
+    there and a cell beyond the rim reads only zeros.
+    """
+    i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
+    dims = np.asarray(data.shape[:3])
+    padded = np.zeros(tuple(dims + 4) + data.shape[3:],
+                      dtype=np.result_type(data, 0.0))
+    padded[2:-2, 2:-2, 2:-2] = data
+    sy = int(dims[2]) + 4
+    sx = (int(dims[1]) + 4) * sy
+    i0 = np.clip(i0, -2, dims) + 2
+    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
+    offsets = np.array([dx * sx + dy * sy + dz for dz in (0, 1)
+                        for dy in (0, 1) for dx in (0, 1)])
+    flat = padded.reshape((-1,) + data.shape[3:])
+    return flat.take(base[None, :] + offsets[:, None], axis=0), f
+
+
+def _weights(f: np.ndarray, ndim: int):
+    """Per-axis (1 - f, f) weights shaped to broadcast against one corner."""
+    tail = (1,) * (ndim - 2)
+    return [(1.0 - fa, fa) for fa in (f[:, a].reshape((-1,) + tail) for a in range(3))]
+
+
+def _planes(corners: np.ndarray, wx, wy) -> np.ndarray:
+    """The interpolant on the lower and upper z face of each cell, (2, n[, C])."""
+    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [z, y, x]
+    cx = c[:, :, 0] * wx[0] + c[:, :, 1] * wx[1]
+    return cx[:, 0] * wy[0] + cx[:, 1] * wy[1]
+
+
+def _interpolate(corners: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Trilinear values from gathered corners: along x, then y, then z."""
+    wx, wy, (gz0, gz1) = _weights(f, corners.ndim)
+    lo, hi = _planes(corners, wx, wy)
+    return lo * gz0 + hi * gz1
+
+
+def _interpolant_gradient(corners: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Exact spatial derivative of the interpolant in voxel units, (n,3[,C])."""
+    wx, wy, (gz0, gz1) = _weights(f, corners.ndim)
+    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [z, y, x]
+    ex = c[:, :, 1] - c[:, :, 0]
+    ex = ex[:, 0] * wy[0] + ex[:, 1] * wy[1]
+    ey = c[:, 1] - c[:, 0]
+    ey = ey[:, 0] * wx[0] + ey[:, 1] * wx[1]
+    lo, hi = _planes(corners, wx, wy)
+    return np.stack([ex[0] * gz0 + ex[1] * gz1,
+                     ey[0] * gz0 + ey[1] * gz1,
+                     hi - lo], axis=1)
 
 
 def sample_trilinear(data: np.ndarray, g: np.ndarray, with_gradient: bool = False):
@@ -217,41 +267,18 @@ def sample_trilinear(data: np.ndarray, g: np.ndarray, with_gradient: bool = Fals
     Returns values (n,) or (n,C); with ``with_gradient`` also the exact
     spatial derivative of the interpolant in voxel units, (n,3) or (n,3,C).
     Corners outside the grid contribute zero.
+
+    All eight corners of every point come from one gather over a copy of
+    ``data`` zero-padded by two voxels, which materializes 8 values per
+    point (and channel).  The derivative is computed from those same
+    corners; ``warp_scalar_with_gradient`` keeps them so that a caller can
+    ask for it later, or never.
     """
-    scalar = data.ndim == 3
-    volc = data[..., None] if scalar else data
-    i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
-
-    c000 = _corner(volc, i0, 0, 0, 0)
-    c100 = _corner(volc, i0, 1, 0, 0)
-    c010 = _corner(volc, i0, 0, 1, 0)
-    c110 = _corner(volc, i0, 1, 1, 0)
-    c001 = _corner(volc, i0, 0, 0, 1)
-    c101 = _corner(volc, i0, 1, 0, 1)
-    c011 = _corner(volc, i0, 0, 1, 1)
-    c111 = _corner(volc, i0, 1, 1, 1)
-
-    fx, fy, fz = (f[:, a][:, None] for a in range(3))
-    gx0, gx1 = 1.0 - fx, fx
-    gy0, gy1 = 1.0 - fy, fy
-    gz0, gz1 = 1.0 - fz, fz
-
-    lo = (c000 * gx0 + c100 * gx1) * gy0 + (c010 * gx0 + c110 * gx1) * gy1
-    hi = (c001 * gx0 + c101 * gx1) * gy0 + (c011 * gx0 + c111 * gx1) * gy1
-    vals = lo * gz0 + hi * gz1
-
+    corners, f = _gather_corners(data, g)
+    vals = _interpolate(corners, f)
     if not with_gradient:
-        return vals[:, 0] if scalar else vals
-
-    dx = ((c100 - c000) * gy0 + (c110 - c010) * gy1) * gz0 \
-        + ((c101 - c001) * gy0 + (c111 - c011) * gy1) * gz1
-    dy = ((c010 - c000) * gx0 + (c110 - c100) * gx1) * gz0 \
-        + ((c011 - c001) * gx0 + (c111 - c101) * gx1) * gz1
-    dz = hi - lo
-    grad = np.stack([dx, dy, dz], axis=1)
-    if scalar:
-        return vals[:, 0], grad[:, :, 0]
-    return vals, grad
+        return vals
+    return vals, _interpolant_gradient(corners, f)
 
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -294,18 +321,20 @@ def sample_displacement(u: DisplacementField, pts: np.ndarray) -> np.ndarray:
 
 def _warp_coords(src_grid: GridSpec, u: DisplacementField) -> np.ndarray:
     """Continuous source-voxel coords of x + u(x) for every target voxel."""
-    W, H, D = u.dims
     sp = np.asarray(src_grid.spacing)
-    base = np.stack(np.meshgrid(
-        np.arange(W, dtype=np.float64),
-        np.arange(H, dtype=np.float64),
-        np.arange(D, dtype=np.float64), indexing="ij"), axis=-1)
-    if src_grid == u.grid:
+    g = u.data.astype(np.float64)
+    same = src_grid == u.grid
+    if same:
         # index-space arithmetic keeps grid-aligned samples exact for u == 0
-        g = base + u.data.astype(np.float64) / sp
-    else:
-        pts = u.grid.voxel_centers() + u.data.astype(np.float64)
-        g = (pts - np.asarray(src_grid.origin)) / sp
+        g /= sp
+    for a, n in enumerate(u.dims):
+        ramp = np.arange(n, dtype=np.float64)
+        if not same:
+            ramp = u.origin[a] + u.spacing[a] * ramp
+        g[..., a] += ramp.reshape((-1,) + (1,) * (2 - a))
+    if not same:
+        g -= np.asarray(src_grid.origin)
+        g /= sp
     return g.reshape(-1, 3)
 
 
@@ -330,16 +359,28 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
 
 def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
                               u: DisplacementField):
-    """Warped values plus d(warped)/d(displacement) in 1/mm units.
+    """Warped values plus a callable for d(warped)/d(displacement) in 1/mm.
+
+    The warp is the value phase: it gathers the eight corners of every
+    sample point once and returns the warped (W,H,D) volume.  The returned
+    zero-argument callable is the gradient phase: it finishes the
+    (W,H,D,3) derivative from those same corners, so a caller that needs
+    only values never pays for it.  The closure holds the corners and the
+    fractions, 11 floats per voxel, for as long as the caller keeps it;
+    ``LossContext`` keeps the closures of its last two evaluations.
 
     The gradient is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream
     losses agree with chain-rule gradients at tight tolerance.
     """
-    g = _warp_coords(src_grid, u)
-    vals, grad = sample_trilinear(data, g, with_gradient=True)
-    grad = grad / np.asarray(src_grid.spacing)[None, :]
-    return vals.reshape(u.dims), grad.reshape(u.dims + (3,))
+    corners, f = _gather_corners(data, _warp_coords(src_grid, u))
+    sp = np.asarray(src_grid.spacing)
+    shape = u.dims + (3,)
+
+    def gradient():
+        return (_interpolant_gradient(corners, f) / sp).reshape(shape)
+
+    return _interpolate(corners, f).reshape(u.dims), gradient
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,19 @@ contributes the trilinear interpolant's own spatial derivative and the
 projection adjoint redistributes pixel residuals through the same sampling
 weights used by the forward rendering, so central finite differences agree
 with the analytic gradients at tight tolerance.
+
+A ``LossContext`` evaluates in two phases.  ``loss`` runs the value phase
+only: the warp, the similarity (for sim2d the DRR forwards) and the
+diffusion energy.  ``loss_and_grad`` adds the gradient phase: the interpolant
+derivative, the projection adjoints, the diffusion gradient and the chain
+rule.  The context keeps the state of the last two value phases, keyed on
+the exact bytes of the field; ``loss_and_grad`` at one of those fields only
+runs the gradient phase.  A line search accepts either its last trial or,
+after one rejected growth step, the one before it, so each point a
+registration evaluates is warped once.  The price is memory: per voxel,
+each kept state holds the eight gathered corners, three fractions, the
+three field components of its key and the correlation terms, about 16
+floats (4.2 MB per state on a 32-cube, 34 MB on a 64-cube).
 """
 from __future__ import annotations
 
@@ -94,34 +107,38 @@ def _ncc_grad_b(parts) -> np.ndarray:
 # diffusion regularity energy
 # ---------------------------------------------------------------------------
 
-def _diffusion_core(data: np.ndarray, spacing, with_grad: bool):
-    """Mean squared Frobenius norm of forward-difference Jacobians.
+def _forward_diffs(data: np.ndarray, spacing):
+    """Per axis: the axis, 1/spacing and the forward differences in 1/mm.
 
-    Differences are taken in world units with a replicate boundary, i.e.
-    the last slice along each axis contributes zero.
+    The replicate boundary makes the last slice along each axis contribute
+    zero, so each difference array is one slice shorter than ``data``.
     """
-    n = data.shape[0] * data.shape[1] * data.shape[2]
-    energy = 0.0
-    grad = np.zeros_like(data) if with_grad else None
     for ax in range(3):
         inv = 1.0 / float(spacing[ax])
-        sl_hi = [slice(None)] * 4
-        sl_lo = [slice(None)] * 4
-        sl_hi[ax] = slice(1, None)
-        sl_lo[ax] = slice(0, -1)
-        diff = (data[tuple(sl_hi)] - data[tuple(sl_lo)]) * inv
-        energy += float(np.sum(diff * diff))
-        if with_grad:
-            scaled = (2.0 / n) * inv * diff
-            grad[tuple(sl_hi)] += scaled
-            grad[tuple(sl_lo)] -= scaled
-    return energy / n, grad
+        yield ax, inv, np.diff(data, axis=ax) * inv
+
+
+def _diffusion_energy(data: np.ndarray, spacing) -> float:
+    """Mean squared Frobenius norm of forward-difference Jacobians."""
+    n = data.shape[0] * data.shape[1] * data.shape[2]
+    return sum(float(np.sum(d * d)) for _, _, d in _forward_diffs(data, spacing)) / n
+
+
+def _diffusion_grad(data: np.ndarray, spacing) -> np.ndarray:
+    """Gradient of ``_diffusion_energy`` with respect to ``data``."""
+    n = data.shape[0] * data.shape[1] * data.shape[2]
+    grad = np.zeros_like(data)
+    for ax, inv, diff in _forward_diffs(data, spacing):
+        scaled = (2.0 / n) * inv * diff
+        head = (slice(None),) * ax
+        grad[head + (slice(1, None),)] += scaled
+        grad[head + (slice(0, -1),)] -= scaled
+    return grad
 
 
 def diffusion_energy(u: DisplacementField) -> float:
     """(1/|Omega|) sum of squared forward differences of u in 1/mm units."""
-    e, _ = _diffusion_core(u.data.astype(np.float64, copy=False), u.spacing, False)
-    return e
+    return _diffusion_energy(u.data.astype(np.float64, copy=False), u.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -173,60 +190,95 @@ class LossContext:
             self.drr_op = drr_op
             self._proj = [im.data.astype(np.float64).reshape(-1)
                           for im in projections.images]
+        # (key, total, gradient finisher) of the last two value phases
+        self._kept = []
 
-    # -- similarity -------------------------------------------------------
+    # -- similarity: value now, d sim / d warped on demand ------------------
 
-    def _sim3d(self, warped: np.ndarray, grad: bool):
+    # The closures below capture what they need, never ``self``: a kept
+    # state that referred back to its context would make a reference cycle
+    # and keep every finished registration's states alive until the cyclic
+    # garbage collector runs.
+
+    def _sim3d(self, warped: np.ndarray):
+        sel, dims = self._sel, self.grid.dims
         b = warped.reshape(-1)
-        if self._sel is not None:
-            b = b[self._sel]
+        if sel is not None:
+            b = b[sel]
         val, parts = _ncc_core(self._fixed, b)
-        if not grad:
-            return 1.0 - val, None
-        g = -_ncc_grad_b(parts)
-        if self._sel is not None:
-            full = np.zeros(warped.size, dtype=np.float64)
-            full[self._sel] = g
-            g = full
-        return 1.0 - val, g.reshape(warped.shape)
 
-    def _sim2d(self, warped: np.ndarray, grad: bool):
+        def grad():
+            g = -_ncc_grad_b(parts)
+            if sel is not None:
+                full = np.zeros(sel.size, dtype=np.float64)
+                full[sel] = g
+                g = full
+            return g.reshape(dims)
+
+        return 1.0 - val, grad
+
+    def _sim2d(self, warped: np.ndarray):
+        op, dims = self.drr_op, self.grid.dims
         n = len(self._proj)
         loss = 0.0
-        gvol = np.zeros_like(warped) if grad else None
+        parts = []
         for i, p in enumerate(self._proj):
-            rendered = self.drr_op.forward(warped, i).reshape(-1)
-            val, parts = _ncc_core(p, rendered)
+            rendered = op.forward(warped, i).reshape(-1)
+            val, pi = _ncc_core(p, rendered)
             loss += (1.0 - val) / n
-            if grad:
-                gp = -_ncc_grad_b(parts) / n
-                gvol += self.drr_op.adjoint(gp.reshape(self.drr_op.geometry.detector_dims), i)
-        return loss, gvol
+            parts.append(pi)
+
+        def grad():
+            gvol = np.zeros(dims, dtype=np.float64)
+            for i, pi in enumerate(parts):
+                gp = -_ncc_grad_b(pi) / n
+                gvol += op.adjoint(gp.reshape(op.geometry.detector_dims), i)
+            return gvol
+
+        return loss, grad
 
     # -- public evaluations -------------------------------------------------
 
     def loss(self, u: DisplacementField) -> float:
-        return self._evaluate(u, with_grad=False)[0]
+        """Total loss at u; runs the value phase and keeps its state."""
+        return self._value(u, self._key(u))[1]
 
     def loss_and_grad(self, u: DisplacementField):
-        """Total loss and dL/du as a (W,H,D,3) array in 1/mm units."""
-        return self._evaluate(u, with_grad=True)
+        """Total loss and dL/du as a (W,H,D,3) array in 1/mm units.
 
-    def _evaluate(self, u: DisplacementField, with_grad: bool):
+        When u is one of the last two fields this context evaluated, only
+        the gradient phase runs, from that evaluation's kept state.
+        """
+        key = self._key(u)
+        state = next((s for s in self._kept if s[0] == key), None)
+        if state is None:
+            state = self._value(u, key)
+        return state[1], state[2](u.data.astype(np.float64, copy=False))
+
+    def _key(self, u: DisplacementField) -> bytes:
+        """Exact bytes of the field, so -0.0 and +0.0 stay distinct."""
         if u.grid != self.grid:
             raise ValueError("displacement grid does not match the loss grid")
-        warped, wgrad = warp_scalar_with_gradient(self.msrc, self.grid, u)
+        return np.ascontiguousarray(u.data, dtype=np.float64).tobytes()
+
+    def _value(self, u: DisplacementField, key: bytes):
+        """Value phase; returns and keeps (key, total, gradient finisher)."""
+        warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u)
         if self.mode == "sim3d":
-            sim, gsim = self._sim3d(warped, with_grad)
+            sim, sim_grad = self._sim3d(warped)
         else:
-            sim, gsim = self._sim2d(warped, with_grad)
-        udata = u.data.astype(np.float64, copy=False)
-        reg, greg = _diffusion_core(udata, u.spacing, with_grad)
-        total = sim + self.cfg.lam * reg
-        if not with_grad:
-            return total, None
-        grad = gsim[..., None] * wgrad + self.cfg.lam * greg
-        return total, grad
+            sim, sim_grad = self._sim2d(warped)
+        lam, spacing = self.cfg.lam, self.grid.spacing
+        total = sim + lam * _diffusion_energy(u.data.astype(np.float64, copy=False),
+                                              spacing)
+
+        def finish(udata):
+            return (sim_grad()[..., None] * warp_grad()
+                    + lam * _diffusion_grad(udata, spacing))
+
+        state = (key, total, finish)
+        self._kept = self._kept[-1:] + [state]
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +295,7 @@ def masked_sim_loss(target: Image3D, source: Image3D, target_mask: Mask3D,
     """
     ctx = LossContext("sim3d", LossConfig(lam=0.0), source, source_mask,
                       target=target, target_mask=target_mask)
-    warped, _ = warp_scalar_with_gradient(ctx.msrc, ctx.grid, u)
-    if np.ptp(ctx._fixed) == 0.0 or np.ptp(warped) == 0.0:
-        return 1.0
-    sim, _ = ctx._sim3d(warped, grad=False)
-    return sim
+    return ctx.loss(u)
 
 
 def total_loss(u: DisplacementField, cfg: LossConfig, *, source: Image3D,

@@ -70,7 +70,11 @@ def _require_contrast(ctx: LossContext):
     if ctx.mode == "sim3d":
         operands.append(("masked target", ctx._fixed))
     else:
-        operands += [(f"projection {i}", p) for i, p in enumerate(ctx._proj)]
+        for i, p in enumerate(ctx._proj):
+            # an emitter whose rays all miss the grid renders zero for every field
+            if ctx.drr_op._mat(i).nnz == 0:
+                raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
+            operands.append((f"projection {i}", p))
     for name, arr in operands:
         if np.ptp(arr) == 0.0:
             raise ValueError(f"{name} is constant, so its correlation is undefined")

@@ -1,11 +1,16 @@
 """Volume containers, trilinear sampling, warping and Jacobian statistics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, image_gradient, jacobian_stats,
-                     trilinear_sample, warp_image, zero_displacement)
+                     sample_displacement, trilinear_sample, warp_image,
+                     zero_displacement)
+from tomoreg.grids import (_snap_fraction, sample_trilinear,
+                           warp_scalar_with_gradient)
 
 from conftest import SPEC32
 
@@ -109,6 +114,106 @@ def test_sample_rejects_nonfinite_points():
     vol = rand_image(6)
     with pytest.raises(ValueError):
         trilinear_sample(vol, (np.nan, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the one-gather sampler against an eight-corner reference
+# ---------------------------------------------------------------------------
+
+def _corner(volc, i0, dx, dy, dz):
+    W, H, D = volc.shape[:3]
+    ix, iy, iz = i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz
+    ok = (ix >= 0) & (ix < W) & (iy >= 0) & (iy < H) & (iz >= 0) & (iz < D)
+    vals = volc[np.clip(ix, 0, W - 1), np.clip(iy, 0, H - 1), np.clip(iz, 0, D - 1)]
+    return np.where(ok[:, None], vals, 0.0)
+
+
+def reference_trilinear(data, g, with_gradient=False):
+    """Trilinear sampling that reads each corner separately and masks it."""
+    scalar = data.ndim == 3
+    volc = data[..., None] if scalar else data
+    i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
+    c000, c100, c010, c110, c001, c101, c011, c111 = (
+        _corner(volc, i0, dx, dy, dz)
+        for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
+    fx, fy, fz = (f[:, a][:, None] for a in range(3))
+    gx0, gx1 = 1.0 - fx, fx
+    gy0, gy1 = 1.0 - fy, fy
+    gz0, gz1 = 1.0 - fz, fz
+    lo = (c000 * gx0 + c100 * gx1) * gy0 + (c010 * gx0 + c110 * gx1) * gy1
+    hi = (c001 * gx0 + c101 * gx1) * gy0 + (c011 * gx0 + c111 * gx1) * gy1
+    vals = lo * gz0 + hi * gz1
+    if not with_gradient:
+        return vals[:, 0] if scalar else vals
+    dx = ((c100 - c000) * gy0 + (c110 - c010) * gy1) * gz0 \
+        + ((c101 - c001) * gy0 + (c111 - c011) * gy1) * gz1
+    dy = ((c010 - c000) * gx0 + (c110 - c100) * gx1) * gz0 \
+        + ((c011 - c001) * gx0 + (c111 - c101) * gx1) * gz1
+    grad = np.stack([dx, dy, hi - lo], axis=1)
+    if scalar:
+        return vals[:, 0], grad[:, :, 0]
+    return vals, grad
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def axis_coord(n):
+    """One voxel coordinate on an axis of n voxels, from every regime."""
+    inside = st.floats(0.0, n - 1.0)
+    # within the snap band around a lattice point, incl. the rim ones
+    lattice = st.tuples(st.integers(-1, n),
+                        st.sampled_from([-1e-10, 0.0, 1e-10])).map(sum)
+    rim = st.one_of(st.floats(-1.0, 0.0), st.floats(n - 1.0, float(n)))
+    far = st.one_of(st.floats(-1e6, -2.0), st.floats(n + 1.0, 1e6))
+    return st.one_of(inside, lattice, rim, far)
+
+
+@st.composite
+def sampling_cases(draw):
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    spacing = tuple(draw(st.floats(0.5, 3.0)) for _ in range(3))
+    channels = draw(st.sampled_from([0, 3]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    points = draw(st.lists(st.tuples(*(axis_coord(n) for n in dims)),
+                           min_size=1, max_size=24))
+    return dims, spacing, channels, seed, np.array(points, dtype=np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampling_cases())
+def test_one_gather_sampler_matches_the_eight_corner_reference(case):
+    dims, spacing, channels, seed, g = case
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(dims + ((channels,) if channels else ()))
+    data[rng.random(data.shape) < 0.2] = -0.0
+    assert_same_bits(sample_trilinear(data, g), reference_trilinear(data, g))
+    for got, want in zip(sample_trilinear(data, g, with_gradient=True),
+                         reference_trilinear(data, g, with_gradient=True)):
+        assert_same_bits(got, want)
+
+    origin = (-3.0, 2.0, 0.5)
+    grid = GridSpec(dims, spacing, origin)
+    if channels:
+        u = DisplacementField(dims, spacing, origin, data)
+        pts = grid.voxel_to_world(g)
+        assert_same_bits(sample_displacement(u, pts),
+                         reference_trilinear(data, grid.world_to_voxel(pts)))
+        return
+    # whole-voxel shifts, some nudged into the snap band, some fractional
+    shift = rng.integers(-2, 3, dims + (3,)) + rng.choice(
+        [0.0, -1e-10, 1e-10, 0.37], dims + (3,))
+    shift[rng.random(shift.shape) < 0.2] = -0.0
+    u = DisplacementField(dims, spacing, origin, shift * np.asarray(spacing))
+    base = np.stack(np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims),
+                                indexing="ij"), axis=-1)
+    g_ref = (base + u.data / np.asarray(spacing)).reshape(-1, 3)
+    want_vals, want_grad = reference_trilinear(data, g_ref, with_gradient=True)
+    vals, gradient = warp_scalar_with_gradient(data, grid, u)
+    assert_same_bits(vals, want_vals.reshape(dims))
+    assert_same_bits(gradient(), (want_grad / np.asarray(spacing)).reshape(dims + (3,)))
 
 
 # ---------------------------------------------------------------------------

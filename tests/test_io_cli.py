@@ -569,6 +569,24 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
     assert len(err) == 1 and err[0].startswith("error: masked target")
     assert not os.path.exists(tmp_path / "u.json")
 
+    # a geometry shifted 5 m sideways: no ray meets the volume
+    geom = json.loads((sd / "geometry.json").read_text())
+    geom["emitter_positions"] = [[x + 5000.0, y, z]
+                                 for x, y, z in geom["emitter_positions"]]
+    geom["detector_origin"][0] += 5000.0
+    (tmp_path / "missed.json").write_text(json.dumps(geom))
+    rc = main(["register", "subspace2d",
+               "--source", str(sd / "source.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--projections", str(sd / "projections.json"),
+               "--geometry", str(tmp_path / "missed.json"),
+               "--subspace", str(balanced_subspace),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: projection 0: no ray of emitter 0 meets the volume"]
+    assert not os.path.exists(tmp_path / "u.json")
+
 
 def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
                                                  tmp_path, capsys):

@@ -430,3 +430,108 @@ def test_projection_loss_ignores_displacement_along_the_rays():
     l0 = ctx.loss(zero_displacement(grid))
     l1 = ctx.loss(DisplacementField(dims, sp, org, du))
     assert abs(l1 - l0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# value and gradient phases: the two kept states
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
+def test_gradient_from_a_kept_state_matches_a_fresh_context(mode):
+    ctx3, ctx2, sub, alpha = fd_instance(3)
+    ctx = ctx3 if mode == "sim3d" else ctx2
+    u = reconstruct(sub, alpha)
+    v = reconstruct(sub, 0.5 * alpha)
+    ctx.loss(u)
+    ctx.loss(v)
+    total, grad = ctx.loss_and_grad(u)
+    fresh3, fresh2, _, _ = fd_instance(3)
+    want_total, want_grad = (fresh3 if mode == "sim3d" else fresh2).loss_and_grad(u)
+    assert_same_bits(total, want_total)
+    assert_same_bits(grad, want_grad)
+
+
+@pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
+def test_a_field_changed_in_place_is_evaluated_afresh(mode):
+    ctx3, ctx2, sub, alpha = fd_instance(5)
+    ctx = ctx3 if mode == "sim3d" else ctx2
+    u = reconstruct(sub, alpha)
+    ctx.loss(u)
+    u.data[2:5, 3, 4, 1] += 0.25
+    total, grad = ctx.loss_and_grad(u)
+    fresh3, fresh2, _, _ = fd_instance(5)
+    want_total, want_grad = (fresh3 if mode == "sim3d" else fresh2).loss_and_grad(u)
+    assert_same_bits(total, want_total)
+    assert_same_bits(grad, want_grad)
+
+
+def test_kept_states_match_exact_bytes(monkeypatch):
+    """-0.0 == +0.0, but a field of -0.0 is not the field of +0.0."""
+    import tomoreg.losses
+    ctx3, _, sub, _ = fd_instance(3)
+    warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
+    zero = zero_displacement(sub.grid)
+    ctx3.loss(zero)
+    ctx3.loss_and_grad(zero)
+    assert warps[0] == 1
+    ctx3.loss_and_grad(DisplacementField(zero.dims, zero.spacing, zero.origin,
+                                         -zero.data))
+    assert warps[0] == 2
+
+
+def test_registration_warps_each_evaluated_point_once(monkeypatch, pair32,
+                                                      sub32, op32):
+    """Every accepted point is one of the last two line-search trials, so
+    only the starting point is warped by a gradient evaluation."""
+    import tomoreg.losses
+    from tomoreg import OptimConfig, register_dense_3d, register_subspace_2d
+    warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
+    losses = counting(monkeypatch, LossContext, "loss")
+    grads = counting(monkeypatch, LossContext, "loss_and_grad")
+    opt = OptimConfig(max_iters=12)
+    register_subspace_2d(pair32.source, pair32.projections, pair32.source_mask,
+                         sub32, LossConfig(0.1, "sim2d"), opt, drr_op=op32)
+    assert grads[0] > 1 and warps[0] == losses[0] + 1
+    warps[0] = losses[0] = 0
+    register_dense_3d(pair32.source, pair32.target, pair32.source_mask,
+                      pair32.target_mask, LossConfig(0.1, "sim3d"), opt)
+    assert warps[0] == losses[0] + 1
+
+
+def test_a_dropped_context_frees_its_kept_states_without_the_collector():
+    """Kept states must not refer back to their context: a cycle would hold
+    every finished registration's states until a garbage collection."""
+    import gc
+    import weakref
+    ctx3, ctx2, sub, alpha = fd_instance(3)
+    u = reconstruct(sub, alpha)
+    refs = []
+    gc.disable()
+    try:
+        for ctx in (ctx3, ctx2):
+            ctx.loss(u)
+            ctx.loss_and_grad(u)
+            refs.append(weakref.ref(ctx))
+        del ctx, ctx3, ctx2
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

@@ -1,4 +1,6 @@
 """Registration drivers: coefficient search, dense descent, amortization."""
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import SPEC32, zero_mean_subspace
@@ -340,13 +342,13 @@ def test_constant_operands_are_rejected(identity_scene, op32, driver):
     opt = OptimConfig(max_iters=5)
 
     def run(source_mask=mask, target_mask=mask, projections=projs, target=img,
-            loss_cfg=None):
+            loss_cfg=None, drr_op=op32):
         if driver == "subspace3d":
             return register_subspace_3d(img, target, source_mask, target_mask,
                                         sub, loss_cfg, opt)
         if driver == "subspace2d":
             return register_subspace_2d(img, projections, source_mask, sub,
-                                        opt_cfg=opt, drr_op=op32)
+                                        opt_cfg=opt, drr_op=drr_op)
         return register_dense_3d(img, target, source_mask, target_mask,
                                  loss_cfg, opt)
 
@@ -355,6 +357,16 @@ def test_constant_operands_are_rejected(identity_scene, op32, driver):
     if driver == "subspace2d":
         with pytest.raises(ValueError, match="projection 0 is constant"):
             run(projections=dark)
+        # every ray of a geometry shifted 5 m sideways misses the volume, so
+        # each rendering is zero whatever the field
+        off = np.array([5000.0, 0.0, 0.0])
+        missed = dataclasses.replace(
+            projs.geometry,
+            emitter_positions=projs.geometry.emitter_positions + off,
+            detector_origin=projs.geometry.detector_origin + off)
+        with pytest.raises(ValueError, match="projection 0: no ray of "
+                                             "emitter 0 meets the volume"):
+            run(projections=ProjectionSet(missed, projs.images), drr_op=None)
         return
     with pytest.raises(ValueError, match="masked target is constant"):
         run(target_mask=empty)
