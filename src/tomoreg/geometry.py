@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .grids import GridSpec, Image3D, _snap_fraction
+from .grids import GridSpec, Image3D, sample_trilinear, trilinear_weights
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
@@ -217,39 +217,6 @@ def _segment_box_range(c: np.ndarray, unit: np.ndarray, length: np.ndarray,
     return tmin, tmax
 
 
-def _trilinear_weight_table(grid: GridSpec, pts: np.ndarray):
-    """Flat voxel indices and weights of the 8 corners for each point."""
-    W, H, D = grid.dims
-    g = grid.world_to_voxel(pts)
-    i0, f = _snap_fraction(g)
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    wx = np.stack([1.0 - fx, fx], axis=1)
-    wy = np.stack([1.0 - fy, fy], axis=1)
-    wz = np.stack([1.0 - fz, fz], axis=1)
-
-    n = pts.shape[0]
-    cols = np.empty((n, 8), dtype=np.int64)
-    wgt = np.empty((n, 8), dtype=np.float64)
-    k = 0
-    for dx in (0, 1):
-        ix = i0[:, 0] + dx
-        okx = (ix >= 0) & (ix < W)
-        for dy in (0, 1):
-            iy = i0[:, 1] + dy
-            oky = okx & (iy >= 0) & (iy < H)
-            for dz in (0, 1):
-                iz = i0[:, 2] + dz
-                ok = oky & (iz >= 0) & (iz < D)
-                w = wx[:, dx] * wy[:, dy] * wz[:, dz]
-                w = np.where(ok, w, 0.0)
-                col = (np.clip(ix, 0, W - 1) * H + np.clip(iy, 0, H - 1)) * D \
-                    + np.clip(iz, 0, D - 1)
-                cols[:, k] = col
-                wgt[:, k] = w
-                k += 1
-    return cols, wgt
-
-
 class DrrOperator:
     """Precomputed fixed-step line-integral operator for one grid/geometry.
 
@@ -298,11 +265,14 @@ class DrrOperator:
         lo = np.asarray(grid.origin) - sp
         hi = np.asarray(grid.origin) + (np.asarray(grid.dims) - 1) * sp + sp
         tmin, tmax = _segment_box_range(c, unit, length, lo, hi)
+        # a ray parallel to an axis outside the box misses with infinite bounds
+        hit = tmax > tmin
+        tmin, tmax = np.where(hit, tmin, 0.0), np.where(hit, tmax, 0.0)
 
         n_total = np.floor(length / step).astype(np.int64)
         k0 = np.maximum(0, np.ceil(tmin / step - 1.5).astype(np.int64))
         k1 = np.minimum(n_total - 1, np.floor(tmax / step + 0.5).astype(np.int64))
-        k1 = np.where(tmax <= tmin, -1, k1)
+        k1 = np.where(hit, k1, -1)
         count = np.maximum(0, k1 - k0 + 1)
 
         rows_acc, cols_acc, vals_acc = [], [], []
@@ -317,14 +287,10 @@ class DrrOperator:
             t = (ks + 0.5) * step
             pts = c[None, None, :] + t[:, :, None] * unit[sl][:, None, :]
             rows = np.broadcast_to(np.arange(sl.start, sl.stop)[:, None], ks.shape)
-            pts = pts[valid]
-            rows = rows[valid]
-            cols8, wgt8 = _trilinear_weight_table(grid, pts)
-            keep = wgt8 > 0.0
-            rows8 = np.broadcast_to(rows[:, None], cols8.shape)[keep]
-            rows_acc.append(rows8)
-            cols_acc.append(cols8[keep])
-            vals_acc.append(step * wgt8[keep])
+            point, cols, wgt = trilinear_weights(grid, pts[valid])
+            rows_acc.append(rows[valid][point])
+            cols_acc.append(cols)
+            vals_acc.append(step * wgt)
 
         if rows_acc:
             rows = np.concatenate(rows_acc)
@@ -388,39 +354,17 @@ class LiftedVolume:
     n_undefined: int
 
 
-def _bilinear_pixels(data: np.ndarray, gu: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """Bilinear detector-image sampling, zero outside the pixel grid."""
-    wd, hd = data.shape
-    iu0 = np.floor(gu)
-    iv0 = np.floor(gv)
-    fu = gu - iu0
-    fv = gv - iv0
-    iu0 = iu0.astype(np.int64)
-    iv0 = iv0.astype(np.int64)
-
-    out = np.zeros(gu.shape[0], dtype=np.float64)
-    for du in (0, 1):
-        iu = iu0 + du
-        oku = (iu >= 0) & (iu < wd)
-        wu = fu if du else 1.0 - fu
-        for dv in (0, 1):
-            iv = iv0 + dv
-            ok = oku & (iv >= 0) & (iv < hd)
-            wv = fv if dv else 1.0 - fv
-            w = np.where(ok, wu * wv, 0.0)
-            vals = data[np.clip(iu, 0, wd - 1), np.clip(iv, 0, hd - 1)]
-            out += w * vals
-    return out
-
-
 def lift3d(projs: ProjectionSet, target_grid: GridSpec) -> LiftedVolume:
     """Backproject each projection into volume space.
 
     Every voxel center is projected through its emitter onto the detector
     plane and receives the bilinearly interpolated pixel value (zero when
-    the projection falls outside the detector).  No ray-length weighting is
-    applied.  Voxels whose projection is undefined (voxel at the emitter,
-    or sight line parallel to the detector plane) get zero and are counted.
+    the projection falls outside the detector).  The image is read as a
+    one-voxel-deep volume by ``sample_trilinear``, so detector coordinates
+    within 1e-9 of a pixel center snap onto it, as the warp's voxel
+    coordinates do.  No ray-length weighting is applied.  Voxels whose
+    projection is undefined (voxel at the emitter, or sight line parallel
+    to the detector plane) get zero and are counted.
     """
     geom = projs.geometry
     pts = target_grid.voxel_centers().reshape(-1, 3)
@@ -443,7 +387,9 @@ def lift3d(projs: ProjectionSet, target_grid: GridSpec) -> LiftedVolume:
         rel = hit - geom.detector_origin[None, :]
         gu = (rel @ geom.detector_axes[0]) / pu
         gv = (rel @ geom.detector_axes[1]) / pv
-        vals = _bilinear_pixels(projs.images[i].data.astype(np.float64, copy=False), gu, gv)
+        img = projs.images[i].data.astype(np.float64, copy=False)
+        g = np.stack([gu, gv, np.zeros_like(gu)], axis=1)
+        vals = sample_trilinear(img[..., None], g)
         vals = np.where(bad, 0.0, vals)
         channels.append(Image3D(target_grid.dims, target_grid.spacing,
                                 target_grid.origin,

@@ -9,7 +9,9 @@ Array conventions used across the package:
 * displacement values are world millimeters, so fields move points between
   grids with different (anisotropic) spacings without rescaling;
 * interpolation uses a zero-padding convention: contributions from corner
-  voxels outside the grid are zero.
+  voxels outside the grid are zero.  Every grid read of the package (the
+  warp, the DRR matrix weights, the lift's detector reads) goes through
+  ``_pad`` and ``_padded_index``.
 """
 from __future__ import annotations
 
@@ -203,28 +205,68 @@ def _snap_fraction(g: np.ndarray):
     return i0, f
 
 
+# corner steps (dx, dy, dz) of a trilinear cell, x fastest as _planes reads them
+_CELL_X_FASTEST = np.array([(dx, dy, dz) for dz in (0, 1)
+                            for dy in (0, 1) for dx in (0, 1)])
+# the same corners z fastest, the order of the DRR matrix entries
+_CELL_Z_FASTEST = np.array([(dx, dy, dz) for dx in (0, 1)
+                            for dy in (0, 1) for dz in (0, 1)])
+_VOXEL = np.zeros((1, 3), dtype=np.int64)
+
+
+def _pad(data: np.ndarray, fill) -> np.ndarray:
+    """``data`` with a border of two voxels of ``fill`` on each spatial axis."""
+    out = np.full(tuple(n + 4 for n in data.shape[:3]) + data.shape[3:], fill,
+                  dtype=np.result_type(data, fill))
+    out[2:-2, 2:-2, 2:-2] = data
+    return out
+
+
+def _padded_index(dims, i0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Flat indices (k, n) into ``_pad`` of a dims grid for voxels i0 + offsets.
+
+    Each base index i0 (n,3) is clipped into the pad, to [-2, dim] per
+    axis, so with offsets of 0 or 1 a voxel outside the grid always lands
+    on the fill.  This is the package's only bounds rule for grid reads.
+    """
+    sy = dims[2] + 4
+    sx = (dims[1] + 4) * sy
+    i0 = np.clip(i0, -2, np.asarray(dims)) + 2
+    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
+    return base[None, :] + (offsets @ np.array([sx, sy, 1]))[:, None]
+
+
 def _gather_corners(data: np.ndarray, g: np.ndarray):
     """The 8 cell corners around each voxel coord g (n,3), in one gather.
 
     Returns the corners (8, n) or (8, n, C), ordered with x fastest
     (c000, c100, c010, c110, c001, ...), and the snapped fractions (n, 3).
-    The volume is zero-padded by two voxels and each base index is clipped
-    into that pad, so a cell with any corner outside the grid reads zeros
-    there and a cell beyond the rim reads only zeros.
+    A cell with any corner outside the grid reads zeros there.
     """
     i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
-    dims = np.asarray(data.shape[:3])
-    padded = np.zeros(tuple(dims + 4) + data.shape[3:],
-                      dtype=np.result_type(data, 0.0))
-    padded[2:-2, 2:-2, 2:-2] = data
-    sy = int(dims[2]) + 4
-    sx = (int(dims[1]) + 4) * sy
-    i0 = np.clip(i0, -2, dims) + 2
-    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
-    offsets = np.array([dx * sx + dy * sy + dz for dz in (0, 1)
-                        for dy in (0, 1) for dx in (0, 1)])
-    flat = padded.reshape((-1,) + data.shape[3:])
-    return flat.take(base[None, :] + offsets[:, None], axis=0), f
+    flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
+    return flat.take(_padded_index(data.shape[:3], i0, _CELL_X_FASTEST), axis=0), f
+
+
+def trilinear_weights(grid: GridSpec, pts: np.ndarray):
+    """Nonzero trilinear weights of world points (n,3) on the voxels of grid.
+
+    Returns (point, voxel, weight): for each point in turn, its in-grid
+    corners with a positive weight, z fastest, as a point index, a flat
+    voxel index and the weight (1 - f or f per axis, multiplied x, y, z).
+    The corners are listed z fastest because the DRR matrix is built from
+    these entries and scipy's CSR index sort is not stable: with x-fastest
+    corners, duplicate entries were summed in another order and every
+    matrix changed in the last bit.
+    """
+    i0, f = _snap_fraction(grid.world_to_voxel(pts))
+    wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]]) for a in range(3))
+    w = ((wx[:, None, None] * wy[None, :, None]) * wz[None, None, :]).reshape(8, -1)
+    voxel = _pad(np.arange(grid.n_voxels).reshape(grid.dims), -1).reshape(-1)
+    col = voxel.take(_padded_index(grid.dims, i0, _CELL_Z_FASTEST))
+    keep = ((col >= 0) & (w > 0.0)).T
+    point = np.repeat(np.arange(keep.shape[0]), np.count_nonzero(keep, axis=1))
+    return point, col.T[keep], w.T[keep]
 
 
 def _weights(f: np.ndarray, ndim: int):
@@ -283,16 +325,9 @@ def sample_trilinear(data: np.ndarray, g: np.ndarray, with_gradient: bool = Fals
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nearest-voxel sampling with zeros outside the grid (ties round up)."""
-    scalar = data.ndim == 3
-    volc = data[..., None] if scalar else data
-    W, H, D = volc.shape[:3]
     idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5).astype(np.int64)
-    ok = np.all((idx >= 0) & (idx < np.array([W, H, D])), axis=1)
-    ix = np.clip(idx[:, 0], 0, W - 1)
-    iy = np.clip(idx[:, 1], 0, H - 1)
-    iz = np.clip(idx[:, 2], 0, D - 1)
-    vals = np.where(ok[:, None], volc[ix, iy, iz], 0.0)
-    return vals[:, 0] if scalar else vals
+    flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
+    return flat.take(_padded_index(data.shape[:3], idx, _VOXEL)[0], axis=0)
 
 
 def trilinear_sample(vol: Image3D, p) -> float:

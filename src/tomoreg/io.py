@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .geometry import Image2D, ProjectionSet, SdctGeometry
-from .grids import DisplacementField, Image3D, Landmarks, Mask3D
+from .grids import DisplacementField, GridSpec, Image3D, Landmarks, Mask3D
 from .subspace import DeformationSubspace
 
 _KINDS = ("volume", "mask", "dvf", "image2d", "subspace")
@@ -136,7 +136,6 @@ def read_mask3d(path: str) -> Mask3D:
 
 def read_grid(path: str):
     """Grid described by any 3D container header, without the payload."""
-    from .grids import GridSpec
     h = _load_json(path)
     _require("dims" in h and len(h["dims"]) == 3, "dims", "3D container required")
     return GridSpec(tuple(h["dims"]), tuple(h["spacing"]), tuple(h["origin"]))

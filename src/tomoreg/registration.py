@@ -171,6 +171,8 @@ def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
                        opt_cfg: OptimConfig | None):
     if sub.grid != ctx.grid:
         raise ValueError("subspace grid does not match source grid")
+    if sub.n_components == 0:
+        raise ValueError("subspace has no components, so there is nothing to fit")
     # structural checks happen at load time; non-finite payloads are a
     # numerical failure of the optimization state, not an input-format error
     _check_finite(sub.mean, "subspace mean field")
@@ -223,12 +225,9 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                                  x.reshape(shape))
 
     def smooth(gflat):
-        g = gflat.reshape(shape)
-        out = np.empty_like(g)
-        for c in range(3):
-            out[..., c] = gaussian_filter(g[..., c], grad_smooth_sigma_voxels,
-                                          mode="nearest")
-        return out.reshape(-1)
+        sigma = grad_smooth_sigma_voxels
+        return gaussian_filter(gflat.reshape(shape), (sigma, sigma, sigma, 0),
+                               mode="nearest").reshape(-1)
 
     x, report = _minimize(ctx, to_field, lambda g: g.reshape(-1),
                           np.zeros(grid.n_voxels * 3), opt_cfg, smooth)

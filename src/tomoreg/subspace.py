@@ -59,10 +59,6 @@ class DeformationSubspace:
     def mean_field(self) -> DisplacementField:
         return DisplacementField(self.dims, self.spacing, self.origin, self.mean.copy())
 
-    def basis_field(self, i: int) -> DisplacementField:
-        vec = self.basis[i].reshape(self.dims + (3,))
-        return DisplacementField(self.dims, self.spacing, self.origin, vec.copy())
-
 
 def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspace:
     """PCA of displacement fields sharing one grid.

@@ -9,8 +9,8 @@ from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, image_gradient, jacobian_stats,
                      sample_displacement, trilinear_sample, warp_image,
                      zero_displacement)
-from tomoreg.grids import (_snap_fraction, sample_trilinear,
-                           warp_scalar_with_gradient)
+from tomoreg.grids import (_snap_fraction, sample_nearest, sample_trilinear,
+                           trilinear_weights, warp_scalar_with_gradient)
 
 from conftest import SPEC32
 
@@ -155,6 +155,20 @@ def reference_trilinear(data, g, with_gradient=False):
     return vals, grad
 
 
+def reference_nearest(data, g):
+    """Nearest-voxel sampling that clips the index and masks what was outside."""
+    scalar = data.ndim == 3
+    volc = data[..., None] if scalar else data
+    W, H, D = volc.shape[:3]
+    idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5).astype(np.int64)
+    ok = np.all((idx >= 0) & (idx < np.array([W, H, D])), axis=1)
+    ix = np.clip(idx[:, 0], 0, W - 1)
+    iy = np.clip(idx[:, 1], 0, H - 1)
+    iz = np.clip(idx[:, 2], 0, D - 1)
+    vals = np.where(ok[:, None], volc[ix, iy, iz], 0.0)
+    return vals[:, 0] if scalar else vals
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -166,9 +180,11 @@ def axis_coord(n):
     # within the snap band around a lattice point, incl. the rim ones
     lattice = st.tuples(st.integers(-1, n),
                         st.sampled_from([-1e-10, 0.0, 1e-10])).map(sum)
+    # halfway between lattice points, where nearest sampling breaks a tie
+    half = st.integers(-2, n).map(lambda k: k + 0.5)
     rim = st.one_of(st.floats(-1.0, 0.0), st.floats(n - 1.0, float(n)))
     far = st.one_of(st.floats(-1e6, -2.0), st.floats(n + 1.0, 1e6))
-    return st.one_of(inside, lattice, rim, far)
+    return st.one_of(inside, lattice, half, rim, far)
 
 
 @st.composite
@@ -190,6 +206,7 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     data = rng.standard_normal(dims + ((channels,) if channels else ()))
     data[rng.random(data.shape) < 0.2] = -0.0
     assert_same_bits(sample_trilinear(data, g), reference_trilinear(data, g))
+    assert_same_bits(sample_nearest(data, g), reference_nearest(data, g))
     for got, want in zip(sample_trilinear(data, g, with_gradient=True),
                          reference_trilinear(data, g, with_gradient=True)):
         assert_same_bits(got, want)
@@ -214,6 +231,45 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     vals, gradient = warp_scalar_with_gradient(data, grid, u)
     assert_same_bits(vals, want_vals.reshape(dims))
     assert_same_bits(gradient(), (want_grad / np.asarray(spacing)).reshape(dims + (3,)))
+
+
+def reference_weight_table(grid, pts):
+    """The 8 corner voxels (n, 8) and weights of each point, z fastest, with
+    each corner bounds-tested and its weight zeroed outside the grid."""
+    W, H, D = grid.dims
+    i0, f = _snap_fraction(grid.world_to_voxel(pts))
+    wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]], axis=1) for a in range(3))
+    cols = np.empty((pts.shape[0], 8), dtype=np.int64)
+    wgt = np.empty((pts.shape[0], 8), dtype=np.float64)
+    k = 0
+    for dx in (0, 1):
+        ix = i0[:, 0] + dx
+        okx = (ix >= 0) & (ix < W)
+        for dy in (0, 1):
+            iy = i0[:, 1] + dy
+            oky = okx & (iy >= 0) & (iy < H)
+            for dz in (0, 1):
+                iz = i0[:, 2] + dz
+                ok = oky & (iz >= 0) & (iz < D)
+                wgt[:, k] = np.where(ok, wx[:, dx] * wy[:, dy] * wz[:, dz], 0.0)
+                cols[:, k] = (np.clip(ix, 0, W - 1) * H + np.clip(iy, 0, H - 1)) * D \
+                    + np.clip(iz, 0, D - 1)
+                k += 1
+    return cols, wgt
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampling_cases())
+def test_weight_table_matches_the_masked_corner_loop(case):
+    dims, spacing, _, _, g = case
+    grid = GridSpec(dims, spacing, (-3.0, 2.0, 0.5))
+    pts = grid.voxel_to_world(g)
+    cols, wgt = reference_weight_table(grid, pts)
+    keep = wgt > 0.0
+    point, col, w = trilinear_weights(grid, pts)
+    assert_array_equal(point, np.nonzero(keep)[0])
+    assert_array_equal(col, cols[keep])
+    assert_same_bits(w, wgt[keep])
 
 
 # ---------------------------------------------------------------------------

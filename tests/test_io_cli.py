@@ -587,6 +587,25 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
     assert err == ["error: projection 0: no ray of emitter 0 meets the volume"]
     assert not os.path.exists(tmp_path / "u.json")
 
+    # a subspace built from one field has no component to fit
+    one_dir = tmp_path / "one"
+    one_dir.mkdir()
+    tio.write_dvf(str(one_dir / "f.json"), gen_smooth_dvf(SPEC24, seed=1))
+    assert main(["subspace", "build", "--dvf-dir", str(one_dir),
+                 "--out", str(tmp_path / "empty_sub.json")]) == 0
+    capsys.readouterr()
+    rc = main(["register", "subspace3d",
+               "--source", str(sd / "source.json"),
+               "--target", str(sd / "target.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--target-mask", str(sd / "target_mask.json"),
+               "--subspace", str(tmp_path / "empty_sub.json"),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: subspace has no components")
+    assert not os.path.exists(tmp_path / "u.json")
+
 
 def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
                                                  tmp_path, capsys):

@@ -375,15 +375,23 @@ def test_constant_operands_are_rejected(identity_scene, op32, driver):
         run(target=uniform, loss_cfg=LossConfig(ncc_inside_target_mask=True))
 
 
-def test_subspace_grid_must_match_source(identity_scene):
-    img, mask, sub, _ = identity_scene
+def test_subspace_grid_must_match_source(identity_scene, op32):
+    img, mask, sub, projs = identity_scene
     other = DeformationSubspace(dims=sub.dims, spacing=(1.0, 1.0, 1.0),
                                 origin=sub.origin, mean=sub.mean,
                                 basis=sub.basis,
                                 singular_values=sub.singular_values,
                                 variance_fraction=sub.variance_fraction)
-    with pytest.raises(ValueError):
-        register_subspace_3d(img, img, mask, mask, other)
+    # identical training fields leave no variance, so no component
+    still = zero_displacement(sub.grid)
+    empty = build_subspace([still, still], 0.99)
+    assert empty.n_components == 0
+    for bad, message in ((other, "grid does not match"),
+                         (empty, "subspace has no components")):
+        with pytest.raises(ValueError, match=message):
+            register_subspace_3d(img, img, mask, mask, bad)
+        with pytest.raises(ValueError, match=message):
+            register_subspace_2d(img, projs, mask, bad, drr_op=op32)
 
 
 def test_optimizer_configuration_is_validated():
