@@ -203,7 +203,8 @@ def _segment_box_range(c: np.ndarray, unit: np.ndarray, length: np.ndarray,
     for a in range(3):
         ua = unit[:, a]
         ca = c[a]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a parallel (incl. subnormal) component's quotients are replaced below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t1 = (lo[a] - ca) / ua
             t2 = (hi[a] - ca) / ua
         near = np.minimum(t1, t2)

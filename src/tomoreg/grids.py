@@ -195,11 +195,15 @@ class Landmarks:
 # ---------------------------------------------------------------------------
 
 def _snap_fraction(g: np.ndarray):
-    """Split continuous voxel coords into base index and snapped fraction."""
+    """Split continuous voxel coords into base index and snapped fraction.
+
+    The base index stays a float; ``_padded_index`` bounds it before the
+    integer cast, so coordinates beyond the int64 range are well defined.
+    """
     i0 = np.floor(g)
     f = g - i0
     hi = f > 1.0 - _ALIGN_EPS
-    i0 = (i0 + hi).astype(np.int64)
+    i0 += hi
     f = np.where(hi, 0.0, f)
     f = np.where(f < _ALIGN_EPS, 0.0, f)
     return i0, f
@@ -225,13 +229,14 @@ def _pad(data: np.ndarray, fill) -> np.ndarray:
 def _padded_index(dims, i0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Flat indices (k, n) into ``_pad`` of a dims grid for voxels i0 + offsets.
 
-    Each base index i0 (n,3) is clipped into the pad, to [-2, dim] per
-    axis, so with offsets of 0 or 1 a voxel outside the grid always lands
-    on the fill.  This is the package's only bounds rule for grid reads.
+    Each whole-valued float base index i0 (n,3) is clipped into the pad, to
+    [-2, dim] per axis, before it is cast to int64, so with offsets of 0 or
+    1 a voxel outside the grid always lands on the fill, however far out.
+    This is the package's only bounds rule for grid reads.
     """
     sy = dims[2] + 4
     sx = (dims[1] + 4) * sy
-    i0 = np.clip(i0, -2, np.asarray(dims)) + 2
+    i0 = np.clip(i0, -2, np.asarray(dims)).astype(np.int64) + 2
     base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
     return base[None, :] + (offsets @ np.array([sx, sy, 1]))[:, None]
 
@@ -282,22 +287,31 @@ def _planes(corners: np.ndarray, wx, wy) -> np.ndarray:
     return cx[:, 0] * wy[0] + cx[:, 1] * wy[1]
 
 
-def _interpolate(corners: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Trilinear values from gathered corners: along x, then y, then z."""
+def _interpolate(corners: np.ndarray, f: np.ndarray):
+    """Trilinear values from gathered corners: along x, then y, then z.
+
+    Returns the values and the two z-face planes they were blended from,
+    which the derivative reuses.
+    """
     wx, wy, (gz0, gz1) = _weights(f, corners.ndim)
-    lo, hi = _planes(corners, wx, wy)
-    return lo * gz0 + hi * gz1
+    planes = _planes(corners, wx, wy)
+    return planes[0] * gz0 + planes[1] * gz1, planes
 
 
-def _interpolant_gradient(corners: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Exact spatial derivative of the interpolant in voxel units, (n,3[,C])."""
+def _interpolant_gradient(corners: np.ndarray, f: np.ndarray,
+                          planes: np.ndarray) -> np.ndarray:
+    """Exact spatial derivative of the interpolant in voxel units, (n,3[,C]).
+
+    ``planes`` are the z-face planes ``_interpolate`` returned for the same
+    corners and fractions.
+    """
     wx, wy, (gz0, gz1) = _weights(f, corners.ndim)
     c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [z, y, x]
     ex = c[:, :, 1] - c[:, :, 0]
     ex = ex[:, 0] * wy[0] + ex[:, 1] * wy[1]
     ey = c[:, 1] - c[:, 0]
     ey = ey[:, 0] * wx[0] + ey[:, 1] * wx[1]
-    lo, hi = _planes(corners, wx, wy)
+    lo, hi = planes
     return np.stack([ex[0] * gz0 + ex[1] * gz1,
                      ey[0] * gz0 + ey[1] * gz1,
                      hi - lo], axis=1)
@@ -317,15 +331,15 @@ def sample_trilinear(data: np.ndarray, g: np.ndarray, with_gradient: bool = Fals
     ask for it later, or never.
     """
     corners, f = _gather_corners(data, g)
-    vals = _interpolate(corners, f)
+    vals, planes = _interpolate(corners, f)
     if not with_gradient:
         return vals
-    return vals, _interpolant_gradient(corners, f)
+    return vals, _interpolant_gradient(corners, f, planes)
 
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nearest-voxel sampling with zeros outside the grid (ties round up)."""
-    idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5).astype(np.int64)
+    idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5)
     flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
     return flat.take(_padded_index(data.shape[:3], idx, _VOXEL)[0], axis=0)
 
@@ -399,9 +413,10 @@ def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
     The warp is the value phase: it gathers the eight corners of every
     sample point once and returns the warped (W,H,D) volume.  The returned
     zero-argument callable is the gradient phase: it finishes the
-    (W,H,D,3) derivative from those same corners, so a caller that needs
-    only values never pays for it.  The closure holds the corners and the
-    fractions, 11 floats per voxel, for as long as the caller keeps it;
+    (W,H,D,3) derivative from those same corners and the two z-face planes
+    the values were blended from, so a caller that needs only values never
+    pays for it.  The closure holds the corners, the fractions and the
+    planes, 13 floats per voxel, for as long as the caller keeps it;
     ``LossContext`` keeps the closures of its last two evaluations.
 
     The gradient is the exact spatial derivative of the trilinear
@@ -412,10 +427,12 @@ def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
     sp = np.asarray(src_grid.spacing)
     shape = u.dims + (3,)
 
-    def gradient():
-        return (_interpolant_gradient(corners, f) / sp).reshape(shape)
+    vals, planes = _interpolate(corners, f)
 
-    return _interpolate(corners, f).reshape(u.dims), gradient
+    def gradient():
+        return (_interpolant_gradient(corners, f, planes) / sp).reshape(shape)
+
+    return vals.reshape(u.dims), gradient
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ projection adjoint redistributes pixel residuals through the same sampling
 weights used by the forward rendering, so central finite differences agree
 with the analytic gradients at tight tolerance.
 
+Where the regulariser is evaluated: a ``LossContext`` with lam > 0 runs the
+diffusion passes over the grid on every evaluation, which is what
+``total_loss``, ``grad_alpha``, ``grad_dense`` and the dense driver use.  On
+a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
+``diffusion_quadratic`` builds its k-by-k form once per registration, and
+the subspace drivers evaluate it in closed form next to a context with
+lam = 0, which skips the grid passes.
+
 A ``LossContext`` evaluates in two phases.  ``loss`` runs the value phase
 only: the warp, the similarity (for sim2d the DRR forwards) and the
 diffusion energy.  ``loss_and_grad`` adds the gradient phase: the interpolant
@@ -24,9 +32,10 @@ the exact bytes of the field; ``loss_and_grad`` at one of those fields only
 runs the gradient phase.  A line search accepts either its last trial or,
 after one rejected growth step, the one before it, so each point a
 registration evaluates is warped once.  The price is memory: per voxel,
-each kept state holds the eight gathered corners, three fractions, the
-three field components of its key and the correlation terms, about 16
-floats (4.2 MB per state on a 32-cube, 34 MB on a 64-cube).
+each kept state holds the eight gathered corners, three fractions, the two
+z-face planes of the interpolant, the three field components of its key
+and the correlation terms, about 18 floats (4.7 MB per state on a 32-cube,
+38 MB on a 64-cube).
 """
 from __future__ import annotations
 
@@ -139,6 +148,24 @@ def _diffusion_grad(data: np.ndarray, spacing) -> np.ndarray:
 def diffusion_energy(u: DisplacementField) -> float:
     """(1/|Omega|) sum of squared forward differences of u in 1/mm units."""
     return _diffusion_energy(u.data.astype(np.float64, copy=False), u.spacing)
+
+
+def diffusion_quadratic(sub: DeformationSubspace):
+    """(c, b, G) with diffusion energy c + 2 b.a + a.G.a at reconstruct(sub, a).
+
+    The energy is E(u) = u.L u for a symmetric L, and grad E(u) = 2 L u, so
+    with u = mean + basis.T a: c = E(mean), b = basis L mean and the k-by-k
+    G = basis L basis.T.  One energy pass and k + 1 gradient passes build
+    them; G is symmetrised against rounding.
+    """
+    spacing, shape, k = sub.spacing, sub.dims + (3,), sub.n_components
+
+    def basis_l(v):  # basis L v = 0.5 basis . grad E(v)
+        return 0.5 * (sub.basis @ _diffusion_grad(v.reshape(shape), spacing).reshape(-1))
+
+    G = np.array([basis_l(e) for e in sub.basis]).reshape(k, k)
+    return (_diffusion_energy(sub.mean, spacing), basis_l(sub.mean),
+            0.5 * (G + G.T))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +296,16 @@ class LossContext:
         else:
             sim, sim_grad = self._sim2d(warped)
         lam, spacing = self.cfg.lam, self.grid.spacing
-        total = sim + lam * _diffusion_energy(u.data.astype(np.float64, copy=False),
-                                              spacing)
+        total = sim
+        if lam:
+            total += lam * _diffusion_energy(u.data.astype(np.float64, copy=False),
+                                             spacing)
 
         def finish(udata):
-            return (sim_grad()[..., None] * warp_grad()
-                    + lam * _diffusion_grad(udata, spacing))
+            g = sim_grad()[..., None] * warp_grad()
+            if lam:
+                g += lam * _diffusion_grad(udata, spacing)
+            return g
 
         state = (key, total, finish)
         self._kept = self._kept[-1:] + [state]

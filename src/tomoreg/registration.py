@@ -2,6 +2,11 @@
 
 All drivers minimize the same total loss with analytic gradients, pulled
 back to their own parameters: subspace coefficients or a per-voxel field.
+The dense driver's loss context evaluates the diffusion regulariser on the
+grid; the subspace drivers evaluate it as a k-by-k quadratic in the
+coefficients, built once per registration, so an evaluation there costs
+only the warp and the similarity.
+
 The optimizer is gradient descent with an Armijo backtracking line search
 (c = 1e-4, shrink factor 0.5, greedy step growth between iterations), which
 guarantees a non-increasing trace of accepted losses.
@@ -12,14 +17,14 @@ sampling, so repeated runs on identical inputs reproduce results bitwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import DisplacementField, Image3D, Mask3D
-from .losses import LossConfig, LossContext
+from .losses import LossConfig, LossContext, diffusion_quadratic
 from .subspace import DeformationSubspace, reconstruct
 
 _ARMIJO_C = 1e-4
@@ -81,23 +86,30 @@ def _require_contrast(ctx: LossContext):
 
 
 def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
-              cfg: OptimConfig | None, smooth=None):
+              cfg: OptimConfig | None, smooth=None, prior=None):
     """Descent on a flat parameter vector x for the loss at to_field(x).
 
     ``pullback`` maps dL/du to dL/dx; ``smooth``, when given, filters the
-    descent direction.  Returns x and the report (with no alpha).
+    descent direction; ``prior``, when given, maps x to a term and its
+    gradient in x that are added to the loss.  Returns x and the report
+    (with no alpha).
     """
     _require_contrast(ctx)
     cfg = cfg or OptimConfig()
 
     def loss_fn(x):
         loss = ctx.loss(to_field(x))
+        if prior is not None:
+            loss += prior(x)[0]
         _check_finite(loss, "loss")
         return loss
 
     def loss_grad_fn(x):
         loss, g = ctx.loss_and_grad(to_field(x))
         grad = pullback(g)
+        if prior is not None:
+            p, pg = prior(x)
+            loss, grad = loss + p, grad + pg
         _check_finite(loss, "loss")
         _check_finite(grad, "gradient")
         return loss, grad
@@ -167,8 +179,14 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
     return x, report
 
 
-def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
+def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
                        opt_cfg: OptimConfig | None):
+    """Fit subspace coefficients; ``ctx`` has lam 0, the regulariser is here.
+
+    On the subspace the diffusion energy is a quadratic in alpha, built once
+    by ``diffusion_quadratic``, so an evaluation adds lam * energy and its
+    gradient in k-by-k algebra instead of grid passes.
+    """
     if sub.grid != ctx.grid:
         raise ValueError("subspace grid does not match source grid")
     if sub.n_components == 0:
@@ -177,9 +195,15 @@ def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
     # numerical failure of the optimization state, not an input-format error
     _check_finite(sub.mean, "subspace mean field")
     _check_finite(sub.basis, "subspace basis")
+    c, b, G = diffusion_quadratic(sub)
+
+    def reg(a):
+        Ga = G @ a
+        return lam * (c + (2.0 * b + Ga) @ a), (2.0 * lam) * (b + Ga)
+
     alpha, report = _minimize(ctx, lambda a: reconstruct(sub, a),
                               lambda g: sub.basis @ g.reshape(-1),
-                              np.zeros(sub.n_components), opt_cfg)
+                              np.zeros(sub.n_components), opt_cfg, prior=reg)
     report.alpha = [float(a) for a in alpha]
     return alpha, reconstruct(sub, alpha), report
 
@@ -189,9 +213,10 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          loss_cfg: LossConfig | None = None,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
-    ctx = LossContext("sim3d", loss_cfg or LossConfig(loss_mode="sim3d"),
-                      source, source_mask, target=target, target_mask=target_mask)
-    return _register_subspace(ctx, sub, opt_cfg)
+    cfg = loss_cfg or LossConfig(loss_mode="sim3d")
+    ctx = LossContext("sim3d", replace(cfg, lam=0.0), source, source_mask,
+                      target=target, target_mask=target_mask)
+    return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
 
 
 def register_subspace_2d(source: Image3D, projections: ProjectionSet,
@@ -200,9 +225,10 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          opt_cfg: OptimConfig | None = None,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
-    ctx = LossContext("sim2d", loss_cfg or LossConfig(loss_mode="sim2d"),
-                      source, source_mask, projections=projections, drr_op=drr_op)
-    return _register_subspace(ctx, sub, opt_cfg)
+    cfg = loss_cfg or LossConfig(loss_mode="sim2d")
+    ctx = LossContext("sim2d", replace(cfg, lam=0.0), source, source_mask,
+                      projections=projections, drr_op=drr_op)
+    return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
 
 
 def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,

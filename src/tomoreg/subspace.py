@@ -38,8 +38,11 @@ class DeformationSubspace:
     def __post_init__(self):
         grid = GridSpec(self.dims, self.spacing, self.origin)
         self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.basis = np.asarray(self.basis, dtype=np.float64).reshape(-1, grid.n_voxels * 3)
+        # contiguous, so reconstruct reads them without a gather and a view
+        # into a larger payload does not keep that payload alive
+        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
+        self.basis = np.ascontiguousarray(self.basis, dtype=np.float64).reshape(
+            -1, grid.n_voxels * 3)
         self.singular_values = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
         if self.mean.shape != grid.dims + (3,):
             raise ValueError("mean field shape does not match grid dims")

@@ -327,6 +327,21 @@ def test_axis_parallel_ray_beside_the_grid_builds_without_warnings():
     assert mat.nnz > 0 and mat[12].nnz == 0
 
 
+def test_subnormal_ray_component_builds_without_warnings():
+    # the emitter sits a subnormal distance off y = 0, so the central
+    # pixel's ray has a subnormal y component: parallel to y in effect
+    tiny = 2.2250738585072014e-308
+    grid = GridSpec((2, 2, 2), (1.0, 1.0, 1.0), (0.0, 0.0, 5.0))
+    mats = []
+    for y in (tiny, 0.0):
+        geom = build_sdct_geometry(1, 30.0, 200.0, line_offset=(0.0, y),
+                                   detector_dims=(5, 5), detector_spacing=(1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mats.append(DrrOperator(grid, geom)._mat(0))
+    assert mats[0].nnz > 0 and (mats[0] != mats[1]).nnz == 0
+
+
 def reference_bilinear_pixels(data, gu, gv):
     """Bilinear detector-image sampling, each corner masked outside the image."""
     wd, hd = data.shape

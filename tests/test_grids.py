@@ -1,4 +1,6 @@
 """Volume containers, trilinear sampling, warping and Jacobian statistics."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,7 @@ def reference_trilinear(data, g, with_gradient=False):
     scalar = data.ndim == 3
     volc = data[..., None] if scalar else data
     i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
+    i0 = i0.astype(np.int64)
     c000, c100, c010, c110, c001, c101, c011, c111 = (
         _corner(volc, i0, dx, dy, dz)
         for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
@@ -238,6 +241,7 @@ def reference_weight_table(grid, pts):
     each corner bounds-tested and its weight zeroed outside the grid."""
     W, H, D = grid.dims
     i0, f = _snap_fraction(grid.world_to_voxel(pts))
+    i0 = i0.astype(np.int64)
     wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]], axis=1) for a in range(3))
     cols = np.empty((pts.shape[0], 8), dtype=np.int64)
     wgt = np.empty((pts.shape[0], 8), dtype=np.float64)
@@ -311,6 +315,25 @@ def test_nearest_mask_warp_stays_binary():
     out = warp_image(mask, u, interp="nearest")
     assert isinstance(out, Mask3D)
     assert set(np.unique(out.data)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+@pytest.mark.parametrize("mm", [1e20, -1e20, 1e300, -1e300])
+def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
+    """Voxel coordinates beyond the int64 range are bounded before the cast."""
+    src = rand_image(12, dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0))
+    for axes in ([0], [0, 1, 2]):
+        data = np.zeros((4, 4, 4, 3))
+        data[..., axes] = mm
+        u = DisplacementField(src.dims, src.spacing, src.origin, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = warp_image(src, u, interp)
+            if interp == "trilinear":
+                vals, gradient = warp_scalar_with_gradient(src.data, src.grid, u)
+                assert_array_equal(vals, 0.0)
+                assert_array_equal(gradient(), 0.0)
+        assert_array_equal(out.data, 0.0)
 
 
 def test_mask_warp_requires_nearest_mode():

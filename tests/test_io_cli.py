@@ -135,6 +135,22 @@ def test_subspace_round_trip_rewrites_identical_bytes(tmp_path):
     assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
 
 
+def test_read_subspace_returns_arrays_that_own_their_data(tmp_path):
+    """No strided view into the file's payload: reconstruct reads the mean
+    without a gather, and the payload is freed once the subspace is built."""
+    rng = np.random.default_rng(5)
+    sub = build_subspace([rand_dvf(rng) for _ in range(5)], 0.99)
+    p = str(tmp_path / "s.json")
+    tio.write_subspace(p, sub)
+    back = tio.read_subspace(p)
+    assert back.mean.flags.c_contiguous and back.mean.flags.owndata
+    basis = back.basis
+    while basis.base is not None:
+        basis = basis.base
+    assert back.basis.flags.c_contiguous and basis.nbytes == back.basis.nbytes
+    assert np.array_equal(back.mean, sub.mean.astype(np.float32))
+
+
 def test_container_kind_and_payload_are_validated(tmp_path):
     p = str(tmp_path / "v.json")
     tio.write_image3d(p, rand_image(np.random.default_rng(6)))

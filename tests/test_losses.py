@@ -8,10 +8,11 @@ from scipy.ndimage import gaussian_filter
 
 from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
                      GridSpec, Image2D, Image3D, LossConfig, Mask3D,
-                     ProjectionSet, build_sdct_geometry, diffusion_energy,
-                     masked_sim_loss, ncc, reconstruct, total_loss,
-                     zero_displacement)
-from tomoreg.losses import LossContext, grad_alpha, grad_dense
+                     ProjectionSet, build_sdct_geometry, build_subspace,
+                     diffusion_energy, masked_sim_loss, ncc, reconstruct,
+                     total_loss, zero_displacement)
+from tomoreg.losses import (LossContext, _diffusion_energy, _diffusion_grad,
+                            diffusion_quadratic, grad_alpha, grad_dense)
 
 
 def ones_mask(dims, spacing, origin):
@@ -535,3 +536,74 @@ def test_a_dropped_context_frees_its_kept_states_without_the_collector():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the subspace regulariser in closed form
+# ---------------------------------------------------------------------------
+
+def test_closed_form_regulariser_matches_the_grid_passes():
+    """On a non-cubic, anisotropic subspace with an offset mean, the
+    quadratic in alpha gives the grid energy and its pulled-back gradient."""
+    rng = np.random.default_rng(11)
+    dims, spacing, origin = (7, 5, 9), (0.7, 1.3, 2.1), (1.0, -2.0, 3.0)
+    fields = [DisplacementField(dims, spacing, origin,
+                                gaussian_filter(rng.standard_normal(dims + (3,)),
+                                                (1.0, 1.0, 1.0, 0.0)) + 5.0)
+              for _ in range(6)]
+    sub = build_subspace(fields, 1.0)
+    c, b, G = diffusion_quadratic(sub)
+    assert G.shape == (sub.n_components,) * 2
+    assert_array_equal(G, G.T)
+    for _ in range(5):
+        alpha = 3.0 * rng.standard_normal(sub.n_components)
+        u = reconstruct(sub, alpha).data
+        want = _diffusion_energy(u, spacing)
+        assert c + (2.0 * b + G @ alpha) @ alpha == pytest.approx(want, rel=1e-12)
+        want_grad = sub.basis @ _diffusion_grad(u, spacing).reshape(-1)
+        assert np.max(np.abs(2.0 * (b + G @ alpha) - want_grad)) \
+            <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def subspace_registration(mode, pair, sub, op, lam, iters):
+    from tomoreg import OptimConfig, register_subspace_2d, register_subspace_3d
+    opt = OptimConfig(max_iters=iters)
+    if mode == "sim3d":
+        cfg = LossConfig(lam, "sim3d")
+        inputs = dict(target=pair.target, target_mask=pair.target_mask)
+        report = register_subspace_3d(pair.source, pair.target, pair.source_mask,
+                                      pair.target_mask, sub, cfg, opt)[2]
+    else:
+        cfg = LossConfig(lam, "sim2d", drr_step_mm=op.step_mm)
+        inputs = dict(projections=pair.projections)
+        report = register_subspace_2d(pair.source, pair.projections,
+                                      pair.source_mask, sub, cfg, opt, drr_op=op)[2]
+    return cfg, inputs, report
+
+
+@pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
+def test_subspace_objective_is_the_total_loss_of_its_field(mode, pair32, sub32, op32):
+    """The drivers add lam * energy in closed form; what they report is still
+    the total loss of the field they return."""
+    cfg, inputs, report = subspace_registration(mode, pair32, sub32, op32, 0.1, 3)
+    assert report.iterations == 3
+    u = reconstruct(sub32, report.alpha)
+    want = total_loss(u, cfg, source=pair32.source, source_mask=pair32.source_mask,
+                      **inputs)
+    assert report.final_loss == pytest.approx(want, rel=1e-12)
+    # lam * reg is over a tenth of that loss, so the check covers it
+    assert 0.1 * diffusion_energy(u) > 0.1 * want
+
+
+@pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
+def test_subspace_registration_makes_k_plus_one_diffusion_passes(
+        monkeypatch, mode, pair32, sub32, op32):
+    """One energy pass and k + 1 gradient passes, however many iterations."""
+    import tomoreg.losses
+    energy = counting(monkeypatch, tomoreg.losses, "_diffusion_energy")
+    grads = counting(monkeypatch, tomoreg.losses, "_diffusion_grad")
+    for iters in (1, 5):
+        energy[0] = grads[0] = 0
+        report = subspace_registration(mode, pair32, sub32, op32, 0.1, iters)[2]
+        assert report.iterations == iters
+        assert (energy[0], grads[0]) == (1, sub32.n_components + 1)
