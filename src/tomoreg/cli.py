@@ -113,7 +113,7 @@ def _loss_cfg(args, mode: str) -> LossConfig:
 
 
 def _opt_cfg(args) -> OptimConfig:
-    return OptimConfig(max_iters=args.iters, step_size=args.step_size)
+    return OptimConfig(max_iters=args.iters)
 
 
 def _write_reg_outputs(args, u, report, alpha=None) -> None:
@@ -178,7 +178,6 @@ def _add_register_common(p, with_alpha: bool) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="regularization weight")
     p.add_argument("--iters", type=int, default=200, help="max iterations")
-    p.add_argument("--step-size", type=float, default=1.0, help="initial step size")
     p.add_argument("--out-dvf", help="output displacement container")
     if with_alpha:
         p.add_argument("--out-alpha", help="output coefficient JSON")

@@ -199,13 +199,16 @@ def _snap_fraction(g: np.ndarray):
 
     The base index stays a float; ``_padded_index`` bounds it before the
     integer cast, so coordinates beyond the int64 range are well defined.
+    An infinite coordinate, from a displacement that overflowed in voxel
+    units, gets fraction 0 instead of inf - inf, so it reads the pad.
     """
     i0 = np.floor(g)
-    f = g - i0
+    with np.errstate(invalid="ignore"):
+        f = g - i0
     hi = f > 1.0 - _ALIGN_EPS
     i0 += hi
     f = np.where(hi, 0.0, f)
-    f = np.where(f < _ALIGN_EPS, 0.0, f)
+    f = np.where(f >= _ALIGN_EPS, f, 0.0)  # also maps NaN to 0
     return i0, f
 
 
@@ -373,17 +376,18 @@ def _warp_coords(src_grid: GridSpec, u: DisplacementField) -> np.ndarray:
     sp = np.asarray(src_grid.spacing)
     g = u.data.astype(np.float64)
     same = src_grid == u.grid
-    if same:
-        # index-space arithmetic keeps grid-aligned samples exact for u == 0
-        g /= sp
-    for a, n in enumerate(u.dims):
-        ramp = np.arange(n, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
+        if same:
+            # index-space arithmetic keeps grid-aligned samples exact for u == 0
+            g /= sp
+        for a, n in enumerate(u.dims):
+            ramp = np.arange(n, dtype=np.float64)
+            if not same:
+                ramp = u.origin[a] + u.spacing[a] * ramp
+            g[..., a] += ramp.reshape((-1,) + (1,) * (2 - a))
         if not same:
-            ramp = u.origin[a] + u.spacing[a] * ramp
-        g[..., a] += ramp.reshape((-1,) + (1,) * (2 - a))
-    if not same:
-        g -= np.asarray(src_grid.origin)
-        g /= sp
+            g -= np.asarray(src_grid.origin)
+            g /= sp
     return g.reshape(-1, 3)
 
 
@@ -417,7 +421,7 @@ def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
     the values were blended from, so a caller that needs only values never
     pays for it.  The closure holds the corners, the fractions and the
     planes, 13 floats per voxel, for as long as the caller keeps it;
-    ``LossContext`` keeps the closures of its last two evaluations.
+    ``LossContext`` keeps the closure of its last evaluation.
 
     The gradient is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream

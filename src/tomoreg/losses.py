@@ -27,15 +27,14 @@ A ``LossContext`` evaluates in two phases.  ``loss`` runs the value phase
 only: the warp, the similarity (for sim2d the DRR forwards) and the
 diffusion energy.  ``loss_and_grad`` adds the gradient phase: the interpolant
 derivative, the projection adjoints, the diffusion gradient and the chain
-rule.  The context keeps the state of the last two value phases, keyed on
-the exact bytes of the field; ``loss_and_grad`` at one of those fields only
-runs the gradient phase.  A line search accepts either its last trial or,
-after one rejected growth step, the one before it, so each point a
+rule.  The context keeps the state of its last value phase, keyed on the
+exact bytes of the field; ``loss_and_grad`` at that field only runs the
+gradient phase.  A line search accepts its last trial, so each point a
 registration evaluates is warped once.  The price is memory: per voxel,
-each kept state holds the eight gathered corners, three fractions, the two
+the kept state holds the eight gathered corners, three fractions, the two
 z-face planes of the interpolant, the three field components of its key
-and the correlation terms, about 18 floats (4.7 MB per state on a 32-cube,
-38 MB on a 64-cube).
+and the correlation terms, about 18 floats (4.7 MB on a 32-cube, 38 MB on
+a 64-cube).
 """
 from __future__ import annotations
 
@@ -175,21 +174,17 @@ def diffusion_quadratic(sub: DeformationSubspace):
 class LossContext:
     """Fixed inputs of a registration problem, reused across loss evals."""
 
-    def __init__(self, mode: str, cfg: LossConfig, source: Image3D,
-                 source_mask: Mask3D, target=None, target_mask=None,
+    def __init__(self, cfg: LossConfig, source: Image3D, source_mask: Mask3D,
+                 target=None, target_mask=None,
                  projections: ProjectionSet | None = None,
                  drr_op: DrrOperator | None = None):
-        if mode != cfg.loss_mode:
-            raise ValueError(f"loss context mode {mode!r} does not match "
-                             f"loss_mode {cfg.loss_mode!r}")
-        self.mode = mode
         self.cfg = cfg
         self.grid = source.grid
         if source_mask.grid != self.grid:
             raise ValueError("source mask grid does not match source grid")
         self.msrc = source.data.astype(np.float64) * source_mask.data
 
-        if mode == "sim3d":
+        if cfg.loss_mode == "sim3d":
             if target is None or target_mask is None:
                 raise ValueError("sim3d needs a target volume and target mask")
             if target.grid != self.grid or target_mask.grid != self.grid:
@@ -217,8 +212,8 @@ class LossContext:
             self.drr_op = drr_op
             self._proj = [im.data.astype(np.float64).reshape(-1)
                           for im in projections.images]
-        # (key, total, gradient finisher) of the last two value phases
-        self._kept = []
+        # (key, total, gradient finisher) of the last value phase
+        self._kept = None
 
     # -- similarity: value now, d sim / d warped on demand ------------------
 
@@ -273,12 +268,12 @@ class LossContext:
     def loss_and_grad(self, u: DisplacementField):
         """Total loss and dL/du as a (W,H,D,3) array in 1/mm units.
 
-        When u is one of the last two fields this context evaluated, only
-        the gradient phase runs, from that evaluation's kept state.
+        When u is the last field this context evaluated, only the gradient
+        phase runs, from that evaluation's kept state.
         """
         key = self._key(u)
-        state = next((s for s in self._kept if s[0] == key), None)
-        if state is None:
+        state = self._kept
+        if state is None or state[0] != key:
             state = self._value(u, key)
         return state[1], state[2](u.data.astype(np.float64, copy=False))
 
@@ -291,7 +286,7 @@ class LossContext:
     def _value(self, u: DisplacementField, key: bytes):
         """Value phase; returns and keeps (key, total, gradient finisher)."""
         warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u)
-        if self.mode == "sim3d":
+        if self.cfg.loss_mode == "sim3d":
             sim, sim_grad = self._sim3d(warped)
         else:
             sim, sim_grad = self._sim2d(warped)
@@ -307,9 +302,8 @@ class LossContext:
                 g += lam * _diffusion_grad(udata, spacing)
             return g
 
-        state = (key, total, finish)
-        self._kept = self._kept[-1:] + [state]
-        return state
+        self._kept = (key, total, finish)
+        return self._kept
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +318,7 @@ def masked_sim_loss(target: Image3D, source: Image3D, target_mask: Mask3D,
     zero image) drives the correlation to its defined value of 0, so the
     loss becomes 1.
     """
-    ctx = LossContext("sim3d", LossConfig(lam=0.0), source, source_mask,
+    ctx = LossContext(LossConfig(lam=0.0), source, source_mask,
                       target=target, target_mask=target_mask)
     return ctx.loss(u)
 
@@ -334,7 +328,7 @@ def total_loss(u: DisplacementField, cfg: LossConfig, *, source: Image3D,
                target_mask: Mask3D | None = None,
                projections: ProjectionSet | None = None) -> float:
     """One-off total loss evaluation; builds a context and discards it."""
-    ctx = LossContext(cfg.loss_mode, cfg, source, source_mask, target=target,
+    ctx = LossContext(cfg, source, source_mask, target=target,
                       target_mask=target_mask, projections=projections)
     return ctx.loss(u)
 

@@ -8,8 +8,9 @@ coefficients, built once per registration, so an evaluation there costs
 only the warp and the similarity.
 
 The optimizer is gradient descent with an Armijo backtracking line search
-(c = 1e-4, shrink factor 0.5, greedy step growth between iterations), which
-guarantees a non-increasing trace of accepted losses.
+(c = 1e-4, shrink factor 0.5).  Its first trial moves the field by one voxel
+RMS, and each later iteration first tries twice the last accepted step; no
+step size is configured.  Accepted losses form a non-increasing trace.
 
 Everything is deterministic: fixed evaluation order, no stochastic
 sampling, so repeated runs on identical inputs reproduce results bitwise.
@@ -40,15 +41,12 @@ class NumericalAbort(RuntimeError):
 @dataclass
 class OptimConfig:
     max_iters: int = 200
-    step_size: float = 1.0
     tol_grad: float = 1e-9
     tol_loss: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
         if self.tol_grad < 0.0 or self.tol_loss < 0.0:
             raise ValueError("tolerances must be >= 0")
 
@@ -72,7 +70,7 @@ def _check_finite(value, what: str):
 def _require_contrast(ctx: LossContext):
     """Reject inputs whose correlation is undefined at every field."""
     operands = [("masked source", ctx.msrc)]
-    if ctx.mode == "sim3d":
+    if ctx.cfg.loss_mode == "sim3d":
         operands.append(("masked target", ctx._fixed))
     else:
         for i, p in enumerate(ctx._proj):
@@ -93,6 +91,14 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
     descent direction; ``prior``, when given, maps x to a term and its
     gradient in x that are added to the loss.  Returns x and the report
     (with no alpha).
+
+    Precondition: to_field is an isometry, so a step in x moves the field's
+    (W,H,D,3) entries by the same Euclidean length.  Both drivers' maps are:
+    subspace basis rows are orthonormal, and the dense map is the identity.
+    So the first trial step, of length min(spacing) * sqrt(n_voxels) in x,
+    moves the field by one voxel RMS without a warp to find that out.
+    Every accepted point is the line search's last trial, whose state the
+    loss context still keeps for the gradient that follows.
     """
     _require_contrast(ctx)
     cfg = cfg or OptimConfig()
@@ -119,7 +125,7 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
     loss, grad = loss_grad_fn(x)
     trace = [float(loss)]
     stop = "max_iters"
-    t = cfg.step_size
+    first_len = min(ctx.grid.spacing) * np.sqrt(ctx.grid.n_voxels)
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if np.max(np.abs(grad)) < cfg.tol_grad:
@@ -132,39 +138,25 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
         if slope >= 0.0:  # smoothed direction degenerated; fall back
             d = -grad
             slope = -float(grad @ grad)
+        if it == 1:
+            # an exactly zero d leaves x where it is for any step
+            norm = float(np.linalg.norm(d))
+            t = first_len / norm if norm > 0.0 else 0.0
 
-        accepted = None
-        t_try = t
-        n_back = 0
         for _ in range(_MAX_BACKTRACKS):
-            cand = x + t_try * d
+            cand = x + t * d
             cand_loss = loss_fn(cand)
-            if cand_loss <= loss + _ARMIJO_C * t_try * slope:
-                accepted = (cand, cand_loss, t_try)
+            if cand_loss <= loss + _ARMIJO_C * t * slope:
                 break
-            t_try *= _SHRINK
-            n_back += 1
-        if accepted is None:
+            t *= _SHRINK
+        else:
             stop = "line_search_failed"
             it -= 1
             break
 
-        # when the first trial step already passed, grow it greedily so a
-        # badly scaled initial step_size is corrected within one iteration
-        cand, cand_loss, t_acc = accepted
-        while n_back == 0:
-            t_big = 2.0 * t_acc
-            big = x + t_big * d
-            big_loss = loss_fn(big)
-            if big_loss <= loss + _ARMIJO_C * t_big * slope and big_loss < cand_loss:
-                cand, cand_loss, t_acc = big, big_loss, t_big
-            else:
-                break
-
         x = cand
-        loss = cand_loss
-        t = 2.0 * t_acc
-        trace.append(float(loss))
+        t *= 2.0
+        trace.append(float(cand_loss))
         loss, grad = loss_grad_fn(x)
 
         if len(trace) > _LOSS_WINDOW:
@@ -214,7 +206,7 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
     cfg = loss_cfg or LossConfig(loss_mode="sim3d")
-    ctx = LossContext("sim3d", replace(cfg, lam=0.0), source, source_mask,
+    ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
                       target=target, target_mask=target_mask)
     return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
 
@@ -226,7 +218,7 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
     cfg = loss_cfg or LossConfig(loss_mode="sim2d")
-    ctx = LossContext("sim2d", replace(cfg, lam=0.0), source, source_mask,
+    ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
                       projections=projections, drr_op=drr_op)
     return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
 
@@ -241,8 +233,8 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
     voxel) before each step; the Armijo test still uses the raw gradient's
     directional derivative so accepted steps always descend.
     """
-    ctx = LossContext("sim3d", loss_cfg or LossConfig(loss_mode="sim3d"),
-                      source, source_mask, target=target, target_mask=target_mask)
+    ctx = LossContext(loss_cfg or LossConfig(loss_mode="sim3d"), source,
+                      source_mask, target=target, target_mask=target_mask)
     grid = source.grid
     shape = grid.dims + (3,)
 

@@ -64,7 +64,7 @@ def pairs64(op64):
 @pytest.fixture(scope="module")
 def reg3d(pairs64, sub64):
     cfg_l = LossConfig(lam=0.1, loss_mode="sim3d")
-    cfg_o = OptimConfig(max_iters=200, step_size=1.0)
+    cfg_o = OptimConfig(max_iters=200)
     t0 = time.perf_counter()
     results = [register_subspace_3d(p.source, p.target, p.source_mask,
                                     p.target_mask, sub64, cfg_l, cfg_o)
@@ -75,7 +75,7 @@ def reg3d(pairs64, sub64):
 @pytest.fixture(scope="module")
 def reg2d(pairs64, sub64, op64):
     cfg_l = LossConfig(lam=0.1, loss_mode="sim2d")
-    cfg_o = OptimConfig(max_iters=200, step_size=1.0)
+    cfg_o = OptimConfig(max_iters=200)
     results = [register_subspace_2d(p.source, p.projections, p.source_mask,
                                     sub64, cfg_l, cfg_o, drr_op=op64)
                for p in pairs64]
@@ -116,9 +116,9 @@ def test_criterion_01_gradient_fidelity(capsys):
                                   singular_values=np.array([3.0, 2.0, 1.0]),
                                   variance_fraction=1.0)
         alpha = 0.5 * rng.standard_normal(3)
-        ctx3 = LossContext("sim3d", LossConfig(0.1, "sim3d"), src, mask,
+        ctx3 = LossContext(LossConfig(0.1, "sim3d"), src, mask,
                            target=tgt, target_mask=mask)
-        ctx2 = LossContext("sim2d", LossConfig(0.1, "sim2d"), src, mask,
+        ctx2 = LossContext(LossConfig(0.1, "sim2d"), src, mask,
                            projections=op.render_all(tgt), drr_op=op)
         return ctx3, ctx2, sub, alpha, rng
 
@@ -349,7 +349,9 @@ def test_criterion_08_projection_bound(pairs64, sub64, reg3d, capsys):
 # ---------------------------------------------------------------------------
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "tomoreg", *args],
+    # the suite's RuntimeWarning filter does not reach a child interpreter
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "tomoreg", *args],
                           capture_output=True, text=True)
 
 

@@ -318,22 +318,27 @@ def test_nearest_mask_warp_stays_binary():
 
 
 @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
-@pytest.mark.parametrize("mm", [1e20, -1e20, 1e300, -1e300])
+@pytest.mark.parametrize("mm", [1e20, -1e20, 1e300, -1e300, 1e308, -1e308])
 def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
-    """Voxel coordinates beyond the int64 range are bounded before the cast."""
-    src = rand_image(12, dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0))
-    for axes in ([0], [0, 1, 2]):
-        data = np.zeros((4, 4, 4, 3))
-        data[..., axes] = mm
-        u = DisplacementField(src.dims, src.spacing, src.origin, data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = warp_image(src, u, interp)
-            if interp == "trilinear":
-                vals, gradient = warp_scalar_with_gradient(src.data, src.grid, u)
-                assert_array_equal(vals, 0.0)
-                assert_array_equal(gradient(), 0.0)
-        assert_array_equal(out.data, 0.0)
+    """Voxel coordinates beyond the int64 range are bounded before the cast;
+    at a sub-millimetre spacing +-1e308 mm overflows to an infinite voxel
+    coordinate, on the source's own grid and on another one."""
+    for spacing in (1.0, 0.5):
+        src = rand_image(12, dims=(4, 4, 4), spacing=(spacing,) * 3)
+        for origin in (src.origin, np.add(src.origin, 0.25)):
+            for axes in ([0], [0, 1, 2]):
+                data = np.zeros((4, 4, 4, 3))
+                data[..., axes] = mm
+                u = DisplacementField(src.dims, src.spacing, origin, data)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = warp_image(src, u, interp)
+                    if interp == "trilinear":
+                        vals, gradient = warp_scalar_with_gradient(
+                            src.data, src.grid, u)
+                        assert_array_equal(vals, 0.0)
+                        assert_array_equal(gradient(), 0.0)
+                assert_array_equal(out.data, 0.0)
 
 
 def test_mask_warp_requires_nearest_mode():

@@ -622,6 +622,29 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
     assert len(err) == 1 and err[0].startswith("error: subspace has no components")
     assert not os.path.exists(tmp_path / "u.json")
 
+    # a one-voxel volume is constant, so nothing can be correlated
+    one = GridSpec((1, 1, 1), (1.0, 2.0, 3.0))
+    tio.write_image3d(str(tmp_path / "one.json"),
+                      Image3D(one.dims, one.spacing, one.origin, np.ones((1, 1, 1))))
+    tio.write_mask3d(str(tmp_path / "one_mask.json"),
+                     Mask3D(one.dims, one.spacing, one.origin, np.ones((1, 1, 1))))
+    one_args = ["register", "dense",
+                "--source", str(tmp_path / "one.json"),
+                "--target", str(tmp_path / "one.json"),
+                "--source-mask", str(tmp_path / "one_mask.json"),
+                "--target-mask", str(tmp_path / "one_mask.json"),
+                "--iters", "1", "--out-dvf", str(tmp_path / "u.json")]
+    rc = main(one_args)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: masked source is constant, so its correlation is undefined"]
+    assert not os.path.exists(tmp_path / "u.json")
+
+    # the first step is scaled from the grid; there is no step size to set
+    with pytest.raises(SystemExit) as exc:
+        main(one_args + ["--step-size", "1.0"])
+    assert exc.value.code == 2
+
 
 def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
                                                  tmp_path, capsys):
@@ -645,7 +668,8 @@ def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "tomoreg", "--help"],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "tomoreg", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "register" in proc.stdout

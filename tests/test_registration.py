@@ -1,5 +1,6 @@
 """Registration drivers: coefficient search, dense descent, amortization."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tomoreg import (DeformationSubspace, DisplacementField, Image2D, Image3D,
                      make_pair, mtre, per_axis_error, project, reconstruct,
                      register_dense_3d, register_subspace_2d,
                      register_subspace_3d, warp_image, zero_displacement)
+from tomoreg.losses import LossContext
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
 from tomoreg.registration import fit_linear_amortizer, predict_alpha
 
@@ -36,7 +38,7 @@ def recovery3d(pair32, sub32):
     alpha, u, rep = register_subspace_3d(
         pair32.source, pair32.target, pair32.source_mask, pair32.target_mask,
         sub32, LossConfig(lam=0.1, loss_mode="sim3d"),
-        OptimConfig(max_iters=200, step_size=1.0))
+        OptimConfig(max_iters=200))
     return alpha, u, rep
 
 
@@ -46,7 +48,7 @@ def recovery2d(pair32, sub32, op32):
     alpha, u, rep = register_subspace_2d(
         pair32.source, pair32.projections, pair32.source_mask, sub32,
         LossConfig(lam=0.1, loss_mode="sim2d"),
-        OptimConfig(max_iters=200, step_size=1.0), drr_op=op32)
+        OptimConfig(max_iters=200), drr_op=op32)
     return alpha, u, rep
 
 
@@ -55,7 +57,7 @@ def recovery_dense(pair32):
     u, rep = register_dense_3d(
         pair32.source, pair32.target, pair32.source_mask, pair32.target_mask,
         LossConfig(lam=0.1, loss_mode="sim3d"),
-        OptimConfig(max_iters=150, step_size=1.0))
+        OptimConfig(max_iters=150))
     return u, rep
 
 
@@ -115,7 +117,7 @@ def test_huge_regularization_suppresses_recovered_motion(pair32, sub32):
     alpha, u, rep = register_subspace_3d(
         pair32.source, pair32.target, pair32.source_mask, pair32.target_mask,
         sub32, LossConfig(lam=1e6, loss_mode="sim3d"),
-        OptimConfig(max_iters=60, step_size=1.0))
+        OptimConfig(max_iters=60))
     assert np.abs(u.data).max() < 0.01
 
 
@@ -190,7 +192,7 @@ def test_subspace_loss_cannot_beat_dense_loss(recovery3d, recovery_dense):
 
 def test_registration_is_deterministic(pair32, sub32):
     cfg_l = LossConfig(lam=0.1, loss_mode="sim3d")
-    cfg_o = OptimConfig(max_iters=15, step_size=1.0)
+    cfg_o = OptimConfig(max_iters=15)
     a1, u1, r1 = register_subspace_3d(pair32.source, pair32.target,
                                       pair32.source_mask, pair32.target_mask,
                                       sub32, cfg_l, cfg_o)
@@ -203,6 +205,93 @@ def test_registration_is_deterministic(pair32, sub32):
 
 
 # ---------------------------------------------------------------------------
+# the first trial step and small or degenerate grids
+# ---------------------------------------------------------------------------
+
+def random_problem(dims, spacing, seed):
+    """Random source and target, a full mask and a subspace with a mean."""
+    rng = np.random.default_rng(seed)
+    origin = (1.0, -2.0, 0.5)
+    src, tgt = (Image3D(dims, spacing, origin, rng.random(dims))
+                for _ in range(2))
+    mask = Mask3D(dims, spacing, origin, np.ones(dims))
+    sub = build_subspace([DisplacementField(dims, spacing, origin,
+                                            rng.standard_normal(dims + (3,)))
+                          for _ in range(4)], 1.0)
+    return src, tgt, mask, sub
+
+
+@pytest.mark.parametrize("driver", ["subspace3d", "dense"])
+def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
+    src, tgt, mask, sub = random_problem((10, 8, 6), (1.5, 1.2, 2.0), 3)
+    first = []
+    loss = LossContext.loss
+
+    def recording(ctx, u):
+        if not first:
+            first.append(u.data.copy())
+        return loss(ctx, u)
+
+    monkeypatch.setattr(LossContext, "loss", recording)
+    opt = OptimConfig(max_iters=1)
+    if driver == "subspace3d":
+        register_subspace_3d(src, tgt, mask, mask, sub, opt_cfg=opt)
+        start = sub.mean
+    else:
+        register_dense_3d(src, tgt, mask, mask, opt_cfg=opt)
+        start = 0.0
+    rms = np.sqrt(np.mean(np.sum((first[0] - start) ** 2, axis=-1)))
+    assert rms == pytest.approx(min(src.spacing), rel=1e-9)
+
+
+def test_an_exactly_zero_direction_takes_no_step_and_no_warning(pair32):
+    """The one basis field moves only voxel (0, 0, 0), where the masked
+    source and its interpolant gradient are exactly zero."""
+    msrc = pair32.source.data * pair32.source_mask.data
+    assert not msrc[:2, :2, :2].any()
+    basis = np.zeros((1, pair32.source.grid.n_voxels * 3))
+    basis[0, 0] = 1.0
+    sub = DeformationSubspace(dims=pair32.source.dims,
+                              spacing=pair32.source.spacing,
+                              origin=pair32.source.origin,
+                              mean=np.zeros(pair32.source.dims + (3,)),
+                              basis=basis, singular_values=np.ones(1),
+                              variance_fraction=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, _, rep = register_subspace_3d(
+            pair32.source, pair32.target, pair32.source_mask,
+            pair32.target_mask, sub, LossConfig(lam=0.0),
+            OptimConfig(max_iters=10, tol_grad=0.0))
+    assert alpha.tolist() == [0.0]
+    assert rep.iterations >= 1
+    assert len(set(rep.loss_trace)) == 1
+
+
+@pytest.mark.parametrize("dims, spacing", [((2, 1, 3), (0.7, 1.9, 1.3)),
+                                           ((3, 2, 1), (2.5, 0.6, 1.1))])
+def test_grids_with_a_single_voxel_axis_register(dims, spacing):
+    src, tgt, mask, sub = random_problem(dims, spacing, 5)
+    opt = OptimConfig(max_iters=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [register_subspace_3d(src, tgt, mask, mask, sub,
+                                        opt_cfg=opt)[2],
+                   register_dense_3d(src, tgt, mask, mask, opt_cfg=opt)[1]]
+    for rep in reports:
+        assert rep.iterations >= 1
+        assert np.all(np.diff(rep.loss_trace) <= 0.0)
+
+
+def test_a_single_voxel_grid_is_rejected_as_a_constant_source():
+    src, tgt, mask, sub = random_problem((1, 1, 1), (1.0, 2.0, 3.0), 7)
+    with pytest.raises(ValueError, match="masked source is constant"):
+        register_subspace_3d(src, tgt, mask, mask, sub)
+    with pytest.raises(ValueError, match="masked source is constant"):
+        register_dense_3d(src, tgt, mask, mask)
+
+
+# ---------------------------------------------------------------------------
 # subspaces built from dense registrations generalize
 # ---------------------------------------------------------------------------
 
@@ -212,7 +301,7 @@ def test_dense_registrations_span_a_reusable_subspace():
                              n_modes=4, magnitude_mm=10.0,
                              smoothness_sigma_voxels=6.0))
     cfg_l = LossConfig(lam=0.1, loss_mode="sim3d")
-    cfg_o = OptimConfig(max_iters=150, step_size=1.0)
+    cfg_o = OptimConfig(max_iters=150)
     fields = []
     for i in range(21):
         pr = make_pair(spec24, seed=split_seed(5000, f"d{i}"))
@@ -397,7 +486,5 @@ def test_subspace_grid_must_match_source(identity_scene, op32):
 def test_optimizer_configuration_is_validated():
     with pytest.raises(ValueError):
         OptimConfig(max_iters=-1)
-    with pytest.raises(ValueError):
-        OptimConfig(step_size=0.0)
     with pytest.raises(ValueError):
         OptimConfig(tol_grad=-1e-9)
