@@ -420,8 +420,7 @@ def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
     (W,H,D,3) derivative from those same corners and the two z-face planes
     the values were blended from, so a caller that needs only values never
     pays for it.  The closure holds the corners, the fractions and the
-    planes, 13 floats per voxel, for as long as the caller keeps it;
-    ``LossContext`` keeps the closure of its last evaluation.
+    planes, 13 floats per voxel, for as long as the caller keeps it.
 
     The gradient is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream

@@ -23,18 +23,18 @@ a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
 the subspace drivers evaluate it in closed form next to a context with
 lam = 0, which skips the grid passes.
 
-A ``LossContext`` evaluates in two phases.  ``loss`` runs the value phase
-only: the warp, the similarity (for sim2d the DRR forwards) and the
-diffusion energy.  ``loss_and_grad`` adds the gradient phase: the interpolant
-derivative, the projection adjoints, the diffusion gradient and the chain
-rule.  The context keeps the state of its last value phase, keyed on the
-exact bytes of the field; ``loss_and_grad`` at that field only runs the
-gradient phase.  A line search accepts its last trial, so each point a
-registration evaluates is warped once.  The price is memory: per voxel,
-the kept state holds the eight gathered corners, three fractions, the two
-z-face planes of the interpolant, the three field components of its key
-and the correlation terms, about 18 floats (4.7 MB on a 32-cube, 38 MB on
-a 64-cube).
+A ``LossContext`` evaluates in two phases.  ``evaluate`` runs the value
+phase: the warp, the similarity (for sim2d the DRR forwards) and the
+diffusion energy.  It returns the total with a callable for the gradient
+phase: the interpolant derivative, the projection adjoints, the diffusion
+gradient and the chain rule.  The context itself keeps nothing between
+evaluations; the callable holds its evaluation's state for as long as the
+caller keeps it: per voxel the eight gathered corners, three fractions, the
+two z-face planes of the interpolant and the correlation terms, about 15
+floats (3.9 MB on a 32-cube, 31 MB on a 64-cube), plus the field itself.
+A line search keeps the callable of each trial until the next one and
+calls it only for the trial it accepts, so each point a registration
+evaluates is warped once.
 """
 from __future__ import annotations
 
@@ -212,15 +212,11 @@ class LossContext:
             self.drr_op = drr_op
             self._proj = [im.data.astype(np.float64).reshape(-1)
                           for im in projections.images]
-        # (key, total, gradient finisher) of the last value phase
-        self._kept = None
 
     # -- similarity: value now, d sim / d warped on demand ------------------
 
-    # The closures below capture what they need, never ``self``: a kept
-    # state that referred back to its context would make a reference cycle
-    # and keep every finished registration's states alive until the cyclic
-    # garbage collector runs.
+    # The closures below capture what they need, never ``self``, so a
+    # gradient callable the caller keeps does not keep its context alive.
 
     def _sim3d(self, warped: np.ndarray):
         sel, dims = self._sel, self.grid.dims
@@ -262,48 +258,42 @@ class LossContext:
     # -- public evaluations -------------------------------------------------
 
     def loss(self, u: DisplacementField) -> float:
-        """Total loss at u; runs the value phase and keeps its state."""
-        return self._value(u, self._key(u))[1]
+        """Total loss at u; runs the value phase only."""
+        return self.evaluate(u)[0]
 
     def loss_and_grad(self, u: DisplacementField):
-        """Total loss and dL/du as a (W,H,D,3) array in 1/mm units.
+        """Total loss and dL/du as a (W,H,D,3) array in 1/mm units."""
+        total, grad = self.evaluate(u)
+        return total, grad()
 
-        When u is the last field this context evaluated, only the gradient
-        phase runs, from that evaluation's kept state.
+    def evaluate(self, u: DisplacementField):
+        """Total loss at u and a zero-argument callable for dL/du.
+
+        The value phase runs now.  The callable runs the gradient phase from
+        its state and returns dL/du as a (W,H,D,3) array in 1/mm units.  It
+        gives the gradient at u as evaluated, so call it before u is changed
+        in place.
         """
-        key = self._key(u)
-        state = self._kept
-        if state is None or state[0] != key:
-            state = self._value(u, key)
-        return state[1], state[2](u.data.astype(np.float64, copy=False))
-
-    def _key(self, u: DisplacementField) -> bytes:
-        """Exact bytes of the field, so -0.0 and +0.0 stay distinct."""
         if u.grid != self.grid:
             raise ValueError("displacement grid does not match the loss grid")
-        return np.ascontiguousarray(u.data, dtype=np.float64).tobytes()
-
-    def _value(self, u: DisplacementField, key: bytes):
-        """Value phase; returns and keeps (key, total, gradient finisher)."""
         warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u)
         if self.cfg.loss_mode == "sim3d":
             sim, sim_grad = self._sim3d(warped)
         else:
             sim, sim_grad = self._sim2d(warped)
         lam, spacing = self.cfg.lam, self.grid.spacing
+        udata = u.data.astype(np.float64, copy=False)
         total = sim
         if lam:
-            total += lam * _diffusion_energy(u.data.astype(np.float64, copy=False),
-                                             spacing)
+            total += lam * _diffusion_energy(udata, spacing)
 
-        def finish(udata):
+        def grad():
             g = sim_grad()[..., None] * warp_grad()
             if lam:
                 g += lam * _diffusion_grad(udata, spacing)
             return g
 
-        self._kept = (key, total, finish)
-        return self._kept
+        return total, grad
 
 
 # ---------------------------------------------------------------------------

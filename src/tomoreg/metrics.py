@@ -1,7 +1,7 @@
 """Registration quality metrics: landmark error, overlap, fold statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,14 +19,8 @@ class MetricsReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mtre_mm": self.mtre_mm,
-            "per_axis_mm": list(self.per_axis_mm),
-            "dice_pct": self.dice_pct,
-            "pct_neg_jacobian": self.pct_neg_jacobian,
-            "n_landmarks": self.n_landmarks,
-            "warnings": list(self.warnings),
-        }
+        # a list, as JSON would read it back
+        return {**asdict(self), "per_axis_mm": list(self.per_axis_mm)}
 
 
 def _paired_points(lm_src: Landmarks, lm_tgt: Landmarks):

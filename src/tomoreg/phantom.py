@@ -14,7 +14,7 @@ every artifact regenerates bitwise across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -77,6 +77,8 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_vessels", int(self.n_vessels))
         if min(self.dims) < 16:
             raise ValueError("dims too small to fit phantom structures (min 16)")
         if any(s <= 0 for s in self.spacing):
@@ -85,28 +87,7 @@ class PhantomSpec:
             raise ValueError("n_vessels must be >= 0")
 
     def to_dict(self) -> dict:
-        g = self.geometry
-        return {
-            "dims": list(self.dims),
-            "spacing": list(self.spacing),
-            "seed": int(self.seed),
-            "n_vessels": int(self.n_vessels),
-            "deformation": {
-                "n_modes": self.deformation.n_modes,
-                "magnitude_mm": self.deformation.magnitude_mm,
-                "smoothness_sigma_voxels": self.deformation.smoothness_sigma_voxels,
-            },
-            "geometry": {
-                "n_emitters": g.n_emitters,
-                "span_angle_deg": g.span_angle_deg,
-                "source_detector_distance_mm": g.source_detector_distance_mm,
-                "line_offset_mm": list(g.line_offset_mm),
-                "detector_dims": None if g.detector_dims is None else list(g.detector_dims),
-                "detector_spacing_mm": (None if g.detector_spacing_mm is None
-                                        else list(g.detector_spacing_mm)),
-                "step_mm": g.step_mm,
-            },
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PhantomSpec":

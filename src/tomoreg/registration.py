@@ -1,16 +1,19 @@
 """Registration drivers: subspace coefficients or dense fields by descent.
 
-All drivers minimize the same total loss with analytic gradients, pulled
-back to their own parameters: subspace coefficients or a per-voxel field.
-The dense driver's loss context evaluates the diffusion regulariser on the
-grid; the subspace drivers evaluate it as a k-by-k quadratic in the
-coefficients, built once per registration, so an evaluation there costs
-only the warp and the similarity.
+Each driver builds one objective on its own parameters, subspace
+coefficients or a per-voxel field: a function that evaluates the total loss
+at a point and returns it with a callable for its analytic gradient there.
+The dense driver's objective is its loss context, which evaluates the
+diffusion regulariser on the grid.  The subspace drivers evaluate it as a
+k-by-k quadratic in the coefficients, built once per registration, so an
+evaluation there costs only the warp and the similarity.
 
 The optimizer is gradient descent with an Armijo backtracking line search
 (c = 1e-4, shrink factor 0.5).  Its first trial moves the field by one voxel
 RMS, and each later iteration first tries twice the last accepted step; no
-step size is configured.  Accepted losses form a non-increasing trace.
+step size is configured.  Each trial is evaluated once, and only the
+accepted trial's gradient is computed.  Accepted losses form a
+non-increasing trace.
 
 Everything is deterministic: fixed evaluation order, no stochastic
 sampling, so repeated runs on identical inputs reproduce results bitwise.
@@ -32,6 +35,7 @@ _ARMIJO_C = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _LOSS_WINDOW = 5
+_ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
 
 
 class NumericalAbort(RuntimeError):
@@ -83,46 +87,41 @@ def _require_contrast(ctx: LossContext):
             raise ValueError(f"{name} is constant, so its correlation is undefined")
 
 
-def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
-              cfg: OptimConfig | None, smooth=None, prior=None):
-    """Descent on a flat parameter vector x for the loss at to_field(x).
+def _minimize(ctx: LossContext, objective, x0: np.ndarray,
+              cfg: OptimConfig | None, smooth=None):
+    """Descent on a flat parameter vector x for the loss ``objective`` gives.
 
-    ``pullback`` maps dL/du to dL/dx; ``smooth``, when given, filters the
-    descent direction; ``prior``, when given, maps x to a term and its
-    gradient in x that are added to the loss.  Returns x and the report
-    (with no alpha).
+    ``objective(x)`` returns the loss at x and a zero-argument callable for
+    its gradient in x; ``smooth``, when given, filters the descent
+    direction.  ``ctx`` is the objective's loss context, checked for
+    contrast before the first evaluation.  Returns x and the report (with
+    no alpha).
 
-    Precondition: to_field is an isometry, so a step in x moves the field's
-    (W,H,D,3) entries by the same Euclidean length.  Both drivers' maps are:
-    subspace basis rows are orthonormal, and the dense map is the identity.
-    So the first trial step, of length min(spacing) * sqrt(n_voxels) in x,
-    moves the field by one voxel RMS without a warp to find that out.
-    Every accepted point is the line search's last trial, whose state the
-    loss context still keeps for the gradient that follows.
+    Precondition: x maps to the field by an isometry, so a step in x moves
+    the field's (W,H,D,3) entries by the same Euclidean length.  Both
+    drivers' maps are: subspace basis rows are orthonormal, and the dense
+    map is the identity.  So the first trial step, of length
+    min(spacing) * sqrt(n_voxels) in x, moves the field by one voxel RMS
+    without a warp to find that out.  Each trial is evaluated once; the
+    gradient callable of the accepted trial gives the next gradient.
     """
     _require_contrast(ctx)
     cfg = cfg or OptimConfig()
 
-    def loss_fn(x):
-        loss = ctx.loss(to_field(x))
-        if prior is not None:
-            loss += prior(x)[0]
+    def value(x):
+        loss, grad_fn = objective(x)
         _check_finite(loss, "loss")
-        return loss
+        return loss, grad_fn
 
-    def loss_grad_fn(x):
-        loss, g = ctx.loss_and_grad(to_field(x))
-        grad = pullback(g)
-        if prior is not None:
-            p, pg = prior(x)
-            loss, grad = loss + p, grad + pg
-        _check_finite(loss, "loss")
+    def gradient(grad_fn):
+        grad = grad_fn()
         _check_finite(grad, "gradient")
-        return loss, grad
+        return grad
 
     x = np.asarray(x0, dtype=np.float64).copy()
     t0 = time.perf_counter()
-    loss, grad = loss_grad_fn(x)
+    loss, grad_fn = value(x)
+    grad = gradient(grad_fn)
     trace = [float(loss)]
     stop = "max_iters"
     first_len = min(ctx.grid.spacing) * np.sqrt(ctx.grid.n_voxels)
@@ -145,7 +144,7 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
 
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * d
-            cand_loss = loss_fn(cand)
+            cand_loss, grad_fn = value(cand)
             if cand_loss <= loss + _ARMIJO_C * t * slope:
                 break
             t *= _SHRINK
@@ -154,10 +153,10 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
             it -= 1
             break
 
-        x = cand
+        x, loss = cand, cand_loss
         t *= 2.0
-        trace.append(float(cand_loss))
-        loss, grad = loss_grad_fn(x)
+        trace.append(float(loss))
+        grad = gradient(grad_fn)
 
         if len(trace) > _LOSS_WINDOW:
             prev = trace[-1 - _LOSS_WINDOW]
@@ -171,13 +170,22 @@ def _minimize(ctx: LossContext, to_field, pullback, x0: np.ndarray,
     return x, report
 
 
+def _loss_config(cfg: LossConfig | None, mode: str, driver: str) -> LossConfig:
+    """``cfg``, or the default config of ``mode``; another mode is rejected."""
+    cfg = cfg or LossConfig(loss_mode=mode)
+    if cfg.loss_mode != mode:
+        raise ValueError(f"{driver} needs loss_mode {mode!r}, got {cfg.loss_mode!r}")
+    return cfg
+
+
 def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
                        opt_cfg: OptimConfig | None):
     """Fit subspace coefficients; ``ctx`` has lam 0, the regulariser is here.
 
     On the subspace the diffusion energy is a quadratic in alpha, built once
     by ``diffusion_quadratic``, so an evaluation adds lam * energy and its
-    gradient in k-by-k algebra instead of grid passes.
+    gradient in k-by-k algebra instead of grid passes.  The basis rows must
+    be orthonormal, as ``_minimize``'s first step and ``reconstruct`` assume.
     """
     if sub.grid != ctx.grid:
         raise ValueError("subspace grid does not match source grid")
@@ -187,15 +195,19 @@ def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
     # numerical failure of the optimization state, not an input-format error
     _check_finite(sub.mean, "subspace mean field")
     _check_finite(sub.basis, "subspace basis")
+    deviation = np.max(np.abs(sub.basis @ sub.basis.T - np.eye(sub.n_components)))
+    if deviation > _ORTHONORMAL_TOL:
+        raise ValueError(f"subspace basis rows are not orthonormal "
+                         f"(max |B B^T - I| = {deviation:.3g})")
     c, b, G = diffusion_quadratic(sub)
 
-    def reg(a):
+    def objective(a):
+        sim, grad = ctx.evaluate(reconstruct(sub, a))
         Ga = G @ a
-        return lam * (c + (2.0 * b + Ga) @ a), (2.0 * lam) * (b + Ga)
+        loss = sim + lam * (c + (2.0 * b + Ga) @ a)
+        return loss, lambda: sub.basis @ grad().reshape(-1) + (2.0 * lam) * (b + Ga)
 
-    alpha, report = _minimize(ctx, lambda a: reconstruct(sub, a),
-                              lambda g: sub.basis @ g.reshape(-1),
-                              np.zeros(sub.n_components), opt_cfg, prior=reg)
+    alpha, report = _minimize(ctx, objective, np.zeros(sub.n_components), opt_cfg)
     report.alpha = [float(a) for a in alpha]
     return alpha, reconstruct(sub, alpha), report
 
@@ -205,7 +217,7 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          loss_cfg: LossConfig | None = None,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
-    cfg = loss_cfg or LossConfig(loss_mode="sim3d")
+    cfg = _loss_config(loss_cfg, "sim3d", "register_subspace_3d")
     ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
                       target=target, target_mask=target_mask)
     return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
@@ -217,7 +229,7 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          opt_cfg: OptimConfig | None = None,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
-    cfg = loss_cfg or LossConfig(loss_mode="sim2d")
+    cfg = _loss_config(loss_cfg, "sim2d", "register_subspace_2d")
     ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
                       projections=projections, drr_op=drr_op)
     return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
@@ -233,8 +245,8 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
     voxel) before each step; the Armijo test still uses the raw gradient's
     directional derivative so accepted steps always descend.
     """
-    ctx = LossContext(loss_cfg or LossConfig(loss_mode="sim3d"), source,
-                      source_mask, target=target, target_mask=target_mask)
+    ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
+                      source, source_mask, target=target, target_mask=target_mask)
     grid = source.grid
     shape = grid.dims + (3,)
 
@@ -242,13 +254,17 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         return DisplacementField(grid.dims, grid.spacing, grid.origin,
                                  x.reshape(shape))
 
+    def objective(x):
+        loss, grad = ctx.evaluate(to_field(x))
+        return loss, lambda: grad().reshape(-1)
+
     def smooth(gflat):
         sigma = grad_smooth_sigma_voxels
         return gaussian_filter(gflat.reshape(shape), (sigma, sigma, sigma, 0),
                                mode="nearest").reshape(-1)
 
-    x, report = _minimize(ctx, to_field, lambda g: g.reshape(-1),
-                          np.zeros(grid.n_voxels * 3), opt_cfg, smooth)
+    x, report = _minimize(ctx, objective, np.zeros(grid.n_voxels * 3), opt_cfg,
+                          smooth)
     return to_field(x), report
 
 

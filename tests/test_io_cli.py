@@ -622,6 +622,23 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
     assert len(err) == 1 and err[0].startswith("error: subspace has no components")
     assert not os.path.exists(tmp_path / "u.json")
 
+    # a basis scaled by 100 breaks the orthonormality the first step assumes
+    scaled = tio.read_subspace(str(balanced_subspace))
+    scaled.basis *= 100.0
+    tio.write_subspace(str(tmp_path / "scaled_sub.json"), scaled)
+    capsys.readouterr()
+    rc = main(["register", "subspace3d",
+               "--source", str(sd / "source.json"),
+               "--target", str(sd / "target.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--target-mask", str(sd / "target_mask.json"),
+               "--subspace", str(tmp_path / "scaled_sub.json"),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: subspace basis rows are not orthonormal")
+    assert not os.path.exists(tmp_path / "u.json")
+
     # a one-voxel volume is constant, so nothing can be correlated
     one = GridSpec((1, 1, 1), (1.0, 2.0, 3.0))
     tio.write_image3d(str(tmp_path / "one.json"),

@@ -455,6 +455,8 @@ def counting(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
 def test_gradient_from_a_kept_state_matches_a_fresh_context(monkeypatch, mode):
+    """evaluate warps once; its callable gives loss_and_grad's bits, also
+    after another field has been evaluated."""
     import tomoreg.losses
     ctx3, ctx2, sub, alpha = fd_instance(3)
     ctx = ctx3 if mode == "sim3d" else ctx2
@@ -464,19 +466,15 @@ def test_gradient_from_a_kept_state_matches_a_fresh_context(monkeypatch, mode):
     v = reconstruct(sub, 0.5 * alpha)
     want_total, want_grad = fresh.loss_and_grad(u)
     warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
-    ctx.loss(u)
-    total, grad = ctx.loss_and_grad(u)
+    total, grad = ctx.evaluate(u)
     assert warps[0] == 1
     assert_same_bits(total, want_total)
-    assert_same_bits(grad, want_grad)
-    # one kept state: v replaces u's, so u is warped afresh
-    warps[0] = 0
-    ctx.loss(u)
-    ctx.loss(v)
-    total, grad = ctx.loss_and_grad(u)
-    assert warps[0] == 3
-    assert_same_bits(total, want_total)
-    assert_same_bits(grad, want_grad)
+    assert_same_bits(grad(), want_grad)
+    assert warps[0] == 1
+    # the callable keeps u's state: evaluating v does not replace it
+    ctx.evaluate(v)[1]()
+    assert_same_bits(grad(), want_grad)
+    assert warps[0] == 2
 
 
 @pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
@@ -493,37 +491,26 @@ def test_a_field_changed_in_place_is_evaluated_afresh(mode):
     assert_same_bits(grad, want_grad)
 
 
-def test_kept_states_match_exact_bytes(monkeypatch):
-    """-0.0 == +0.0, but a field of -0.0 is not the field of +0.0."""
-    import tomoreg.losses
-    ctx3, _, sub, _ = fd_instance(3)
-    warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
-    zero = zero_displacement(sub.grid)
-    ctx3.loss(zero)
-    ctx3.loss_and_grad(zero)
-    assert warps[0] == 1
-    ctx3.loss_and_grad(DisplacementField(zero.dims, zero.spacing, zero.origin,
-                                         -zero.data))
-    assert warps[0] == 2
-
-
 def test_registration_warps_each_evaluated_point_once(monkeypatch, pair32,
                                                       sub32, op32):
-    """Every accepted point is the last line-search trial, so only the
-    starting point is warped by a gradient evaluation."""
+    """Each trial is one evaluation, whose gradient callable serves the
+    accepted point, so the drivers warp once per evaluation."""
     import tomoreg.losses
     from tomoreg import OptimConfig, register_dense_3d, register_subspace_2d
     warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
+    evals = counting(monkeypatch, LossContext, "evaluate")
     losses = counting(monkeypatch, LossContext, "loss")
     grads = counting(monkeypatch, LossContext, "loss_and_grad")
     opt = OptimConfig(max_iters=12)
-    register_subspace_2d(pair32.source, pair32.projections, pair32.source_mask,
-                         sub32, LossConfig(0.1, "sim2d"), opt, drr_op=op32)
-    assert grads[0] > 1 and warps[0] == losses[0] + 1
-    warps[0] = losses[0] = 0
-    register_dense_3d(pair32.source, pair32.target, pair32.source_mask,
-                      pair32.target_mask, LossConfig(0.1, "sim3d"), opt)
-    assert warps[0] == losses[0] + 1
+    _, _, rep = register_subspace_2d(pair32.source, pair32.projections,
+                                     pair32.source_mask, sub32,
+                                     LossConfig(0.1, "sim2d"), opt, drr_op=op32)
+    assert evals[0] > rep.iterations > 1 and warps[0] == evals[0]
+    warps[0] = evals[0] = 0
+    _, rep = register_dense_3d(pair32.source, pair32.target, pair32.source_mask,
+                               pair32.target_mask, LossConfig(0.1, "sim3d"), opt)
+    assert evals[0] > rep.iterations > 1 and warps[0] == evals[0]
+    assert losses[0] == grads[0] == 0
 
 
 def test_a_dropped_context_frees_its_kept_states_without_the_collector():

@@ -224,15 +224,14 @@ def random_problem(dims, spacing, seed):
 @pytest.mark.parametrize("driver", ["subspace3d", "dense"])
 def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
     src, tgt, mask, sub = random_problem((10, 8, 6), (1.5, 1.2, 2.0), 3)
-    first = []
-    loss = LossContext.loss
+    evaluated = []
+    evaluate = LossContext.evaluate
 
     def recording(ctx, u):
-        if not first:
-            first.append(u.data.copy())
-        return loss(ctx, u)
+        evaluated.append(u.data.copy())
+        return evaluate(ctx, u)
 
-    monkeypatch.setattr(LossContext, "loss", recording)
+    monkeypatch.setattr(LossContext, "evaluate", recording)
     opt = OptimConfig(max_iters=1)
     if driver == "subspace3d":
         register_subspace_3d(src, tgt, mask, mask, sub, opt_cfg=opt)
@@ -240,7 +239,8 @@ def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
     else:
         register_dense_3d(src, tgt, mask, mask, opt_cfg=opt)
         start = 0.0
-    rms = np.sqrt(np.mean(np.sum((first[0] - start) ** 2, axis=-1)))
+    # evaluated[0] is the starting point, evaluated[1] the first trial
+    rms = np.sqrt(np.mean(np.sum((evaluated[1] - start) ** 2, axis=-1)))
     assert rms == pytest.approx(min(src.spacing), rel=1e-9)
 
 
@@ -406,15 +406,26 @@ def test_non_finite_subspace_payload_aborts(identity_scene):
 
 def test_wrong_loss_mode_is_rejected(identity_scene):
     img, mask, sub, projs = identity_scene
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loss_mode"):
         register_subspace_3d(img, img, mask, mask, sub,
                              LossConfig(lam=0.1, loss_mode="sim2d"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loss_mode"):
         register_subspace_2d(img, projs, mask, sub,
                              LossConfig(lam=0.1, loss_mode="sim3d"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loss_mode"):
         register_dense_3d(img, img, mask, mask,
                           LossConfig(lam=0.1, loss_mode="sim2d"))
+
+
+def test_a_basis_that_is_not_orthonormal_is_rejected(identity_scene, op32):
+    """The first step, project and reconstruct all assume orthonormal rows;
+    a basis scaled by 100 would make the first trial move 100 voxels RMS."""
+    img, mask, sub, projs = identity_scene
+    scaled = dataclasses.replace(sub, basis=100.0 * sub.basis)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        register_subspace_3d(img, img, mask, mask, scaled)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        register_subspace_2d(img, projs, mask, scaled, drr_op=op32)
 
 
 @pytest.mark.parametrize("driver", ["subspace3d", "subspace2d", "dense"])
