@@ -108,8 +108,7 @@ def _cmd_subspace_build(args) -> int:
 
 
 def _loss_cfg(args, mode: str) -> LossConfig:
-    return LossConfig(lam=args.lam, loss_mode=mode,
-                      drr_step_mm=getattr(args, "step_mm", None))
+    return LossConfig(lam=args.lam, loss_mode=mode)
 
 
 def _opt_cfg(args) -> OptimConfig:
@@ -146,7 +145,9 @@ def _cmd_register_subspace2d(args) -> int:
     sub = tio.read_subspace(args.subspace)
     alpha, u, report = register_subspace_2d(source, projs, smask, sub,
                                             loss_cfg=_loss_cfg(args, "sim2d"),
-                                            opt_cfg=_opt_cfg(args))
+                                            opt_cfg=_opt_cfg(args),
+                                            drr_op=DrrOperator(source.grid, geom,
+                                                               args.step_mm))
     _write_reg_outputs(args, u, report, alpha)
     return 0
 

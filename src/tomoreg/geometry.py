@@ -58,8 +58,9 @@ class SdctGeometry:
                 raise ValueError("geometry arrays must be finite")
         if any(d < 1 for d in self.detector_dims):
             raise ValueError("detector_dims must be >= 1")
-        if any(s <= 0 for s in self.detector_spacing):
-            raise ValueError("detector_spacing must be positive")
+        if any(not np.isfinite(s) or s <= 0.0 for s in self.detector_spacing):
+            raise ValueError(f"detector_spacing must be positive and finite, "
+                             f"got {self.detector_spacing}")
 
         gram = self.detector_axes @ self.detector_axes.T
         if not np.allclose(gram, np.eye(2), atol=_ORTHO_TOL):
@@ -87,7 +88,9 @@ class SdctGeometry:
                 + iu[:, None, None] * self.detector_axes[0][None, None, :]
                 + iv[None, :, None] * self.detector_axes[1][None, None, :])
 
-    def allclose(self, other: "SdctGeometry", tol: float = 1e-9) -> bool:
+    def allclose(self, other: "SdctGeometry") -> bool:
+        """Same counts and dims, every array equal within an absolute 1e-9."""
+        tol = 1e-9
         return (self.n_emitters == other.n_emitters
                 and self.detector_dims == other.detector_dims
                 and np.allclose(self.detector_spacing, other.detector_spacing, atol=tol)
@@ -160,8 +163,8 @@ class Image2D:
         self.data = np.asarray(self.data)
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError("spacing must be positive")
+        if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if self.data.shape != self.dims:
             raise ValueError(f"data shape {self.data.shape} does not match dims {self.dims}")
         if not np.issubdtype(self.data.dtype, np.floating):
@@ -233,8 +236,8 @@ class DrrOperator:
                  step_mm: float | None = None):
         if step_mm is None:
             step_mm = default_step_mm(grid.spacing)
-        if step_mm <= 0.0:
-            raise ValueError("step_mm must be positive")
+        if not np.isfinite(step_mm) or step_mm <= 0.0:
+            raise ValueError(f"step_mm must be positive and finite, got {step_mm}")
         self.grid = grid
         self.geometry = geometry
         self.step_mm = float(step_mm)

@@ -320,24 +320,18 @@ def _interpolant_gradient(corners: np.ndarray, f: np.ndarray,
                      hi - lo], axis=1)
 
 
-def sample_trilinear(data: np.ndarray, g: np.ndarray, with_gradient: bool = False):
+def sample_trilinear(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Trilinear sampling of (W,H,D) or (W,H,D,C) data at voxel coords g (n,3).
 
-    Returns values (n,) or (n,C); with ``with_gradient`` also the exact
-    spatial derivative of the interpolant in voxel units, (n,3) or (n,3,C).
-    Corners outside the grid contribute zero.
-
+    Returns values (n,) or (n,C).  Corners outside the grid contribute zero.
     All eight corners of every point come from one gather over a copy of
     ``data`` zero-padded by two voxels, which materializes 8 values per
-    point (and channel).  The derivative is computed from those same
-    corners; ``warp_scalar_with_gradient`` keeps them so that a caller can
-    ask for it later, or never.
+    point (and channel).  For the interpolant's spatial derivative, use
+    ``warp_scalar_with_gradient``, which keeps the corners so that a caller
+    can ask for it later, or never.
     """
     corners, f = _gather_corners(data, g)
-    vals, planes = _interpolate(corners, f)
-    if not with_gradient:
-        return vals
-    return vals, _interpolant_gradient(corners, f, planes)
+    return _interpolate(corners, f)[0]
 
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:

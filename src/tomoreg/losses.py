@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DrrOperator, ProjectionSet, default_step_mm
+from .geometry import DrrOperator, ProjectionSet
 from .grids import DisplacementField, Image3D, Mask3D, warp_scalar_with_gradient
 from .subspace import DeformationSubspace, reconstruct
 
@@ -56,16 +56,12 @@ LOSS_MODES = ("sim3d", "sim2d")
 class LossConfig:
     lam: float = 0.1
     loss_mode: str = "sim3d"
-    drr_step_mm: float | None = None
-    ncc_inside_target_mask: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lam must be finite and >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.drr_step_mm is not None and self.drr_step_mm <= 0.0:
-            raise ValueError("drr_step_mm must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,13 @@ def diffusion_quadratic(sub: DeformationSubspace):
 # ---------------------------------------------------------------------------
 
 class LossContext:
-    """Fixed inputs of a registration problem, reused across loss evals."""
+    """Fixed inputs of a registration problem, reused across loss evals.
+
+    sim3d correlates the masked target with the warped masked source over
+    the whole grid.  sim2d renders through ``drr_op``; without one, the
+    context builds an operator on the source grid and the projections'
+    geometry at the default step (half the smallest voxel spacing).
+    """
 
     def __init__(self, cfg: LossConfig, source: Image3D, source_mask: Mask3D,
                  target=None, target_mask=None,
@@ -190,20 +192,12 @@ class LossContext:
             if target.grid != self.grid or target_mask.grid != self.grid:
                 raise ValueError("target grids must match the source grid")
             fixed = target.data.astype(np.float64) * target_mask.data
-            if cfg.ncc_inside_target_mask:
-                self._sel = target_mask.data.reshape(-1) > 0.0
-                if not self._sel.any():
-                    raise ValueError("target mask is empty")
-            else:
-                self._sel = None
-            flat = fixed.reshape(-1)
-            self._fixed = flat[self._sel] if self._sel is not None else flat
+            self._fixed = fixed.reshape(-1)
         else:
             if projections is None:
                 raise ValueError("sim2d needs a projection set")
             if drr_op is None:
-                step = cfg.drr_step_mm or default_step_mm(self.grid.spacing)
-                drr_op = DrrOperator(self.grid, projections.geometry, step)
+                drr_op = DrrOperator(self.grid, projections.geometry)
             else:
                 if drr_op.grid != self.grid:
                     raise ValueError("projection operator grid does not match source")
@@ -219,19 +213,11 @@ class LossContext:
     # gradient callable the caller keeps does not keep its context alive.
 
     def _sim3d(self, warped: np.ndarray):
-        sel, dims = self._sel, self.grid.dims
-        b = warped.reshape(-1)
-        if sel is not None:
-            b = b[sel]
-        val, parts = _ncc_core(self._fixed, b)
+        dims = self.grid.dims
+        val, parts = _ncc_core(self._fixed, warped.reshape(-1))
 
         def grad():
-            g = -_ncc_grad_b(parts)
-            if sel is not None:
-                full = np.zeros(sel.size, dtype=np.float64)
-                full[sel] = g
-                g = full
-            return g.reshape(dims)
+            return -_ncc_grad_b(parts).reshape(dims)
 
         return 1.0 - val, grad
 

@@ -14,7 +14,7 @@ every artifact regenerates bitwise across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,12 +46,13 @@ class DeformationSpec:
     smoothness_sigma_voxels: float = 16.0
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if self.magnitude_mm < 0.0:
-            raise ValueError("magnitude_mm must be >= 0")
-        if self.smoothness_sigma_voxels <= 0.0:
-            raise ValueError("smoothness_sigma_voxels must be positive")
+        if not np.isfinite(self.n_modes) or self.n_modes < 1:
+            raise ValueError("n_modes must be finite and >= 1")
+        if not np.isfinite(self.magnitude_mm) or self.magnitude_mm < 0.0:
+            raise ValueError("magnitude_mm must be finite and >= 0")
+        if (not np.isfinite(self.smoothness_sigma_voxels)
+                or self.smoothness_sigma_voxels <= 0.0):
+            raise ValueError("smoothness_sigma_voxels must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,14 @@ class AcquisitionSpec:
     detector_dims: tuple[int, int] | None = None      # default: ceil(1.25 * (W, H))
     detector_spacing_mm: tuple[float, float] | None = None
     step_mm: float | None = None                      # default: half min voxel spacing
+
+    def __post_init__(self):
+        # tuples, as the defaults are, so a spec read back from JSON lists
+        # compares equal to the one that was written
+        for name in ("line_offset_mm", "detector_dims", "detector_spacing_mm"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,8 @@ class PhantomSpec:
         object.__setattr__(self, "n_vessels", int(self.n_vessels))
         if min(self.dims) < 16:
             raise ValueError("dims too small to fit phantom structures (min 16)")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError("spacing must be positive")
+        if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if self.n_vessels < 0:
             raise ValueError("n_vessels must be >= 0")
 
@@ -91,23 +100,30 @@ class PhantomSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "PhantomSpec":
-        dd = d.get("deformation", {})
-        gd = d.get("geometry", {})
-        kw = {}
-        for k in ("dims", "spacing", "seed", "n_vessels"):
-            if k in d and d[k] is not None:
-                kw[k] = tuple(d[k]) if k in ("dims", "spacing") else d[k]
-        defo = DeformationSpec(**{k: dd[k] for k in
-                                  ("n_modes", "magnitude_mm", "smoothness_sigma_voxels")
-                                  if k in dd and dd[k] is not None})
-        gkw = {}
-        for k in ("n_emitters", "span_angle_deg", "source_detector_distance_mm", "step_mm"):
-            if k in gd and gd[k] is not None:
-                gkw[k] = gd[k]
-        for k in ("line_offset_mm", "detector_dims", "detector_spacing_mm"):
-            if k in gd and gd[k] is not None:
-                gkw[k] = tuple(gd[k])
-        return PhantomSpec(deformation=defo, geometry=AcquisitionSpec(**gkw), **kw)
+        """The spec ``to_dict`` wrote; a missing or null entry keeps its default.
+
+        Raises ValueError for an unknown key, for a spec or section that is
+        not an object, and for a value of the wrong type.
+        """
+        kw = _spec_fields(d, PhantomSpec, "spec")
+        try:
+            for name, cls in (("deformation", DeformationSpec),
+                              ("geometry", AcquisitionSpec)):
+                if name in kw:
+                    kw[name] = cls(**_spec_fields(kw[name], cls, name))
+            return PhantomSpec(**kw)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed phantom spec: {exc}") from exc
+
+
+def _spec_fields(d, cls, what: str) -> dict:
+    """The non-null entries of the JSON object ``d`` for dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"phantom {what} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown phantom {what} key(s): {', '.join(unknown)}")
+    return {k: v for k, v in d.items() if v is not None}
 
 
 def grid_for(spec: PhantomSpec) -> GridSpec:
@@ -289,27 +305,20 @@ def _grad_row_sum_max(data: np.ndarray, spacing) -> float:
     return float(rows.max())
 
 
-def gen_smooth_dvf(spec: PhantomSpec, alpha=None, mode_index: int | None = None,
+def gen_smooth_dvf(spec: PhantomSpec, alpha=None,
                    seed: int | None = None) -> DisplacementField:
     """Draw a smooth fold-free displacement from the fixed mode family.
 
     The combined field is scaled to the requested peak magnitude and then,
     if needed, shrunk further so the forward-difference Jacobian row sums
     stay below 0.45 everywhere, which keeps det(I + grad u) positive.
-    Either pass explicit coefficients, select a single mode, or let a seed
-    draw coefficients uniformly from [-1, 1].
+    Either pass explicit coefficients, one per mode (``np.eye(n_modes)[m]``
+    selects mode m alone), or let a seed draw them uniformly from [-1, 1].
     """
     defo = spec.deformation
     grid = grid_for(spec)
     modes = _deformation_modes(spec.dims, spec.spacing, spec.seed,
                                defo.n_modes, defo.smoothness_sigma_voxels)
-    if alpha is not None and mode_index is not None:
-        raise ValueError("pass either alpha or mode_index, not both")
-    if mode_index is not None:
-        if not (0 <= mode_index < defo.n_modes):
-            raise ValueError("mode_index out of range")
-        alpha = np.zeros(defo.n_modes)
-        alpha[mode_index] = 1.0
     if alpha is None:
         rng = np.random.default_rng(split_seed(spec.seed if seed is None else seed, "dvf-alpha"))
         alpha = rng.uniform(-1.0, 1.0, size=defo.n_modes)

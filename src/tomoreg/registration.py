@@ -36,6 +36,12 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _LOSS_WINDOW = 5
 _ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
+# converged_loss: the last _LOSS_WINDOW iterations cut the loss by less
+# than this fraction
+_TOL_LOSS = 1e-8
+# Gaussian filter of the dense descent direction: one voxel along each
+# axis, none across the three components
+_SMOOTH_SIGMA = (1.0, 1.0, 1.0, 0.0)
 
 
 class NumericalAbort(RuntimeError):
@@ -46,13 +52,12 @@ class NumericalAbort(RuntimeError):
 class OptimConfig:
     max_iters: int = 200
     tol_grad: float = 1e-9
-    tol_loss: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.tol_grad < 0.0 or self.tol_loss < 0.0:
-            raise ValueError("tolerances must be >= 0")
+        if self.tol_grad < 0.0:
+            raise ValueError("tol_grad must be >= 0")
 
 
 @dataclass
@@ -160,7 +165,7 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
 
         if len(trace) > _LOSS_WINDOW:
             prev = trace[-1 - _LOSS_WINDOW]
-            if prev - trace[-1] < cfg.tol_loss * max(abs(prev), 1e-30):
+            if prev - trace[-1] < _TOL_LOSS * max(abs(prev), 1e-30):
                 stop = "converged_loss"
                 break
 
@@ -237,12 +242,11 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
 
 def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                       target_mask: Mask3D, loss_cfg: LossConfig | None = None,
-                      opt_cfg: OptimConfig | None = None,
-                      grad_smooth_sigma_voxels: float = 1.0):
+                      opt_cfg: OptimConfig | None = None):
     """Free-form registration of a per-voxel displacement field.
 
-    The raw gradient field is Gaussian-smoothed (default sigma of one
-    voxel) before each step; the Armijo test still uses the raw gradient's
+    The raw gradient field is Gaussian-smoothed (sigma of one voxel per
+    axis) before each step; the Armijo test still uses the raw gradient's
     directional derivative so accepted steps always descend.
     """
     ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
@@ -259,8 +263,7 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         return loss, lambda: grad().reshape(-1)
 
     def smooth(gflat):
-        sigma = grad_smooth_sigma_voxels
-        return gaussian_filter(gflat.reshape(shape), (sigma, sigma, sigma, 0),
+        return gaussian_filter(gflat.reshape(shape), _SMOOTH_SIGMA,
                                mode="nearest").reshape(-1)
 
     x, report = _minimize(ctx, objective, np.zeros(grid.n_voxels * 3), opt_cfg,

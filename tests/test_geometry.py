@@ -1,5 +1,6 @@
 """Emitter-line geometry, ray-integral rendering, and backprojection."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def test_geometry_rejects_emitters_on_the_detector_plane():
                      detector_dims=(8, 8), detector_spacing=(1.0, 1.0))
 
 
+def test_detector_and_image_spacing_must_be_positive_and_finite():
+    for bad in ((np.nan, 2.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="detector_spacing must be positive and finite"):
+            replace(three_emitter_geometry(), detector_spacing=bad)
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            Image2D((8, 8), bad, np.zeros((8, 8)))
+
+
 def test_detector_axes_must_be_orthonormal():
     with pytest.raises(ValueError):
         SdctGeometry(n_emitters=1, emitter_positions=[[0.0, 0.0, 100.0]],
@@ -181,8 +190,9 @@ def test_render_rejects_bad_emitter_index_and_step():
     vol = Image3D(DIMS, SPACING, ORIGIN, np.ones(DIMS))
     with pytest.raises((IndexError, ValueError)):
         render_drr(vol, geom, 3, step_mm=0.75)
-    with pytest.raises(ValueError):
-        render_drr(vol, geom, 0, step_mm=0.0)
+    for step in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step_mm must be positive and finite"):
+            render_drr(vol, geom, 0, step_mm=step)
 
 
 # ---------------------------------------------------------------------------

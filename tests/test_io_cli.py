@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from tomoreg import (DisplacementField, DrrOperator, GridSpec, Image2D,
-                     Image3D, Landmarks, Mask3D, ProjectionSet,
+                     Image3D, Landmarks, Mask3D, OptimConfig, ProjectionSet,
                      build_sdct_geometry, build_subspace, gen_smooth_dvf,
-                     make_pair, mtre, reconstruct, zero_displacement)
+                     make_pair, mtre, reconstruct, register_subspace_2d,
+                     zero_displacement)
 from tomoreg import io as tio
 from tomoreg.cli import main
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
@@ -293,6 +294,28 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     assert manifest["members"] == []
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"dimz": [16, 16, 16]}, "unknown phantom spec key(s): dimz"),
+    ({"geometry": {"n_emiters": 2}}, "unknown phantom geometry key(s): n_emiters"),
+    ([16, 16, 16], "phantom spec must be an object, got list"),
+    ({"deformation": 5}, "phantom deformation must be an object, got int"),
+    ({"deformation": {"smoothness_sigma_voxels": float("inf")}},
+     "smoothness_sigma_voxels must be finite and positive"),
+    ({"deformation": {"magnitude_mm": float("nan")}},
+     "magnitude_mm must be finite and >= 0"),
+], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
+        "infinite-smoothness", "nan-magnitude"])
+def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # NaN and Infinity as json.load reads them
+    rc = main(["phantom", "gen", "--spec", str(path), "--n", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_drr_render_cli_matches_the_operator(dataset, tmp_path):
     _, out = dataset
     sd = sample_dir(out)
@@ -309,6 +332,23 @@ def test_drr_render_cli_matches_the_operator(dataset, tmp_path):
     projs = tio.read_projections(op, geom)
     for im in projs.images:
         assert np.all(im.data == 0.0)
+
+
+def test_drr_render_cli_rejects_a_non_finite_detector_spacing(dataset, tmp_path,
+                                                            capsys):
+    _, out = dataset
+    sd = sample_dir(out)
+    geom = json.loads((sd / "geometry.json").read_text())
+    geom["detector_spacing"] = [float("nan"), 2.0]
+    (tmp_path / "nan_geometry.json").write_text(json.dumps(geom))
+    op = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(sd / "source.json"),
+               "--geometry", str(tmp_path / "nan_geometry.json"), "--out", str(op)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: detector_spacing must be positive and finite")
+    assert not os.path.exists(op)
 
 
 def test_lift3d_export_cli_writes_per_emitter_channels(dataset, tmp_path):
@@ -427,6 +467,42 @@ def test_register_subspace2d_cli_runs_without_target_volumes(
     rep = json.loads((workdir / "report.json").read_text())
     assert rep["final_loss"] <= rep["loss_trace"][0]
     assert os.path.exists(out_dvf)
+
+
+def test_register_subspace2d_cli_step_reaches_the_operator(
+        dataset, balanced_subspace, tmp_path, capsys):
+    """--step-mm is the ray step of the DRR operator the driver renders with."""
+    _, out = dataset
+    sd = sample_dir(out)
+    args = ["register", "subspace2d",
+            "--source", str(sd / "source.json"),
+            "--source-mask", str(sd / "source_mask.json"),
+            "--projections", str(sd / "projections.json"),
+            "--geometry", str(sd / "geometry.json"),
+            "--subspace", str(balanced_subspace), "--iters", "5"]
+    assert main(args + ["--step-mm", "1.7",
+                        "--out-alpha", str(tmp_path / "a17.json")]) == 0
+    assert main(args + ["--out-alpha", str(tmp_path / "a.json")]) == 0
+
+    source = tio.read_image3d(str(sd / "source.json"))
+    geom = tio.read_geometry(str(sd / "geometry.json"))
+    alpha = register_subspace_2d(
+        source, tio.read_projections(str(sd / "projections.json"), geom),
+        tio.read_mask3d(str(sd / "source_mask.json")),
+        tio.read_subspace(str(balanced_subspace)),
+        opt_cfg=OptimConfig(max_iters=5),
+        drr_op=DrrOperator(source.grid, geom, 1.7))[0]
+    tio.write_alpha(str(tmp_path / "lib.json"), alpha)
+    step17 = (tmp_path / "a17.json").read_bytes()
+    assert step17 == (tmp_path / "lib.json").read_bytes()
+    assert step17 != (tmp_path / "a.json").read_bytes()
+
+    capsys.readouterr()
+    rc = main(args + ["--step-mm", "0", "--out-alpha", str(tmp_path / "a0.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step_mm must be positive")
+    assert not os.path.exists(tmp_path / "a0.json")
 
 
 def test_register_dense_cli(dataset, tmp_path):

@@ -1,5 +1,4 @@
 """Similarity and regularization terms plus their analytic gradients."""
-import warnings
 
 import numpy as np
 import pytest
@@ -231,8 +230,6 @@ def test_loss_config_validation():
         LossConfig(lam=-0.1)
     with pytest.raises(ValueError):
         LossConfig(lam=0.1, loss_mode="sim4d")
-    with pytest.raises(ValueError):
-        LossConfig(lam=0.1, loss_mode="sim2d", drr_step_mm=0.0)
 
 
 def test_missing_mode_inputs_are_rejected():
@@ -295,24 +292,22 @@ def test_constant_images_isolate_the_regularizer_gradient():
                               singular_values=np.array([2.0, 1.0]),
                               variance_fraction=1.0)
     alpha = np.array([0.3, -0.2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ctx = LossContext(LossConfig(0.7, "sim3d"), const, mask,
-                          target=const, target_mask=mask)
-        g = grad_alpha(ctx, sub, alpha)
-        h = 1e-6
-        for i in range(2):
-            ap = alpha.copy()
-            ap[i] += h
-            am = alpha.copy()
-            am[i] -= h
-            fd = (ctx.loss(reconstruct(sub, ap))
-                  - ctx.loss(reconstruct(sub, am))) / (2.0 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-6)
-        # with the regularizer off the gradient vanishes entirely
-        ctx0 = LossContext(LossConfig(0.0, "sim3d"), const, mask,
-                           target=const, target_mask=mask)
-        assert_array_equal(grad_alpha(ctx0, sub, alpha), np.zeros(2))
+    ctx = LossContext(LossConfig(0.7, "sim3d"), const, mask,
+                      target=const, target_mask=mask)
+    g = grad_alpha(ctx, sub, alpha)
+    h = 1e-6
+    for i in range(2):
+        ap = alpha.copy()
+        ap[i] += h
+        am = alpha.copy()
+        am[i] -= h
+        fd = (ctx.loss(reconstruct(sub, ap))
+              - ctx.loss(reconstruct(sub, am))) / (2.0 * h)
+        assert g[i] == pytest.approx(fd, rel=1e-6)
+    # with the regularizer off the gradient vanishes entirely
+    ctx0 = LossContext(LossConfig(0.0, "sim3d"), const, mask,
+                       target=const, target_mask=mask)
+    assert_array_equal(grad_alpha(ctx0, sub, alpha), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +318,12 @@ def test_dense_gradient_of_constant_images_is_zero():
     dims, sp, org = (6, 6, 6), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
     const = Image3D(dims, sp, org, np.full(dims, 3.0))
     mask = ones_mask(dims, sp, org)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ctx = LossContext(LossConfig(0.0, "sim3d"), const, mask,
-                          target=const, target_mask=mask)
-        rng = np.random.default_rng(11)
-        u = DisplacementField(dims, sp, org,
-                              0.4 * rng.standard_normal(dims + (3,)))
-        g = grad_dense(ctx, u)
+    ctx = LossContext(LossConfig(0.0, "sim3d"), const, mask,
+                      target=const, target_mask=mask)
+    rng = np.random.default_rng(11)
+    u = DisplacementField(dims, sp, org,
+                          0.4 * rng.standard_normal(dims + (3,)))
+    g = grad_dense(ctx, u)
     assert_array_equal(g.data, np.zeros(dims + (3,)))
 
 
@@ -375,23 +368,21 @@ def test_regularizer_adjoint_at_a_linear_field_is_boundary_only():
                   [0.04, 0.0, 0.06]])
     u0 = grid.voxel_centers() @ A.T
     lam = 0.7
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ctx = LossContext(LossConfig(lam, "sim3d"), const, mask,
-                          target=const, target_mask=mask)
-        u = DisplacementField(dims, sp, org, u0)
-        g = grad_dense(ctx, u).data
+    ctx = LossContext(LossConfig(lam, "sim3d"), const, mask,
+                      target=const, target_mask=mask)
+    u = DisplacementField(dims, sp, org, u0)
+    g = grad_dense(ctx, u).data
 
-        # brute-force derivative of the whole loss at every component
-        h = 1e-6
-        fd = np.zeros_like(u0)
-        for ix in np.ndindex(u0.shape):
-            up = u0.copy()
-            up[ix] += h
-            um = u0.copy()
-            um[ix] -= h
-            fd[ix] = (ctx.loss(DisplacementField(dims, sp, org, up))
-                      - ctx.loss(DisplacementField(dims, sp, org, um))) / (2 * h)
+    # brute-force derivative of the whole loss at every component
+    h = 1e-6
+    fd = np.zeros_like(u0)
+    for ix in np.ndindex(u0.shape):
+        up = u0.copy()
+        up[ix] += h
+        um = u0.copy()
+        um[ix] -= h
+        fd[ix] = (ctx.loss(DisplacementField(dims, sp, org, up))
+                  - ctx.loss(DisplacementField(dims, sp, org, um))) / (2 * h)
     assert_allclose(g, fd, atol=1e-7)
     interior = g[1:-1, 1:-1, 1:-1]
     assert np.abs(interior).max() < 1e-12
@@ -569,7 +560,7 @@ def subspace_registration(mode, pair, sub, op, lam, iters):
         report = register_subspace_3d(pair.source, pair.target, pair.source_mask,
                                       pair.target_mask, sub, cfg, opt)[2]
     else:
-        cfg = LossConfig(lam, "sim2d", drr_step_mm=op.step_mm)
+        cfg = LossConfig(lam, "sim2d")
         inputs = dict(projections=pair.projections)
         report = register_subspace_2d(pair.source, pair.projections,
                                       pair.source_mask, sub, cfg, opt, drr_op=op)[2]

@@ -1,12 +1,13 @@
 """Synthetic scene generator: volumes, low-rank deformations, pairs."""
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import SPEC32
 
-from tomoreg import (DeformationSpec, DrrOperator, Image2D, PhantomSpec,
-                     build_subspace, gen_phantom, gen_smooth_dvf,
+from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator, Image2D,
+                     PhantomSpec, build_subspace, gen_phantom, gen_smooth_dvf,
                      geometry_for, grid_for, jacobian_stats, make_pair, mtre,
                      render_drr, step_for, zero_displacement)
 from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL,
@@ -93,12 +94,53 @@ def test_spec_validation():
         DeformationSpec(magnitude_mm=-1.0)
     with pytest.raises(ValueError):
         DeformationSpec(smoothness_sigma_voxels=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            PhantomSpec(spacing=(bad, 1.0, 1.0))
+        with pytest.raises(ValueError, match="n_modes must be finite"):
+            DeformationSpec(n_modes=bad)
+        with pytest.raises(ValueError, match="magnitude_mm must be finite"):
+            DeformationSpec(magnitude_mm=bad)
+        with pytest.raises(ValueError, match="smoothness_sigma_voxels must be finite"):
+            DeformationSpec(smoothness_sigma_voxels=bad)
 
 
 def test_spec_round_trips_through_plain_dicts():
     spec = replace(SPEC32, n_vessels=3)
     assert PhantomSpec.from_dict(spec.to_dict()) == spec
     assert PhantomSpec.from_dict(PhantomSpec().to_dict()) == PhantomSpec()
+    # through JSON, where every tuple comes back as a list
+    geometry = AcquisitionSpec(line_offset_mm=(3.0, -1.5), detector_dims=(40, 36),
+                               detector_spacing_mm=(2.5, 2.0), step_mm=1.1)
+    spec = replace(spec, geometry=geometry)
+    assert PhantomSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
+    spec = PhantomSpec.from_dict({"dims": [16, 16, 16], "seed": None,
+                                  "deformation": None,
+                                  "geometry": {"n_emitters": 2, "step_mm": None}})
+    assert spec == PhantomSpec(dims=(16, 16, 16),
+                               geometry=AcquisitionSpec(n_emitters=2))
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"dimz": [16, 16, 16]}, r"unknown phantom spec key\(s\): dimz"),
+    ({"geometry": {"n_emiters": 2}}, r"unknown phantom geometry key\(s\): n_emiters"),
+    ({"deformation": {"modes": 2, "sigma": 1}},
+     r"unknown phantom deformation key\(s\): modes, sigma"),
+    ([16, 16, 16], "phantom spec must be an object, got list"),
+    ({"deformation": 5}, "phantom deformation must be an object, got int"),
+    ({"geometry": [4]}, "phantom geometry must be an object, got list"),
+    ({"dims": 16}, "malformed phantom spec"),
+    ({"seed": float("inf")}, "malformed phantom spec"),
+    ({"deformation": {"n_modes": "4"}}, "malformed phantom spec"),
+], ids=["unknown-key", "unknown-geometry-key", "unknown-deformation-keys",
+        "list-spec", "number-section", "list-section", "number-dims",
+        "infinite-seed", "string-modes"])
+def test_spec_from_dict_rejects_unknown_keys_and_malformed_values(d, message):
+    with pytest.raises(ValueError, match=message):
+        PhantomSpec.from_dict(d)
 
 
 def test_projections_of_a_tube_free_phantom_are_spectrally_smooth():
@@ -138,10 +180,6 @@ def test_zero_coefficients_give_the_zero_field():
 
 def test_coefficient_selection_is_validated():
     with pytest.raises(ValueError):
-        gen_smooth_dvf(SPEC32, alpha=np.zeros(4), mode_index=0)
-    with pytest.raises(ValueError):
-        gen_smooth_dvf(SPEC32, mode_index=4)
-    with pytest.raises(ValueError):
         gen_smooth_dvf(SPEC32, alpha=np.zeros(3))
 
 
@@ -155,7 +193,7 @@ def test_draws_are_fold_free_with_bounded_gradients():
 
 def test_single_mode_fields_move_along_one_axis():
     for m in range(4):
-        u = gen_smooth_dvf(SPEC32, mode_index=m)
+        u = gen_smooth_dvf(SPEC32, alpha=np.eye(4)[m])
         active = m % 3
         for c in range(3):
             if c == active:
