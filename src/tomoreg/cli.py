@@ -41,8 +41,8 @@ SAMPLE_FILES = {
 
 def generate_dataset(spec: PhantomSpec, master_seed: int, n: int, out_dir: str) -> dict:
     """Write n independent samples plus a manifest; returns the manifest."""
-    os.makedirs(out_dir, exist_ok=True)
     drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec)) if n else None
+    os.makedirs(out_dir, exist_ok=True)
     members = []
     for i in range(n):
         seed = split_seed(master_seed, i)

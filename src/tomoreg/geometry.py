@@ -10,12 +10,13 @@ giving one volume channel per emitter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .grids import GridSpec, Image3D, sample_trilinear, trilinear_weights
+from .grids import (GridSpec, Image3D, _checked_payload, sample_trilinear,
+                    trilinear_weights)
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
@@ -160,17 +161,11 @@ class Image2D:
     def __post_init__(self):
         self.dims = (int(self.dims[0]), int(self.dims[1]))
         self.spacing = (float(self.spacing[0]), float(self.spacing[1]))
-        self.data = np.asarray(self.data)
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if self.data.shape != self.dims:
-            raise ValueError(f"data shape {self.data.shape} does not match dims {self.dims}")
-        if not np.issubdtype(self.data.dtype, np.floating):
-            raise ValueError("data must be a float array")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("data contains non-finite values")
+        self.data = _checked_payload(self.data, 2, self.dims)
 
 
 @dataclass

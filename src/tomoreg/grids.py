@@ -15,7 +15,8 @@ Array conventions used across the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,18 +84,22 @@ class GridSpec:
         return np.all((g >= 0.0) & (g <= hi), axis=-1)
 
 
-def _validate_grid_payload(obj, expected_ndim: int):
-    grid = GridSpec(obj.dims, obj.spacing, obj.origin)  # reuse grid validation
-    data = np.asarray(obj.data)
-    if data.ndim != expected_ndim:
-        raise ValueError(f"data must have {expected_ndim} axes, got {data.ndim}")
-    if tuple(data.shape[:3]) != grid.dims:
-        raise ValueError(f"data shape {data.shape[:3]} does not match dims {grid.dims}")
+def _checked_payload(data, ndim: int, dims: tuple) -> np.ndarray:
+    """``data`` as an array of ``ndim`` axes whose leading axes are ``dims``.
+
+    The one payload check of the package: axis count, shape, float dtype
+    and finiteness, in that order.
+    """
+    data = np.asarray(data)
+    if data.ndim != ndim:
+        raise ValueError(f"data must have {ndim} axes, got {data.ndim}")
+    if tuple(data.shape[:len(dims)]) != dims:
+        raise ValueError(f"data shape {data.shape[:len(dims)]} does not match dims {dims}")
     if not np.issubdtype(data.dtype, np.floating):
         raise ValueError(f"data must be a float array, got dtype {data.dtype}")
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
-    return grid, data
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -102,71 +107,66 @@ def _validate_grid_payload(obj, expected_ndim: int):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Image3D:
+class GridContainer:
+    """Base of every container that lives on a grid: dims, spacing, origin.
+
+    The three are normalised and validated once, through ``GridSpec``, so a
+    container holds plain int and float tuples that ``grid`` turns back
+    into the same ``GridSpec``.
+    """
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    origin: tuple[float, float, float]
+
+    def __post_init__(self):
+        grid = self.grid
+        self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
+
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(self.dims, self.spacing, self.origin)
+
+
+@dataclass
+class GridPayload(GridContainer):
+    """A float array on the grid: (W, H, D) plus ``ndim - 3`` trailing axes."""
+
+    data: np.ndarray
+    ndim: ClassVar[int] = 3
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.data = _checked_payload(self.data, self.ndim, self.dims)
+
+
+class Image3D(GridPayload):
     """Scalar intensity volume on a regular grid."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
-    data: np.ndarray
 
-    def __post_init__(self):
-        grid, data = _validate_grid_payload(self, 3)
-        self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
-        self.data = data
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.dims, self.spacing, self.origin)
-
-
-@dataclass
-class Mask3D:
+class Mask3D(GridPayload):
     """Binary volume; voxel values are exactly 0 or 1."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
-    data: np.ndarray
-
     def __post_init__(self):
-        grid, data = _validate_grid_payload(self, 3)
-        if not np.all((data == 0.0) | (data == 1.0)):
+        super().__post_init__()
+        if not np.all((self.data == 0.0) | (self.data == 1.0)):
             raise ValueError("mask values must be exactly 0 or 1")
-        self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
-        self.data = data
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.dims, self.spacing, self.origin)
 
 
-@dataclass
-class DisplacementField:
+class DisplacementField(GridPayload):
     """Per-voxel world-mm displacement vectors, data[x, y, z, c]."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
-    data: np.ndarray
+    ndim: ClassVar[int] = 4
 
     def __post_init__(self):
-        grid, data = _validate_grid_payload(self, 4)
-        if data.shape[3] != 3:
-            raise ValueError(f"displacement data must have 3 components, got {data.shape[3]}")
-        self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
-        self.data = data
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.dims, self.spacing, self.origin)
+        super().__post_init__()
+        if self.data.shape[3] != 3:
+            raise ValueError(f"displacement data must have 3 components, got {self.data.shape[3]}")
 
 
-def zero_displacement(grid: GridSpec, dtype=np.float64) -> DisplacementField:
-    return DisplacementField(
-        grid.dims, grid.spacing, grid.origin,
-        np.zeros(grid.dims + (3,), dtype=dtype),
-    )
+def zero_displacement(grid: GridSpec) -> DisplacementField:
+    return DisplacementField(grid.dims, grid.spacing, grid.origin,
+                             np.zeros(grid.dims + (3,)))
 
 
 @dataclass
@@ -400,8 +400,7 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
     else:
         vals = sample_nearest(src.data.astype(np.float64, copy=False), g)
     out = vals.reshape(u.dims).astype(src.data.dtype, copy=False)
-    cls = Mask3D if isinstance(src, Mask3D) else Image3D
-    return cls(u.dims, u.spacing, u.origin, out)
+    return type(src)(u.dims, u.spacing, u.origin, out)
 
 
 def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
@@ -450,21 +449,10 @@ class JacobianStats:
 
 def jacobian_stats(u: DisplacementField) -> JacobianStats:
     """det(I + grad u) statistics over interior voxels (central differences)."""
-    W, H, D = u.dims
-    if min(W, H, D) < 3:
+    if min(u.dims) < 3:
         raise ValueError("jacobian stats need at least 3 voxels per axis")
-    data = u.data.astype(np.float64, copy=False)
-    sp = u.spacing
-    core = (slice(1, -1), slice(1, -1), slice(1, -1))
-
-    J = np.empty((W - 2, H - 2, D - 2, 3, 3), dtype=np.float64)
-    for d, ax in enumerate(range(3)):
-        plus = [slice(1, -1)] * 3
-        minus = [slice(1, -1)] * 3
-        plus[ax] = slice(2, None)
-        minus[ax] = slice(0, -2)
-        diff = (data[tuple(plus)] - data[tuple(minus)]) / (2.0 * sp[d])
-        J[..., :, d] = diff
+    grads = np.gradient(u.data.astype(np.float64, copy=False), *u.spacing, axis=(0, 1, 2))
+    J = np.stack(grads, axis=-1)[1:-1, 1:-1, 1:-1]  # J[..., c, d] = du_c / dx_d
     J[..., 0, 0] += 1.0
     J[..., 1, 1] += 1.0
     J[..., 2, 2] += 1.0

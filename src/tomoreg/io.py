@@ -3,10 +3,13 @@
 A container is a JSON header ``name.json`` next to a payload ``name.raw``
 of little-endian 32-bit floats.  The payload layout is x-fastest
 interleaved: the channel index varies fastest, then x, then y, then z
-(flat index c + C*(x + W*(y + H*z))).  Headers carry kind, dims, spacing,
-origin and channel count plus kind-specific extras; readers validate the
-kind, the dims and the payload byte length before touching the data, and
-every writer/reader pair round-trips bitwise.
+(flat index c + C*(x + W*(y + H*z))).  Every kind (volume, mask, dvf,
+image2d, subspace) is written through one header builder, ``_header``:
+kind, dims, spacing, origin, channels, dtype and layout, plus the kind's
+extras.  Projection stacks have 2-D dims and origin [0, 0], and the
+payload packer takes the axes past the header's dims as the channels.
+Readers validate the kind, the dims and the payload byte length before
+touching the data, and every writer/reader pair round-trips bitwise.
 
 JSON files are UTF-8 with sorted keys and a trailing newline so reruns
 with identical content produce identical bytes.
@@ -22,7 +25,8 @@ from .geometry import Image2D, ProjectionSet, SdctGeometry
 from .grids import DisplacementField, GridSpec, Image3D, Landmarks, Mask3D
 from .subspace import DeformationSubspace
 
-_KINDS = ("volume", "mask", "dvf", "image2d", "subspace")
+_GRID_KINDS = {Image3D: "volume", Mask3D: "mask", DisplacementField: "dvf"}
+_KINDS = (*_GRID_KINDS.values(), "image2d", "subspace")
 _DTYPE = "f32le"
 _LAYOUT = "x-fastest interleaved"
 
@@ -54,27 +58,41 @@ def _require(cond: bool, field: str, detail: str):
 # raw+JSON containers
 # ---------------------------------------------------------------------------
 
-def _pack(data: np.ndarray, has_channels: bool) -> bytes:
-    """Interleave grid data channel-fastest, then x fastest of the axes."""
+def _header(kind: str, dims, spacing, origin, channels: int, **extra) -> dict:
+    """The header of every container: grid, channel count, dtype, layout, extras."""
+    return {
+        "kind": kind,
+        "dims": list(dims),
+        "spacing": list(spacing),
+        "origin": list(origin),
+        "channels": channels,
+        "dtype": _DTYPE,
+        "layout": _LAYOUT,
+        **extra,
+    }
+
+
+def _pack(data: np.ndarray, header: dict) -> bytes:
+    """Interleave grid data channel-fastest, then x fastest of the header's axes.
+
+    Axes of ``data`` past the header's dims are channels; with none, there
+    is one channel.
+    """
+    n = len(header["dims"])
     arr = np.asarray(data, dtype="<f4")
-    if not has_channels:
-        arr = arr[..., None]
-    axes = tuple(range(arr.ndim - 2, -1, -1)) + (arr.ndim - 1,)
-    return np.ascontiguousarray(arr.transpose(axes)).tobytes()
+    arr = arr.reshape(arr.shape[:n] + (-1,))
+    return np.ascontiguousarray(arr.transpose(tuple(range(n - 1, -1, -1)) + (n,))).tobytes()
 
 
 def _unpack(payload: bytes, dims, channels: int) -> np.ndarray:
-    arr = np.frombuffer(payload, dtype="<f4")
-    rev = tuple(reversed(dims)) + (channels,)
-    arr = arr.reshape(rev)
-    axes = tuple(range(len(dims) - 1, -1, -1)) + (len(dims),)
-    out = arr.transpose(axes)
-    return np.ascontiguousarray(out.astype(np.float32))
+    arr = np.frombuffer(payload, dtype="<f4").reshape(tuple(reversed(dims)) + (channels,))
+    n = len(dims)
+    return np.array(arr.transpose(tuple(range(n - 1, -1, -1)) + (n,)),
+                    dtype=np.float32, order="C")
 
 
-def _write_payload(header_path: str, header: dict, data: np.ndarray,
-                   has_channels: bool = True) -> None:
-    payload = _pack(data, has_channels)
+def _write_payload(header_path: str, header: dict, data: np.ndarray) -> None:
+    payload = _pack(data, header)
     expect = 4 * header["channels"] * int(np.prod(header["dims"]))
     if len(payload) != expect:
         raise ValueError("payload byte length does not match header dims")
@@ -101,37 +119,39 @@ def _read_payload(header_path: str, expect_kind: str):
     return header, _unpack(payload, dims, channels)
 
 
-def _grid_header(kind: str, obj, channels: int, extra: dict | None = None) -> dict:
-    header = {
-        "kind": kind,
-        "dims": list(obj.dims),
-        "spacing": list(obj.spacing),
-        "origin": list(obj.origin),
-        "channels": channels,
-        "dtype": _DTYPE,
-        "layout": _LAYOUT,
-    }
-    if extra:
-        header.update(extra)
-    return header
+def _write_grid(path: str, cls, obj) -> None:
+    channels = obj.data.shape[3] if cls.ndim == 4 else 1
+    _write_payload(path, _header(_GRID_KINDS[cls], obj.dims, obj.spacing, obj.origin,
+                                 channels), obj.data)
+
+
+def _read_grid(path: str, cls):
+    h, data = _read_payload(path, _GRID_KINDS[cls])
+    return cls(h["dims"], h["spacing"], h["origin"], data if cls.ndim == 4 else data[..., 0])
 
 
 def write_image3d(path: str, img: Image3D) -> None:
-    _write_payload(path, _grid_header("volume", img, 1), img.data, has_channels=False)
+    _write_grid(path, Image3D, img)
 
 
 def read_image3d(path: str) -> Image3D:
-    h, data = _read_payload(path, "volume")
-    return Image3D(tuple(h["dims"]), tuple(h["spacing"]), tuple(h["origin"]), data[..., 0])
+    return _read_grid(path, Image3D)
 
 
 def write_mask3d(path: str, mask: Mask3D) -> None:
-    _write_payload(path, _grid_header("mask", mask, 1), mask.data, has_channels=False)
+    _write_grid(path, Mask3D, mask)
 
 
 def read_mask3d(path: str) -> Mask3D:
-    h, data = _read_payload(path, "mask")
-    return Mask3D(tuple(h["dims"]), tuple(h["spacing"]), tuple(h["origin"]), data[..., 0])
+    return _read_grid(path, Mask3D)
+
+
+def write_dvf(path: str, u: DisplacementField) -> None:
+    _write_grid(path, DisplacementField, u)
+
+
+def read_dvf(path: str) -> DisplacementField:
+    return _read_grid(path, DisplacementField)
 
 
 def read_grid(path: str):
@@ -143,33 +163,17 @@ def read_grid(path: str):
 
 def write_volume_stack(path: str, grid, arrays: list, extra: dict | None = None) -> None:
     """Multi-channel scalar volume container (kind 'volume')."""
-    _write_payload(path, _grid_header("volume", grid, len(arrays), extra),
+    _write_payload(path, _header("volume", grid.dims, grid.spacing, grid.origin,
+                                 len(arrays), **(extra or {})),
                    np.stack(arrays, axis=-1))
-
-
-def write_dvf(path: str, u: DisplacementField) -> None:
-    _write_payload(path, _grid_header("dvf", u, 3), u.data)
-
-
-def read_dvf(path: str) -> DisplacementField:
-    h, data = _read_payload(path, "dvf")
-    return DisplacementField(tuple(h["dims"]), tuple(h["spacing"]), tuple(h["origin"]), data)
 
 
 def write_projections(path: str, projs: ProjectionSet) -> None:
     """All emitter images in one container, one channel per emitter."""
     first = projs.images[0]
-    stack = np.stack([im.data for im in projs.images], axis=-1)
-    header = {
-        "kind": "image2d",
-        "dims": list(first.dims),
-        "spacing": list(first.spacing),
-        "origin": [0.0, 0.0],
-        "channels": len(projs.images),
-        "dtype": _DTYPE,
-        "layout": _LAYOUT,
-    }
-    _write_payload(path, header, stack)
+    _write_payload(path, _header("image2d", first.dims, first.spacing, (0.0, 0.0),
+                                 len(projs.images)),
+                   np.stack([im.data for im in projs.images], axis=-1))
 
 
 def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
@@ -186,16 +190,14 @@ def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
 
 def write_subspace(path: str, sub: DeformationSubspace) -> None:
     """Mean field then each basis field, stacked along the channel axis."""
-    fields = [sub.mean] + [sub.basis[i].reshape(sub.dims + (3,))
-                           for i in range(sub.n_components)]
-    stack = np.concatenate([f[..., None, :] for f in fields], axis=-2)
-    stack = stack.reshape(sub.dims + (3 * len(fields),))
-    extra = {
-        "n_components": sub.n_components,
-        "variance_fraction": sub.variance_fraction,
-        "singular_values": [float(s) for s in sub.singular_values],
-    }
-    _write_payload(path, _grid_header("subspace", sub, 3 * len(fields), extra), stack)
+    fields = np.concatenate([sub.mean.reshape(1, -1), sub.basis])
+    stack = fields.reshape(sub.n_components + 1, -1, 3).transpose(1, 0, 2)
+    _write_payload(path, _header("subspace", sub.dims, sub.spacing, sub.origin,
+                                 3 * (sub.n_components + 1),
+                                 n_components=sub.n_components,
+                                 variance_fraction=sub.variance_fraction,
+                                 singular_values=[float(s) for s in sub.singular_values]),
+                   stack.reshape(sub.dims + (-1,)))
 
 
 def read_subspace(path: str) -> DeformationSubspace:
@@ -204,12 +206,12 @@ def read_subspace(path: str) -> DeformationSubspace:
     n_comp = int(h["n_components"])
     _require(h["channels"] == 3 * (n_comp + 1), "channels",
              f"{h['channels']} channels for n_components {n_comp}")
-    fields = data.reshape(dims + (n_comp + 1, 3)).astype(np.float64)
+    # (field, voxel, component); the subspace copies both slices to float64
+    fields = data.reshape(-1, n_comp + 1, 3).transpose(1, 0, 2)
     return DeformationSubspace(
         dims=dims, spacing=tuple(h["spacing"]), origin=tuple(h["origin"]),
-        mean=fields[..., 0, :],
-        basis=np.stack([fields[..., 1 + i, :].reshape(-1) for i in range(n_comp)])
-        if n_comp else np.zeros((0, int(np.prod(dims)) * 3)),
+        mean=fields[0].reshape(dims + (3,)),
+        basis=fields[1:].reshape(n_comp, 3 * fields.shape[1]),
         singular_values=np.asarray(h["singular_values"], dtype=np.float64),
         variance_fraction=float(h["variance_fraction"]),
     )

@@ -27,6 +27,8 @@ from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
+_LANDMARK_TOL_MM = 1e-6
+_LANDMARK_MAX_ITERS = 100
 
 
 def split_seed(master_seed: int, key) -> int:
@@ -39,6 +41,14 @@ def split_seed(master_seed: int, key) -> int:
 # specification
 # ---------------------------------------------------------------------------
 
+def _whole(value, name: str) -> int:
+    """A count as an int; 16.0 passes, 2.7 is rejected instead of truncated."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class DeformationSpec:
     n_modes: int = 4
@@ -48,6 +58,7 @@ class DeformationSpec:
     def __post_init__(self):
         if not np.isfinite(self.n_modes) or self.n_modes < 1:
             raise ValueError("n_modes must be finite and >= 1")
+        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes"))
         if not np.isfinite(self.magnitude_mm) or self.magnitude_mm < 0.0:
             raise ValueError("magnitude_mm must be finite and >= 0")
         if (not np.isfinite(self.smoothness_sigma_voxels)
@@ -66,12 +77,18 @@ class AcquisitionSpec:
     step_mm: float | None = None                      # default: half min voxel spacing
 
     def __post_init__(self):
+        object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters"))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
         for name in ("line_offset_mm", "detector_dims", "detector_spacing_mm"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(value))
+                value = tuple(value)
+                if len(value) != 2:
+                    raise ValueError(f"{name} must have 2 entries, got {len(value)}")
+                if name == "detector_dims":
+                    value = tuple(_whole(d, name) for d in value)
+                object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -84,10 +101,10 @@ class PhantomSpec:
     geometry: AcquisitionSpec = field(default_factory=AcquisitionSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_whole(d, "dims") for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_vessels", int(self.n_vessels))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        object.__setattr__(self, "n_vessels", _whole(self.n_vessels, "n_vessels"))
         if min(self.dims) < 16:
             raise ValueError("dims too small to fit phantom structures (min 16)")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
@@ -103,7 +120,9 @@ class PhantomSpec:
         """The spec ``to_dict`` wrote; a missing or null entry keeps its default.
 
         Raises ValueError for an unknown key, for a spec or section that is
-        not an object, and for a value of the wrong type.
+        not an object, for a value of the wrong type, for a count (dims,
+        seed, n_vessels, n_modes, n_emitters, detector_dims) that is not a
+        whole number, and for a pair field without exactly two entries.
         """
         kw = _spec_fields(d, PhantomSpec, "spec")
         try:
@@ -160,7 +179,8 @@ def geometry_for(spec: PhantomSpec) -> SdctGeometry:
 
 
 def step_for(spec: PhantomSpec) -> float:
-    return spec.geometry.step_mm or default_step_mm(spec.spacing)
+    step = spec.geometry.step_mm
+    return default_step_mm(spec.spacing) if step is None else step
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +233,6 @@ def gen_phantom(spec: PhantomSpec):
     tube_radius = 1.5 * min(spec.spacing)
     tubes = np.zeros(grid.dims)
     lm_points = []
-    flat_coords = coords.reshape(-1, 3)
     for _ in range(spec.n_vessels):
         waypoints = [_sample_inside(rng, center, semi, shrink=0.80)]
         step_len = 0.35 * float(np.mean(semi))
@@ -294,14 +313,9 @@ def _deformation_modes(dims, spacing, seed, n_modes, sigma):
 
 def _grad_row_sum_max(data: np.ndarray, spacing) -> float:
     """Max over voxels/components of sum_d |forward diff along d| / s_d."""
-    rows = np.zeros(data.shape)
-    for ax in range(3):
-        sl_hi = [slice(None)] * 4
-        sl_lo = [slice(None)] * 4
-        sl_hi[ax] = slice(1, None)
-        sl_lo[ax] = slice(0, -1)
-        diff = np.abs(data[tuple(sl_hi)] - data[tuple(sl_lo)]) / float(spacing[ax])
-        rows[tuple(sl_lo)] += diff
+    # appending the last slice gives the last voxel a difference of exactly 0
+    rows = sum(np.abs(np.diff(data, axis=ax, append=data.take([-1], axis=ax)))
+               / float(spacing[ax]) for ax in range(3))
     return float(rows.max())
 
 
@@ -355,13 +369,12 @@ class PhantomPair:
     geometry: SdctGeometry
 
 
-def _solve_target_landmarks(u: DisplacementField, pts_src: np.ndarray,
-                            tol_mm: float = 1e-6, max_iters: int = 100) -> np.ndarray:
+def _solve_target_landmarks(u: DisplacementField, pts_src: np.ndarray) -> np.ndarray:
     """Fixed-point solve of p + u(p) = l_s for each source landmark."""
     p = pts_src.copy()
-    for _ in range(max_iters):
+    for _ in range(_LANDMARK_MAX_ITERS):
         p_new = pts_src - sample_displacement(u, p)
-        if float(np.max(np.linalg.norm(p_new - p, axis=1))) < tol_mm:
+        if float(np.max(np.linalg.norm(p_new - p, axis=1))) < _LANDMARK_TOL_MM:
             return p_new
         p = p_new
     raise RuntimeError("landmark fixed-point iteration did not converge")

@@ -285,7 +285,6 @@ class LinearAmortizer:
     weights: np.ndarray    # (n_features, n_components)
     bias: np.ndarray       # (n_components,)
     n_channels: int
-    ridge: float
 
 
 def _pooled_features(volumes: list) -> np.ndarray:
@@ -338,8 +337,7 @@ def fit_linear_amortizer(examples: list, ridge: float = 1e-3) -> LinearAmortizer
     W = Vt.T @ (shrink[:, None] * (U.T @ Yc))
     bias = y_mean - x_mean @ W
     n_channels = len(examples[0][1]) + 1
-    return LinearAmortizer(weights=W, bias=bias, n_channels=n_channels,
-                           ridge=float(ridge))
+    return LinearAmortizer(weights=W, bias=bias, n_channels=n_channels)
 
 
 def predict_alpha(model: LinearAmortizer, source: Image3D,

@@ -17,34 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .grids import DisplacementField, GridSpec
+from .grids import DisplacementField, GridContainer
 
 # singular values at or below this fraction of the largest are rank noise
 _RANK_RTOL = 1e-10
 
 
 @dataclass
-class DeformationSubspace:
+class DeformationSubspace(GridContainer):
     """Mean field plus orthonormal basis fields spanning the model."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     mean: np.ndarray              # (W, H, D, 3)
     basis: np.ndarray             # (N_e, W*H*D*3), rows orthonormal
     singular_values: np.ndarray   # (N_e,) descending
     variance_fraction: float
 
     def __post_init__(self):
-        grid = GridSpec(self.dims, self.spacing, self.origin)
-        self.dims, self.spacing, self.origin = grid.dims, grid.spacing, grid.origin
+        super().__post_init__()
         # contiguous, so reconstruct reads them without a gather and a view
         # into a larger payload does not keep that payload alive
         self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         self.basis = np.ascontiguousarray(self.basis, dtype=np.float64).reshape(
-            -1, grid.n_voxels * 3)
+            -1, self.grid.n_voxels * 3)
         self.singular_values = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
-        if self.mean.shape != grid.dims + (3,):
+        if self.mean.shape != self.dims + (3,):
             raise ValueError("mean field shape does not match grid dims")
         if self.singular_values.shape[0] != self.basis.shape[0]:
             raise ValueError("one singular value per basis vector required")
@@ -52,15 +48,8 @@ class DeformationSubspace:
             raise ValueError("singular values must be non-increasing")
 
     @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.dims, self.spacing, self.origin)
-
-    @property
     def n_components(self) -> int:
         return int(self.basis.shape[0])
-
-    def mean_field(self) -> DisplacementField:
-        return DisplacementField(self.dims, self.spacing, self.origin, self.mean.copy())
 
 
 def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspace:

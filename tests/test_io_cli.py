@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomoreg import (DisplacementField, DrrOperator, GridSpec, Image2D,
-                     Image3D, Landmarks, Mask3D, OptimConfig, ProjectionSet,
+                     DeformationSubspace, Image3D, Landmarks, Mask3D,
+                     OptimConfig, ProjectionSet,
                      build_sdct_geometry, build_subspace, gen_smooth_dvf,
                      make_pair, mtre, reconstruct, register_subspace_2d,
                      zero_displacement)
@@ -166,6 +170,90 @@ def test_container_kind_and_payload_are_validated(tmp_path):
                           rand_image(np.random.default_rng(6)))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def container_grids(draw):
+    """A non-cubic grid, anisotropic spacing, non-zero origin, and a seed."""
+    def uneven(t):
+        return len(set(t)) > 1
+
+    dims = draw(st.tuples(*[st.integers(1, 7)] * 3).filter(uneven))
+    spacing = draw(st.tuples(*[st.floats(0.25, 4.0)] * 3).filter(uneven))
+    origin = tuple(draw(st.floats(-100.0, 100.0).filter(bool)) for _ in range(3))
+    return GridSpec(dims, spacing, origin), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(container_grids(), st.integers(1, 4), st.integers(0, 3))
+def test_every_container_kind_round_trips_bitwise(case, channels, n_comp):
+    """Each kind reads back bit for bit, and writing it again gives the same bytes."""
+    grid, seed = case
+    rng = np.random.default_rng(seed)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    dims2, spacing2 = grid.dims[:2], grid.spacing[:2]
+    geom = build_sdct_geometry(channels, 25.0, 300.0, detector_dims=dims2,
+                               detector_spacing=spacing2)
+
+    def write_stack(p, arrays):
+        tio.write_volume_stack(p, grid, arrays, extra={"n_undefined": 3})
+
+    def read_stack(p):
+        h, data = tio._read_payload(p, "volume")
+        assert h["n_undefined"] == 3 and tio.read_grid(p) == grid
+        return [data[..., i] for i in range(h["channels"])]
+
+    kinds = {
+        "volume": (tio.write_image3d, tio.read_image3d,
+                   Image3D(grid.dims, grid.spacing, grid.origin, f32(*grid.dims))),
+        "mask": (tio.write_mask3d, tio.read_mask3d,
+                 Mask3D(grid.dims, grid.spacing, grid.origin,
+                        (rng.random(grid.dims) > 0.5).astype(np.float32))),
+        "dvf": (tio.write_dvf, tio.read_dvf,
+                DisplacementField(grid.dims, grid.spacing, grid.origin,
+                                  f32(*grid.dims, 3))),
+        "stack": (write_stack, read_stack, [f32(*grid.dims) for _ in range(channels)]),
+        "projections": (
+            tio.write_projections, lambda p: tio.read_projections(p, geom),
+            ProjectionSet(geom, [Image2D(dims2, spacing2, np.abs(f32(*dims2)))
+                                 for _ in range(channels)])),
+        # float32 values, so the float64 arrays survive the float32 payload
+        "subspace": (tio.write_subspace, tio.read_subspace, DeformationSubspace(
+            grid.dims, grid.spacing, grid.origin, f32(*grid.dims, 3).astype(np.float64),
+            f32(n_comp, 3 * grid.n_voxels).astype(np.float64),
+            np.sort(rng.random(n_comp))[::-1], float(rng.random()))),
+    }
+    with tempfile.TemporaryDirectory() as d:
+        for kind, (write, read, obj) in kinds.items():
+            p1, p2 = os.path.join(d, kind + "1.json"), os.path.join(d, kind + "2.json")
+            write(p1, obj)
+            back = read(p1)
+            if kind == "stack":
+                assert len(back) == channels
+                assert all(same_bits(a, b) for a, b in zip(back, obj))
+            elif kind == "projections":
+                assert len(back.images) == channels
+                assert all(same_bits(a.data, b.data) and a.spacing == b.spacing
+                           for a, b in zip(back.images, obj.images))
+            elif kind == "subspace":
+                assert back.grid == grid and back.n_components == n_comp
+                assert same_bits(back.mean, obj.mean) and same_bits(back.basis, obj.basis)
+                assert same_bits(back.singular_values, obj.singular_values)
+                assert back.variance_fraction == obj.variance_fraction
+            else:
+                assert back.grid == grid and same_bits(back.data, obj.data)
+            write(p2, back)
+            for ext in (".json", ".raw"):
+                with open(p1[:-5] + ext, "rb") as a, open(p2[:-5] + ext, "rb") as b:
+                    assert a.read() == b.read(), (kind, ext)
+
+
 def test_landmark_csv_format(tmp_path):
     lm = Landmarks(np.array([3, 1, 7]),
                    np.array([[1.25, -2.0, 3.5],
@@ -303,8 +391,20 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
      "smoothness_sigma_voxels must be finite and positive"),
     ({"deformation": {"magnitude_mm": float("nan")}},
      "magnitude_mm must be finite and >= 0"),
+    ({"deformation": {"n_modes": 2.5}}, "n_modes must be a whole number, got 2.5"),
+    ({"geometry": {"line_offset_mm": [1]}}, "line_offset_mm must have 2 entries, got 1"),
+    ({"dims": [20.7, 20, 20]}, "dims must be a whole number, got 20.7"),
+    ({"seed": 2.7}, "seed must be a whole number, got 2.7"),
+    ({"n_vessels": 2.7}, "n_vessels must be a whole number, got 2.7"),
+    ({"geometry": {"n_emitters": 2.7}}, "n_emitters must be a whole number, got 2.7"),
+    ({"geometry": {"detector_dims": [20.7, 20]}},
+     "detector_dims must be a whole number, got 20.7"),
+    ({"geometry": {"step_mm": 0}}, "step_mm must be positive and finite, got 0"),
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
-        "infinite-smoothness", "nan-magnitude"])
+        "infinite-smoothness", "nan-magnitude", "fractional-modes",
+        "one-entry-offset", "fractional-dims", "fractional-seed",
+        "fractional-vessels", "fractional-emitters", "fractional-detector-dims",
+        "zero-step"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))  # NaN and Infinity as json.load reads them

@@ -135,9 +135,24 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
     ({"dims": 16}, "malformed phantom spec"),
     ({"seed": float("inf")}, "malformed phantom spec"),
     ({"deformation": {"n_modes": "4"}}, "malformed phantom spec"),
+    ({"deformation": {"n_modes": 2.5}}, r"n_modes must be a whole number, got 2\.5"),
+    ({"dims": [20.7, 20, 20]}, r"dims must be a whole number, got 20\.7"),
+    ({"seed": 2.7}, r"seed must be a whole number, got 2\.7"),
+    ({"n_vessels": 2.7}, r"n_vessels must be a whole number, got 2\.7"),
+    ({"geometry": {"n_emitters": 2.7}}, r"n_emitters must be a whole number, got 2\.7"),
+    ({"geometry": {"detector_dims": [20.7, 20]}},
+     r"detector_dims must be a whole number, got 20\.7"),
+    ({"geometry": {"line_offset_mm": [1]}}, "line_offset_mm must have 2 entries, got 1"),
+    ({"geometry": {"detector_dims": [20, 20, 20]}},
+     "detector_dims must have 2 entries, got 3"),
+    ({"geometry": {"detector_spacing_mm": [2.0]}},
+     "detector_spacing_mm must have 2 entries, got 1"),
 ], ids=["unknown-key", "unknown-geometry-key", "unknown-deformation-keys",
         "list-spec", "number-section", "list-section", "number-dims",
-        "infinite-seed", "string-modes"])
+        "infinite-seed", "string-modes", "fractional-modes", "fractional-dims",
+        "fractional-seed", "fractional-vessels", "fractional-emitters",
+        "fractional-detector-dims", "one-entry-offset", "three-detector-dims",
+        "one-entry-detector-spacing"])
 def test_spec_from_dict_rejects_unknown_keys_and_malformed_values(d, message):
     with pytest.raises(ValueError, match=message):
         PhantomSpec.from_dict(d)

@@ -1,0 +1,72 @@
+"""Static checks on the package source: no unused imports, no dead locals.
+
+Each module of ``src/tomoreg`` is parsed with ``ast``.  An import that the
+module never reads, or a name that a function assigns and never reads, is
+code that does nothing.  ``__init__.py`` is skipped (its imports are the
+re-exported API), and so are names that start with ``_``, the convention
+for a value that is deliberately unused.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tomoreg"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _loaded(tree) -> set:
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def unused_imports(tree) -> list:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = _loaded(tree)
+    return sorted(n for n in imported if n not in used and not n.startswith("_"))
+
+
+def dead_locals(tree) -> list:
+    """(function, name) for each local a function assigns but never reads.
+
+    A nested function counts as part of the function around it, so a
+    closure that reads an outer local keeps that local alive.
+    """
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = {name for node in ast.walk(fn)
+                  if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        stored = {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        dead += [(fn.name, name) for name in sorted(stored - _loaded(fn) - shared)
+                 if not name.startswith("_")]
+    return dead
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports_or_dead_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert (unused_imports(tree), dead_locals(tree)) == ([], [])
+
+
+def test_the_checks_see_what_they_look_for():
+    tree = ast.parse(
+        "import os\n"
+        "from typing import Any, ClassVar\n"
+        "x: ClassVar[int] = 0\n"
+        "def f(a):\n"
+        "    b, _c = a\n"
+        "    d = 1\n"
+        "    def g():\n"
+        "        return b\n"
+        "    return g\n")
+    assert unused_imports(tree) == ["Any", "os"]
+    assert dead_locals(tree) == [("f", "d")]
