@@ -41,7 +41,8 @@ SAMPLE_FILES = {
 
 def generate_dataset(spec: PhantomSpec, master_seed: int, n: int, out_dir: str) -> dict:
     """Write n independent samples plus a manifest; returns the manifest."""
-    drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec)) if n else None
+    # built (lazily, no matrix yet) even for n = 0, so a bad geometry fails here
+    drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec))
     os.makedirs(out_dir, exist_ok=True)
     members = []
     for i in range(n):

@@ -126,8 +126,14 @@ def _write_grid(path: str, cls, obj) -> None:
 
 
 def _read_grid(path: str, cls):
-    h, data = _read_payload(path, _GRID_KINDS[cls])
-    return cls(h["dims"], h["spacing"], h["origin"], data if cls.ndim == 4 else data[..., 0])
+    kind = _GRID_KINDS[cls]
+    h, data = _read_payload(path, kind)
+    if cls.ndim == 3:
+        # a multi-channel volume is a stack, such as lift3d export writes
+        _require(h["channels"] == 1, "channels",
+                 f"a {kind} has 1 channel, got {h['channels']}")
+        data = data[..., 0]
+    return cls(h["dims"], h["spacing"], h["origin"], data)
 
 
 def write_image3d(path: str, img: Image3D) -> None:

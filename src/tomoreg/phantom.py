@@ -101,6 +101,10 @@ class PhantomSpec:
     geometry: AcquisitionSpec = field(default_factory=AcquisitionSpec)
 
     def __post_init__(self):
+        for name in ("dims", "spacing"):
+            n = len(getattr(self, name))
+            if n != 3:
+                raise ValueError(f"{name} must have 3 entries, got {n}")
         object.__setattr__(self, "dims", tuple(_whole(d, "dims") for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
@@ -122,7 +126,8 @@ class PhantomSpec:
         Raises ValueError for an unknown key, for a spec or section that is
         not an object, for a value of the wrong type, for a count (dims,
         seed, n_vessels, n_modes, n_emitters, detector_dims) that is not a
-        whole number, and for a pair field without exactly two entries.
+        whole number, for dims or spacing without exactly three entries,
+        and for a pair field without exactly two entries.
         """
         kw = _spec_fields(d, PhantomSpec, "spec")
         try:

@@ -8,12 +8,19 @@ diffusion regulariser on the grid.  The subspace drivers evaluate it as a
 k-by-k quadratic in the coefficients, built once per registration, so an
 evaluation there costs only the warp and the similarity.
 
-The optimizer is gradient descent with an Armijo backtracking line search
-(c = 1e-4, shrink factor 0.5).  Its first trial moves the field by one voxel
-RMS, and each later iteration first tries twice the last accepted step; no
-step size is configured.  Each trial is evaluated once, and only the
-accepted trial's gradient is computed.  Accepted losses form a
-non-increasing trace.
+The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
+Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
+shrink factor 0.5).  It keeps the last 7 curvature pairs (s, y) with
+s.y > 0; the initial inverse Hessian is gamma times the driver's smoothing
+of the direction (the dense driver's Gaussian filter, the identity for the
+subspace drivers), gamma = s.y / y.y of the newest pair.  The first
+iteration is a steepest (or smoothed) descent step whose first trial moves
+the field by one voxel RMS; once a pair is stored the first trial is the
+unit step, and until then twice the last accepted step.  No step size is
+configured.  The history costs 2 * 7 floats per parameter: a few hundred
+bytes for subspace coefficients, 11 MB for a dense field at 32 cubed and
+88 MB at 64 cubed.  Each trial is evaluated once, and only the accepted
+trial's gradient is computed.  Accepted losses form a non-increasing trace.
 
 Everything is deterministic: fixed evaluation order, no stochastic
 sampling, so repeated runs on identical inputs reproduce results bitwise.
@@ -21,6 +28,7 @@ sampling, so repeated runs on identical inputs reproduce results bitwise.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +43,7 @@ _ARMIJO_C = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _LOSS_WINDOW = 5
+_MEMORY = 7  # curvature pairs (s, y) kept by L-BFGS
 _ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
 # converged_loss: the last _LOSS_WINDOW iterations cut the loss by less
 # than this fraction
@@ -92,15 +101,43 @@ def _require_contrast(ctx: LossContext):
             raise ValueError(f"{name} is constant, so its correlation is undefined")
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
+    """-H g by the two-loop recursion over ``pairs`` of (s, y, s.y), oldest first.
+
+    H0 is gamma * ``smooth`` (the identity when None), gamma = s.y / y.y of
+    the newest pair; with no pair it is ``smooth`` alone.
+    """
+    if not pairs:
+        return -grad if smooth is None else -smooth(grad)
+    q = grad.copy()
+    coefs = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q -= a * y
+        coefs.append(a)
+    s, y, sy = pairs[-1]
+    r = (sy / float(y @ y)) * (q if smooth is None else smooth(q))
+    for (s, y, sy), a in zip(pairs, reversed(coefs)):
+        r += (a - float(y @ r) / sy) * s
+    return -r
+
+
 def _minimize(ctx: LossContext, objective, x0: np.ndarray,
               cfg: OptimConfig | None, smooth=None):
-    """Descent on a flat parameter vector x for the loss ``objective`` gives.
+    """L-BFGS on a flat parameter vector x for the loss ``objective`` gives.
 
     ``objective(x)`` returns the loss at x and a zero-argument callable for
-    its gradient in x; ``smooth``, when given, filters the descent
-    direction.  ``ctx`` is the objective's loss context, checked for
-    contrast before the first evaluation.  Returns x and the report (with
-    no alpha).
+    its gradient in x; ``smooth``, when given, filters the direction and
+    scaled by gamma is the initial inverse Hessian H0 (gamma * I without
+    it).  ``ctx`` is the objective's loss context, checked for contrast
+    before the first evaluation.  Returns x and the report (with no alpha).
+
+    Each iteration takes d = -H g from the stored pairs (the smoothed or
+    plain -g while none is stored) and falls back to -g when d does not
+    descend.  An accepted step's pair (s, y) is stored only when s.y > 0,
+    which keeps H positive definite; the last ``_MEMORY`` are kept, 2 *
+    ``_MEMORY`` floats per parameter.  With a pair stored the first trial
+    is the unit step, the natural scale of a quasi-Newton step.
 
     Precondition: x maps to the field by an isometry, so a step in x moves
     the field's (W,H,D,3) entries by the same Euclidean length.  Both
@@ -130,6 +167,7 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
     trace = [float(loss)]
     stop = "max_iters"
     first_len = min(ctx.grid.spacing) * np.sqrt(ctx.grid.n_voxels)
+    pairs = deque(maxlen=_MEMORY)
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if np.max(np.abs(grad)) < cfg.tol_grad:
@@ -137,15 +175,17 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
             it -= 1
             break
 
-        d = -grad if smooth is None else -smooth(grad)
+        d = _lbfgs_direction(grad, pairs, smooth)
         slope = float(grad @ d)
-        if slope >= 0.0:  # smoothed direction degenerated; fall back
+        if slope >= 0.0:  # not a descent direction; fall back
             d = -grad
             slope = -float(grad @ grad)
         if it == 1:
             # an exactly zero d leaves x where it is for any step
             norm = float(np.linalg.norm(d))
             t = first_len / norm if norm > 0.0 else 0.0
+        elif pairs:
+            t = 1.0
 
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * d
@@ -158,10 +198,16 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
             it -= 1
             break
 
+        s = cand - x
         x, loss = cand, cand_loss
         t *= 2.0
         trace.append(float(loss))
-        grad = gradient(grad_fn)
+        new_grad = gradient(grad_fn)
+        y = new_grad - grad
+        grad = new_grad
+        sy = float(s @ y)
+        if sy > 0.0:  # otherwise the pair would make H indefinite
+            pairs.append((s, y, sy))
 
         if len(trace) > _LOSS_WINDOW:
             prev = trace[-1 - _LOSS_WINDOW]
@@ -245,9 +291,10 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                       opt_cfg: OptimConfig | None = None):
     """Free-form registration of a per-voxel displacement field.
 
-    The raw gradient field is Gaussian-smoothed (sigma of one voxel per
-    axis) before each step; the Armijo test still uses the raw gradient's
-    directional derivative so accepted steps always descend.
+    A Gaussian filter (sigma of one voxel per axis), scaled by gamma, is
+    the initial inverse Hessian of the L-BFGS steps; the Armijo test still
+    uses the raw gradient's directional derivative so accepted steps always
+    descend.
     """
     ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
                       source, source_mask, target=target, target_mask=target_mask)

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -400,20 +401,24 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     ({"geometry": {"detector_dims": [20.7, 20]}},
      "detector_dims must be a whole number, got 20.7"),
     ({"geometry": {"step_mm": 0}}, "step_mm must be positive and finite, got 0"),
+    ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
+    ({"spacing": [2.0, 2.0, 2.0, 2.0]}, "spacing must have 3 entries, got 4"),
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
         "fractional-vessels", "fractional-emitters", "fractional-detector-dims",
-        "zero-step"])
+        "zero-step", "two-entry-dims", "four-entry-spacing"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
+    """Rejected before anything is written, with or without samples to make."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))  # NaN and Infinity as json.load reads them
-    rc = main(["phantom", "gen", "--spec", str(path), "--n", "1",
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
-    assert not os.path.exists(tmp_path / "out")
+    for n in ("0", "1"):
+        rc = main(["phantom", "gen", "--spec", str(path), "--n", n,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not os.path.exists(tmp_path / "out")
 
 
 def test_drr_render_cli_matches_the_operator(dataset, tmp_path):
@@ -466,6 +471,30 @@ def test_lift3d_export_cli_writes_per_emitter_channels(dataset, tmp_path):
     _, data = tio._read_payload(lp, "volume")
     assert data.max() > 0.0
     assert data.min() >= 0.0
+
+
+def test_a_multi_channel_volume_or_mask_is_rejected(dataset, tmp_path, capsys):
+    """A lift3d export is a 4-channel volume stack, not a CT volume."""
+    _, out = dataset
+    sd = sample_dir(out)
+    lp = tmp_path / "lifted.json"
+    assert main(["lift3d", "export", "--projections", str(sd / "projections.json"),
+                 "--geometry", str(sd / "geometry.json"),
+                 "--grid-like", str(sd / "source.json"), "--out", str(lp)]) == 0
+    op = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(lp),
+               "--geometry", str(sd / "geometry.json"), "--out", str(op)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "a volume has 1 channel, got 4" in err[0]
+    assert not op.exists()
+    header = json.loads(lp.read_text())
+    header["kind"] = "mask"
+    (tmp_path / "stack_mask.json").write_text(json.dumps(header))
+    shutil.copyfile(tmp_path / "lifted.raw", tmp_path / "stack_mask.raw")
+    with pytest.raises(ValueError, match="a mask has 1 channel, got 4"):
+        tio.read_mask3d(str(tmp_path / "stack_mask.json"))
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from tomoreg import (DeformationSubspace, DisplacementField, Image2D, Image3D,
                      register_subspace_3d, warp_image, zero_displacement)
 from tomoreg.losses import LossContext
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
+from tomoreg import registration
 from tomoreg.registration import fit_linear_amortizer, predict_alpha
 
 
@@ -173,6 +174,15 @@ def test_projection_registration_captures_in_plane_motion(pair32, recovery3d,
     assert after2 < 0.6 * before
 
 
+def test_uncapped_projection_registration_converges_within_30_iterations(
+        recovery2d):
+    """Quasi-Newton steps on the k coefficients stop on their own within
+    30 iterations; steepest descent takes 32 on this pair."""
+    _, _, rep = recovery2d
+    assert rep.stop_reason in {"converged_grad", "converged_loss"}
+    assert rep.iterations <= 30
+
+
 def test_dense_registration_improves_overlap(pair32, recovery_dense):
     u, rep = recovery_dense
     d_before = dice(pair32.source_mask, pair32.target_mask)
@@ -289,6 +299,108 @@ def test_a_single_voxel_grid_is_rejected_as_a_constant_source():
         register_subspace_3d(src, tgt, mask, mask, sub)
     with pytest.raises(ValueError, match="masked source is constant"):
         register_dense_3d(src, tgt, mask, mask)
+
+
+# ---------------------------------------------------------------------------
+# the quasi-Newton loop on synthetic objectives
+# ---------------------------------------------------------------------------
+
+def quadratic_objective(diag):
+    """x^T diag(diag) x / 2 and its gradient, recording each evaluated point."""
+    a = np.asarray(diag, dtype=np.float64)
+    points = []
+
+    def objective(x):
+        points.append(x.copy())
+        return 0.5 * float(x @ (a * x)), lambda: a * x
+    return objective, points
+
+
+@pytest.fixture(scope="module")
+def small_ctx():
+    """A loss context only for the contrast check and the first step length
+    (min spacing * sqrt(n_voxels) = 2); the objectives below ignore it."""
+    src, tgt, mask, _ = random_problem((4, 4, 4), (0.25, 0.25, 0.25), 11)
+    return LossContext(LossConfig(), src, mask, target=tgt, target_mask=mask)
+
+
+def spy_directions(monkeypatch, points, replace_with=None):
+    """Record (accepted x, gradient, stored pairs, number of points evaluated
+    so far) at each direction call; with pairs stored, ``replace_with(g)``
+    stands in for the recursion's direction."""
+    calls = []
+    direction = registration._lbfgs_direction
+
+    def recording(grad, pairs, smooth):
+        calls.append((points[-1].copy(), grad.copy(), list(pairs), len(points)))
+        if replace_with is not None and pairs:
+            return replace_with(grad)
+        return direction(grad, pairs, smooth)
+
+    monkeypatch.setattr(registration, "_lbfgs_direction", recording)
+    return calls
+
+
+def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch,
+                                                          small_ctx):
+    """On a saddle, steps along the concave axis give s.y <= 0; such a pair
+    would make the inverse Hessian indefinite, so it is skipped."""
+    objective, points = quadratic_objective([1.0, -0.1])
+    calls = spy_directions(monkeypatch, points)
+    _, rep = registration._minimize(small_ctx, objective,
+                                    np.array([1.0, 0.01]),
+                                    OptimConfig(max_iters=20))
+    assert rep.stop_reason == "max_iters"
+    assert np.all(np.diff(rep.loss_trace) <= 0.0)
+    stored = skipped = 0
+    for (x0, g0, before, _), (x1, g1, after, _) in zip(calls, calls[1:]):
+        s, y = x1 - x0, g1 - g0
+        assert all(sy > 0.0 for _, _, sy in after)
+        if s @ y > 0.0:
+            stored += 1
+            assert np.array_equal(after[-1][0], s)
+            assert np.array_equal(after[-1][1], y)
+        else:
+            skipped += 1
+            assert len(after) == len(before)
+            assert all(p is q for p, q in zip(after, before))
+    assert stored >= 1 and skipped >= 1
+
+
+def test_a_non_descent_quasi_newton_direction_falls_back_to_the_gradient(
+        monkeypatch, small_ctx):
+    """An ascent direction from the recursion is replaced by -g, tried
+    first at the unit step because a curvature pair is stored."""
+    objective, points = quadratic_objective([1.0, 4.0])
+    calls = spy_directions(monkeypatch, points, replace_with=lambda g: g)
+    _, rep = registration._minimize(small_ctx, objective,
+                                    np.array([1.0, 1.0]),
+                                    OptimConfig(max_iters=3))
+    assert rep.iterations == 3
+    assert np.all(np.diff(rep.loss_trace) < 0.0)
+    for x, g, pairs, n_evaluated in calls[1:]:
+        assert pairs
+        assert np.array_equal(points[n_evaluated], x - g)
+
+
+def test_a_flat_problem_ends_in_line_search_failed(monkeypatch, small_ctx):
+    """The loss is floored at 0 inside an ellipse while the reported
+    gradient is not: no trial from there can pass the Armijo test, and the
+    flat stretch must not read as convergence."""
+    quadratic, points = quadratic_objective([1.0, 4.0])
+
+    def objective(x):
+        loss, grad_fn = quadratic(x)
+        return max(loss - 1.0, 0.0), grad_fn
+
+    calls = spy_directions(monkeypatch, points)
+    _, rep = registration._minimize(small_ctx, objective,
+                                    np.array([3.0, 3.0]),
+                                    OptimConfig(max_iters=50))
+    assert rep.stop_reason == "line_search_failed"
+    assert rep.loss_trace[-1] == 0.0
+    assert np.all(np.diff(rep.loss_trace) <= 0.0)
+    assert any(pairs for _, _, pairs, _ in calls)
 
 
 # ---------------------------------------------------------------------------
