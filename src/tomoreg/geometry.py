@@ -20,6 +20,7 @@ from .grids import (GridSpec, Image3D, _checked_payload, sample_trilinear,
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
+_MATCH_TOL = 1e-9  # mm; geometry entries further apart than this differ
 _CHUNK_PIXELS = 2048  # detector pixels per block when building the matrix
 
 
@@ -91,7 +92,7 @@ class SdctGeometry:
 
     def allclose(self, other: "SdctGeometry") -> bool:
         """Same counts and dims, every array equal within an absolute 1e-9."""
-        tol = 1e-9
+        tol = _MATCH_TOL
         return (self.n_emitters == other.n_emitters
                 and self.detector_dims == other.detector_dims
                 and np.allclose(self.detector_spacing, other.detector_spacing, atol=tol)
@@ -181,6 +182,9 @@ class ProjectionSet:
         for im in self.images:
             if im.dims != self.geometry.detector_dims:
                 raise ValueError("projection dims do not match detector_dims")
+            if np.max(np.abs(np.subtract(im.spacing, self.geometry.detector_spacing))) > _MATCH_TOL:
+                raise ValueError(f"projection spacing {im.spacing} does not match "
+                                 f"detector_spacing {self.geometry.detector_spacing}")
             if np.any(im.data < 0.0):
                 raise ValueError("projection values must be >= 0")
 

@@ -54,6 +54,23 @@ def _require(cond: bool, field: str, detail: str):
         raise ValueError(f"container field '{field}' invalid: {detail}")
 
 
+def _field(d: dict, name: str, convert):
+    """``convert(d[name])``; a value of the wrong JSON type is a ValueError
+    naming the field, not a TypeError from deep inside a constructor."""
+    try:
+        return convert(d[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field '{name}' invalid: {exc}") from exc
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # raw+JSON containers
 # ---------------------------------------------------------------------------
@@ -103,19 +120,21 @@ def _write_payload(header_path: str, header: dict, data: np.ndarray) -> None:
 
 def _read_payload(header_path: str, expect_kind: str):
     header = _load_json(header_path)
+    _require(isinstance(header, dict), "header", "not a JSON object")
     kind = header.get("kind")
     _require(kind in _KINDS, "kind", f"unknown kind {kind!r}")
     _require(kind == expect_kind, "kind", f"got '{kind}', expected '{expect_kind}'")
     _require(header.get("dtype") == _DTYPE, "dtype", f"got {header.get('dtype')!r}")
     _require(header.get("layout") == _LAYOUT, "layout", f"got {header.get('layout')!r}")
-    dims = tuple(int(d) for d in header["dims"])
-    channels = int(header["channels"])
+    dims = _field(header, "dims", _ints)
+    channels = _field(header, "channels", int)
     _require(channels >= 1, "channels", "must be >= 1")
     with open(_raw_path(header_path), "rb") as fh:
         payload = fh.read()
     expect = 4 * channels * int(np.prod(dims))
     _require(len(payload) == expect, "payload",
              f"byte length {len(payload)}, header implies {expect}")
+    header.update(dims=dims, channels=channels)
     return header, _unpack(payload, dims, channels)
 
 
@@ -133,7 +152,8 @@ def _read_grid(path: str, cls):
         _require(h["channels"] == 1, "channels",
                  f"a {kind} has 1 channel, got {h['channels']}")
         data = data[..., 0]
-    return cls(h["dims"], h["spacing"], h["origin"], data)
+    return cls(h["dims"], _field(h, "spacing", _floats), _field(h, "origin", _floats),
+               data)
 
 
 def write_image3d(path: str, img: Image3D) -> None:
@@ -163,8 +183,9 @@ def read_dvf(path: str) -> DisplacementField:
 def read_grid(path: str):
     """Grid described by any 3D container header, without the payload."""
     h = _load_json(path)
-    _require("dims" in h and len(h["dims"]) == 3, "dims", "3D container required")
-    return GridSpec(tuple(h["dims"]), tuple(h["spacing"]), tuple(h["origin"]))
+    dims = _field(h, "dims", _ints)
+    _require(len(dims) == 3, "dims", "3D container required")
+    return GridSpec(dims, _field(h, "spacing", _floats), _field(h, "origin", _floats))
 
 
 def write_volume_stack(path: str, grid, arrays: list, extra: dict | None = None) -> None:
@@ -184,8 +205,8 @@ def write_projections(path: str, projs: ProjectionSet) -> None:
 
 def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
     h, data = _read_payload(path, "image2d")
-    dims = tuple(h["dims"])
-    spacing = tuple(h["spacing"])
+    dims = h["dims"]
+    spacing = _field(h, "spacing", _floats)
     _require(h["channels"] == geometry.n_emitters, "channels",
              f"{h['channels']} images for {geometry.n_emitters} emitters")
     _require(dims == tuple(geometry.detector_dims), "dims",
@@ -208,18 +229,19 @@ def write_subspace(path: str, sub: DeformationSubspace) -> None:
 
 def read_subspace(path: str) -> DeformationSubspace:
     h, data = _read_payload(path, "subspace")
-    dims = tuple(h["dims"])
-    n_comp = int(h["n_components"])
+    dims = h["dims"]
+    n_comp = _field(h, "n_components", int)
     _require(h["channels"] == 3 * (n_comp + 1), "channels",
              f"{h['channels']} channels for n_components {n_comp}")
     # (field, voxel, component); the subspace copies both slices to float64
     fields = data.reshape(-1, n_comp + 1, 3).transpose(1, 0, 2)
     return DeformationSubspace(
-        dims=dims, spacing=tuple(h["spacing"]), origin=tuple(h["origin"]),
+        dims=dims, spacing=_field(h, "spacing", _floats),
+        origin=_field(h, "origin", _floats),
         mean=fields[0].reshape(dims + (3,)),
         basis=fields[1:].reshape(n_comp, 3 * fields.shape[1]),
-        singular_values=np.asarray(h["singular_values"], dtype=np.float64),
-        variance_fraction=float(h["variance_fraction"]),
+        singular_values=_field(h, "singular_values", _floats),
+        variance_fraction=_field(h, "variance_fraction", float),
     )
 
 
@@ -240,13 +262,17 @@ def write_geometry(path: str, geom: SdctGeometry) -> None:
 
 def read_geometry(path: str) -> SdctGeometry:
     d = _load_json(path)
+
+    def array(name):
+        return _field(d, name, lambda v: np.asarray(v, dtype=np.float64))
+
     return SdctGeometry(
-        n_emitters=int(d["n_emitters"]),
-        emitter_positions=np.asarray(d["emitter_positions"], dtype=np.float64),
-        detector_origin=np.asarray(d["detector_origin"], dtype=np.float64),
-        detector_axes=np.asarray(d["detector_axes"], dtype=np.float64),
-        detector_dims=tuple(int(v) for v in d["detector_dims"]),
-        detector_spacing=tuple(float(v) for v in d["detector_spacing"]),
+        n_emitters=_field(d, "n_emitters", int),
+        emitter_positions=array("emitter_positions"),
+        detector_origin=array("detector_origin"),
+        detector_axes=array("detector_axes"),
+        detector_dims=_field(d, "detector_dims", _ints),
+        detector_spacing=_field(d, "detector_spacing", _floats),
     )
 
 

@@ -19,8 +19,8 @@ Where the regulariser is evaluated: a ``LossContext`` with lam > 0 runs the
 diffusion passes over the grid on every evaluation, which is what
 ``total_loss``, ``grad_alpha``, ``grad_dense`` and the dense driver use.  On
 a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
-``diffusion_quadratic`` builds its k-by-k form once per registration, and
-the subspace drivers evaluate it in closed form next to a context with
+``diffusion_quadratic`` builds it once per registration as one Gram matrix,
+and the subspace drivers evaluate it in closed form next to a context with
 lam = 0, which skips the grid passes.
 
 A ``LossContext`` evaluates in two phases.  ``evaluate`` runs the value
@@ -148,19 +148,19 @@ def diffusion_energy(u: DisplacementField) -> float:
 def diffusion_quadratic(sub: DeformationSubspace):
     """(c, b, G) with diffusion energy c + 2 b.a + a.G.a at reconstruct(sub, a).
 
-    The energy is E(u) = u.L u for a symmetric L, and grad E(u) = 2 L u, so
-    with u = mean + basis.T a: c = E(mean), b = basis L mean and the k-by-k
-    G = basis L basis.T.  One energy pass and k + 1 gradient passes build
-    them; G is symmetrised against rounding.
+    The energy is E(u) = sum over axes of |D_ax u|^2 / n_voxels for the
+    forward differences D_ax, so with u = mean + basis.T a it is the Gram
+    form of the k + 1 fields mean, e_1 .. e_k: one difference pass over
+    their stack gives M = sum over axes of D_ax^T D_ax / n_voxels, and
+    c = M[0, 0], b = M[0, 1:], G = M[1:, 1:].
     """
-    spacing, shape, k = sub.spacing, sub.dims + (3,), sub.n_components
-
-    def basis_l(v):  # basis L v = 0.5 basis . grad E(v)
-        return 0.5 * (sub.basis @ _diffusion_grad(v.reshape(shape), spacing).reshape(-1))
-
-    G = np.array([basis_l(e) for e in sub.basis]).reshape(k, k)
-    return (_diffusion_energy(sub.mean, spacing), basis_l(sub.mean),
-            0.5 * (G + G.T))
+    stack = np.stack([sub.mean, *sub.basis.reshape((-1,) + sub.mean.shape)], axis=-1)
+    M = 0.0
+    for _, _, diff in _forward_diffs(stack, sub.spacing):
+        cols = diff.reshape(-1, stack.shape[-1])
+        M += cols.T @ cols  # one syrk on a shared buffer: exactly symmetric
+    M /= sub.grid.n_voxels
+    return float(M[0, 0]), M[0, 1:], M[1:, 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ at a point and returns it with a callable for its analytic gradient there.
 The dense driver's objective is its loss context, which evaluates the
 diffusion regulariser on the grid.  The subspace drivers evaluate it as a
 k-by-k quadratic in the coefficients, built once per registration, so an
-evaluation there costs only the warp and the similarity.
+evaluation there costs only the warp and the similarity.  The descent
+loop sees only the objective and the field's grid.
 
 The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
 shrink factor 0.5).  It keeps the last 7 curvature pairs (s, y) with
 s.y > 0; the initial inverse Hessian is gamma times the driver's smoothing
 of the direction (the dense driver's Gaussian filter, the identity for the
-subspace drivers), gamma = s.y / y.y of the newest pair.  The first
-iteration is a steepest (or smoothed) descent step whose first trial moves
-the field by one voxel RMS; once a pair is stored the first trial is the
-unit step, and until then twice the last accepted step.  No step size is
+subspace drivers), gamma = s.y / y.y of the newest pair.  Two step rules:
+while no pair is stored the direction is steepest (or smoothed) descent
+and its first trial moves the field by one voxel RMS; once a pair is
+stored the first trial is the unit step.  No step size is
 configured.  The history costs 2 * 7 floats per parameter: a few hundred
 bytes for subspace coefficients, 11 MB for a dense field at 32 cubed and
 88 MB at 64 cubed.  Each trial is evaluated once, and only the accepted
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .geometry import DrrOperator, ProjectionSet
-from .grids import DisplacementField, Image3D, Mask3D
+from .grids import DisplacementField, GridSpec, Image3D, Mask3D
 from .losses import LossConfig, LossContext, diffusion_quadratic
 from .subspace import DeformationSubspace, reconstruct
 
@@ -105,49 +106,50 @@ def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
     """-H g by the two-loop recursion over ``pairs`` of (s, y, s.y), oldest first.
 
     H0 is gamma * ``smooth`` (the identity when None), gamma = s.y / y.y of
-    the newest pair; with no pair it is ``smooth`` alone.
+    the newest pair, and 1 with no pair, so then the direction is -H0 g.
     """
-    if not pairs:
-        return -grad if smooth is None else -smooth(grad)
     q = grad.copy()
     coefs = []
     for s, y, sy in reversed(pairs):
         a = float(s @ q) / sy
         q -= a * y
         coefs.append(a)
-    s, y, sy = pairs[-1]
-    r = (sy / float(y @ y)) * (q if smooth is None else smooth(q))
+    gamma = 1.0
+    if pairs:
+        _, y, sy = pairs[-1]
+        gamma = sy / float(y @ y)
+    r = gamma * (q if smooth is None else smooth(q))
     for (s, y, sy), a in zip(pairs, reversed(coefs)):
         r += (a - float(y @ r) / sy) * s
     return -r
 
 
-def _minimize(ctx: LossContext, objective, x0: np.ndarray,
-              cfg: OptimConfig | None, smooth=None):
+def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None,
+              smooth=None):
     """L-BFGS on a flat parameter vector x for the loss ``objective`` gives.
 
     ``objective(x)`` returns the loss at x and a zero-argument callable for
     its gradient in x; ``smooth``, when given, filters the direction and
     scaled by gamma is the initial inverse Hessian H0 (gamma * I without
-    it).  ``ctx`` is the objective's loss context, checked for contrast
-    before the first evaluation.  Returns x and the report (with no alpha).
+    it).  ``grid`` is the field's grid.  Returns x and the report (no alpha).
 
     Each iteration takes d = -H g from the stored pairs (the smoothed or
     plain -g while none is stored) and falls back to -g when d does not
     descend.  An accepted step's pair (s, y) is stored only when s.y > 0,
     which keeps H positive definite; the last ``_MEMORY`` are kept, 2 *
     ``_MEMORY`` floats per parameter.  With a pair stored the first trial
-    is the unit step, the natural scale of a quasi-Newton step.
+    is the unit step, the natural scale of a quasi-Newton step.  An
+    accepted trial that moves x without lowering the loss has lost the
+    slope to rounding: a flat stretch, which ends as line_search_failed.
 
     Precondition: x maps to the field by an isometry, so a step in x moves
     the field's (W,H,D,3) entries by the same Euclidean length.  Both
     drivers' maps are: subspace basis rows are orthonormal, and the dense
-    map is the identity.  So the first trial step, of length
-    min(spacing) * sqrt(n_voxels) in x, moves the field by one voxel RMS
-    without a warp to find that out.  Each trial is evaluated once; the
+    map is the identity.  So the first trial step with no pair stored, of
+    length min(spacing) * sqrt(n_voxels) in x, moves the field by one voxel
+    RMS without a warp to find that out.  Each trial is evaluated once; the
     gradient callable of the accepted trial gives the next gradient.
     """
-    _require_contrast(ctx)
     cfg = cfg or OptimConfig()
 
     def value(x):
@@ -166,13 +168,11 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
     grad = gradient(grad_fn)
     trace = [float(loss)]
     stop = "max_iters"
-    first_len = min(ctx.grid.spacing) * np.sqrt(ctx.grid.n_voxels)
+    first_len = min(grid.spacing) * np.sqrt(grid.n_voxels)
     pairs = deque(maxlen=_MEMORY)
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         if np.max(np.abs(grad)) < cfg.tol_grad:
             stop = "converged_grad"
-            it -= 1
             break
 
         d = _lbfgs_direction(grad, pairs, smooth)
@@ -180,12 +180,12 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
         if slope >= 0.0:  # not a descent direction; fall back
             d = -grad
             slope = -float(grad @ grad)
-        if it == 1:
+        if pairs:
+            t = 1.0
+        else:
             # an exactly zero d leaves x where it is for any step
             norm = float(np.linalg.norm(d))
             t = first_len / norm if norm > 0.0 else 0.0
-        elif pairs:
-            t = 1.0
 
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * d
@@ -195,12 +195,13 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
             t *= _SHRINK
         else:
             stop = "line_search_failed"
-            it -= 1
+            break
+        if cand_loss >= loss and t * float(np.linalg.norm(d)) > 0.0:
+            stop = "line_search_failed"
             break
 
         s = cand - x
         x, loss = cand, cand_loss
-        t *= 2.0
         trace.append(float(loss))
         new_grad = gradient(grad_fn)
         y = new_grad - grad
@@ -216,8 +217,8 @@ def _minimize(ctx: LossContext, objective, x0: np.ndarray,
                 break
 
     report = RegistrationReport(final_loss=trace[-1], loss_trace=trace,
-                                iterations=it, stop_reason=stop, alpha=None,
-                                wall_time_s=time.perf_counter() - t0)
+                                iterations=len(trace) - 1, stop_reason=stop,
+                                alpha=None, wall_time_s=time.perf_counter() - t0)
     return x, report
 
 
@@ -250,6 +251,7 @@ def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
     if deviation > _ORTHONORMAL_TOL:
         raise ValueError(f"subspace basis rows are not orthonormal "
                          f"(max |B B^T - I| = {deviation:.3g})")
+    _require_contrast(ctx)
     c, b, G = diffusion_quadratic(sub)
 
     def objective(a):
@@ -258,7 +260,7 @@ def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
         loss = sim + lam * (c + (2.0 * b + Ga) @ a)
         return loss, lambda: sub.basis @ grad().reshape(-1) + (2.0 * lam) * (b + Ga)
 
-    alpha, report = _minimize(ctx, objective, np.zeros(sub.n_components), opt_cfg)
+    alpha, report = _minimize(objective, np.zeros(sub.n_components), ctx.grid, opt_cfg)
     report.alpha = [float(a) for a in alpha]
     return alpha, reconstruct(sub, alpha), report
 
@@ -313,7 +315,8 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         return gaussian_filter(gflat.reshape(shape), _SMOOTH_SIGMA,
                                mode="nearest").reshape(-1)
 
-    x, report = _minimize(ctx, objective, np.zeros(grid.n_voxels * 3), opt_cfg,
+    _require_contrast(ctx)
+    x, report = _minimize(objective, np.zeros(grid.n_voxels * 3), grid, opt_cfg,
                           smooth)
     return to_field(x), report
 
@@ -339,6 +342,11 @@ def _pooled_features(volumes: list) -> np.ndarray:
     feats = []
     for vol in volumes:
         data = vol.data.astype(np.float64, copy=False)
+        for ax, n in enumerate(data.shape):
+            if n < _POOL_GRID:
+                raise ValueError(f"axis {ax} has {n} voxels; the amortizer pools "
+                                 f"{_POOL_GRID} blocks per axis, so it needs at "
+                                 f"least {_POOL_GRID}")
         parts = [np.array_split(np.arange(n), _POOL_GRID) for n in data.shape]
         pooled = np.empty((_POOL_GRID,) * 3)
         for bi, ix in enumerate(parts[0]):

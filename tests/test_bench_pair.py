@@ -1,0 +1,82 @@
+"""The paired-benchmark recorder's parsing, statistics and record writer."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPEC = {"end_to_end": [{"name": "register_s", "unit": "s", "bound": 0.25},
+                       {"name": "iterations", "unit": "count", "bound": 0.1}]}
+ENV = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2", "scipy": "1",
+       "openblas": [], "blas_threads": 1, "git_commit": "unknown",
+       "workload": "proj2d", "seed": 1}
+
+
+def stdout(metrics: dict, failed: int = 0, attempted: int = 5) -> str:
+    """What run.py prints: environment line, metric lines, result line."""
+    result = {"correct": not failed, "attempted": attempted, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
+    lines = [json.dumps({"environment": ENV})]
+    lines += [f"{k:34s} {v} s" for k, v in metrics.items()]
+    return "\n".join(lines + [json.dumps(result)]) + "\n"
+
+
+def canned_runs(bench_pair):
+    # (pair, side, register_s, iterations); the change wins pairs 0 and 1,
+    # loses pair 2 and ties pair 3 on register_s
+    rows = [(0, "parent", 0.30, 30), (0, "change", 0.20, 30),
+            (1, "change", 0.25, 30), (1, "parent", 0.40, 30),
+            (2, "parent", 0.10, 30), (2, "change", 0.15, 30),
+            (3, "change", 0.50, 30), (3, "parent", 0.50, 30)]
+    runs = []
+    for pair, side, reg, iters in rows:
+        env, result = bench_pair.parse_output(
+            stdout({"register_s": reg, "iterations": iters}, failed=int(pair == 2)))
+        runs.append({"pair": pair, "side": side, "workload": "proj2d", "seed": 1,
+                     "trace": 0, "command": [], "returncode": 0,
+                     "result": result, "environment": env})
+    for side in ("parent", "change"):
+        _, result = bench_pair.parse_output(stdout({"grids.warp_calls": 11.0}))
+        runs.append({"pair": 4, "side": side, "workload": "proj2d", "seed": 1,
+                     "trace": 1, "command": [], "returncode": 0,
+                     "result": result, "environment": ENV})
+    return runs
+
+
+def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_path):
+    runs = canned_runs(bench_pair)
+    doc = bench_pair.record(runs, SPEC, "abc1234", {"proj2d": [1] * 4}, 1)
+    path = tmp_path / "BENCH_smoke.json"
+    bench_pair.write_record(path, doc)
+    back = json.loads(path.read_text(encoding="utf-8"))
+
+    assert back["runs"] == runs
+    assert back["parent_commit"] == "abc1234"
+    assert "git_commit" not in back["environment"]
+    reg = back["summary"]["proj2d"]["register_s"]
+    assert reg["parent"] == pytest.approx({"median": 0.35, "q1": 0.25, "q3": 0.425,
+                                           "iqr": 0.175, "n": 4})
+    assert reg["change"]["median"] == pytest.approx(0.225)
+    assert (reg["pairs_change_lower"], reg["pairs_change_higher"],
+            reg["pairs_tied"]) == (2, 1, 1)
+    assert reg["bound"] == 0.25
+    assert back["summary"]["proj2d"]["iterations"]["pairs_tied"] == 4
+    assert back["summary"]["proj2d"]["failed"] == {"parent": 1, "change": 1}
+    assert back["summary"]["proj2d"]["attempted"] == {"parent": 20, "change": 20}
+    assert back["summary"]["proj2d"]["traced"]["change"] == {"grids.warp_calls": 11.0}
+
+
+def test_an_empty_run_output_is_an_error(bench_pair):
+    with pytest.raises(ValueError, match="printed nothing"):
+        bench_pair.parse_output("\n")

@@ -889,6 +889,116 @@ def test_numerical_failure_exits_with_code_three(dataset, balanced_subspace,
     assert not os.path.exists(tmp_path / "u.json")
 
 
+def one_error_and_no_output(rc, capsys, out_path):
+    """Exit 2, exactly one ``error:`` line on stderr, nothing written."""
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not os.path.exists(out_path)
+    return err[0]
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("source.json", "dims", 5),
+    ("source.json", "channels", None),
+    ("source.json", "spacing", None),
+    ("geometry.json", "detector_dims", 6),
+])
+def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
+        dataset, tmp_path, capsys, name, field, value):
+    _, out = dataset
+    sd = sample_dir(out)
+    for fn in ("source.json", "source.raw", "geometry.json"):
+        shutil.copyfile(sd / fn, tmp_path / fn)
+    edited = json.loads((sd / name).read_text())
+    edited[field] = value
+    (tmp_path / name).write_text(json.dumps(edited))
+    op = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(tmp_path / "source.json"),
+               "--geometry", str(tmp_path / "geometry.json"), "--out", str(op)])
+    assert f"field '{field}'" in one_error_and_no_output(rc, capsys, op)
+
+
+def test_projections_of_another_detector_pitch_exit_with_code_two(
+        dataset, balanced_subspace, tmp_path, capsys):
+    _, out = dataset
+    sd = sample_dir(out)
+    header = json.loads((sd / "projections.json").read_text())
+    header["spacing"] = [3.0, 7.0]
+    (tmp_path / "proj.json").write_text(json.dumps(header))
+    shutil.copyfile(sd / "projections.raw", tmp_path / "proj.raw")
+    rc = main(["register", "subspace2d",
+               "--source", str(sd / "source.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--projections", str(tmp_path / "proj.json"),
+               "--geometry", str(sd / "geometry.json"),
+               "--subspace", str(balanced_subspace),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    err = one_error_and_no_output(rc, capsys, tmp_path / "u.json")
+    assert "projection spacing (3.0, 7.0) does not match detector_spacing" in err
+
+
+def nan_copy(header_path, dest):
+    """A copy of the container at ``header_path`` with one NaN in its payload."""
+    shutil.copyfile(header_path, dest)
+    raw = np.fromfile(header_path.with_suffix(".raw"), dtype="<f4")
+    raw[len(raw) // 2] = np.nan
+    raw.tofile(dest.with_suffix(".raw"))
+    return str(dest)
+
+
+@pytest.mark.parametrize("command", ["drr render", "lift3d export",
+                                     "subspace build", "register subspace3d",
+                                     "register subspace2d", "register dense",
+                                     "evaluate"])
+def test_a_nan_payload_exits_with_code_two(dataset, balanced_subspace, tmp_path,
+                                           capsys, command):
+    """Each command that reads a payload container rejects a NaN in it when
+    it loads the file, before any computation or output."""
+    _, out = dataset
+    sd = sample_dir(out)
+    result = tmp_path / "result.json"
+    f = {name: str(sd / f"{name}.json")
+         for name in ("source", "target", "source_mask", "target_mask", "geometry")}
+    reg = ["--iters", "1", "--out-dvf", str(result)]
+    if command == "drr render":
+        argv = ["drr", "render", "--volume", nan_copy(sd / "source.json", tmp_path / "v.json"),
+                "--geometry", f["geometry"], "--out", str(result)]
+    elif command == "lift3d export":
+        argv = ["lift3d", "export",
+                "--projections", nan_copy(sd / "projections.json", tmp_path / "p.json"),
+                "--geometry", f["geometry"], "--grid-like", f["source"],
+                "--out", str(result)]
+    elif command == "subspace build":
+        (tmp_path / "dvfs").mkdir()
+        nan_copy(sd / "dvf_true.json", tmp_path / "dvfs" / "u.json")
+        argv = ["subspace", "build", "--dvf-dir", str(tmp_path / "dvfs"),
+                "--out", str(result)]
+    elif command == "register subspace3d":
+        argv = ["register", "subspace3d", "--source", f["source"],
+                "--target", nan_copy(sd / "target.json", tmp_path / "t.json"),
+                "--source-mask", f["source_mask"], "--target-mask", f["target_mask"],
+                "--subspace", str(balanced_subspace)] + reg
+    elif command == "register subspace2d":
+        argv = ["register", "subspace2d", "--source", f["source"],
+                "--source-mask", f["source_mask"],
+                "--projections", nan_copy(sd / "projections.json", tmp_path / "p.json"),
+                "--geometry", f["geometry"], "--subspace", str(balanced_subspace)] + reg
+    elif command == "register dense":
+        argv = ["register", "dense",
+                "--source", nan_copy(sd / "source.json", tmp_path / "s.json"),
+                "--target", f["target"], "--source-mask", f["source_mask"],
+                "--target-mask", f["target_mask"]] + reg
+    else:
+        argv = ["evaluate", "--dvf", nan_copy(sd / "dvf_true.json", tmp_path / "u.json"),
+                "--lm-src", str(sd / "landmarks_source.csv"),
+                "--lm-tgt", str(sd / "landmarks_target.csv"),
+                "--mask-src", f["source_mask"],
+                "--mask-tgt", f["target_mask"], "--out", str(result)]
+    err = one_error_and_no_output(main(argv), capsys, result)
+    assert "non-finite" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                            "-m", "tomoreg", "--help"],

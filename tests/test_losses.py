@@ -582,14 +582,16 @@ def test_subspace_objective_is_the_total_loss_of_its_field(mode, pair32, sub32, 
 
 
 @pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
-def test_subspace_registration_makes_k_plus_one_diffusion_passes(
+def test_subspace_registration_makes_one_difference_pass(
         monkeypatch, mode, pair32, sub32, op32):
-    """One energy pass and k + 1 gradient passes, however many iterations."""
+    """One difference pass over the stacked fields and no energy or gradient
+    pass on the grid, however many iterations."""
     import tomoreg.losses
+    diffs = counting(monkeypatch, tomoreg.losses, "_forward_diffs")
     energy = counting(monkeypatch, tomoreg.losses, "_diffusion_energy")
     grads = counting(monkeypatch, tomoreg.losses, "_diffusion_grad")
     for iters in (1, 5):
-        energy[0] = grads[0] = 0
+        diffs[0] = energy[0] = grads[0] = 0
         report = subspace_registration(mode, pair32, sub32, op32, 0.1, iters)[2]
         assert report.iterations == iters
-        assert (energy[0], grads[0]) == (1, sub32.n_components + 1)
+        assert (diffs[0], energy[0], grads[0]) == (1, 0, 0)

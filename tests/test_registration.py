@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from conftest import SPEC32, zero_mean_subspace
 
-from tomoreg import (DeformationSubspace, DisplacementField, Image2D, Image3D,
-                     LossConfig, Mask3D, NumericalAbort, OptimConfig,
+from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image2D,
+                     Image3D, LossConfig, Mask3D, NumericalAbort, OptimConfig,
                      ProjectionSet, build_subspace,
                      dice, gen_phantom, grid_for, jacobian_stats, lift3d,
                      make_pair, mtre, per_axis_error, project, reconstruct,
@@ -316,12 +316,8 @@ def quadratic_objective(diag):
     return objective, points
 
 
-@pytest.fixture(scope="module")
-def small_ctx():
-    """A loss context only for the contrast check and the first step length
-    (min spacing * sqrt(n_voxels) = 2); the objectives below ignore it."""
-    src, tgt, mask, _ = random_problem((4, 4, 4), (0.25, 0.25, 0.25), 11)
-    return LossContext(LossConfig(), src, mask, target=tgt, target_mask=mask)
+# a grid only for the first step length: min spacing * sqrt(n_voxels) = 2
+SMALL_GRID = GridSpec((4, 4, 4), (0.25, 0.25, 0.25))
 
 
 def spy_directions(monkeypatch, points, replace_with=None):
@@ -341,15 +337,13 @@ def spy_directions(monkeypatch, points, replace_with=None):
     return calls
 
 
-def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch,
-                                                          small_ctx):
+def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch):
     """On a saddle, steps along the concave axis give s.y <= 0; such a pair
     would make the inverse Hessian indefinite, so it is skipped."""
     objective, points = quadratic_objective([1.0, -0.1])
     calls = spy_directions(monkeypatch, points)
-    _, rep = registration._minimize(small_ctx, objective,
-                                    np.array([1.0, 0.01]),
-                                    OptimConfig(max_iters=20))
+    _, rep = registration._minimize(objective, np.array([1.0, 0.01]),
+                                    SMALL_GRID, OptimConfig(max_iters=20))
     assert rep.stop_reason == "max_iters"
     assert np.all(np.diff(rep.loss_trace) <= 0.0)
     stored = skipped = 0
@@ -368,14 +362,13 @@ def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch,
 
 
 def test_a_non_descent_quasi_newton_direction_falls_back_to_the_gradient(
-        monkeypatch, small_ctx):
+        monkeypatch):
     """An ascent direction from the recursion is replaced by -g, tried
     first at the unit step because a curvature pair is stored."""
     objective, points = quadratic_objective([1.0, 4.0])
     calls = spy_directions(monkeypatch, points, replace_with=lambda g: g)
-    _, rep = registration._minimize(small_ctx, objective,
-                                    np.array([1.0, 1.0]),
-                                    OptimConfig(max_iters=3))
+    _, rep = registration._minimize(objective, np.array([1.0, 1.0]),
+                                    SMALL_GRID, OptimConfig(max_iters=3))
     assert rep.iterations == 3
     assert np.all(np.diff(rep.loss_trace) < 0.0)
     for x, g, pairs, n_evaluated in calls[1:]:
@@ -383,7 +376,7 @@ def test_a_non_descent_quasi_newton_direction_falls_back_to_the_gradient(
         assert np.array_equal(points[n_evaluated], x - g)
 
 
-def test_a_flat_problem_ends_in_line_search_failed(monkeypatch, small_ctx):
+def test_a_flat_problem_ends_in_line_search_failed(monkeypatch):
     """The loss is floored at 0 inside an ellipse while the reported
     gradient is not: no trial from there can pass the Armijo test, and the
     flat stretch must not read as convergence."""
@@ -394,13 +387,33 @@ def test_a_flat_problem_ends_in_line_search_failed(monkeypatch, small_ctx):
         return max(loss - 1.0, 0.0), grad_fn
 
     calls = spy_directions(monkeypatch, points)
-    _, rep = registration._minimize(small_ctx, objective,
-                                    np.array([3.0, 3.0]),
-                                    OptimConfig(max_iters=50))
+    _, rep = registration._minimize(objective, np.array([3.0, 3.0]),
+                                    SMALL_GRID, OptimConfig(max_iters=50))
     assert rep.stop_reason == "line_search_failed"
     assert rep.loss_trace[-1] == 0.0
     assert np.all(np.diff(rep.loss_trace) <= 0.0)
     assert any(pairs for _, _, pairs, _ in calls)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_a_flat_stretch_at_any_loss_is_not_convergence(floor):
+    """The loss is flat at ``floor`` inside an ellipse while the reported
+    gradient is not.  Above a non-zero floor, c * t * |slope| soon falls
+    below half an ulp of the loss, so the Armijo test accepts a trial with
+    the same loss; that still is no progress and must not read as
+    convergence."""
+    quadratic, points = quadratic_objective([1.0, 4.0])
+
+    def objective(x):
+        loss, grad_fn = quadratic(x)
+        return max(loss - 1.0, 0.0) + floor, grad_fn
+
+    _, rep = registration._minimize(objective, np.array([3.0, 3.0]),
+                                    SMALL_GRID, OptimConfig(max_iters=50))
+    assert rep.stop_reason == "line_search_failed"
+    assert rep.loss_trace[-1] == floor
+    assert np.all(np.diff(rep.loss_trace) < 0.0)
+    assert len(points) < 100
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +472,26 @@ def test_amortizer_validation():
     model = fit_linear_amortizer([(src, lifted, np.zeros(2))], ridge=1.0)
     with pytest.raises(ValueError):
         predict_alpha(model, src, lifted + lifted)
+
+
+def test_amortizer_rejects_a_grid_smaller_than_its_pooling():
+    """Axis 0 of a 6x9x10 grid cannot be cut into 8 blocks: empty blocks
+    would give NaN features and an SVD that does not converge."""
+    rng = np.random.default_rng(2)
+    sp, org = (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
+
+    def example(dims):
+        return (Image3D(dims, sp, org, rng.random(dims)),
+                [Image3D(dims, sp, org, rng.random(dims))], np.zeros(2))
+
+    model = fit_linear_amortizer([example((8, 8, 8))], ridge=1.0)
+    src, lifted, alpha = example((6, 9, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="axis 0 has 6 voxels.*at least 8"):
+            fit_linear_amortizer([(src, lifted, alpha)] * 3)
+        with pytest.raises(ValueError, match="axis 0 has 6 voxels.*at least 8"):
+            predict_alpha(model, src, lifted)
 
 
 def test_amortizer_beats_the_zero_guess_on_synthetic_pairs(op32):

@@ -1,0 +1,172 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python3 tools/bench_pair.py --parent HEAD --label change \\
+        --workload proj2d --workload dense3d --traced-seed 4242
+
+Exports the parent commit with ``git archive`` into a temporary directory
+(no worktree is registered in the repository) and runs the unchanged
+``perfbench/run.py`` there and in the working tree, each from the root of
+its own checkout.  Pair i uses the i-th seed of ``--seeds`` and one run per
+side; even pairs run the parent first, odd pairs the change.  With
+``--traced-seed`` each workload also gets one traced pair for its per-layer
+metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
+working tree: the environment, every run with its result line, and per
+workload and end-to-end metric each side's median and quartiles, and how
+many pairs the change read lower, higher or equal.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = [1618, 2718, 4242, 9001, 31337] * 2
+SIDES = ("parent", "change")
+STATISTICS = ("median and quartiles (numpy.percentile, linear) over each side's "
+              "runs; a pair counts for the change when its value is lower")
+
+
+def parse_output(stdout: str) -> tuple[dict, dict]:
+    """(environment, result) from run.py's first and last output lines."""
+    lines = [ln for ln in stdout.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("run.py printed nothing")
+    return json.loads(lines[0])["environment"], json.loads(lines[-1])
+
+
+def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
+            seconds: float, trace: int) -> dict:
+    command = ["python3", "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    run = {"pair": pair, "side": side, "workload": workload, "seed": seed,
+           "trace": trace, "command": command, "returncode": proc.returncode}
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        return {**run, "result": None, "environment": None}
+    env, result = parse_output(proc.stdout)
+    return {**run, "result": result, "environment": env}
+
+
+def _stats(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "iqr": float(q3 - q1), "n": len(values)}
+
+
+def summarize(runs: list, spec: dict) -> dict:
+    """Per workload: each end-to-end metric's statistics and pairs won, the
+    failed and attempted counts per side, and the traced per-layer values."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        untraced = [r for r in runs if r["workload"] == workload and not r["trace"]]
+        by_pair = {}
+        for r in untraced:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
+        pairs = [p for p in by_pair.values() if all(p.get(s) for s in SIDES)]
+        out = {}
+        for m in spec["end_to_end"]:
+            name = m["name"]
+            vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
+            diffs = np.subtract(vals["change"], vals["parent"])
+            out[name] = {
+                "unit": m["unit"],
+                **{s: _stats(vals[s]) for s in SIDES},
+                "change_over_parent": (float(np.median(vals["change"])
+                                             / np.median(vals["parent"]))
+                                       if np.median(vals["parent"]) else None),
+                "pairs_change_lower": int(np.sum(diffs < 0)),
+                "pairs_change_higher": int(np.sum(diffs > 0)),
+                "pairs_tied": int(np.sum(diffs == 0)),
+                "bound": m["bound"],
+            }
+        for key in ("failed", "attempted"):
+            out[key] = {s: sum(r["result"][key] for r in untraced
+                               if r["side"] == s and r["result"]) for s in SIDES}
+        out["traced"] = {r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
+                         for r in runs if r["workload"] == workload and r["trace"]
+                         and r["result"]}
+        summary[workload] = out
+    return summary
+
+
+def record(runs: list, spec: dict, parent: str, seeds: dict,
+           traced_seed: int | None) -> dict:
+    env = next(r["environment"] for r in runs if r["environment"])
+    return {
+        "what": ("Paired perfbench/run.py runs of the parent commit and of the "
+                 "working tree, alternating which side runs first in each pair"),
+        "parent_commit": parent,
+        "command": ("python3 perfbench/run.py --workload W --seed N --seconds S "
+                    "--trace T (run from the root of each checkout)"),
+        "seeds": seeds,
+        "traced_seed": traced_seed,
+        "statistics": STATISTICS,
+        "environment": {k: v for k, v in env.items()
+                        if k not in ("git_commit", "workload", "seed")},
+        "summary": summarize(runs, spec),
+        "runs": runs,
+    }
+
+
+def write_record(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of ``rev`` into ``dest``; returns its abbreviated hash."""
+    commit = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    archive = dest / "parent.tar"
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), commit],
+                   cwd=ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    return commit
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--workload", action="append", required=True,
+                    choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
+                    help="one pair per seed")
+    ap.add_argument("--traced-seed", type=int, help="seed of one traced pair")
+    args = ap.parse_args(argv)
+
+    seconds = spec["run_seconds"]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        parent = export(args.parent, Path(tmp))
+        checkouts = {"parent": Path(tmp) / "tree", "change": ROOT}
+        plan = [(w, seed, 0) for w in args.workload for seed in args.seeds]
+        if args.traced_seed is not None:
+            plan += [(w, args.traced_seed, 1) for w in args.workload]
+        for pair, (workload, seed, trace) in enumerate(plan):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                runs.append(run_one(checkouts[side], pair, side, workload, seed,
+                                    seconds, trace))
+                res = runs[-1]["result"]
+                print(f"pair {pair} {side} {workload} seed {seed} trace {trace}: "
+                      f"{'failed to run' if res is None else 'ok'}", flush=True)
+    doc = record(runs, spec, parent, {w: list(args.seeds) for w in args.workload},
+                 args.traced_seed)
+    write_record(ROOT / f"BENCH_{args.label}.json", doc)
+    return 0 if all(r["returncode"] == 0 for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
