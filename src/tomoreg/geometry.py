@@ -21,7 +21,6 @@ from .grids import (GridSpec, Image3D, _checked_payload, sample_trilinear,
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
 _MATCH_TOL = 1e-9  # mm; geometry entries further apart than this differ
-_CHUNK_PIXELS = 2048  # detector pixels per block when building the matrix
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +91,12 @@ class SdctGeometry:
 
     def allclose(self, other: "SdctGeometry") -> bool:
         """Same counts and dims, every array equal within an absolute 1e-9."""
-        tol = _MATCH_TOL
         return (self.n_emitters == other.n_emitters
                 and self.detector_dims == other.detector_dims
-                and np.allclose(self.detector_spacing, other.detector_spacing, atol=tol)
-                and np.allclose(self.emitter_positions, other.emitter_positions, atol=tol)
-                and np.allclose(self.detector_origin, other.detector_origin, atol=tol)
-                and np.allclose(self.detector_axes, other.detector_axes, atol=tol))
+                and all(np.allclose(getattr(self, name), getattr(other, name),
+                                    rtol=0.0, atol=_MATCH_TOL)
+                        for name in ("detector_spacing", "emitter_positions",
+                                     "detector_origin", "detector_axes")))
 
 
 def build_sdct_geometry(n_emitters: int,
@@ -278,35 +276,18 @@ class DrrOperator:
         k1 = np.where(hit, k1, -1)
         count = np.maximum(0, k1 - k0 + 1)
 
-        rows_acc, cols_acc, vals_acc = [], [], []
-        for start in range(0, npix, _CHUNK_PIXELS):
-            sl = slice(start, min(start + _CHUNK_PIXELS, npix))
-            cnt = count[sl]
-            m = int(cnt.max()) if cnt.size else 0
-            if m == 0:
-                continue
-            ks = k0[sl][:, None] + np.arange(m)[None, :]
-            valid = ks <= k1[sl][:, None]
-            t = (ks + 0.5) * step
-            pts = c[None, None, :] + t[:, :, None] * unit[sl][:, None, :]
-            rows = np.broadcast_to(np.arange(sl.start, sl.stop)[:, None], ks.shape)
-            point, cols, wgt = trilinear_weights(grid, pts[valid])
-            rows_acc.append(rows[valid][point])
-            cols_acc.append(cols)
-            vals_acc.append(step * wgt)
-
-        if rows_acc:
-            rows = np.concatenate(rows_acc)
-            cols = np.concatenate(cols_acc)
-            vals = np.concatenate(vals_acc)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
-        mat = sparse.coo_matrix((vals, (rows, cols)),
-                                shape=(npix, grid.n_voxels)).tocsr()
-        mat.sum_duplicates()
-        return mat
+        # Samples k0..k1 of each ray, one past the box at either end for
+        # rounding; a sample outside the box has no in-grid corner of
+        # positive weight, so dropping it drops nothing.  One pass lists
+        # them ray by ray, k ascending: entry j is ray ray[j] at
+        # k = k0 + j - start, start being the ray's first entry.
+        ray = np.repeat(np.arange(npix), count)
+        start = np.cumsum(count) - count
+        t = (np.arange(ray.size) + (k0 - start)[ray] + 0.5) * step
+        point, cols, wgt = trilinear_weights(grid, c[None, :] + t[:, None] * unit[ray])
+        # tocsr sums duplicate entries and leaves the matrix canonical
+        return sparse.coo_matrix((step * wgt, (ray[point], cols)),
+                                 shape=(npix, grid.n_voxels)).tocsr()
 
     def forward(self, vol_data: np.ndarray, emitter_index: int) -> np.ndarray:
         """Project (W,H,D) voxel values to a (Wd,Hd) detector image."""

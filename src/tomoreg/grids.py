@@ -32,6 +32,14 @@ def _tuple3(values, kind):
     return t
 
 
+def _whole(value, name: str = "a count") -> int:
+    """A count as an int; 16.0 passes, 2.7 is rejected instead of truncated."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
 # ---------------------------------------------------------------------------
 # grid description
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .geometry import Image2D, ProjectionSet, SdctGeometry
-from .grids import DisplacementField, GridSpec, Image3D, Landmarks, Mask3D
+from .grids import DisplacementField, GridSpec, Image3D, Landmarks, Mask3D, _whole
 from .subspace import DeformationSubspace
 
 _GRID_KINDS = {Image3D: "volume", Mask3D: "mask", DisplacementField: "dvf"}
@@ -64,7 +64,7 @@ def _field(d: dict, name: str, convert):
 
 
 def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
+    return tuple(_whole(v) for v in values)
 
 
 def _floats(values) -> tuple:
@@ -127,7 +127,7 @@ def _read_payload(header_path: str, expect_kind: str):
     _require(header.get("dtype") == _DTYPE, "dtype", f"got {header.get('dtype')!r}")
     _require(header.get("layout") == _LAYOUT, "layout", f"got {header.get('layout')!r}")
     dims = _field(header, "dims", _ints)
-    channels = _field(header, "channels", int)
+    channels = _field(header, "channels", _whole)
     _require(channels >= 1, "channels", "must be >= 1")
     with open(_raw_path(header_path), "rb") as fh:
         payload = fh.read()
@@ -230,7 +230,7 @@ def write_subspace(path: str, sub: DeformationSubspace) -> None:
 def read_subspace(path: str) -> DeformationSubspace:
     h, data = _read_payload(path, "subspace")
     dims = h["dims"]
-    n_comp = _field(h, "n_components", int)
+    n_comp = _field(h, "n_components", _whole)
     _require(h["channels"] == 3 * (n_comp + 1), "channels",
              f"{h['channels']} channels for n_components {n_comp}")
     # (field, voxel, component); the subspace copies both slices to float64
@@ -267,7 +267,7 @@ def read_geometry(path: str) -> SdctGeometry:
         return _field(d, name, lambda v: np.asarray(v, dtype=np.float64))
 
     return SdctGeometry(
-        n_emitters=_field(d, "n_emitters", int),
+        n_emitters=_field(d, "n_emitters", _whole),
         emitter_positions=array("emitter_positions"),
         detector_origin=array("detector_origin"),
         detector_axes=array("detector_axes"),

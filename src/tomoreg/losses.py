@@ -1,15 +1,16 @@
 """Registration losses and their analytic gradients.
 
 The total loss is sim + lam * reg where reg is diffusion energy of the
-displacement field and sim compares either
+displacement field and sim is the mean over the measured operands of one
+minus the Pearson correlation (with a variance underflow guard) between
+the operand and its rendering of the warped masked source:
 
-* sim3d: the masked target volume against the warped masked source, or
-* sim2d: measured projections against renderings of the warped masked
-  source (one term per emitter, averaged) -- the target volume itself is
-  never touched in this mode.
+* sim2d: one measured projection per emitter, rendered by the DRR
+  operator; the target volume is never touched in this mode.
+* sim3d: one operand, the masked target volume, rendered by the identity,
+  so the volume loss is the one-view case of the projection loss.
 
-Similarity is one minus Pearson correlation with a variance underflow
-guard.  Gradients differentiate the exact discrete computation: warping
+Gradients differentiate the exact discrete computation: warping
 contributes the trilinear interpolant's own spatial derivative and the
 projection adjoint redistributes pixel residuals through the same sampling
 weights used by the forward rendering, so central finite differences agree
@@ -170,10 +171,11 @@ def diffusion_quadratic(sub: DeformationSubspace):
 class LossContext:
     """Fixed inputs of a registration problem, reused across loss evals.
 
-    sim3d correlates the masked target with the warped masked source over
-    the whole grid.  sim2d renders through ``drr_op``; without one, the
-    context builds an operator on the source grid and the projections'
-    geometry at the default step (half the smallest voxel spacing).
+    The measured operands are the masked target (sim3d, rendered by the
+    identity) or one projection per emitter (sim2d, rendered through
+    ``drr_op``; without one, the context builds an operator on the source
+    grid and the projections' geometry at the default step, half the
+    smallest voxel spacing).
     """
 
     def __init__(self, cfg: LossConfig, source: Image3D, source_mask: Mask3D,
@@ -191,8 +193,9 @@ class LossContext:
                 raise ValueError("sim3d needs a target volume and target mask")
             if target.grid != self.grid or target_mask.grid != self.grid:
                 raise ValueError("target grids must match the source grid")
+            self.drr_op = None
             fixed = target.data.astype(np.float64) * target_mask.data
-            self._fixed = fixed.reshape(-1)
+            self._measured = [fixed.reshape(-1)]
         else:
             if projections is None:
                 raise ValueError("sim2d needs a projection set")
@@ -204,31 +207,36 @@ class LossContext:
                 if not drr_op.geometry.allclose(projections.geometry):
                     raise ValueError("projection operator geometry does not match projections")
             self.drr_op = drr_op
-            self._proj = [im.data.astype(np.float64).reshape(-1)
-                          for im in projections.images]
+            self._measured = [im.data.astype(np.float64).reshape(-1)
+                              for im in projections.images]
+
+    def require_contrast(self):
+        """Reject inputs whose correlation is undefined at every field."""
+        op, n = self.drr_op, len(self._measured)
+        if op is None:
+            names = ["masked target"]
+        else:
+            names = [f"projection {i}" for i in range(n)]
+            for i in range(n):
+                # an emitter whose rays all miss the grid renders zero for every field
+                if op._mat(i).nnz == 0:
+                    raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
+        for name, arr in zip(["masked source", *names], [self.msrc, *self._measured]):
+            if np.ptp(arr) == 0.0:
+                raise ValueError(f"{name} is constant, so its correlation is undefined")
 
     # -- similarity: value now, d sim / d warped on demand ------------------
 
-    # The closures below capture what they need, never ``self``, so a
-    # gradient callable the caller keeps does not keep its context alive.
-
-    def _sim3d(self, warped: np.ndarray):
-        dims = self.grid.dims
-        val, parts = _ncc_core(self._fixed, warped.reshape(-1))
-
-        def grad():
-            return -_ncc_grad_b(parts).reshape(dims)
-
-        return 1.0 - val, grad
-
-    def _sim2d(self, warped: np.ndarray):
+    def _similarity(self, warped: np.ndarray):
+        # the closure captures what it needs, never ``self``, so a gradient
+        # callable the caller keeps does not keep its context alive
         op, dims = self.drr_op, self.grid.dims
-        n = len(self._proj)
+        n = len(self._measured)
         loss = 0.0
         parts = []
-        for i, p in enumerate(self._proj):
-            rendered = op.forward(warped, i).reshape(-1)
-            val, pi = _ncc_core(p, rendered)
+        for i, p in enumerate(self._measured):
+            rendered = warped if op is None else op.forward(warped, i)
+            val, pi = _ncc_core(p, rendered.reshape(-1))
             loss += (1.0 - val) / n
             parts.append(pi)
 
@@ -236,7 +244,8 @@ class LossContext:
             gvol = np.zeros(dims, dtype=np.float64)
             for i, pi in enumerate(parts):
                 gp = -_ncc_grad_b(pi) / n
-                gvol += op.adjoint(gp.reshape(op.geometry.detector_dims), i)
+                gvol += (gp.reshape(dims) if op is None else
+                         op.adjoint(gp.reshape(op.geometry.detector_dims), i))
             return gvol
 
         return loss, grad
@@ -263,10 +272,7 @@ class LossContext:
         if u.grid != self.grid:
             raise ValueError("displacement grid does not match the loss grid")
         warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u)
-        if self.cfg.loss_mode == "sim3d":
-            sim, sim_grad = self._sim3d(warped)
-        else:
-            sim, sim_grad = self._sim2d(warped)
+        sim, sim_grad = self._similarity(warped)
         lam, spacing = self.cfg.lam, self.grid.spacing
         udata = u.data.astype(np.float64, copy=False)
         total = sim

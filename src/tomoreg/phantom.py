@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    sample_displacement, warp_image)
+                    _whole, sample_displacement, warp_image)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -40,14 +40,6 @@ def split_seed(master_seed: int, key) -> int:
 # ---------------------------------------------------------------------------
 # specification
 # ---------------------------------------------------------------------------
-
-def _whole(value, name: str) -> int:
-    """A count as an int; 16.0 passes, 2.7 is rejected instead of truncated."""
-    count = int(value)
-    if count != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return count
-
 
 @dataclass(frozen=True)
 class DeformationSpec:

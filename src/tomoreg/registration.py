@@ -86,22 +86,6 @@ def _check_finite(value, what: str):
         raise NumericalAbort(f"non-finite {what} encountered")
 
 
-def _require_contrast(ctx: LossContext):
-    """Reject inputs whose correlation is undefined at every field."""
-    operands = [("masked source", ctx.msrc)]
-    if ctx.cfg.loss_mode == "sim3d":
-        operands.append(("masked target", ctx._fixed))
-    else:
-        for i, p in enumerate(ctx._proj):
-            # an emitter whose rays all miss the grid renders zero for every field
-            if ctx.drr_op._mat(i).nnz == 0:
-                raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
-            operands.append((f"projection {i}", p))
-    for name, arr in operands:
-        if np.ptp(arr) == 0.0:
-            raise ValueError(f"{name} is constant, so its correlation is undefined")
-
-
 def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
     """-H g by the two-loop recursion over ``pairs`` of (s, y, s.y), oldest first.
 
@@ -251,7 +235,7 @@ def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
     if deviation > _ORTHONORMAL_TOL:
         raise ValueError(f"subspace basis rows are not orthonormal "
                          f"(max |B B^T - I| = {deviation:.3g})")
-    _require_contrast(ctx)
+    ctx.require_contrast()
     c, b, G = diffusion_quadratic(sub)
 
     def objective(a):
@@ -315,7 +299,7 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         return gaussian_filter(gflat.reshape(shape), _SMOOTH_SIGMA,
                                mode="nearest").reshape(-1)
 
-    _require_contrast(ctx)
+    ctx.require_contrast()
     x, report = _minimize(objective, np.zeros(grid.n_voxels * 3), grid, opt_cfg,
                           smooth)
     return to_field(x), report

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tomoreg import (DrrOperator, GridSpec, Image2D, Image3D, ProjectionSet,
-                     SdctGeometry, build_sdct_geometry, lift3d, render_drr)
+from conftest import SPEC32
+
+from tomoreg import (DrrOperator, GridSpec, Image2D, Image3D, LossConfig,
+                     Mask3D, ProjectionSet, SdctGeometry, build_sdct_geometry,
+                     geometry_for, grid_for, lift3d, make_pair, render_drr,
+                     step_for)
+from tomoreg.grids import sample_trilinear
+from tomoreg.losses import LossContext
 
 DIMS = (20, 20, 20)
 SPACING = (1.5, 1.5, 1.5)
@@ -323,6 +329,49 @@ def test_operator_adjoint_matches_forward_inner_product(scene):
         lhs = float(np.sum(op.forward(x, i) * y))
         rhs = float(np.sum(x * op.adjoint(y, i)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenes())
+def test_forward_is_the_unclipped_midpoint_sum(scene):
+    """The matrix keeps only the samples near the grid; every sample it
+    leaves out must weigh zero, so the forward equals step times the sum
+    over all k < floor(length / step) of the samples at (k + 1/2) * step."""
+    grid, geom, step, seed = scene
+    op = DrrOperator(grid, geom, step_mm=step)
+    step = op.step_mm
+    vol = np.random.default_rng(seed).random(grid.dims)
+    pix = geom.pixel_centers().reshape(-1, 3)
+    for i, c in enumerate(geom.emitter_positions):
+        length = np.linalg.norm(pix - c, axis=1)
+        n = np.floor(length / step).astype(np.int64)
+        k = np.arange(n.max())
+        t = (k + 0.5) * step
+        pts = c + t[None, :, None] * ((pix - c) / length[:, None])[:, None, :]
+        vals = sample_trilinear(vol, grid.world_to_voxel(pts.reshape(-1, 3)))
+        want = step * np.where(k < n[:, None], vals.reshape(n.size, -1), 0.0).sum(axis=1)
+        assert_allclose(op.forward(vol, i).reshape(-1), want, rtol=1e-12, atol=0.0)
+
+
+def test_a_geometry_2e_3_mm_off_is_another_geometry():
+    """Geometries match within an absolute 1e-9 mm: a relative tolerance
+    would pass emitters 2e-3 mm deeper at a distance of metres, so an
+    operator built for them would render the wrong acquisition."""
+    geom = geometry_for(SPEC32)
+    deeper = replace(geom, emitter_positions=geom.emitter_positions + [0.0, 0.0, 2e-3])
+    assert geom.allclose(replace(geom)) and not geom.allclose(deeper)
+    op = DrrOperator(grid_for(SPEC32), deeper, step_for(SPEC32))
+    grid = op.grid
+    ones = np.ones(grid.dims)
+    projs = ProjectionSet(geom, [Image2D(geom.detector_dims, geom.detector_spacing,
+                                         np.ones(geom.detector_dims))] * geom.n_emitters)
+    with pytest.raises(ValueError, match="geometry does not match projections"):
+        LossContext(LossConfig(loss_mode="sim2d"),
+                    Image3D(grid.dims, grid.spacing, grid.origin, ones),
+                    Mask3D(grid.dims, grid.spacing, grid.origin, ones),
+                    projections=projs, drr_op=op)
+    with pytest.raises(ValueError, match="does not match the spec"):
+        make_pair(SPEC32, 0, drr_op=op)
 
 
 def test_axis_parallel_ray_beside_the_grid_builds_without_warnings():

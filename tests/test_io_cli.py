@@ -779,16 +779,17 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
     empty.data[...] = 0.0
     tio.write_mask3d(str(tmp_path / "empty_mask.json"), empty)
     capsys.readouterr()
-    rc = main(["register", "dense",
-               "--source", str(sd / "source.json"),
-               "--target", str(sd / "target.json"),
-               "--source-mask", str(sd / "source_mask.json"),
-               "--target-mask", str(tmp_path / "empty_mask.json"),
-               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: masked target")
-    assert not os.path.exists(tmp_path / "u.json")
+    for driver in (["dense"], ["subspace3d", "--subspace", str(balanced_subspace)]):
+        rc = main(["register", *driver,
+                   "--source", str(sd / "source.json"),
+                   "--target", str(sd / "target.json"),
+                   "--source-mask", str(sd / "source_mask.json"),
+                   "--target-mask", str(tmp_path / "empty_mask.json"),
+                   "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: masked target is constant, so its correlation is undefined"]
+        assert not os.path.exists(tmp_path / "u.json")
 
     # a geometry shifted 5 m sideways: no ray meets the volume
     geom = json.loads((sd / "geometry.json").read_text())
@@ -903,6 +904,8 @@ def one_error_and_no_output(rc, capsys, out_path):
     ("source.json", "channels", None),
     ("source.json", "spacing", None),
     ("geometry.json", "detector_dims", 6),
+    ("source.json", "dims", [4.7, 4, 4]),
+    ("source.json", "channels", 1.5),
 ])
 def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
         dataset, tmp_path, capsys, name, field, value):

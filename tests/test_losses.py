@@ -1,5 +1,7 @@
 """Similarity and regularization terms plus their analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -240,6 +242,46 @@ def test_missing_mode_inputs_are_rejected():
         LossContext(LossConfig(0.1, "sim3d"), img, mask)
     with pytest.raises(ValueError):
         LossContext(LossConfig(0.1, "sim2d"), img, mask)
+
+
+def test_the_contrast_check_names_the_constant_operand():
+    """Correlation with a constant is undefined at every field; the check
+    names the operand, and an emitter that misses the grid comes first."""
+    dims, sp, org = (8, 8, 8), (2.0, 2.0, 2.0), (-7.0, -7.0, 10.0)
+    img = Image3D(dims, sp, org, np.random.default_rng(0).random(dims))
+    full, empty = ones_mask(dims, sp, org), Mask3D(dims, sp, org, np.zeros(dims))
+    geom = build_sdct_geometry(3, 30.0, 300.0, detector_dims=(12, 12),
+                               detector_spacing=(2.5, 2.5))
+    op = DrrOperator(img.grid, geom)
+    projs = op.render_all(img)
+    dark = ProjectionSet(geom, [Image2D(im.dims, im.spacing, np.zeros(im.dims))
+                                for im in projs.images])
+    # every ray of a geometry shifted 5 m sideways misses the grid
+    off = np.array([5000.0, 0.0, 0.0])
+    missed = ProjectionSet(replace(geom, emitter_positions=geom.emitter_positions + off,
+                                   detector_origin=geom.detector_origin + off),
+                           projs.images)
+
+    def sim3d(source_mask=full, target_mask=full):
+        return LossContext(LossConfig(0.1, "sim3d"), img, source_mask,
+                           target=img, target_mask=target_mask)
+
+    def sim2d(source_mask=full, projections=projs, drr_op=op):
+        return LossContext(LossConfig(0.1, "sim2d"), img, source_mask,
+                           projections=projections, drr_op=drr_op)
+
+    sim3d().require_contrast()
+    sim2d().require_contrast()
+    undefined = "is constant, so its correlation is undefined"
+    for ctx, message in (
+            (sim3d(source_mask=empty), f"masked source {undefined}"),
+            (sim3d(target_mask=empty), f"masked target {undefined}"),
+            (sim2d(source_mask=empty), f"masked source {undefined}"),
+            (sim2d(projections=dark), f"projection 0 {undefined}"),
+            (sim2d(source_mask=empty, projections=missed, drr_op=None),
+             "projection 0: no ray of emitter 0 meets the volume")):
+        with pytest.raises(ValueError, match=message):
+            ctx.require_contrast()
 
 
 # ---------------------------------------------------------------------------
