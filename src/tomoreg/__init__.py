@@ -10,14 +10,13 @@ evaluate with landmark, overlap and Jacobian metrics.
 
 from .grids import (GridSpec, Image3D, Mask3D, DisplacementField, Landmarks,
                     JacobianStats, zero_displacement, warp_image,
-                    trilinear_sample, sample_displacement, image_gradient,
-                    jacobian_stats)
+                    sample_displacement, jacobian_stats)
 from .geometry import (SdctGeometry, Image2D, ProjectionSet, LiftedVolume,
                        DrrOperator, build_sdct_geometry, default_step_mm,
-                       render_drr, lift3d)
+                       lift3d)
 from .subspace import DeformationSubspace, build_subspace, project, reconstruct
 from .losses import (LossConfig, LossContext, ncc, diffusion_energy,
-                     masked_sim_loss, total_loss, grad_alpha, grad_dense)
+                     grad_alpha, grad_dense)
 from .registration import (OptimConfig, RegistrationReport, NumericalAbort,
                            LinearAmortizer, register_subspace_3d,
                            register_subspace_2d, register_dense_3d,
@@ -32,13 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "Image3D", "Mask3D", "DisplacementField", "Landmarks",
-    "JacobianStats", "zero_displacement", "warp_image", "trilinear_sample",
-    "sample_displacement", "image_gradient", "jacobian_stats",
+    "JacobianStats", "zero_displacement", "warp_image",
+    "sample_displacement", "jacobian_stats",
     "SdctGeometry", "Image2D", "ProjectionSet", "LiftedVolume", "DrrOperator",
-    "build_sdct_geometry", "default_step_mm", "render_drr", "lift3d",
+    "build_sdct_geometry", "default_step_mm", "lift3d",
     "DeformationSubspace", "build_subspace", "project", "reconstruct",
-    "LossConfig", "LossContext", "ncc", "diffusion_energy", "masked_sim_loss",
-    "total_loss", "grad_alpha", "grad_dense",
+    "LossConfig", "LossContext", "ncc", "diffusion_energy",
+    "grad_alpha", "grad_dense",
     "OptimConfig", "RegistrationReport", "NumericalAbort", "LinearAmortizer",
     "register_subspace_3d", "register_subspace_2d", "register_dense_3d",
     "fit_linear_amortizer", "predict_alpha",

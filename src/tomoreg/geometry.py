@@ -313,19 +313,6 @@ class DrrOperator:
         return ProjectionSet(geometry=self.geometry, images=images)
 
 
-def render_drr(vol: Image3D, geometry: SdctGeometry, emitter_index: int,
-               step_mm: float | None = None) -> Image2D:
-    """Fixed-step line integral of ``vol`` from one emitter to every pixel.
-
-    Samples sit at t = (k + 1/2) * step_mm along each emitter-to-pixel
-    segment; the integral is step_mm times the sum of trilinear samples.
-    """
-    if not (0 <= emitter_index < geometry.n_emitters):
-        raise ValueError(f"emitter_index {emitter_index} out of range")
-    op = DrrOperator(vol.grid, geometry, step_mm)
-    return op.render(vol, emitter_index)
-
-
 # ---------------------------------------------------------------------------
 # backprojection lift
 # ---------------------------------------------------------------------------

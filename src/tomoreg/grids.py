@@ -33,7 +33,9 @@ def _tuple3(values, kind):
 
 
 def _whole(value, name: str = "a count") -> int:
-    """A count as an int; 16.0 passes, 2.7 is rejected instead of truncated."""
+    """A count as an int; 16.0 passes, 2.7 and booleans are rejected."""
+    if isinstance(value, (bool, np.bool_)):  # int(True) would read as 1
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     count = int(value)
     if count != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -220,10 +222,8 @@ def _snap_fraction(g: np.ndarray):
     return i0, f
 
 
-# corner steps (dx, dy, dz) of a trilinear cell, x fastest as _planes reads them
-_CELL_X_FASTEST = np.array([(dx, dy, dz) for dz in (0, 1)
-                            for dy in (0, 1) for dx in (0, 1)])
-# the same corners z fastest, the order of the DRR matrix entries
+# corner steps (dx, dy, dz) of a trilinear cell, z fastest: the warp reads
+# them as c[x, y, z], and the DRR matrix lists its entries in this order
 _CELL_Z_FASTEST = np.array([(dx, dy, dz) for dx in (0, 1)
                             for dy in (0, 1) for dz in (0, 1)])
 _VOXEL = np.zeros((1, 3), dtype=np.int64)
@@ -255,13 +255,13 @@ def _padded_index(dims, i0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _gather_corners(data: np.ndarray, g: np.ndarray):
     """The 8 cell corners around each voxel coord g (n,3), in one gather.
 
-    Returns the corners (8, n) or (8, n, C), ordered with x fastest
-    (c000, c100, c010, c110, c001, ...), and the snapped fractions (n, 3).
+    Returns the corners (8, n) or (8, n, C), ordered with z fastest
+    (c000, c001, c010, c011, c100, ...), and the snapped fractions (n, 3).
     A cell with any corner outside the grid reads zeros there.
     """
     i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
     flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
-    return flat.take(_padded_index(data.shape[:3], i0, _CELL_X_FASTEST), axis=0), f
+    return flat.take(_padded_index(data.shape[:3], i0, _CELL_Z_FASTEST), axis=0), f
 
 
 def trilinear_weights(grid: GridSpec, pts: np.ndarray):
@@ -270,10 +270,9 @@ def trilinear_weights(grid: GridSpec, pts: np.ndarray):
     Returns (point, voxel, weight): for each point in turn, its in-grid
     corners with a positive weight, z fastest, as a point index, a flat
     voxel index and the weight (1 - f or f per axis, multiplied x, y, z).
-    The corners are listed z fastest because the DRR matrix is built from
-    these entries and scipy's CSR index sort is not stable: with x-fastest
-    corners, duplicate entries were summed in another order and every
-    matrix changed in the last bit.
+    scipy's CSR index sort is not stable, so this order fixes the order in
+    which a DRR matrix sums duplicate entries: another order changes every
+    matrix in the last bit.
     """
     i0, f = _snap_fraction(grid.world_to_voxel(pts))
     wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]]) for a in range(3))
@@ -293,9 +292,9 @@ def _weights(f: np.ndarray, ndim: int):
 
 def _planes(corners: np.ndarray, wx, wy) -> np.ndarray:
     """The interpolant on the lower and upper z face of each cell, (2, n[, C])."""
-    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [z, y, x]
-    cx = c[:, :, 0] * wx[0] + c[:, :, 1] * wx[1]
-    return cx[:, 0] * wy[0] + cx[:, 1] * wy[1]
+    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [x, y, z]
+    cx = c[0] * wx[0] + c[1] * wx[1]
+    return cx[0] * wy[0] + cx[1] * wy[1]
 
 
 def _interpolate(corners: np.ndarray, f: np.ndarray):
@@ -317,11 +316,11 @@ def _interpolant_gradient(corners: np.ndarray, f: np.ndarray,
     corners and fractions.
     """
     wx, wy, (gz0, gz1) = _weights(f, corners.ndim)
-    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [z, y, x]
-    ex = c[:, :, 1] - c[:, :, 0]
-    ex = ex[:, 0] * wy[0] + ex[:, 1] * wy[1]
+    c = corners.reshape((2, 2, 2) + corners.shape[1:])  # [x, y, z]
+    ex = c[1] - c[0]
+    ex = ex[0] * wy[0] + ex[1] * wy[1]
     ey = c[:, 1] - c[:, 0]
-    ey = ey[:, 0] * wx[0] + ey[:, 1] * wx[1]
+    ey = ey[0] * wx[0] + ey[1] * wx[1]
     lo, hi = planes
     return np.stack([ex[0] * gz0 + ex[1] * gz1,
                      ey[0] * gz0 + ey[1] * gz1,
@@ -347,17 +346,6 @@ def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5)
     flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
     return flat.take(_padded_index(data.shape[:3], idx, _VOXEL)[0], axis=0)
-
-
-def trilinear_sample(vol: Image3D, p) -> float:
-    """Interpolated intensity at one world-mm point; 0 outside the grid."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.shape != (3,):
-        raise ValueError(f"point must have 3 coordinates, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("sample point must be finite")
-    g = vol.grid.world_to_voxel(p[None, :])
-    return float(sample_trilinear(vol.data, g)[0])
 
 
 def sample_displacement(u: DisplacementField, pts: np.ndarray) -> np.ndarray:
@@ -442,12 +430,6 @@ def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
 # ---------------------------------------------------------------------------
 # differential quantities
 # ---------------------------------------------------------------------------
-
-def image_gradient(vol: Image3D) -> np.ndarray:
-    """Spatial gradient in 1/mm: central differences inside, one-sided at faces."""
-    gx, gy, gz = np.gradient(vol.data.astype(np.float64, copy=False), *vol.spacing)
-    return np.stack([gx, gy, gz], axis=-1)
-
 
 @dataclass(frozen=True)
 class JacobianStats:

@@ -18,7 +18,7 @@ with the analytic gradients at tight tolerance.
 
 Where the regulariser is evaluated: a ``LossContext`` with lam > 0 runs the
 diffusion passes over the grid on every evaluation, which is what
-``total_loss``, ``grad_alpha``, ``grad_dense`` and the dense driver use.  On
+``grad_alpha``, ``grad_dense`` and the dense driver use.  On
 a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
 ``diffusion_quadratic`` builds it once per registration as one Gram matrix,
 and the subspace drivers evaluate it in closed form next to a context with
@@ -289,31 +289,8 @@ class LossContext:
 
 
 # ---------------------------------------------------------------------------
-# spec-level convenience entry points
+# gradient entry points
 # ---------------------------------------------------------------------------
-
-def masked_sim_loss(target: Image3D, source: Image3D, target_mask: Mask3D,
-                    source_mask: Mask3D, u: DisplacementField) -> float:
-    """1 - ncc(target*target_mask, warp(source*source_mask, u)).
-
-    Masks are applied before warping.  A constant operand (emptied mask,
-    zero image) drives the correlation to its defined value of 0, so the
-    loss becomes 1.
-    """
-    ctx = LossContext(LossConfig(lam=0.0), source, source_mask,
-                      target=target, target_mask=target_mask)
-    return ctx.loss(u)
-
-
-def total_loss(u: DisplacementField, cfg: LossConfig, *, source: Image3D,
-               source_mask: Mask3D, target: Image3D | None = None,
-               target_mask: Mask3D | None = None,
-               projections: ProjectionSet | None = None) -> float:
-    """One-off total loss evaluation; builds a context and discards it."""
-    ctx = LossContext(cfg, source, source_mask, target=target,
-                      target_mask=target_mask, projections=projections)
-    return ctx.loss(u)
-
 
 def grad_alpha(ctx: LossContext, sub: DeformationSubspace,
                alpha: np.ndarray) -> np.ndarray:

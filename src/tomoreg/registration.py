@@ -49,6 +49,9 @@ _ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
 # converged_loss: the last _LOSS_WINDOW iterations cut the loss by less
 # than this fraction
 _TOL_LOSS = 1e-8
+# converged_grad: every gradient entry is below this in magnitude.  Being
+# positive, it keeps the descent direction non-zero with a negative slope.
+_TOL_GRAD = 1e-9
 # Gaussian filter of the dense descent direction: one voxel along each
 # axis, none across the three components
 _SMOOTH_SIGMA = (1.0, 1.0, 1.0, 0.0)
@@ -61,13 +64,10 @@ class NumericalAbort(RuntimeError):
 @dataclass
 class OptimConfig:
     max_iters: int = 200
-    tol_grad: float = 1e-9
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.tol_grad < 0.0:
-            raise ValueError("tol_grad must be >= 0")
 
 
 @dataclass
@@ -117,14 +117,16 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     scaled by gamma is the initial inverse Hessian H0 (gamma * I without
     it).  ``grid`` is the field's grid.  Returns x and the report (no alpha).
 
-    Each iteration takes d = -H g from the stored pairs (the smoothed or
-    plain -g while none is stored) and falls back to -g when d does not
-    descend.  An accepted step's pair (s, y) is stored only when s.y > 0,
-    which keeps H positive definite; the last ``_MEMORY`` are kept, 2 *
+    The run stops as converged_grad once every gradient entry is below
+    ``_TOL_GRAD``.  Otherwise the iteration takes d = -H g from the stored
+    pairs (the smoothed or plain -g while none is stored) and falls back
+    to -g when d does not descend, so d is non-zero with a negative slope.
+    An accepted step's pair (s, y) is stored only when s.y > 0, which
+    keeps H positive definite; the last ``_MEMORY`` are kept, 2 *
     ``_MEMORY`` floats per parameter.  With a pair stored the first trial
     is the unit step, the natural scale of a quasi-Newton step.  An
-    accepted trial that moves x without lowering the loss has lost the
-    slope to rounding: a flat stretch, which ends as line_search_failed.
+    accepted trial that does not lower the loss has lost the slope to
+    rounding: a flat stretch, which ends as line_search_failed.
 
     Precondition: x maps to the field by an isometry, so a step in x moves
     the field's (W,H,D,3) entries by the same Euclidean length.  Both
@@ -155,7 +157,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     first_len = min(grid.spacing) * np.sqrt(grid.n_voxels)
     pairs = deque(maxlen=_MEMORY)
     for _ in range(cfg.max_iters):
-        if np.max(np.abs(grad)) < cfg.tol_grad:
+        if np.max(np.abs(grad)) < _TOL_GRAD:
             stop = "converged_grad"
             break
 
@@ -164,12 +166,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
         if slope >= 0.0:  # not a descent direction; fall back
             d = -grad
             slope = -float(grad @ grad)
-        if pairs:
-            t = 1.0
-        else:
-            # an exactly zero d leaves x where it is for any step
-            norm = float(np.linalg.norm(d))
-            t = first_len / norm if norm > 0.0 else 0.0
+        t = 1.0 if pairs else first_len / float(np.linalg.norm(d))
 
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * d
@@ -180,7 +177,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
         else:
             stop = "line_search_failed"
             break
-        if cand_loss >= loss and t * float(np.linalg.norm(d)) > 0.0:
+        if cand_loss >= loss:
             stop = "line_search_failed"
             break
 
@@ -325,18 +322,17 @@ def _pooled_features(volumes: list) -> np.ndarray:
     """Mean over an 8x8x8 block grid of each channel, concatenated."""
     feats = []
     for vol in volumes:
-        data = vol.data.astype(np.float64, copy=False)
-        for ax, n in enumerate(data.shape):
+        pooled = vol.data.astype(np.float64, copy=False)
+        for ax, n in enumerate(vol.dims):
             if n < _POOL_GRID:
                 raise ValueError(f"axis {ax} has {n} voxels; the amortizer pools "
                                  f"{_POOL_GRID} blocks per axis, so it needs at "
                                  f"least {_POOL_GRID}")
-        parts = [np.array_split(np.arange(n), _POOL_GRID) for n in data.shape]
-        pooled = np.empty((_POOL_GRID,) * 3)
-        for bi, ix in enumerate(parts[0]):
-            for bj, iy in enumerate(parts[1]):
-                for bk, iz in enumerate(parts[2]):
-                    pooled[bi, bj, bk] = data[np.ix_(ix, iy, iz)].mean()
+            # np.array_split's blocks: the first n % 8 are one voxel longer
+            blocks = np.array_split(np.arange(n), _POOL_GRID)
+            sums = np.add.reduceat(pooled, [b[0] for b in blocks], axis=ax)
+            sizes = np.array([b.size for b in blocks], dtype=np.float64)
+            pooled = sums / sizes.reshape((-1,) + (1,) * (2 - ax))
         feats.append(pooled.reshape(-1))
     return np.concatenate(feats)
 

@@ -12,8 +12,7 @@ from conftest import SPEC32
 
 from tomoreg import (DrrOperator, GridSpec, Image2D, Image3D, LossConfig,
                      Mask3D, ProjectionSet, SdctGeometry, build_sdct_geometry,
-                     geometry_for, grid_for, lift3d, make_pair, render_drr,
-                     step_for)
+                     geometry_for, grid_for, lift3d, make_pair, step_for)
 from tomoreg.grids import sample_trilinear
 from tomoreg.losses import LossContext
 
@@ -138,7 +137,7 @@ def test_detector_axes_must_be_orthonormal():
 def test_zero_volume_renders_zero_image():
     geom = three_emitter_geometry()
     vol = Image3D(DIMS, SPACING, ORIGIN, np.zeros(DIMS))
-    img = render_drr(vol, geom, 1, step_mm=0.75)
+    img = DrrOperator(vol.grid, geom, 0.75).render(vol, 1)
     assert_array_equal(img.data, np.zeros(geom.detector_dims))
 
 
@@ -149,7 +148,7 @@ def test_central_ray_through_unit_cube_integrates_chord_length():
     vol = Image3D(dims, sp, org, np.ones(dims))
     geom = build_sdct_geometry(1, 10.0, 2000.0, detector_dims=(9, 9),
                                detector_spacing=(2.0, 2.0))
-    img = render_drr(vol, geom, 0, step_mm=0.5)
+    img = DrrOperator(vol.grid, geom, 0.5).render(vol, 0)
     center = img.data[4, 4]
     assert abs(center - 16.0) < 2.0 * 0.5
 
@@ -161,7 +160,7 @@ def test_impulse_projects_within_one_pixel_of_the_closed_form():
     vol = Image3D(DIMS, SPACING, ORIGIN, data)
     voxel_world = GRID.voxel_centers()[9, 11, 7]
     for ei in range(3):
-        img = render_drr(vol, geom, ei, step_mm=0.75)
+        img = DrrOperator(vol.grid, geom, 0.75).render(vol, ei)
         pu, pv = project_point(geom, ei, voxel_world)
         nz = np.argwhere(img.data > 1e-9)
         assert nz.size > 0
@@ -175,9 +174,9 @@ def test_render_is_linear_in_the_volume():
     v1 = Image3D(DIMS, SPACING, ORIGIN, rng.random(DIMS))
     v2 = Image3D(DIMS, SPACING, ORIGIN, rng.random(DIMS))
     comb = Image3D(DIMS, SPACING, ORIGIN, 2.5 * v1.data - 0.7 * v2.data)
-    got = render_drr(comb, geom, 1, step_mm=0.75).data
-    want = (2.5 * render_drr(v1, geom, 1, step_mm=0.75).data
-            - 0.7 * render_drr(v2, geom, 1, step_mm=0.75).data)
+    op = DrrOperator(GRID, geom, 0.75)
+    got = op.render(comb, 1).data
+    want = 2.5 * op.render(v1, 1).data - 0.7 * op.render(v2, 1).data
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel < 1e-6
 
@@ -186,8 +185,8 @@ def test_halved_step_changes_pixels_less_than_one_sample():
     geom = three_emitter_geometry()
     rng = np.random.default_rng(0)
     vol = Image3D(DIMS, SPACING, ORIGIN, np.abs(rng.standard_normal(DIMS)))
-    coarse = render_drr(vol, geom, 0, step_mm=1.5).data
-    fine = render_drr(vol, geom, 0, step_mm=0.75).data
+    coarse = DrrOperator(GRID, geom, 1.5).render(vol, 0).data
+    fine = DrrOperator(GRID, geom, 0.75).render(vol, 0).data
     assert np.abs(coarse - fine).max() < 1.5 * vol.data.max()
 
 
@@ -195,10 +194,10 @@ def test_render_rejects_bad_emitter_index_and_step():
     geom = three_emitter_geometry()
     vol = Image3D(DIMS, SPACING, ORIGIN, np.ones(DIMS))
     with pytest.raises((IndexError, ValueError)):
-        render_drr(vol, geom, 3, step_mm=0.75)
+        DrrOperator(vol.grid, geom, 0.75).render(vol, 3)
     for step in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step_mm must be positive and finite"):
-            render_drr(vol, geom, 0, step_mm=step)
+            DrrOperator(vol.grid, geom, step).render(vol, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +240,7 @@ def test_render_then_lift_keeps_the_impulse_voxel_positive():
     data = np.zeros(DIMS)
     data[9, 11, 7] = 1.0
     vol = Image3D(DIMS, SPACING, ORIGIN, data)
-    projs = ProjectionSet(
-        geom, [render_drr(vol, geom, i, step_mm=0.75) for i in range(3)])
+    projs = DrrOperator(GRID, geom, 0.75).render_all(vol)
     lifted = lift3d(projs, GRID)
     voxel_world = GRID.voxel_centers()[9, 11, 7]
     for ei in range(3):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                     gen_smooth_dvf, image_gradient, jacobian_stats,
-                     sample_displacement, trilinear_sample, warp_image,
-                     zero_displacement)
+                     gen_smooth_dvf, jacobian_stats, sample_displacement,
+                     warp_image, zero_displacement)
 from tomoreg.grids import (_gather_corners, _interpolant_gradient, _interpolate,
                            _snap_fraction, sample_nearest, sample_trilinear,
                            trilinear_weights, warp_scalar_with_gradient)
@@ -22,6 +21,12 @@ def rand_image(seed, dims=(5, 6, 4), spacing=(1.5, 1.2, 2.0),
                origin=(-3.0, 2.0, 0.5)):
     rng = np.random.default_rng(seed)
     return Image3D(dims, spacing, origin, rng.random(dims))
+
+
+def sample_at(vol, p):
+    """Interpolated intensity of ``vol`` at one world-mm point."""
+    g = vol.grid.world_to_voxel(np.asarray(p, dtype=np.float64)[None, :])
+    return float(sample_trilinear(vol.data, g)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +82,7 @@ def test_sample_constant_volume_interior():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = 1.0 + rng.random(3) * 6.0  # inside the voxel-center extent
-        assert trilinear_sample(vol, p) == pytest.approx(5.0, abs=1e-12)
+        assert sample_at(vol, p) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_sample_reproduces_grid_aligned_values():
@@ -87,13 +92,13 @@ def test_sample_reproduces_grid_aligned_values():
         for j in range(vol.dims[1]):
             for k in range(vol.dims[2]):
                 p = grid.voxel_to_world((i, j, k))
-                assert trilinear_sample(vol, p) == vol.data[i, j, k]
+                assert sample_at(vol, p) == vol.data[i, j, k]
 
 
 def test_sample_cell_center_is_corner_mean():
     vol = Image3D((2, 2, 2), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
                   np.arange(8, dtype=np.float64).reshape(2, 2, 2))
-    assert trilinear_sample(vol, (0.5, 0.5, 0.5)) == pytest.approx(3.5)
+    assert sample_at(vol, (0.5, 0.5, 0.5)) == pytest.approx(3.5)
 
 
 def test_sample_is_linear_in_the_volume():
@@ -103,20 +108,20 @@ def test_sample_is_linear_in_the_volume():
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = np.asarray(v1.origin) + rng.random(3) * 3.0
-        want = 2.0 * trilinear_sample(v1, p) - 0.5 * trilinear_sample(v2, p)
-        assert trilinear_sample(comb, p) == pytest.approx(want, abs=1e-12)
+        want = 2.0 * sample_at(v1, p) - 0.5 * sample_at(v2, p)
+        assert sample_at(comb, p) == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_outside_grid_is_zero():
     vol = rand_image(5)
-    assert trilinear_sample(vol, (1e4, 0.0, 0.0)) == 0.0
-    assert trilinear_sample(vol, (-3.0 - 1.5 * 10, 2.0, 0.5)) == 0.0
+    assert sample_at(vol, (1e4, 0.0, 0.0)) == 0.0
+    assert sample_at(vol, (-3.0 - 1.5 * 10, 2.0, 0.5)) == 0.0
 
 
 def test_sample_rejects_nonfinite_points():
-    vol = rand_image(6)
+    u = zero_displacement(rand_image(6).grid)
     with pytest.raises(ValueError):
-        trilinear_sample(vol, (np.nan, 0.0, 0.0))
+        sample_displacement(u, [(np.nan, 0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,8 @@ def reference_nearest(data, g):
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert_array_equal(got.view(np.int64), want.view(np.int64))
+    bits = f"i{got.itemsize}"
+    assert_array_equal(got.view(bits), want.view(bits))
 
 
 def axis_coord(n):
@@ -283,11 +289,20 @@ def test_weight_table_matches_the_masked_corner_loop(case):
 # warping
 # ---------------------------------------------------------------------------
 
-def test_zero_warp_is_bit_identical():
-    src = rand_image(7)
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 9)] * 3),
+       spacing=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+       origin=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
+    data = np.random.default_rng(seed).standard_normal(dims).astype(dtype)
+    src = Image3D(dims, spacing, origin, data)
     u = zero_displacement(src.grid)
-    out = warp_image(src, u)
-    assert_array_equal(out.data, src.data)
+    for interp in ("trilinear", "nearest"):
+        assert_same_bits(warp_image(src, u, interp).data, data)
+    vals, _ = warp_scalar_with_gradient(data.astype(np.float64), src.grid, u)
+    assert_same_bits(vals, data.astype(np.float64))
 
 
 def test_constant_one_voxel_shift_indexes_neighbors():
@@ -356,34 +371,6 @@ def test_warp_rejects_nonfinite_displacement():
     bad[2, 2, 2, 0] = np.nan
     with pytest.raises(ValueError):
         DisplacementField((4, 4, 4), (1, 1, 1), (0, 0, 0), bad)
-
-
-# ---------------------------------------------------------------------------
-# image gradient
-# ---------------------------------------------------------------------------
-
-def test_gradient_of_constant_is_zero():
-    vol = Image3D((5, 5, 5), (1.1, 0.9, 1.3), (0, 0, 0),
-                  np.full((5, 5, 5), 3.0))
-    g = image_gradient(vol)
-    assert_array_equal(g, np.zeros((5, 5, 5, 3)))
-
-
-def test_gradient_of_coordinate_fields_is_exact():
-    grid = GridSpec((6, 5, 4), (1.5, 1.2, 2.0), (-3.0, 2.0, 0.5))
-    xyz = grid.voxel_centers()
-    vol_x = Image3D(grid.dims, grid.spacing, grid.origin, xyz[..., 0])
-    g = image_gradient(vol_x)
-    core = g[1:-1, 1:-1, 1:-1]
-    assert_allclose(core[..., 0], 1.0, atol=1e-12)
-    assert_allclose(core[..., 1], 0.0, atol=1e-12)
-    assert_allclose(core[..., 2], 0.0, atol=1e-12)
-
-    affine = xyz[..., 0] + 2.0 * xyz[..., 1] + 3.0 * xyz[..., 2]
-    g = image_gradient(Image3D(grid.dims, grid.spacing, grid.origin, affine))
-    core = g[1:-1, 1:-1, 1:-1]
-    for axis, want in enumerate((1.0, 2.0, 3.0)):
-        assert_allclose(core[..., axis], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,7 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     ({"dims": [20.7, 20, 20]}, "dims must be a whole number, got 20.7"),
     ({"seed": 2.7}, "seed must be a whole number, got 2.7"),
     ({"n_vessels": 2.7}, "n_vessels must be a whole number, got 2.7"),
+    ({"n_vessels": True}, "n_vessels must be a whole number, got True"),
     ({"geometry": {"n_emitters": 2.7}}, "n_emitters must be a whole number, got 2.7"),
     ({"geometry": {"detector_dims": [20.7, 20]}},
      "detector_dims must be a whole number, got 20.7"),
@@ -406,7 +407,7 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
-        "fractional-vessels", "fractional-emitters", "fractional-detector-dims",
+        "fractional-vessels", "boolean-vessels", "fractional-emitters", "fractional-detector-dims",
         "zero-step", "two-entry-dims", "four-entry-spacing"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
     """Rejected before anything is written, with or without samples to make."""
@@ -906,6 +907,7 @@ def one_error_and_no_output(rc, capsys, out_path):
     ("geometry.json", "detector_dims", 6),
     ("source.json", "dims", [4.7, 4, 4]),
     ("source.json", "channels", 1.5),
+    ("source.json", "channels", True),
 ])
 def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
         dataset, tmp_path, capsys, name, field, value):

@@ -10,14 +10,20 @@ from scipy.ndimage import gaussian_filter
 from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
                      GridSpec, Image2D, Image3D, LossConfig, Mask3D,
                      ProjectionSet, build_sdct_geometry, build_subspace,
-                     diffusion_energy, masked_sim_loss, ncc, reconstruct,
-                     total_loss, zero_displacement)
+                     diffusion_energy, ncc, reconstruct, zero_displacement)
 from tomoreg.losses import (LossContext, _diffusion_energy, _diffusion_grad,
                             diffusion_quadratic, grad_alpha, grad_dense)
 
 
 def ones_mask(dims, spacing, origin):
     return Mask3D(dims, spacing, origin, np.ones(dims))
+
+
+def masked_sim(target, source, target_mask, source_mask, u):
+    """The volume similarity alone: the sim3d loss at lam 0."""
+    ctx = LossContext(LossConfig(lam=0.0), source, source_mask,
+                      target=target, target_mask=target_mask)
+    return ctx.loss(u)
 
 
 def fd_instance(seed):
@@ -112,7 +118,7 @@ def test_perfectly_aligned_pair_has_zero_loss():
     img = Image3D(dims, sp, org, rng.random(dims))
     mask = ones_mask(dims, sp, org)
     u = zero_displacement(img.grid)
-    assert masked_sim_loss(img, img, mask, mask, u) < 1e-8
+    assert masked_sim(img, img, mask, mask, u) < 1e-8
 
 
 def test_constant_warped_source_hits_the_degenerate_guard():
@@ -122,16 +128,15 @@ def test_constant_warped_source_hits_the_degenerate_guard():
     src = Image3D(dims, sp, org, np.full(dims, 2.5))
     mask = ones_mask(dims, sp, org)
     u = zero_displacement(tgt.grid)
-    assert masked_sim_loss(tgt, src, mask, mask, u) == 1.0
+    assert masked_sim(tgt, src, mask, mask, u) == 1.0
 
 
 def test_true_field_scores_better_than_identity(pair32):
-    at_true = masked_sim_loss(pair32.target, pair32.source,
-                              pair32.target_mask, pair32.source_mask,
-                              pair32.u_true)
-    at_zero = masked_sim_loss(pair32.target, pair32.source,
-                              pair32.target_mask, pair32.source_mask,
-                              zero_displacement(pair32.u_true.grid))
+    at_true = masked_sim(pair32.target, pair32.source,
+                         pair32.target_mask, pair32.source_mask, pair32.u_true)
+    at_zero = masked_sim(pair32.target, pair32.source,
+                         pair32.target_mask, pair32.source_mask,
+                         zero_displacement(pair32.u_true.grid))
     assert at_true < at_zero
 
 
@@ -187,9 +192,9 @@ def test_identity_pair_at_zero_lambda_scores_zero():
     dims, sp, org = (8, 8, 8), (1.5, 1.5, 1.5), (0.0, 0.0, 0.0)
     img = Image3D(dims, sp, org, rng.random(dims))
     mask = ones_mask(dims, sp, org)
-    loss = total_loss(zero_displacement(img.grid), LossConfig(0.0, "sim3d"),
-                      source=img, source_mask=mask, target=img,
+    ctx = LossContext(LossConfig(0.0, "sim3d"), img, mask, target=img,
                       target_mask=mask)
+    loss = ctx.loss(zero_displacement(img.grid))
     assert loss < 1e-8
 
 
@@ -201,10 +206,8 @@ def test_loss_is_linear_in_lambda():
     mask = ones_mask(dims, sp, org)
     u = DisplacementField(dims, sp, org,
                           0.5 * rng.standard_normal(dims + (3,)))
-    l1 = total_loss(u, LossConfig(0.4, "sim3d"), source=src, source_mask=mask,
-                    target=tgt, target_mask=mask)
-    l2 = total_loss(u, LossConfig(0.8, "sim3d"), source=src, source_mask=mask,
-                    target=tgt, target_mask=mask)
+    l1, l2 = (LossContext(LossConfig(lam, "sim3d"), src, mask, target=tgt,
+                          target_mask=mask).loss(u) for lam in (0.4, 0.8))
     assert l2 - l1 == pytest.approx(0.4 * diffusion_energy(u), rel=1e-10)
 
 
@@ -223,7 +226,7 @@ def test_degenerate_projection_pair_reduces_to_regularizer_plus_guard():
     u = DisplacementField(dims, sp, org,
                           0.5 * rng.standard_normal(dims + (3,)))
     cfg = LossConfig(0.3, "sim2d")
-    loss = total_loss(u, cfg, source=src, source_mask=mask, projections=projs)
+    loss = LossContext(cfg, src, mask, projections=projs).loss(u)
     assert loss == pytest.approx(1.0 + 0.3 * diffusion_energy(u), rel=1e-12)
 
 
@@ -616,8 +619,7 @@ def test_subspace_objective_is_the_total_loss_of_its_field(mode, pair32, sub32, 
     cfg, inputs, report = subspace_registration(mode, pair32, sub32, op32, 0.1, 3)
     assert report.iterations == 3
     u = reconstruct(sub32, report.alpha)
-    want = total_loss(u, cfg, source=pair32.source, source_mask=pair32.source_mask,
-                      **inputs)
+    want = LossContext(cfg, pair32.source, pair32.source_mask, **inputs).loss(u)
     assert report.final_loss == pytest.approx(want, rel=1e-12)
     # lam * reg is over a tenth of that loss, so the check covers it
     assert 0.1 * diffusion_energy(u) > 0.1 * want

@@ -9,7 +9,7 @@ from conftest import SPEC32
 from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator, Image2D,
                      PhantomSpec, build_subspace, gen_phantom, gen_smooth_dvf,
                      geometry_for, grid_for, jacobian_stats, make_pair, mtre,
-                     render_drr, step_for, zero_displacement)
+                     step_for, zero_displacement)
 from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL,
                              _region_selector, split_seed)
 
@@ -170,7 +170,7 @@ def test_projections_of_a_tube_free_phantom_are_spectrally_smooth():
                            n_modes=4, magnitude_mm=12.0,
                            smoothness_sigma_voxels=16.0 * nd / 64))
     img, _, _ = gen_phantom(spec)
-    proj = render_drr(img, geometry_for(spec), 0, step_mm=step_for(spec))
+    proj = DrrOperator(img.grid, geometry_for(spec), step_for(spec)).render(img, 0)
     rng = np.random.default_rng(0)
     noise = Image2D(proj.dims, proj.spacing,
                     rng.random(proj.data.shape).astype(np.float32))

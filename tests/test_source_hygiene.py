@@ -3,13 +3,16 @@
 Each module of ``src/tomoreg`` is parsed with ``ast``.  An import that the
 module never reads, or a name that a function assigns and never reads, is
 code that does nothing.  ``__init__.py`` is skipped (its imports are the
-re-exported API), and so are names that start with ``_``, the convention
-for a value that is deliberately unused.
+re-exported API, which ``__all__`` must list exactly), and so are names
+that start with ``_``, the convention for a value that is deliberately
+unused.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import tomoreg
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tomoreg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -70,3 +73,14 @@ def test_the_checks_see_what_they_look_for():
         "    return g\n")
     assert unused_imports(tree) == ["Any", "os"]
     assert dead_locals(tree) == [("f", "d")]
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    """A helper deleted from its module must leave no stale export behind."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names]
+    assert sorted(tomoreg.__all__) == sorted(imported)
+    assert len(set(tomoreg.__all__)) == len(tomoreg.__all__)
+    assert [n for n in tomoreg.__all__ if not hasattr(tomoreg, n)] == []
