@@ -55,7 +55,7 @@ class GridSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _tuple3(self.dims, int))
+        object.__setattr__(self, "dims", _tuple3(self.dims, lambda d: _whole(d, "dims")))
         object.__setattr__(self, "spacing", _tuple3(self.spacing, float))
         object.__setattr__(self, "origin", _tuple3(self.origin, float))
         if any(d < 1 for d in self.dims):
@@ -399,32 +399,62 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
     return type(src)(u.dims, u.spacing, u.origin, out)
 
 
+def _cell_support(data: np.ndarray) -> np.ndarray:
+    """Flat table over ``_pad(data)``: True for each cell with a corner that
+    is not bitwise +0.0.
+
+    Entry b is the cell whose lowest corner is padded voxel b, the base
+    index ``_padded_index`` gives a sample point.  A cell whose eight
+    corners are all +0.0 interpolates to +0.0 with a +0.0 derivative at
+    every point inside it; one with a -0.0 corner can give -0.0, so the
+    test is on the bits, not on the value.
+    """
+    padded = _pad(data, 0.0)
+    cell = padded.view(f"i{padded.itemsize}") != 0
+    for a in range(3):  # each cell ORs its corner voxel with its upper neighbours
+        head = (slice(None),) * a
+        cell[head + (slice(0, -1),)] |= cell[head + (slice(1, None),)]
+    return cell.reshape(-1)
+
+
 def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
-                              u: DisplacementField):
+                              u: DisplacementField, support: np.ndarray):
     """Warped values plus a callable for d(warped)/d(displacement) in 1/mm.
 
-    The warp is the value phase: it gathers the eight corners of every
-    sample point once and returns the warped (W,H,D) volume.  The returned
-    zero-argument callable is the gradient phase: it finishes the
-    (W,H,D,3) derivative from those same corners and the two z-face planes
-    the values were blended from, so a caller that needs only values never
-    pays for it.  The closure holds the corners, the fractions and the
-    planes, 13 floats per voxel, for as long as the caller keeps it.
+    ``support`` is ``_cell_support(data)``.  The warp is the value phase:
+    it looks up the cell of every sample point in ``support``, gathers the
+    eight corners of the points in a supported cell once, and returns the
+    warped (W,H,D) volume with +0.0 at every other point, which is what
+    blending eight +0.0 corners gives.  The returned zero-argument callable
+    is the gradient phase: it finishes the (W,H,D,3) derivative from those
+    same corners and the two z-face planes the values were blended from,
+    +0.0 elsewhere, so a caller that needs only values never pays for it.
+    The closure holds the corners, the fractions and the planes, 13 floats
+    per supported point, and the points' indices, for as long as the
+    caller keeps it.
 
     The gradient is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream
     losses agree with chain-rule gradients at tight tolerance.
     """
-    corners, f = _gather_corners(data, _warp_coords(src_grid, u))
+    i0, f = _snap_fraction(_warp_coords(src_grid, u))
+    active = np.flatnonzero(support.take(_padded_index(data.shape, i0, _VOXEL)[0]))
+    f = f[active]
+    flat = _pad(data, 0.0).reshape(-1)
+    corners = flat.take(_padded_index(data.shape, i0[active], _CELL_Z_FASTEST))
     sp = np.asarray(src_grid.spacing)
-    shape = u.dims + (3,)
+    n, shape = i0.shape[0], u.dims + (3,)
 
     vals, planes = _interpolate(corners, f)
+    warped = np.zeros(n)
+    warped[active] = vals
 
     def gradient():
-        return (_interpolant_gradient(corners, f, planes) / sp).reshape(shape)
+        grad = np.zeros((n, 3))
+        grad[active] = _interpolant_gradient(corners, f, planes) / sp
+        return grad.reshape(shape)
 
-    return vals.reshape(u.dims), gradient
+    return warped.reshape(u.dims), gradient
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ def bench_pair():
     return module
 
 
-SPEC = {"end_to_end": [{"name": "register_s", "unit": "s", "bound": 0.25},
-                       {"name": "iterations", "unit": "count", "bound": 0.1}]}
+SPEC = {"end_to_end": [{"name": "register_s", "unit": "s", "better": "lower",
+                        "bound": 0.25},
+                       {"name": "iterations", "unit": "count", "better": "lower",
+                        "bound": 0.1}]}
 ENV = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2", "scipy": "1",
        "openblas": [], "blas_threads": 1, "git_commit": "unknown",
        "workload": "proj2d", "seed": 1}
@@ -75,6 +77,50 @@ def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_pa
     assert back["summary"]["proj2d"]["failed"] == {"parent": 1, "change": 1}
     assert back["summary"]["proj2d"]["attempted"] == {"parent": 20, "change": 20}
     assert back["summary"]["proj2d"]["traced"]["change"] == {"grids.warp_calls": 11.0}
+
+
+def scaled_change(runs, factor):
+    """The canned runs with every untraced change register_s times factor."""
+    out = json.loads(json.dumps(runs))
+    for r in out:
+        if r["side"] == "change" and not r["trace"]:
+            r["result"]["metrics"]["register_s"]["value"] *= factor
+    return out
+
+
+def test_the_claim_flags_follow_the_pairs_won_and_the_bound(bench_pair):
+    runs = canned_runs(bench_pair)
+    flags = {}
+    for factor in (1.0, 0.5, 2.0):
+        summary = bench_pair.summarize(scaled_change(runs, factor), SPEC)["proj2d"]
+        flags[factor] = {m: (summary[m]["gain_shown"], summary[m]["within_bound"])
+                         for m in ("register_s", "iterations")}
+    # as canned: 2 of 4 pairs won is not a shown gain; 0.225 s is within
+    # 1.25 x 0.35 s; 4 tied iteration counts are within the bound, no gain
+    assert flags[1.0] == {"register_s": (False, True), "iterations": (False, True)}
+    # halved: 4 of 4 pairs won and 0.35 - 0.1125 s > the parent's IQR 0.175 s
+    assert flags[0.5]["register_s"] == (True, True)
+    # doubled: 0.45 s is over 1.25 x 0.35 s
+    assert flags[2.0]["register_s"] == (False, False)
+    assert flags[2.0]["iterations"] == (False, True)
+
+
+def test_a_win_in_too_few_pairs_or_by_less_than_the_iqr_shows_no_gain(bench_pair):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+    def flags(change, better="lower"):
+        metric = {"name": "m", "unit": "s", "better": better, "bound": 0.1}
+        return bench_pair._claim_flags({"parent": parent, "change": change}, metric)
+
+    # 9 of 10 pairs won, medians 1.45 and 0.95 apart by more than IQR 0.45
+    assert flags([v - 0.5 for v in parent[:9]] + [2.0])["gain_shown"]
+    # 8 of 10 pairs won
+    assert not flags([v - 0.5 for v in parent[:8]] + [2.0, 2.0])["gain_shown"]
+    # 10 of 10 pairs won, but the medians are only 0.4 apart
+    assert not flags([v - 0.4 for v in parent])["gain_shown"]
+    # for a higher-is-better metric the same lower values are a loss
+    assert flags([v - 0.5 for v in parent], "higher") == {"gain_shown": False,
+                                                           "within_bound": False}
 
 
 def test_an_empty_run_output_is_an_error(bench_pair):

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, jacobian_stats, sample_displacement,
                      warp_image, zero_displacement)
-from tomoreg.grids import (_gather_corners, _interpolant_gradient, _interpolate,
-                           _snap_fraction, sample_nearest, sample_trilinear,
+from tomoreg.grids import (_cell_support, _gather_corners, _interpolant_gradient,
+                           _interpolate, _snap_fraction, sample_nearest, sample_trilinear,
                            trilinear_weights, warp_scalar_with_gradient)
 
 from conftest import SPEC32
@@ -40,6 +40,11 @@ def test_gridspec_rejects_bad_axes():
         GridSpec((4, 4, 4), (1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         GridSpec((4, 4, 4), (1.0, 1.0, 1.0), (np.inf, 0.0, 0.0))
+    # dims are whole numbers: 4.0 reads as 4, a fraction or a boolean is refused
+    assert GridSpec((4.0, np.float64(5.0), np.int64(6)), (1, 1, 1)).dims == (4, 5, 6)
+    for bad in (4.7, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="dims must be a whole number"):
+            GridSpec((bad, 4, 4), (1.0, 1.0, 1.0))
 
 
 def test_image_rejects_nonfinite_and_shape_mismatch():
@@ -197,6 +202,31 @@ def axis_coord(n):
     return st.one_of(inside, lattice, half, rim, far)
 
 
+# how much of the sampled volume is not +0.0: where the loss warp skips cells
+SUPPORTS = ("scattered -0.0", "all +0.0", "-0.0 blocks", "one voxel", "full")
+
+
+def sparse_source(rng, shape, support):
+    """A standard normal volume with the drawn pattern of zeros."""
+    data = rng.standard_normal(shape)
+    if support == "scattered -0.0":
+        data[rng.random(shape) < 0.2] = -0.0
+    elif support != "full":
+        keep = np.zeros(shape[:3], dtype=bool)
+        if support == "one voxel":
+            keep[tuple(rng.integers(0, n) for n in shape[:3])] = True
+        data[~keep] = 0.0
+        if support == "-0.0 blocks":
+            box = []
+            for n in shape[:3]:  # 2 voxels or more where they fit
+                m = rng.integers(min(2, n), n + 1)
+                a = rng.integers(0, n - m + 1)
+                box.append(slice(a, a + m))
+            data[tuple(box)] = -0.0
+            data[tuple(rng.integers(0, n) for n in shape[:3])] = -0.0
+    return data
+
+
 @st.composite
 def sampling_cases(draw):
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
@@ -205,16 +235,16 @@ def sampling_cases(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     points = draw(st.lists(st.tuples(*(axis_coord(n) for n in dims)),
                            min_size=1, max_size=24))
-    return dims, spacing, channels, seed, np.array(points, dtype=np.float64)
+    support = draw(st.sampled_from(SUPPORTS))
+    return dims, spacing, channels, seed, np.array(points, dtype=np.float64), support
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(sampling_cases())
 def test_one_gather_sampler_matches_the_eight_corner_reference(case):
-    dims, spacing, channels, seed, g = case
+    dims, spacing, channels, seed, g, support = case
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal(dims + ((channels,) if channels else ()))
-    data[rng.random(data.shape) < 0.2] = -0.0
+    data = sparse_source(rng, dims + ((channels,) if channels else ()), support)
     assert_same_bits(sample_trilinear(data, g), reference_trilinear(data, g))
     assert_same_bits(sample_nearest(data, g), reference_nearest(data, g))
     # the derivative, from the same corners and planes the warp keeps
@@ -240,7 +270,8 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
                                 indexing="ij"), axis=-1)
     g_ref = (base + u.data / np.asarray(spacing)).reshape(-1, 3)
     want_vals, want_grad = reference_trilinear(data, g_ref, with_gradient=True)
-    vals, gradient = warp_scalar_with_gradient(data, grid, u)
+    # the warp samples only cells with a corner that is not +0.0
+    vals, gradient = warp_scalar_with_gradient(data, grid, u, _cell_support(data))
     assert_same_bits(vals, want_vals.reshape(dims))
     assert_same_bits(gradient(), (want_grad / np.asarray(spacing)).reshape(dims + (3,)))
 
@@ -274,7 +305,7 @@ def reference_weight_table(grid, pts):
 @settings(max_examples=60, deadline=None)
 @given(sampling_cases())
 def test_weight_table_matches_the_masked_corner_loop(case):
-    dims, spacing, _, _, g = case
+    dims, spacing, _, _, g, _ = case
     grid = GridSpec(dims, spacing, (-3.0, 2.0, 0.5))
     pts = grid.voxel_to_world(g)
     cols, wgt = reference_weight_table(grid, pts)
@@ -301,7 +332,8 @@ def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
     u = zero_displacement(src.grid)
     for interp in ("trilinear", "nearest"):
         assert_same_bits(warp_image(src, u, interp).data, data)
-    vals, _ = warp_scalar_with_gradient(data.astype(np.float64), src.grid, u)
+    data64 = data.astype(np.float64)
+    vals, _ = warp_scalar_with_gradient(data64, src.grid, u, _cell_support(data64))
     assert_same_bits(vals, data.astype(np.float64))
 
 
@@ -353,7 +385,7 @@ def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
                     out = warp_image(src, u, interp)
                     if interp == "trilinear":
                         vals, gradient = warp_scalar_with_gradient(
-                            src.data, src.grid, u)
+                            src.data, src.grid, u, _cell_support(src.data))
                         assert_array_equal(vals, 0.0)
                         assert_array_equal(gradient(), 0.0)
                 assert_array_equal(out.data, 0.0)

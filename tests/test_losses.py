@@ -26,16 +26,30 @@ def masked_sim(target, source, target_mask, source_mask, u):
     return ctx.loss(u)
 
 
-def fd_instance(seed):
-    """Smooth random 8-cube problem with both loss modes attached.
+# a non-cubic grid whose source mask is a box inside it: sample points near
+# the box's faces fall in cells with some corners of the masked source
+# non-zero and some zero, on either side of where the warp stops sampling
+PARTIAL = {"dims": (9, 7, 8), "spacing": (1.4, 1.1, 0.9),
+           "mask_box": (slice(2, 7), slice(1, 5), slice(3, 8))}
 
-    The finite-difference probe itself is only trustworthy when no sample
-    point of the perturbed field straddles an interpolation cell face, so
-    the instances are pinned by seed; they were screened for healthy
-    per-coefficient derivatives.
+
+def box_mask(dims, spacing, origin, box):
+    data = np.zeros(dims)
+    data[box] = 1.0
+    return Mask3D(dims, spacing, origin, data)
+
+
+def fd_instance(seed, dims=(8, 8, 8), spacing=(1.5, 1.2, 1.0), mask_box=None):
+    """Smooth random problem with both loss modes attached.
+
+    The grid is centred in x and y.  With ``mask_box`` the source mask is
+    that box, otherwise all ones.  The finite-difference probe itself is
+    only trustworthy when no sample point of the perturbed field straddles
+    an interpolation cell face, so the instances are pinned by seed; they
+    were screened for healthy per-coefficient derivatives.
     """
     rng = np.random.default_rng(seed)
-    dims, spacing, origin = (8, 8, 8), (1.5, 1.2, 1.0), (-5.25, -4.2, 3.0)
+    origin = (-spacing[0] * (dims[0] - 1) / 2, -spacing[1] * (dims[1] - 1) / 2, 3.0)
 
     def smooth(shape):
         return gaussian_filter(rng.standard_normal(shape), sigma=1.5,
@@ -46,6 +60,7 @@ def fd_instance(seed):
     src = Image3D(dims, spacing, origin, (s - s.min() + 0.1).astype(np.float32))
     tgt = Image3D(dims, spacing, origin, (t - t.min() + 0.1).astype(np.float32))
     mask = ones_mask(dims, spacing, origin)
+    src_mask = mask if mask_box is None else box_mask(dims, spacing, origin, mask_box)
     geom = build_sdct_geometry(2, 24.0, 60.0, detector_dims=(10, 10),
                                detector_spacing=(1.6, 1.6))
     op = DrrOperator(GridSpec(dims, spacing, origin), geom)
@@ -61,9 +76,9 @@ def fd_instance(seed):
                               singular_values=np.array([3.0, 2.0, 1.0]),
                               variance_fraction=1.0)
     alpha = 0.5 * rng.standard_normal(3)
-    ctx3 = LossContext(LossConfig(0.1, "sim3d"), src, mask,
+    ctx3 = LossContext(LossConfig(0.1, "sim3d"), src, src_mask,
                        target=tgt, target_mask=mask)
-    ctx2 = LossContext(LossConfig(0.1, "sim2d"), src, mask,
+    ctx2 = LossContext(LossConfig(0.1, "sim2d"), src, src_mask,
                        projections=projs, drr_op=op)
     return ctx3, ctx2, sub, alpha
 
@@ -309,9 +324,11 @@ def test_gradient_vanishes_at_an_exact_minimum():
     assert np.abs(g).max() < 1e-6
 
 
-@pytest.mark.parametrize("seed", [3, 5])
-def test_coefficient_gradient_matches_finite_differences(seed):
-    ctx3, ctx2, sub, alpha = fd_instance(seed)
+@pytest.mark.parametrize("seed, grid", [
+    pytest.param(3, {}, id="3"), pytest.param(5, {}, id="5"),
+    pytest.param(7, PARTIAL, id="partial-mask-7")])
+def test_coefficient_gradient_matches_finite_differences(seed, grid):
+    ctx3, ctx2, sub, alpha = fd_instance(seed, **grid)
     h = 1e-3
     for ctx in (ctx3, ctx2):
         g = grad_alpha(ctx, sub, alpha)
@@ -372,10 +389,13 @@ def test_dense_gradient_of_constant_images_is_zero():
     assert_array_equal(g.data, np.zeros(dims + (3,)))
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_dense_gradient_matches_finite_differences(seed):
+@pytest.mark.parametrize("seed, grid", [
+    pytest.param(0, {}, id="0"), pytest.param(3, {}, id="3"),
+    pytest.param(7, PARTIAL, id="partial-mask-7")])
+def test_dense_gradient_matches_finite_differences(seed, grid):
     rng = np.random.default_rng(seed)
-    dims, sp, org = (6, 6, 6), (1.5, 1.2, 1.0), (0.0, 0.0, 0.0)
+    dims = grid.get("dims", (6, 6, 6))
+    sp, org = grid.get("spacing", (1.5, 1.2, 1.0)), (0.0, 0.0, 0.0)
 
     def smooth():
         return gaussian_filter(rng.standard_normal(dims), sigma=1.2,
@@ -384,13 +404,14 @@ def test_dense_gradient_matches_finite_differences(seed):
     src = Image3D(dims, sp, org, (smooth() + 2.0).astype(np.float32))
     tgt = Image3D(dims, sp, org, (smooth() + 2.0).astype(np.float32))
     mask = ones_mask(dims, sp, org)
+    src_mask = box_mask(dims, sp, org, grid["mask_box"]) if grid else mask
     u0 = 0.35 * np.stack([smooth() for _ in range(3)], axis=-1)
-    ctx = LossContext(LossConfig(0.1, "sim3d"), src, mask,
+    ctx = LossContext(LossConfig(0.1, "sim3d"), src, src_mask,
                       target=tgt, target_mask=mask)
     u = DisplacementField(dims, sp, org, u0)
     g = grad_dense(ctx, u)
     h = 1e-3
-    for ix in [tuple(x) for x in rng.integers(0, (6, 6, 6, 3), size=(20, 4))]:
+    for ix in [tuple(x) for x in rng.integers(0, dims + (3,), size=(20, 4))]:
         up = u0.copy()
         up[ix] += h
         um = u0.copy()

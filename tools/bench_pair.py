@@ -11,8 +11,11 @@ side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
 working tree: the environment, every run with its result line, and per
-workload and end-to-end metric each side's median and quartiles, and how
-many pairs the change read lower, higher or equal.
+workload and end-to-end metric each side's median and quartiles, how
+many pairs the change read lower, higher or equal, and two flags:
+``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
+parent's IQR) and ``within_bound`` (the change's median no worse than the
+parent's by more than the metric's bound).
 """
 from __future__ import annotations
 
@@ -61,6 +64,25 @@ def _stats(values: list) -> dict:
             "iqr": float(q3 - q1), "n": len(values)}
 
 
+def _claim_flags(vals: dict, metric: dict) -> dict:
+    """The claim rule on one metric's paired values.
+
+    ``gain_shown``: the change is better in at least 9 of 10 pairs and its
+    median is better than the parent's by more than the parent's IQR.
+    ``within_bound``: the change's median is no worse than the parent's by
+    more than the metric's relative ``bound``.
+    """
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    parent, change = (sign * np.asarray(vals[s], dtype=np.float64) for s in SIDES)
+    wins = int(np.sum(change < parent))
+    p_med, c_med = np.median(parent), np.median(change)
+    q3, q1 = np.percentile(parent, [75, 25])
+    return {
+        "gain_shown": bool(10 * wins >= 9 * parent.size and p_med - c_med > q3 - q1),
+        "within_bound": bool(c_med <= p_med + metric["bound"] * abs(p_med)),
+    }
+
+
 def summarize(runs: list, spec: dict) -> dict:
     """Per workload: each end-to-end metric's statistics and pairs won, the
     failed and attempted counts per side, and the traced per-layer values."""
@@ -86,6 +108,7 @@ def summarize(runs: list, spec: dict) -> dict:
                 "pairs_change_higher": int(np.sum(diffs > 0)),
                 "pairs_tied": int(np.sum(diffs == 0)),
                 "bound": m["bound"],
+                **_claim_flags(vals, m),
             }
         for key in ("failed", "attempted"):
             out[key] = {s: sum(r["result"][key] for r in untraced
