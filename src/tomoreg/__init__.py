@@ -18,9 +18,8 @@ from .subspace import DeformationSubspace, build_subspace, project, reconstruct
 from .losses import (LossConfig, LossContext, ncc, diffusion_energy,
                      grad_alpha, grad_dense)
 from .registration import (OptimConfig, RegistrationReport, NumericalAbort,
-                           LinearAmortizer, register_subspace_3d,
-                           register_subspace_2d, register_dense_3d,
-                           fit_linear_amortizer, predict_alpha)
+                           register_subspace_3d, register_subspace_2d,
+                           register_dense_3d)
 from .metrics import (MetricsReport, mtre, per_axis_error, dice,
                       evaluate_registration)
 from .phantom import (PhantomSpec, DeformationSpec, AcquisitionSpec,
@@ -38,9 +37,8 @@ __all__ = [
     "DeformationSubspace", "build_subspace", "project", "reconstruct",
     "LossConfig", "LossContext", "ncc", "diffusion_energy",
     "grad_alpha", "grad_dense",
-    "OptimConfig", "RegistrationReport", "NumericalAbort", "LinearAmortizer",
+    "OptimConfig", "RegistrationReport", "NumericalAbort",
     "register_subspace_3d", "register_subspace_2d", "register_dense_3d",
-    "fit_linear_amortizer", "predict_alpha",
     "MetricsReport", "mtre", "per_axis_error", "dice", "evaluate_registration",
     "PhantomSpec", "DeformationSpec", "AcquisitionSpec", "PhantomPair",
     "split_seed", "grid_for", "geometry_for", "step_for", "gen_phantom",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import (GridSpec, Image3D, _checked_payload, sample_trilinear,
-                    trilinear_weights)
+from .grids import (GridSpec, Image3D, _checked_payload, _real, _whole,
+                    sample_trilinear, trilinear_weights)
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
@@ -43,12 +43,14 @@ class SdctGeometry:
     detector_spacing: tuple[float, float]  # (pu, pv) mm
 
     def __post_init__(self):
-        self.n_emitters = int(self.n_emitters)
+        self.n_emitters = _whole(self.n_emitters, "n_emitters")
         self.emitter_positions = np.asarray(self.emitter_positions, dtype=np.float64).reshape(-1, 3)
         self.detector_origin = np.asarray(self.detector_origin, dtype=np.float64).reshape(3)
         self.detector_axes = np.asarray(self.detector_axes, dtype=np.float64).reshape(2, 3)
-        self.detector_dims = (int(self.detector_dims[0]), int(self.detector_dims[1]))
-        self.detector_spacing = (float(self.detector_spacing[0]), float(self.detector_spacing[1]))
+        self.detector_dims = tuple(_whole(self.detector_dims[i], "detector_dims")
+                                   for i in (0, 1))
+        self.detector_spacing = tuple(_real(self.detector_spacing[i], "detector_spacing")
+                                      for i in (0, 1))
 
         if self.n_emitters < 1:
             raise ValueError("n_emitters must be >= 1")
@@ -112,7 +114,7 @@ def build_sdct_geometry(n_emitters: int,
     ``line_offset`` in detector coordinates).  Its length is chosen so the
     extreme emitters subtend ``span_angle_deg`` at the detector center.
     """
-    n_emitters = int(n_emitters)
+    n_emitters = _whole(n_emitters, "n_emitters")
     if n_emitters < 1:
         raise ValueError("n_emitters must be >= 1")
     if not (0.0 < span_angle_deg < 180.0):
@@ -121,8 +123,8 @@ def build_sdct_geometry(n_emitters: int,
         raise ValueError("source_detector_distance must be positive")
 
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    wd, hd = int(detector_dims[0]), int(detector_dims[1])
-    pu, pv = float(detector_spacing[0]), float(detector_spacing[1])
+    wd, hd = (_whole(detector_dims[i], "detector_dims") for i in (0, 1))
+    pu, pv = (_real(detector_spacing[i], "detector_spacing") for i in (0, 1))
     det_origin = np.array([-0.5 * (wd - 1) * pu, -0.5 * (hd - 1) * pv, 0.0])
 
     center = np.array([float(line_offset[0]), float(line_offset[1]),
@@ -158,8 +160,8 @@ class Image2D:
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = (int(self.dims[0]), int(self.dims[1]))
-        self.spacing = (float(self.spacing[0]), float(self.spacing[1]))
+        self.dims = tuple(_whole(self.dims[i], "dims") for i in (0, 1))
+        self.spacing = tuple(_real(self.spacing[i], "spacing") for i in (0, 1))
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):

@@ -42,6 +42,13 @@ def _whole(value, name: str = "a count") -> int:
     return count
 
 
+def _real(value, name: str = "a value") -> float:
+    """A real number as a float; booleans and strings are rejected."""
+    if isinstance(value, (bool, np.bool_, str)):  # float() would read 1.0, 2.5
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # grid description
 # ---------------------------------------------------------------------------
@@ -56,8 +63,8 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _tuple3(self.dims, lambda d: _whole(d, "dims")))
-        object.__setattr__(self, "spacing", _tuple3(self.spacing, float))
-        object.__setattr__(self, "origin", _tuple3(self.origin, float))
+        object.__setattr__(self, "spacing", _tuple3(self.spacing, lambda s: _real(s, "spacing")))
+        object.__setattr__(self, "origin", _tuple3(self.origin, lambda o: _real(o, "origin")))
         if any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be >= 1 per axis, got {self.dims}")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):

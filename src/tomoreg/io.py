@@ -22,7 +22,8 @@ import os
 import numpy as np
 
 from .geometry import Image2D, ProjectionSet, SdctGeometry
-from .grids import DisplacementField, GridSpec, Image3D, Landmarks, Mask3D, _whole
+from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
+                    _real, _whole)
 from .subspace import DeformationSubspace
 
 _GRID_KINDS = {Image3D: "volume", Mask3D: "mask", DisplacementField: "dvf"}
@@ -68,7 +69,7 @@ def _ints(values) -> tuple:
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
 
 
 # ---------------------------------------------------------------------------

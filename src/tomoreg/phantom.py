@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _whole, sample_displacement, warp_image)
+                    _real, _whole, sample_displacement, warp_image)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -98,7 +98,7 @@ class PhantomSpec:
             if n != 3:
                 raise ValueError(f"{name} must have 3 entries, got {n}")
         object.__setattr__(self, "dims", tuple(_whole(d, "dims") for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "spacing", tuple(_real(s, "spacing") for s in self.spacing))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         object.__setattr__(self, "n_vessels", _whole(self.n_vessels, "n_vessels"))
         if min(self.dims) < 16:

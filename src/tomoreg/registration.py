@@ -301,85 +301,3 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                           smooth)
     return to_field(x), report
 
-
-# ---------------------------------------------------------------------------
-# amortized coefficient prediction
-# ---------------------------------------------------------------------------
-
-_POOL_GRID = 8  # pooled feature blocks per axis
-
-
-@dataclass
-class LinearAmortizer:
-    """Ridge regression from pooled image features to coefficients."""
-
-    weights: np.ndarray    # (n_features, n_components)
-    bias: np.ndarray       # (n_components,)
-    n_channels: int
-
-
-def _pooled_features(volumes: list) -> np.ndarray:
-    """Mean over an 8x8x8 block grid of each channel, concatenated."""
-    feats = []
-    for vol in volumes:
-        pooled = vol.data.astype(np.float64, copy=False)
-        for ax, n in enumerate(vol.dims):
-            if n < _POOL_GRID:
-                raise ValueError(f"axis {ax} has {n} voxels; the amortizer pools "
-                                 f"{_POOL_GRID} blocks per axis, so it needs at "
-                                 f"least {_POOL_GRID}")
-            # np.array_split's blocks: the first n % 8 are one voxel longer
-            blocks = np.array_split(np.arange(n), _POOL_GRID)
-            sums = np.add.reduceat(pooled, [b[0] for b in blocks], axis=ax)
-            sizes = np.array([b.size for b in blocks], dtype=np.float64)
-            pooled = sums / sizes.reshape((-1,) + (1,) * (2 - ax))
-        feats.append(pooled.reshape(-1))
-    return np.concatenate(feats)
-
-
-def _stack_channels(source: Image3D, lifted: list) -> list:
-    for ch in lifted:
-        if ch.grid != source.grid:
-            raise ValueError("lifted channels must share the source grid")
-    return list(lifted) + [source]
-
-
-def fit_linear_amortizer(examples: list, ridge: float = 1e-3) -> LinearAmortizer:
-    """Fit alpha ~ features(lifted channels, source volume).
-
-    ``examples`` is a list of (source, lifted_channels, alpha) tuples.  The
-    intercept is not penalized, so as ridge grows predictions approach the
-    mean training alpha.
-    """
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
-    if len(examples) == 0:
-        raise ValueError("at least one training example is required")
-    X = np.stack([_pooled_features(_stack_channels(src, lifted))
-                  for src, lifted, _ in examples])
-    Y = np.stack([np.asarray(a, dtype=np.float64).reshape(-1)
-                  for _, _, a in examples])
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Y - y_mean
-
-    # ridge solution through the SVD; exact min-norm interpolation at ridge=0
-    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    keep = s > (1e-12 * s[0] if s.size and s[0] > 0 else 0.0)
-    U, s, Vt = U[:, keep], s[keep], Vt[keep]
-    shrink = s / (s ** 2 + ridge)
-    W = Vt.T @ (shrink[:, None] * (U.T @ Yc))
-    bias = y_mean - x_mean @ W
-    n_channels = len(examples[0][1]) + 1
-    return LinearAmortizer(weights=W, bias=bias, n_channels=n_channels)
-
-
-def predict_alpha(model: LinearAmortizer, source: Image3D,
-                  lifted: list) -> np.ndarray:
-    """Predicted subspace coefficients for one lifted example."""
-    channels = _stack_channels(source, lifted)
-    if len(channels) != model.n_channels:
-        raise ValueError(f"expected {model.n_channels} channels, got {len(channels)}")
-    x = _pooled_features(channels)
-    return x @ model.weights + model.bias

@@ -3,7 +3,6 @@
 Everything here is deterministic; fixtures are session-scoped so the
 projection operator and the training subspace are built once.
 """
-import numpy as np
 import pytest
 
 from tomoreg import (DeformationSpec, DisplacementField, DrrOperator,

@@ -77,6 +77,17 @@ def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_pa
     assert back["summary"]["proj2d"]["failed"] == {"parent": 1, "change": 1}
     assert back["summary"]["proj2d"]["attempted"] == {"parent": 20, "change": 20}
     assert back["summary"]["proj2d"]["traced"]["change"] == {"grids.warp_calls": 11.0}
+    assert back["summary"]["proj2d"]["runs_exited_nonzero"] == {"parent": 0, "change": 0}
+
+
+def test_a_run_that_exited_nonzero_is_counted_not_just_dropped(bench_pair):
+    runs = canned_runs(bench_pair)
+    crashed = {**runs[2], "returncode": 1, "result": None, "environment": None}
+    summary = bench_pair.summarize([*runs[:2], crashed, *runs[3:]], SPEC)["proj2d"]
+    # pair 1 lost its change run, so only pairs 0, 2 and 3 are compared
+    assert summary["register_s"]["parent"]["n"] == 3
+    assert summary["attempted"] == {"parent": 20, "change": 15}
+    assert summary["runs_exited_nonzero"] == {"parent": 0, "change": 1}
 
 
 def scaled_change(runs, factor):

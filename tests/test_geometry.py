@@ -104,6 +104,20 @@ def test_geometry_rejects_bad_angle_and_distance():
     with pytest.raises(ValueError):
         build_sdct_geometry(0, 30.0, 100.0, detector_dims=(8, 8),
                             detector_spacing=(1.0, 1.0))
+    # counts are whole numbers: 2.7 emitters or 8.6 pixels are not truncated
+    with pytest.raises(ValueError, match="n_emitters must be a whole number"):
+        build_sdct_geometry(2.7, 30.0, 100.0, detector_dims=(8, 8))
+    with pytest.raises(ValueError, match="detector_dims must be a whole number"):
+        build_sdct_geometry(3, 30.0, 100.0, detector_dims=(8.6, 8))
+    with pytest.raises(ValueError, match="detector_spacing must be a real number"):
+        build_sdct_geometry(3, 30.0, 100.0, detector_spacing=(1.0, "1.6"))
+    geom = three_emitter_geometry()
+    assert replace(geom, n_emitters=3.0, detector_dims=(40.0, 40)).allclose(geom)
+    for kwargs in (dict(n_emitters=2.7), dict(detector_dims=(8.9, True)),
+                   dict(detector_dims=(40, np.True_)),
+                   dict(detector_spacing=(True, 1.8))):
+        with pytest.raises(ValueError, match="must be a (whole|real) number"):
+            replace(geom, **kwargs)
 
 
 def test_geometry_rejects_emitters_on_the_detector_plane():
@@ -292,6 +306,11 @@ def test_projection_set_validates_count_and_sign():
         ProjectionSet(geom, [img, img,
                              Image2D((40, 40), (1.8, 1.8),
                                      -np.ones((40, 40)))])
+    assert Image2D((4.0, 4), (1.0, 1.0), np.ones((4, 4))).dims == (4, 4)
+    for dims, spacing in (((4.7, 4), (1.0, 1.0)), ((4, True), (1.0, 1.0)),
+                          ((4, 4), (True, 1.0)), ((4, 4), (1.0, "1.0"))):
+        with pytest.raises(ValueError, match="must be a (whole|real) number"):
+            Image2D(dims, spacing, np.ones((4, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ def test_gridspec_rejects_bad_axes():
     for bad in (4.7, True, np.bool_(True)):
         with pytest.raises(ValueError, match="dims must be a whole number"):
             GridSpec((bad, 4, 4), (1.0, 1.0, 1.0))
+    # spacing and origin are real numbers: a boolean or a string is refused
+    grid = GridSpec((4, 4, 4), (1, np.float32(2.0), 3), (np.int64(-1), 0, 0.5))
+    assert (grid.spacing, grid.origin) == ((1.0, 2.0, 3.0), (-1.0, 0.0, 0.5))
+    with pytest.raises(ValueError, match="spacing must be a real number, got True"):
+        GridSpec((4, 4, 4), (True, 1, 1), (False, 0, 0))
+    with pytest.raises(ValueError, match="spacing must be a real number"):
+        GridSpec((4, 4, 4), (1, np.bool_(True), 1))
+    with pytest.raises(ValueError, match="origin must be a real number, got '2.5'"):
+        GridSpec((4, 4, 4), (1, 1, 1), ("2.5", 0, 0))
 
 
 def test_image_rejects_nonfinite_and_shape_mismatch():

@@ -404,11 +404,12 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     ({"geometry": {"step_mm": 0}}, "step_mm must be positive and finite, got 0"),
     ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
     ({"spacing": [2.0, 2.0, 2.0, 2.0]}, "spacing must have 3 entries, got 4"),
+    ({"spacing": [True, "2.0", 2.0]}, "spacing must be a real number, got True"),
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
         "fractional-vessels", "boolean-vessels", "fractional-emitters", "fractional-detector-dims",
-        "zero-step", "two-entry-dims", "four-entry-spacing"])
+        "zero-step", "two-entry-dims", "four-entry-spacing", "boolean-spacing"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
     """Rejected before anything is written, with or without samples to make."""
     path = tmp_path / "spec.json"
@@ -908,6 +909,9 @@ def one_error_and_no_output(rc, capsys, out_path):
     ("source.json", "dims", [4.7, 4, 4]),
     ("source.json", "channels", 1.5),
     ("source.json", "channels", True),
+    ("source.json", "spacing", [True, 4, 4]),
+    ("source.json", "origin", ["2.5", 0, 0]),
+    ("geometry.json", "detector_spacing", [True, "1.6"]),
 ])
 def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
         dataset, tmp_path, capsys, name, field, value):

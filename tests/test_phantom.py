@@ -7,9 +7,9 @@ import pytest
 from conftest import SPEC32
 
 from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator, Image2D,
-                     PhantomSpec, build_subspace, gen_phantom, gen_smooth_dvf,
-                     geometry_for, grid_for, jacobian_stats, make_pair, mtre,
-                     step_for, zero_displacement)
+                     PhantomSpec, gen_phantom, gen_smooth_dvf, geometry_for,
+                     grid_for, jacobian_stats, make_pair, mtre, step_for,
+                     zero_displacement)
 from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL,
                              _region_selector, split_seed)
 

@@ -1,4 +1,4 @@
-"""Registration drivers: coefficient search, dense descent, amortization."""
+"""Registration drivers: coefficient search and dense descent."""
 import dataclasses
 import warnings
 
@@ -8,15 +8,13 @@ from conftest import SPEC32, zero_mean_subspace
 
 from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image2D,
                      Image3D, LossConfig, Mask3D, NumericalAbort, OptimConfig,
-                     ProjectionSet, build_subspace,
-                     dice, gen_phantom, grid_for, jacobian_stats, lift3d,
-                     make_pair, mtre, per_axis_error, project, reconstruct,
-                     register_dense_3d, register_subspace_2d,
+                     ProjectionSet, build_subspace, dice, gen_phantom,
+                     jacobian_stats, make_pair, mtre, per_axis_error, project,
+                     reconstruct, register_dense_3d, register_subspace_2d,
                      register_subspace_3d, warp_image, zero_displacement)
 from tomoreg.losses import LossContext
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
 from tomoreg import registration
-from tomoreg.registration import fit_linear_amortizer, predict_alpha
 
 
 def masked(img, mask):
@@ -440,120 +438,6 @@ def test_dense_registrations_span_a_reusable_subspace():
     rel = (np.linalg.norm(recon.data - held.data)
            / np.linalg.norm(held.data))
     assert rel < 0.5
-
-
-# ---------------------------------------------------------------------------
-# amortized coefficient prediction
-# ---------------------------------------------------------------------------
-
-def test_amortizer_interpolates_a_realizable_training_set():
-    # at ridge 0 the min-norm solution reproduces every training target
-    rng = np.random.default_rng(0)
-    dims, sp, org = (8, 8, 8), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)
-    examples = []
-    for _ in range(12):
-        src = Image3D(dims, sp, org, rng.random(dims))
-        lifted = [Image3D(dims, sp, org, rng.random(dims))]
-        examples.append((src, lifted, rng.standard_normal(3)))
-    model = fit_linear_amortizer(examples, ridge=0.0)
-    for src, lifted, alpha in examples:
-        pred = predict_alpha(model, src, lifted)
-        assert np.abs(pred - alpha).max() < 1e-6
-
-
-def test_amortizer_validation():
-    rng = np.random.default_rng(1)
-    dims, sp, org = (8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
-    src = Image3D(dims, sp, org, rng.random(dims))
-    lifted = [Image3D(dims, sp, org, rng.random(dims))]
-    with pytest.raises(ValueError):
-        fit_linear_amortizer([], ridge=0.0)
-    with pytest.raises(ValueError):
-        fit_linear_amortizer([(src, lifted, np.zeros(2))], ridge=-1.0)
-    model = fit_linear_amortizer([(src, lifted, np.zeros(2))], ridge=1.0)
-    with pytest.raises(ValueError):
-        predict_alpha(model, src, lifted + lifted)
-
-
-def test_amortizer_rejects_a_grid_smaller_than_its_pooling():
-    """Axis 0 of a 6x9x10 grid cannot be cut into 8 blocks: empty blocks
-    would give NaN features and an SVD that does not converge."""
-    rng = np.random.default_rng(2)
-    sp, org = (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
-
-    def example(dims):
-        return (Image3D(dims, sp, org, rng.random(dims)),
-                [Image3D(dims, sp, org, rng.random(dims))], np.zeros(2))
-
-    model = fit_linear_amortizer([example((8, 8, 8))], ridge=1.0)
-    src, lifted, alpha = example((6, 9, 10))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="axis 0 has 6 voxels.*at least 8"):
-            fit_linear_amortizer([(src, lifted, alpha)] * 3)
-        with pytest.raises(ValueError, match="axis 0 has 6 voxels.*at least 8"):
-            predict_alpha(model, src, lifted)
-
-
-def reference_pooled_features(volumes):
-    """Each channel's mean over every one of its 8 x 8 x 8 blocks in turn."""
-    feats = []
-    for vol in volumes:
-        parts = [np.array_split(np.arange(n), 8) for n in vol.dims]
-        pooled = np.empty((8, 8, 8))
-        for bi, ix in enumerate(parts[0]):
-            for bj, iy in enumerate(parts[1]):
-                for bk, iz in enumerate(parts[2]):
-                    pooled[bi, bj, bk] = vol.data[np.ix_(ix, iy, iz)].mean()
-        feats.append(pooled.reshape(-1))
-    return np.concatenate(feats)
-
-
-@pytest.mark.parametrize("dims", [(8, 8, 8), (13, 21, 9), (32, 17, 8)])
-def test_pooled_features_are_the_block_means(dims):
-    rng = np.random.default_rng(3)
-    vols = [Image3D(dims, (1.0, 0.5, 2.0), (0.0, 0.0, 0.0), rng.random(dims))
-            for _ in range(2)]
-    # the blocks are summed in another order than the reference's means
-    np.testing.assert_allclose(registration._pooled_features(vols),
-                               reference_pooled_features(vols),
-                               rtol=64 * np.finfo(np.float64).eps, atol=0.0)
-
-
-def test_amortizer_beats_the_zero_guess_on_synthetic_pairs(op32):
-    """Trained on 40 lifted pairs, the predictor should land closer to the
-    true coefficients than doing nothing, on every held-out pair."""
-    sub = zero_mean_subspace(SPEC32, 8, "amo-sub")
-    grid = grid_for(SPEC32)
-    train, test = [], []
-    for i in range(50):
-        pr = make_pair(SPEC32, seed=split_seed(4000, f"s{i}"), drr_op=op32)
-        lifted = lift3d(pr.projections, grid)
-        alpha = project(sub, pr.u_true)
-        (train if i < 40 else test).append((pr, lifted, alpha))
-
-    model = fit_linear_amortizer(
-        [(p.source, l.channels, a) for p, l, a in train], ridge=1e-3)
-    u_zero = reconstruct(sub, np.zeros(sub.n_components))
-    wins, epe_pred, epe_zero = 0, [], []
-    for p, l, a in test:
-        pred = predict_alpha(model, p.source, l.channels)
-        u_pred = reconstruct(sub, pred)
-        e_pred = masked_epe(u_pred, p.u_true, p.source_mask)
-        e_zero = masked_epe(u_zero, p.u_true, p.source_mask)
-        wins += e_pred < e_zero
-        epe_pred.append(e_pred)
-        epe_zero.append(e_zero)
-    assert np.mean(epe_pred) < np.mean(epe_zero)
-    assert wins >= 8
-
-    # infinite shrinkage collapses the predictor onto the training mean
-    model_inf = fit_linear_amortizer(
-        [(p.source, l.channels, a) for p, l, a in train], ridge=1e12)
-    a_mean = np.mean([a for _, _, a in train], axis=0)
-    pred_inf = predict_alpha(model_inf, train[0][0].source,
-                             train[0][1].channels)
-    assert np.abs(pred_inf - a_mean).max() < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Static checks on the package source: no unused imports, no dead locals.
+"""Static checks on the source: no unused imports, no dead locals.
 
 Each module of ``src/tomoreg`` is parsed with ``ast``.  An import that the
 module never reads, or a name that a function assigns and never reads, is
 code that does nothing.  ``__init__.py`` is skipped (its imports are the
 re-exported API, which ``__all__`` must list exactly), and so are names
 that start with ``_``, the convention for a value that is deliberately
-unused.
+unused.  The test and tool scripts get the import check only: tuple
+unpacking there often binds names a test does not read.
 """
 import ast
 from pathlib import Path
@@ -14,8 +15,10 @@ import pytest
 
 import tomoreg
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tomoreg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tomoreg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def _loaded(tree) -> set:
@@ -58,6 +61,13 @@ def dead_locals(tree) -> list:
 def test_module_has_no_unused_imports_or_dead_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert (unused_imports(tree), dead_locals(tree)) == ([], [])
+
+
+@pytest.mark.parametrize("path", SCRIPTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_has_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
 
 
 def test_the_checks_see_what_they_look_for():

@@ -10,9 +10,10 @@ its own checkout.  Pair i uses the i-th seed of ``--seeds`` and one run per
 side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
-working tree: the environment, every run with its result line, and per
-workload and end-to-end metric each side's median and quartiles, how
-many pairs the change read lower, higher or equal, and two flags:
+working tree: the environment, every run with its result line, per
+workload each side's count of runs that exited non-zero, and per workload
+and end-to-end metric each side's median and quartiles, how many pairs
+the change read lower, higher or equal, and two flags:
 ``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
 parent's IQR) and ``within_bound`` (the change's median no worse than the
 parent's by more than the metric's bound).
@@ -85,10 +86,13 @@ def _claim_flags(vals: dict, metric: dict) -> dict:
 
 def summarize(runs: list, spec: dict) -> dict:
     """Per workload: each end-to-end metric's statistics and pairs won, the
-    failed and attempted counts per side, and the traced per-layer values."""
+    failed and attempted counts per side, the traced per-layer values, and
+    per side the runs, traced or not, that exited non-zero.  Such a run has
+    no result, so its pair is missing from every statistic above."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        untraced = [r for r in runs if r["workload"] == workload and not r["trace"]]
+        own = [r for r in runs if r["workload"] == workload]
+        untraced = [r for r in own if not r["trace"]]
         by_pair = {}
         for r in untraced:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
@@ -114,8 +118,9 @@ def summarize(runs: list, spec: dict) -> dict:
             out[key] = {s: sum(r["result"][key] for r in untraced
                                if r["side"] == s and r["result"]) for s in SIDES}
         out["traced"] = {r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-                         for r in runs if r["workload"] == workload and r["trace"]
-                         and r["result"]}
+                         for r in own if r["trace"] and r["result"]}
+        out["runs_exited_nonzero"] = {s: sum(r["side"] == s and r["result"] is None
+                                             for r in own) for s in SIDES}
         summary[workload] = out
     return summary
 
