@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import (GridSpec, Image3D, _checked_payload, _real, _whole,
-                    sample_trilinear, trilinear_weights)
+from .grids import (GridSpec, Image3D, _checked_payload, _entries, _real,
+                    _whole, sample_trilinear, trilinear_weights)
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
@@ -47,10 +47,9 @@ class SdctGeometry:
         self.emitter_positions = np.asarray(self.emitter_positions, dtype=np.float64).reshape(-1, 3)
         self.detector_origin = np.asarray(self.detector_origin, dtype=np.float64).reshape(3)
         self.detector_axes = np.asarray(self.detector_axes, dtype=np.float64).reshape(2, 3)
-        self.detector_dims = tuple(_whole(self.detector_dims[i], "detector_dims")
-                                   for i in (0, 1))
-        self.detector_spacing = tuple(_real(self.detector_spacing[i], "detector_spacing")
-                                      for i in (0, 1))
+        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims")
+        self.detector_spacing = _entries(self.detector_spacing, 2, _real,
+                                         "detector_spacing")
 
         if self.n_emitters < 1:
             raise ValueError("n_emitters must be >= 1")
@@ -123,11 +122,11 @@ def build_sdct_geometry(n_emitters: int,
         raise ValueError("source_detector_distance must be positive")
 
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    wd, hd = (_whole(detector_dims[i], "detector_dims") for i in (0, 1))
-    pu, pv = (_real(detector_spacing[i], "detector_spacing") for i in (0, 1))
+    wd, hd = _entries(detector_dims, 2, _whole, "detector_dims")
+    pu, pv = _entries(detector_spacing, 2, _real, "detector_spacing")
     det_origin = np.array([-0.5 * (wd - 1) * pu, -0.5 * (hd - 1) * pv, 0.0])
 
-    center = np.array([float(line_offset[0]), float(line_offset[1]),
+    center = np.array([*_entries(line_offset, 2, _real, "line_offset"),
                        float(source_detector_distance)])
     if n_emitters == 1:
         positions = center[None, :]
@@ -160,8 +159,8 @@ class Image2D:
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(_whole(self.dims[i], "dims") for i in (0, 1))
-        self.spacing = tuple(_real(self.spacing[i], "spacing") for i in (0, 1))
+        self.dims = _entries(self.dims, 2, _whole, "dims")
+        self.spacing = _entries(self.spacing, 2, _real, "spacing")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):

@@ -25,11 +25,12 @@ import numpy as np
 _ALIGN_EPS = 1e-9
 
 
-def _tuple3(values, kind):
-    t = tuple(kind(v) for v in values)
-    if len(t) != 3:
-        raise ValueError(f"expected 3 entries, got {len(t)}")
-    return t
+def _entries(values, n: int, convert, name: str) -> tuple:
+    """``values`` as exactly ``n`` entries, each read by ``convert(v, name)``."""
+    t = tuple(values)
+    if len(t) != n:
+        raise ValueError(f"{name} must have {n} entries, got {len(t)}")
+    return tuple(convert(v, name) for v in t)
 
 
 def _whole(value, name: str = "a count") -> int:
@@ -62,9 +63,9 @@ class GridSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _tuple3(self.dims, lambda d: _whole(d, "dims")))
-        object.__setattr__(self, "spacing", _tuple3(self.spacing, lambda s: _real(s, "spacing")))
-        object.__setattr__(self, "origin", _tuple3(self.origin, lambda o: _real(o, "origin")))
+        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims"))
+        object.__setattr__(self, "spacing", _entries(self.spacing, 3, _real, "spacing"))
+        object.__setattr__(self, "origin", _entries(self.origin, 3, _real, "origin"))
         if any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be >= 1 per axis, got {self.dims}")
         if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):

@@ -320,7 +320,7 @@ def read_alpha(path: str) -> np.ndarray:
     vals = _load_json(path)
     if not isinstance(vals, list):
         raise ValueError("coefficient file must hold a JSON array of floats")
-    return np.asarray([float(v) for v in vals], dtype=np.float64)
+    return np.asarray([_real(v, "coefficient") for v in vals], dtype=np.float64)
 
 
 def write_report(path: str, report_dict: dict) -> None:

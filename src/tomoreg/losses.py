@@ -26,17 +26,19 @@ lam = 0, which skips the grid passes.
 
 A ``LossContext`` evaluates in two phases.  ``evaluate`` runs the value
 phase: the warp, the similarity (for sim2d the DRR forwards) and the
-diffusion energy.  It returns the total with a callable for the gradient
-phase: the interpolant derivative, the projection adjoints, the diffusion
-gradient and the chain rule.  The context itself keeps nothing between
+diffusion energy from one forward-difference pass.  It returns the total
+with a callable for the gradient phase: the interpolant derivative, the
+projection adjoints, the diffusion gradient from the same differences and
+the chain rule.  The context itself keeps nothing between
 evaluations.  Besides its inputs it holds the table of interpolation cells
 where the masked source has support, built once, so the warp gathers and
 blends only the sample points in those cells.  The callable holds its
 evaluation's state for as long as the caller keeps it: per sample point in
 a supported cell the eight gathered corners, three fractions, the two
 z-face planes of the interpolant and the point's index; the correlation
-terms, two floats per voxel (sim3d) or per detector pixel (sim2d); and the
-field itself.  On the benchmark scene 14-17 % of the points sit in
+terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
+lam > 0 the three forward-difference arrays, about 9 floats per voxel; and
+the field itself.  On the benchmark scene 14-17 % of the points sit in
 supported cells, so the warp's share is about 2 floats per voxel instead
 of 13.  A line search keeps the callable of each trial until the next one
 and calls it only for the trial it accepts, so each point a registration
@@ -129,27 +131,33 @@ def _forward_diffs(data: np.ndarray, spacing):
         yield ax, inv, np.diff(data, axis=ax) * inv
 
 
-def _diffusion_energy(data: np.ndarray, spacing) -> float:
-    """Mean squared Frobenius norm of forward-difference Jacobians."""
-    n = data.shape[0] * data.shape[1] * data.shape[2]
-    return sum(float(np.sum(d * d)) for _, _, d in _forward_diffs(data, spacing)) / n
+def _diffusion(data: np.ndarray, spacing):
+    """Mean squared Frobenius norm of forward-difference Jacobians, and a
+    zero-argument callable for its gradient with respect to ``data``.
 
+    One difference pass serves both: the callable keeps the three
+    difference arrays and builds a new gradient from them on each call.
+    """
+    shape = data.shape
+    n = shape[0] * shape[1] * shape[2]
+    diffs = list(_forward_diffs(data, spacing))
+    energy = sum(float(np.sum(d * d)) for _, _, d in diffs) / n
 
-def _diffusion_grad(data: np.ndarray, spacing) -> np.ndarray:
-    """Gradient of ``_diffusion_energy`` with respect to ``data``."""
-    n = data.shape[0] * data.shape[1] * data.shape[2]
-    grad = np.zeros_like(data)
-    for ax, inv, diff in _forward_diffs(data, spacing):
-        scaled = (2.0 / n) * inv * diff
-        head = (slice(None),) * ax
-        grad[head + (slice(1, None),)] += scaled
-        grad[head + (slice(0, -1),)] -= scaled
-    return grad
+    def grad():
+        g = np.zeros(shape)
+        for ax, inv, diff in diffs:
+            scaled = (2.0 / n) * inv * diff
+            head = (slice(None),) * ax
+            g[head + (slice(1, None),)] += scaled
+            g[head + (slice(0, -1),)] -= scaled
+        return g
+
+    return energy, grad
 
 
 def diffusion_energy(u: DisplacementField) -> float:
     """(1/|Omega|) sum of squared forward differences of u in 1/mm units."""
-    return _diffusion_energy(u.data.astype(np.float64, copy=False), u.spacing)
+    return _diffusion(u.data.astype(np.float64, copy=False), u.spacing)[0]
 
 
 def diffusion_quadratic(sub: DeformationSubspace):
@@ -281,16 +289,17 @@ class LossContext:
         warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u,
                                                       self._support)
         sim, sim_grad = self._similarity(warped)
-        lam, spacing = self.cfg.lam, self.grid.spacing
-        udata = u.data.astype(np.float64, copy=False)
+        lam = self.cfg.lam
         total = sim
         if lam:
-            total += lam * _diffusion_energy(udata, spacing)
+            energy, reg_grad = _diffusion(u.data.astype(np.float64, copy=False),
+                                          self.grid.spacing)
+            total += lam * energy
 
         def grad():
             g = sim_grad()[..., None] * warp_grad()
             if lam:
-                g += lam * _diffusion_grad(udata, spacing)
+                g += lam * reg_grad()
             return g
 
         return total, grad

@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _real, _whole, sample_displacement, warp_image)
+                    _entries, _real, _whole, sample_displacement, warp_image)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -72,15 +72,11 @@ class AcquisitionSpec:
         object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters"))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
-        for name in ("line_offset_mm", "detector_dims", "detector_spacing_mm"):
+        for name, convert in (("line_offset_mm", _real), ("detector_dims", _whole),
+                              ("detector_spacing_mm", _real)):
             value = getattr(self, name)
             if value is not None:
-                value = tuple(value)
-                if len(value) != 2:
-                    raise ValueError(f"{name} must have 2 entries, got {len(value)}")
-                if name == "detector_dims":
-                    value = tuple(_whole(d, name) for d in value)
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, _entries(value, 2, convert, name))
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,8 @@ class PhantomSpec:
     geometry: AcquisitionSpec = field(default_factory=AcquisitionSpec)
 
     def __post_init__(self):
-        for name in ("dims", "spacing"):
-            n = len(getattr(self, name))
-            if n != 3:
-                raise ValueError(f"{name} must have 3 entries, got {n}")
-        object.__setattr__(self, "dims", tuple(_whole(d, "dims") for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(_real(s, "spacing") for s in self.spacing))
+        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims"))
+        object.__setattr__(self, "spacing", _entries(self.spacing, 3, _real, "spacing"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         object.__setattr__(self, "n_vessels", _whole(self.n_vessels, "n_vessels"))
         if min(self.dims) < 16:

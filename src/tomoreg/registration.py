@@ -13,8 +13,12 @@ The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
 shrink factor 0.5).  It keeps the last 7 curvature pairs (s, y) with
 s.y > 0; the initial inverse Hessian is gamma times the driver's smoothing
-of the direction (the dense driver's Gaussian filter, the identity for the
-subspace drivers), gamma = s.y / y.y of the newest pair.  Two step rules:
+of the direction, gamma = s.y / y.y of the newest pair.  For the subspace
+drivers the smoothing is the identity.  For the dense driver it is a
+Gaussian filter of one voxel per axis with the "nearest" edge, applied as
+three small matrix products, one per axis: each matrix holds the 1-D
+filter's weights, built once per registration.  The two-loop recursion
+updates one work vector in place with BLAS axpys.  Two step rules:
 while no pair is stored the direction is steepest (or smoothed) descent
 and its first trial moves the field by one voxel RMS; once a pair is
 stored the first trial is the unit step.  No step size is
@@ -33,7 +37,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.ndimage import gaussian_filter1d
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import DisplacementField, GridSpec, Image3D, Mask3D
@@ -52,9 +57,9 @@ _TOL_LOSS = 1e-8
 # converged_grad: every gradient entry is below this in magnitude.  Being
 # positive, it keeps the descent direction non-zero with a negative slope.
 _TOL_GRAD = 1e-9
-# Gaussian filter of the dense descent direction: one voxel along each
-# axis, none across the three components
-_SMOOTH_SIGMA = (1.0, 1.0, 1.0, 0.0)
+# Gaussian filter of the dense descent direction, in voxels along each
+# axis; none across the three components
+_SMOOTH_SIGMA = 1.0
 
 
 class NumericalAbort(RuntimeError):
@@ -91,21 +96,22 @@ def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
 
     H0 is gamma * ``smooth`` (the identity when None), gamma = s.y / y.y of
     the newest pair, and 1 with no pair, so then the direction is -H0 g.
+    One work vector is updated in place by BLAS axpys, scaled by gamma and
+    negated, so no pair adds a temporary of the parameter's size.
     """
     q = grad.copy()
     coefs = []
     for s, y, sy in reversed(pairs):
-        a = float(s @ q) / sy
-        q -= a * y
+        a = ddot(s, q) / sy
+        q = daxpy(y, q, a=-a)
         coefs.append(a)
-    gamma = 1.0
+    r = q if smooth is None else smooth(q)
     if pairs:
         _, y, sy = pairs[-1]
-        gamma = sy / float(y @ y)
-    r = gamma * (q if smooth is None else smooth(q))
+        r = dscal(sy / ddot(y, y), r)
     for (s, y, sy), a in zip(pairs, reversed(coefs)):
-        r += (a - float(y @ r) / sy) * s
-    return -r
+        r = daxpy(s, r, a=a - ddot(y, r) / sy)
+    return np.negative(r, out=r)
 
 
 def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None,
@@ -274,10 +280,12 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                       opt_cfg: OptimConfig | None = None):
     """Free-form registration of a per-voxel displacement field.
 
-    A Gaussian filter (sigma of one voxel per axis), scaled by gamma, is
-    the initial inverse Hessian of the L-BFGS steps; the Armijo test still
-    uses the raw gradient's directional derivative so accepted steps always
-    descend.
+    A Gaussian filter (sigma of one voxel per axis, "nearest" edge), scaled
+    by gamma, is the initial inverse Hessian of the L-BFGS steps.  It is
+    applied as three small matrix products, one per axis, so it costs a
+    few BLAS calls instead of a pass of ``scipy.ndimage.gaussian_filter``
+    and equals that filter to rounding.  The Armijo test still uses the raw
+    gradient's directional derivative so accepted steps always descend.
     """
     ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
                       source, source_mask, target=target, target_mask=target_mask)
@@ -292,9 +300,17 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         loss, grad = ctx.evaluate(to_field(x))
         return loss, lambda: grad().reshape(-1)
 
+    # the filter along each axis as the matrix of its weights, the
+    # "nearest" edge folded in: K @ v filters v, so three small products
+    # filter the (W,H,D,3) direction
+    kx, ky, kz = (gaussian_filter1d(np.eye(n), _SMOOTH_SIGMA, axis=0, mode="nearest")
+                  for n in grid.dims)
+    nx, ny, nz = grid.dims
+
     def smooth(gflat):
-        return gaussian_filter(gflat.reshape(shape), _SMOOTH_SIGMA,
-                               mode="nearest").reshape(-1)
+        g = (kx @ gflat.reshape(nx, -1)).reshape(nx, ny, nz * 3)
+        g = np.matmul(ky, g).reshape(nx * ny, nz, 3)
+        return np.matmul(kz, g).reshape(-1)
 
     ctx.require_contrast()
     x, report = _minimize(objective, np.zeros(grid.n_voxels * 3), grid, opt_cfg,

@@ -111,12 +111,23 @@ def test_geometry_rejects_bad_angle_and_distance():
         build_sdct_geometry(3, 30.0, 100.0, detector_dims=(8.6, 8))
     with pytest.raises(ValueError, match="detector_spacing must be a real number"):
         build_sdct_geometry(3, 30.0, 100.0, detector_spacing=(1.0, "1.6"))
+    with pytest.raises(ValueError, match="line_offset must be a real number"):
+        build_sdct_geometry(3, 30.0, 100.0, line_offset=(True, "2.5"))
+    # two-entry fields take exactly two entries: a third is not dropped
+    for kwargs in (dict(detector_dims=(8, 8, 3)), dict(detector_spacing=(1.0, 1.0, 7.0)),
+                   dict(line_offset=(0.0, 0.0, 5.0)), dict(detector_dims=(8,))):
+        with pytest.raises(ValueError, match="must have 2 entries"):
+            build_sdct_geometry(3, 30.0, 100.0, **kwargs)
     geom = three_emitter_geometry()
     assert replace(geom, n_emitters=3.0, detector_dims=(40.0, 40)).allclose(geom)
     for kwargs in (dict(n_emitters=2.7), dict(detector_dims=(8.9, True)),
                    dict(detector_dims=(40, np.True_)),
                    dict(detector_spacing=(True, 1.8))):
         with pytest.raises(ValueError, match="must be a (whole|real) number"):
+            replace(geom, **kwargs)
+    for kwargs in (dict(detector_dims=(40, 40, 3)),
+                   dict(detector_spacing=(1.8, 1.8, 5.0))):
+        with pytest.raises(ValueError, match="must have 2 entries, got 3"):
             replace(geom, **kwargs)
 
 
@@ -310,6 +321,9 @@ def test_projection_set_validates_count_and_sign():
     for dims, spacing in (((4.7, 4), (1.0, 1.0)), ((4, True), (1.0, 1.0)),
                           ((4, 4), (True, 1.0)), ((4, 4), (1.0, "1.0"))):
         with pytest.raises(ValueError, match="must be a (whole|real) number"):
+            Image2D(dims, spacing, np.ones((4, 4)))
+    for dims, spacing in (((4, 4, 9), (1.0, 1.0)), ((4, 4), (1.0, 1.0, 5.0))):
+        with pytest.raises(ValueError, match="must have 2 entries, got 3"):
             Image2D(dims, spacing, np.ones((4, 4)))
 
 

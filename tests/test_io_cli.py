@@ -302,6 +302,11 @@ def test_alpha_and_report_json(tmp_path):
     (tmp_path / "notlist.json").write_text('{"a": 1}\n')
     with pytest.raises(ValueError):
         tio.read_alpha(str(tmp_path / "notlist.json"))
+    # booleans and numeric strings are not coefficients
+    for bad in ('[true, 0.5]', '[1.0, "0.5"]'):
+        (tmp_path / "bad.json").write_text(bad)
+        with pytest.raises(ValueError, match="coefficient must be a real number"):
+            tio.read_alpha(str(tmp_path / "bad.json"))
     rp = str(tmp_path / "r.json")
     tio.write_report(rp, {"b": 1.0, "a": [2, 3]})
     assert json.loads((tmp_path / "r.json").read_text()) == {"b": 1.0,
@@ -405,11 +410,14 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
     ({"spacing": [2.0, 2.0, 2.0, 2.0]}, "spacing must have 3 entries, got 4"),
     ({"spacing": [True, "2.0", 2.0]}, "spacing must be a real number, got True"),
+    ({"geometry": {"line_offset_mm": [True, "2.5"]}},
+     "line_offset_mm must be a real number, got True"),
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
         "fractional-vessels", "boolean-vessels", "fractional-emitters", "fractional-detector-dims",
-        "zero-step", "two-entry-dims", "four-entry-spacing", "boolean-spacing"])
+        "zero-step", "two-entry-dims", "four-entry-spacing", "boolean-spacing",
+        "boolean-offset"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
     """Rejected before anything is written, with or without samples to make."""
     path = tmp_path / "spec.json"
@@ -926,6 +934,21 @@ def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
     rc = main(["drr", "render", "--volume", str(tmp_path / "source.json"),
                "--geometry", str(tmp_path / "geometry.json"), "--out", str(op)])
     assert f"field '{field}'" in one_error_and_no_output(rc, capsys, op)
+
+
+@pytest.mark.parametrize("field, value", [("detector_dims", [8, 8, 3]),
+                                          ("detector_spacing", [1.6, 1.6, 7.0])])
+def test_a_geometry_pair_field_with_a_third_entry_exits_with_code_two(
+        dataset, tmp_path, capsys, field, value):
+    _, out = dataset
+    sd = sample_dir(out)
+    geom = json.loads((sd / "geometry.json").read_text())
+    geom[field] = value
+    (tmp_path / "geometry.json").write_text(json.dumps(geom))
+    op = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(sd / "source.json"),
+               "--geometry", str(tmp_path / "geometry.json"), "--out", str(op)])
+    assert f"{field} must have 2 entries, got 3" in one_error_and_no_output(rc, capsys, op)
 
 
 def test_projections_of_another_detector_pitch_exit_with_code_two(

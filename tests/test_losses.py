@@ -11,8 +11,8 @@ from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
                      GridSpec, Image2D, Image3D, LossConfig, Mask3D,
                      ProjectionSet, build_sdct_geometry, build_subspace,
                      diffusion_energy, ncc, reconstruct, zero_displacement)
-from tomoreg.losses import (LossContext, _diffusion_energy, _diffusion_grad,
-                            diffusion_quadratic, grad_alpha, grad_dense)
+from tomoreg.losses import (LossContext, _diffusion, diffusion_quadratic,
+                            grad_alpha, grad_dense)
 
 
 def ones_mask(dims, spacing, origin):
@@ -570,6 +570,21 @@ def test_registration_warps_each_evaluated_point_once(monkeypatch, pair32,
     assert losses[0] == grads[0] == 0
 
 
+def test_a_dense_registration_makes_one_difference_pass_per_evaluation(
+        monkeypatch, pair32):
+    """The value phase takes the forward differences and the accepted
+    trial's gradient callable reuses them, so no evaluation takes two."""
+    import tomoreg.losses
+    from tomoreg import OptimConfig, register_dense_3d
+    diffs = counting(monkeypatch, tomoreg.losses, "_forward_diffs")
+    evals = counting(monkeypatch, LossContext, "evaluate")
+    _, rep = register_dense_3d(pair32.source, pair32.target, pair32.source_mask,
+                               pair32.target_mask, LossConfig(0.1, "sim3d"),
+                               OptimConfig(max_iters=4))
+    assert rep.iterations == 4 and evals[0] > rep.iterations
+    assert diffs[0] == evals[0]
+
+
 def test_a_dropped_context_frees_its_kept_states_without_the_collector():
     """Kept states must not refer back to their context: a cycle would hold
     every finished registration's states until a garbage collection."""
@@ -610,9 +625,9 @@ def test_closed_form_regulariser_matches_the_grid_passes():
     for _ in range(5):
         alpha = 3.0 * rng.standard_normal(sub.n_components)
         u = reconstruct(sub, alpha).data
-        want = _diffusion_energy(u, spacing)
+        want, want_grad = _diffusion(u, spacing)
         assert c + (2.0 * b + G @ alpha) @ alpha == pytest.approx(want, rel=1e-12)
-        want_grad = sub.basis @ _diffusion_grad(u, spacing).reshape(-1)
+        want_grad = sub.basis @ want_grad().reshape(-1)
         assert np.max(np.abs(2.0 * (b + G @ alpha) - want_grad)) \
             <= 1e-12 * np.max(np.abs(want_grad))
 
@@ -649,14 +664,13 @@ def test_subspace_objective_is_the_total_loss_of_its_field(mode, pair32, sub32, 
 @pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
 def test_subspace_registration_makes_one_difference_pass(
         monkeypatch, mode, pair32, sub32, op32):
-    """One difference pass over the stacked fields and no energy or gradient
-    pass on the grid, however many iterations."""
+    """One difference pass over the stacked fields and no diffusion pass on
+    the grid, however many iterations."""
     import tomoreg.losses
     diffs = counting(monkeypatch, tomoreg.losses, "_forward_diffs")
-    energy = counting(monkeypatch, tomoreg.losses, "_diffusion_energy")
-    grads = counting(monkeypatch, tomoreg.losses, "_diffusion_grad")
+    grid_passes = counting(monkeypatch, tomoreg.losses, "_diffusion")
     for iters in (1, 5):
-        diffs[0] = energy[0] = grads[0] = 0
+        diffs[0] = grid_passes[0] = 0
         report = subspace_registration(mode, pair32, sub32, op32, 0.1, iters)[2]
         assert report.iterations == iters
-        assert (diffs[0], energy[0], grads[0]) == (1, 0, 0)
+        assert (diffs[0], grid_passes[0]) == (1, 0)

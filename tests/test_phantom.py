@@ -147,6 +147,10 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
      "detector_dims must have 2 entries, got 3"),
     ({"geometry": {"detector_spacing_mm": [2.0]}},
      "detector_spacing_mm must have 2 entries, got 1"),
+    ({"geometry": {"line_offset_mm": [True, "2.5"]}},
+     "line_offset_mm must be a real number, got True"),
+    ({"geometry": {"detector_spacing_mm": [2.0, "2.0"]}},
+     "detector_spacing_mm must be a real number, got '2.0'"),
     ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
     ({"spacing": [2.0, 2.0]}, "spacing must have 3 entries, got 2"),
 ], ids=["unknown-key", "unknown-geometry-key", "unknown-deformation-keys",
@@ -154,7 +158,8 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
         "infinite-seed", "string-modes", "fractional-modes", "fractional-dims",
         "fractional-seed", "fractional-vessels", "fractional-emitters",
         "fractional-detector-dims", "one-entry-offset", "three-detector-dims",
-        "one-entry-detector-spacing", "two-entry-dims", "two-entry-spacing"])
+        "one-entry-detector-spacing", "boolean-offset", "string-detector-spacing",
+        "two-entry-dims", "two-entry-spacing"])
 def test_spec_from_dict_rejects_unknown_keys_and_malformed_values(d, message):
     with pytest.raises(ValueError, match=message):
         PhantomSpec.from_dict(d)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 from conftest import SPEC32, zero_mean_subspace
 
 from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image2D,
@@ -334,6 +335,69 @@ def spy_directions(monkeypatch, points, replace_with=None):
 
     monkeypatch.setattr(registration, "_lbfgs_direction", recording)
     return calls
+
+
+def reference_direction(grad, pairs, smooth):
+    """The two-loop recursion written with temporaries, as in the textbook."""
+    q = grad.copy()
+    coefs = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q = q - a * y
+        coefs.append(a)
+    gamma = 1.0
+    if pairs:
+        _, y, sy = pairs[-1]
+        gamma = sy / float(y @ y)
+    r = gamma * (q if smooth is None else smooth(q))
+    for (s, y, sy), a in zip(pairs, reversed(coefs)):
+        r = r + (a - float(y @ r) / sy) * s
+    return -r
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 7])
+@pytest.mark.parametrize(
+    "smooth", [None, lambda v: np.convolve(v, [0.25, 0.5, 0.25], "same")],
+    ids=["identity", "filter"])
+def test_the_in_place_recursion_is_the_two_loop_recursion(n_pairs, smooth):
+    """The BLAS recursion gives the reference direction to rounding and
+    writes into neither the gradient nor the stored pairs."""
+    rng = np.random.default_rng(n_pairs)
+    n = 50
+    pairs = []
+    for _ in range(n_pairs):
+        s = rng.standard_normal(n)
+        y = s + 0.3 * rng.standard_normal(n)
+        pairs.append((s, y, float(s @ y)))
+    grad = rng.standard_normal(n)
+    kept = [grad.copy()] + [a.copy() for s, y, _ in pairs for a in (s, y)]
+    got = registration._lbfgs_direction(grad, pairs, smooth)
+    want = reference_direction(grad, pairs, smooth)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(kept, [grad] + [a for s, y, _ in pairs for a in (s, y)]))
+
+
+@pytest.mark.parametrize("dims, spacing", [((7, 5, 9), (0.7, 1.3, 2.1)),
+                                           ((3, 12, 2), (1.1, 0.6, 2.4))])
+def test_the_dense_initial_hessian_is_the_gaussian_filter(monkeypatch, dims, spacing):
+    """H0's three matrix products filter as the Gaussian of one voxel per
+    axis, none across components, with the "nearest" edge; on the second
+    grid two axes are shorter than the filter's 4-voxel radius."""
+    src, tgt, mask, _ = random_problem(dims, spacing, 2)
+    smooths = []
+    direction = registration._lbfgs_direction
+
+    def recording(grad, pairs, smooth):
+        smooths.append(smooth)
+        return direction(grad, pairs, smooth)
+
+    monkeypatch.setattr(registration, "_lbfgs_direction", recording)
+    register_dense_3d(src, tgt, mask, mask, opt_cfg=OptimConfig(max_iters=1))
+    g = np.random.default_rng(8).standard_normal(dims + (3,))
+    want = gaussian_filter(g, (1.0, 1.0, 1.0, 0.0), mode="nearest")
+    got = smooths[0](g.reshape(-1)).reshape(g.shape)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
 
 
 def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch):

@@ -6,7 +6,9 @@ code that does nothing.  ``__init__.py`` is skipped (its imports are the
 re-exported API, which ``__all__`` must list exactly), and so are names
 that start with ``_``, the convention for a value that is deliberately
 unused.  The test and tool scripts get the import check only: tuple
-unpacking there often binds names a test does not read.
+unpacking there often binds names a test does not read.  No module of
+``src/tomoreg`` imports from another package's private parts, such as
+``scipy.ndimage._filters``: those change without notice between releases.
 """
 import ast
 from pathlib import Path
@@ -57,10 +59,33 @@ def dead_locals(tree) -> list:
     return dead
 
 
+def _private(dotted: str) -> bool:
+    return any(part.startswith("_") for part in dotted.split("."))
+
+
+def private_imports(tree) -> list:
+    """Absolute imports of an underscore module or name of another package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if _private(a.name)]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module != "__future__"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if _private(f"{node.module}.{a.name}")]
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports_or_dead_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert (unused_imports(tree), dead_locals(tree)) == ([], [])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_public_third_party_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert private_imports(tree) == []
 
 
 @pytest.mark.parametrize("path", SCRIPTS,
@@ -83,6 +108,15 @@ def test_the_checks_see_what_they_look_for():
         "    return g\n")
     assert unused_imports(tree) == ["Any", "os"]
     assert dead_locals(tree) == [("f", "d")]
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy._core\n"
+        "from scipy.ndimage._filters import correlate1d\n"
+        "from scipy.ndimage import _ni_support, gaussian_filter1d\n"
+        "from scipy.linalg.blas import daxpy\n"
+        "from .grids import _real\n")
+    assert private_imports(tree) == ["numpy._core", "scipy.ndimage._filters.correlate1d",
+                                     "scipy.ndimage._ni_support"]
 
 
 def test_all_lists_exactly_the_names_the_package_imports():
