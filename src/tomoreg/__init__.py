@@ -11,9 +11,8 @@ evaluate with landmark, overlap and Jacobian metrics.
 from .grids import (GridSpec, Image3D, Mask3D, DisplacementField, Landmarks,
                     JacobianStats, zero_displacement, warp_image,
                     sample_displacement, jacobian_stats)
-from .geometry import (SdctGeometry, Image2D, ProjectionSet, LiftedVolume,
-                       DrrOperator, build_sdct_geometry, default_step_mm,
-                       lift3d)
+from .geometry import (SdctGeometry, ProjectionSet, LiftedVolume, DrrOperator,
+                       build_sdct_geometry, default_step_mm, lift3d)
 from .subspace import DeformationSubspace, build_subspace, project, reconstruct
 from .losses import (LossConfig, LossContext, ncc, diffusion_energy,
                      grad_alpha, grad_dense)
@@ -32,7 +31,7 @@ __all__ = [
     "GridSpec", "Image3D", "Mask3D", "DisplacementField", "Landmarks",
     "JacobianStats", "zero_displacement", "warp_image",
     "sample_displacement", "jacobian_stats",
-    "SdctGeometry", "Image2D", "ProjectionSet", "LiftedVolume", "DrrOperator",
+    "SdctGeometry", "ProjectionSet", "LiftedVolume", "DrrOperator",
     "build_sdct_geometry", "default_step_mm", "lift3d",
     "DeformationSubspace", "build_subspace", "project", "reconstruct",
     "LossConfig", "LossContext", "ncc", "diffusion_energy",

@@ -93,8 +93,8 @@ def _cmd_lift3d_export(args) -> int:
     projs = tio.read_projections(args.projections, geom)
     grid = tio.read_grid(args.grid_like)
     lifted = lift3d(projs, grid)
-    tio.write_volume_stack(args.out, grid, [ch.data for ch in lifted.channels],
-                           extra={"n_undefined": int(lifted.n_undefined)})
+    tio.write_volume_stack(args.out, grid, lifted.data,
+                           extra={"n_undefined": lifted.n_undefined})
     return 0
 
 

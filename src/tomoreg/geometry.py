@@ -114,6 +114,8 @@ def build_sdct_geometry(n_emitters: int,
     extreme emitters subtend ``span_angle_deg`` at the detector center.
     """
     n_emitters = _whole(n_emitters, "n_emitters")
+    span_angle_deg = _real(span_angle_deg, "span_angle_deg")
+    source_detector_distance = _real(source_detector_distance, "source_detector_distance")
     if n_emitters < 1:
         raise ValueError("n_emitters must be >= 1")
     if not (0.0 < span_angle_deg < 180.0):
@@ -127,7 +129,7 @@ def build_sdct_geometry(n_emitters: int,
     det_origin = np.array([-0.5 * (wd - 1) * pu, -0.5 * (hd - 1) * pv, 0.0])
 
     center = np.array([*_entries(line_offset, 2, _real, "line_offset"),
-                       float(source_detector_distance)])
+                       source_detector_distance])
     if n_emitters == 1:
         positions = center[None, :]
     else:
@@ -147,45 +149,28 @@ def build_sdct_geometry(n_emitters: int,
 
 
 # ---------------------------------------------------------------------------
-# 2D images
+# projections
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Image2D:
-    """Detector-plane image indexed data[iu, iv]."""
+class ProjectionSet:
+    """One detector image per emitter under a shared geometry, stacked.
 
-    dims: tuple[int, int]
-    spacing: tuple[float, float]
+    ``data[iu, iv, i]`` is pixel (iu, iv) of emitter i, so the shape is
+    ``detector_dims + (n_emitters,)``; dims and pixel pitch are the
+    geometry's.
+    """
+
+    geometry: SdctGeometry
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = _entries(self.dims, 2, _whole, "dims")
-        self.spacing = _entries(self.spacing, 2, _real, "spacing")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("dims must be >= 1")
-        if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        self.data = _checked_payload(self.data, 2, self.dims)
-
-
-@dataclass
-class ProjectionSet:
-    """One detector image per emitter under a shared geometry."""
-
-    geometry: SdctGeometry
-    images: list
-
-    def __post_init__(self):
-        if len(self.images) != self.geometry.n_emitters:
-            raise ValueError("projection count does not match n_emitters")
-        for im in self.images:
-            if im.dims != self.geometry.detector_dims:
-                raise ValueError("projection dims do not match detector_dims")
-            if np.max(np.abs(np.subtract(im.spacing, self.geometry.detector_spacing))) > _MATCH_TOL:
-                raise ValueError(f"projection spacing {im.spacing} does not match "
-                                 f"detector_spacing {self.geometry.detector_spacing}")
-            if np.any(im.data < 0.0):
-                raise ValueError("projection values must be >= 0")
+        self.data = _checked_payload(self.data, 3, self.geometry.detector_dims)
+        if self.data.shape[2] != self.geometry.n_emitters:
+            raise ValueError(f"projection count {self.data.shape[2]} does not match "
+                             f"n_emitters {self.geometry.n_emitters}")
+        if np.any(self.data < 0.0):
+            raise ValueError("projection values must be >= 0")
 
 
 def default_step_mm(spacing) -> float:
@@ -232,13 +217,13 @@ class DrrOperator:
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
                  step_mm: float | None = None):
-        if step_mm is None:
-            step_mm = default_step_mm(grid.spacing)
+        step_mm = (default_step_mm(grid.spacing) if step_mm is None
+                   else _real(step_mm, "step_mm"))
         if not np.isfinite(step_mm) or step_mm <= 0.0:
             raise ValueError(f"step_mm must be positive and finite, got {step_mm}")
         self.grid = grid
         self.geometry = geometry
-        self.step_mm = float(step_mm)
+        self.step_mm = step_mm
         self._mats: dict[int, sparse.csr_matrix] = {}
 
     def _mat(self, emitter_index: int) -> sparse.csr_matrix:
@@ -302,16 +287,13 @@ class DrrOperator:
         out = self._mat(emitter_index).T @ flat
         return out.reshape(self.grid.dims)
 
-    def render(self, vol: Image3D, emitter_index: int) -> Image2D:
+    def render_all(self, vol: Image3D) -> ProjectionSet:
+        """Every emitter's projection of ``vol``, stacked on the last axis."""
         if vol.grid != self.grid:
             raise ValueError("volume grid does not match the operator grid")
-        return Image2D(self.geometry.detector_dims,
-                       self.geometry.detector_spacing,
-                       self.forward(vol.data, emitter_index))
-
-    def render_all(self, vol: Image3D) -> ProjectionSet:
-        images = [self.render(vol, i) for i in range(self.geometry.n_emitters)]
-        return ProjectionSet(geometry=self.geometry, images=images)
+        return ProjectionSet(self.geometry, np.stack(
+            [self.forward(vol.data, i) for i in range(self.geometry.n_emitters)],
+            axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +302,10 @@ class DrrOperator:
 
 @dataclass
 class LiftedVolume:
-    """Per-emitter backprojected channels plus undefined-projection count."""
+    """Per-emitter backprojections on the target grid, ``data[x, y, z, i]``,
+    plus the count of voxel projections that were undefined."""
 
-    channels: list          # one Image3D per emitter
+    data: np.ndarray        # (W, H, D, n_emitters)
     n_undefined: int
 
 
@@ -344,7 +327,7 @@ def lift3d(projs: ProjectionSet, target_grid: GridSpec) -> LiftedVolume:
     pu, pv = geom.detector_spacing
     plane_off = float(geom.detector_origin @ normal)
 
-    channels = []
+    out = np.empty((pts.shape[0], geom.n_emitters))
     n_undef = 0
     for i in range(geom.n_emitters):
         c = geom.emitter_positions[i]
@@ -359,11 +342,8 @@ def lift3d(projs: ProjectionSet, target_grid: GridSpec) -> LiftedVolume:
         rel = hit - geom.detector_origin[None, :]
         gu = (rel @ geom.detector_axes[0]) / pu
         gv = (rel @ geom.detector_axes[1]) / pv
-        img = projs.images[i].data.astype(np.float64, copy=False)
+        img = projs.data[..., i].astype(np.float64)
         g = np.stack([gu, gv, np.zeros_like(gu)], axis=1)
-        vals = sample_trilinear(img[..., None], g)
-        vals = np.where(bad, 0.0, vals)
-        channels.append(Image3D(target_grid.dims, target_grid.spacing,
-                                target_grid.origin,
-                                vals.reshape(target_grid.dims)))
-    return LiftedVolume(channels=channels, n_undefined=n_undef)
+        out[:, i] = np.where(bad, 0.0, sample_trilinear(img[..., None], g))
+    return LiftedVolume(data=out.reshape(target_grid.dims + (geom.n_emitters,)),
+                        n_undefined=n_undef)

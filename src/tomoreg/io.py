@@ -21,9 +21,9 @@ import os
 
 import numpy as np
 
-from .geometry import Image2D, ProjectionSet, SdctGeometry
+from .geometry import _MATCH_TOL, ProjectionSet, SdctGeometry
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _real, _whole)
+                    _entries, _real, _whole)
 from .subspace import DeformationSubspace
 
 _GRID_KINDS = {Image3D: "volume", Mask3D: "mask", DisplacementField: "dvf"}
@@ -189,31 +189,35 @@ def read_grid(path: str):
     return GridSpec(dims, _field(h, "spacing", _floats), _field(h, "origin", _floats))
 
 
-def write_volume_stack(path: str, grid, arrays: list, extra: dict | None = None) -> None:
-    """Multi-channel scalar volume container (kind 'volume')."""
+def write_volume_stack(path: str, grid, data: np.ndarray,
+                       extra: dict | None = None) -> None:
+    """Multi-channel scalar volume container (kind 'volume') of a
+    (W, H, D, C) stack."""
     _write_payload(path, _header("volume", grid.dims, grid.spacing, grid.origin,
-                                 len(arrays), **(extra or {})),
-                   np.stack(arrays, axis=-1))
+                                 data.shape[3], **(extra or {})), data)
 
 
 def write_projections(path: str, projs: ProjectionSet) -> None:
     """All emitter images in one container, one channel per emitter."""
-    first = projs.images[0]
-    _write_payload(path, _header("image2d", first.dims, first.spacing, (0.0, 0.0),
-                                 len(projs.images)),
-                   np.stack([im.data for im in projs.images], axis=-1))
+    geom = projs.geometry
+    _write_payload(path, _header("image2d", geom.detector_dims, geom.detector_spacing,
+                                 (0.0, 0.0), geom.n_emitters), projs.data)
 
 
 def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
+    """The stack in ``path``, whose dims, pixel pitch and channel count must
+    be the detector's and the emitter count of ``geometry``."""
     h, data = _read_payload(path, "image2d")
     dims = h["dims"]
-    spacing = _field(h, "spacing", _floats)
+    spacing = _field(h, "spacing", lambda v: _entries(v, 2, _real, "spacing"))
     _require(h["channels"] == geometry.n_emitters, "channels",
              f"{h['channels']} images for {geometry.n_emitters} emitters")
-    _require(dims == tuple(geometry.detector_dims), "dims",
-             f"image dims {dims} vs geometry detector_dims {tuple(geometry.detector_dims)}")
-    images = [Image2D(dims, spacing, data[..., i]) for i in range(h["channels"])]
-    return ProjectionSet(geometry=geometry, images=images)
+    _require(dims == geometry.detector_dims, "dims",
+             f"image dims {dims} vs geometry detector_dims {geometry.detector_dims}")
+    _require(np.all(np.abs(np.subtract(spacing, geometry.detector_spacing)) <= _MATCH_TOL),
+             "spacing", f"projection spacing {spacing} does not match "
+                        f"detector_spacing {geometry.detector_spacing}")
+    return ProjectionSet(geometry, data)
 
 
 def write_subspace(path: str, sub: DeformationSubspace) -> None:
@@ -242,7 +246,7 @@ def read_subspace(path: str) -> DeformationSubspace:
         mean=fields[0].reshape(dims + (3,)),
         basis=fields[1:].reshape(n_comp, 3 * fields.shape[1]),
         singular_values=_field(h, "singular_values", _floats),
-        variance_fraction=_field(h, "variance_fraction", float),
+        variance_fraction=_field(h, "variance_fraction", _real),
     )
 
 

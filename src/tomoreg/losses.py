@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DrrOperator, ProjectionSet
-from .grids import (DisplacementField, Image3D, Mask3D, _cell_support,
+from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _real,
                     warp_scalar_with_gradient)
 from .subspace import DeformationSubspace, reconstruct
 
@@ -67,6 +67,7 @@ class LossConfig:
     loss_mode: str = "sim3d"
 
     def __post_init__(self):
+        self.lam = _real(self.lam, "lam")
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lam must be finite and >= 0")
         if self.loss_mode not in LOSS_MODES:
@@ -80,7 +81,7 @@ class LossConfig:
 def ncc(a, b) -> float:
     """Pearson correlation over all elements; constant input gives 0.
 
-    Accepts Image3D/Image2D/ndarray operands of identical shape.  An
+    Accepts Image3D or ndarray operands of identical shape.  An
     exactly constant operand makes the correlation undefined; it is
     defined as 0 here and a RuntimeWarning is emitted.
     """
@@ -210,7 +211,7 @@ class LossContext:
                 raise ValueError("target grids must match the source grid")
             self.drr_op = None
             fixed = target.data.astype(np.float64) * target_mask.data
-            self._measured = [fixed.reshape(-1)]
+            self._measured = fixed.reshape(1, -1)
         else:
             if projections is None:
                 raise ValueError("sim2d needs a projection set")
@@ -222,8 +223,9 @@ class LossContext:
                 if not drr_op.geometry.allclose(projections.geometry):
                     raise ValueError("projection operator geometry does not match projections")
             self.drr_op = drr_op
-            self._measured = [im.data.astype(np.float64).reshape(-1)
-                              for im in projections.images]
+            # one contiguous row per emitter
+            self._measured = np.moveaxis(projections.data, -1, 0).reshape(
+                projections.geometry.n_emitters, -1).astype(np.float64)
 
     def require_contrast(self):
         """Reject inputs whose correlation is undefined at every field."""

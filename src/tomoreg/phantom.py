@@ -51,6 +51,8 @@ class DeformationSpec:
         if not np.isfinite(self.n_modes) or self.n_modes < 1:
             raise ValueError("n_modes must be finite and >= 1")
         object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes"))
+        for name in ("magnitude_mm", "smoothness_sigma_voxels"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not np.isfinite(self.magnitude_mm) or self.magnitude_mm < 0.0:
             raise ValueError("magnitude_mm must be finite and >= 0")
         if (not np.isfinite(self.smoothness_sigma_voxels)
@@ -70,6 +72,10 @@ class AcquisitionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters"))
+        for name in ("span_angle_deg", "source_detector_distance_mm", "step_mm"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _real(value, name))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
         for name, convert in (("line_offset_mm", _real), ("detector_dims", _whole),
@@ -396,10 +402,8 @@ def make_pair(spec: PhantomSpec, seed: int,
     else:
         if drr_op.grid != grid_for(spec) or not drr_op.geometry.allclose(geom):
             raise ValueError("provided projection operator does not match the spec")
-    images = [drr_op.render(target, i) for i in range(geom.n_emitters)]
-    images = [type(im)(im.dims, im.spacing, im.data.astype(np.float32))
-              for im in images]
-    projections = ProjectionSet(geometry=drr_op.geometry, images=images)
+    projections = ProjectionSet(drr_op.geometry,
+                                drr_op.render_all(target).data.astype(np.float32))
 
     return PhantomPair(source=source, target=target, source_mask=source_mask,
                        target_mask=target_mask, projections=projections,

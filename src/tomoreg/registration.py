@@ -41,7 +41,7 @@ from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.ndimage import gaussian_filter1d
 
 from .geometry import DrrOperator, ProjectionSet
-from .grids import DisplacementField, GridSpec, Image3D, Mask3D
+from .grids import DisplacementField, GridSpec, Image3D, Mask3D, _whole
 from .losses import LossConfig, LossContext, diffusion_quadratic
 from .subspace import DeformationSubspace, reconstruct
 
@@ -71,6 +71,7 @@ class OptimConfig:
     max_iters: int = 200
 
     def __post_init__(self):
+        self.max_iters = _whole(self.max_iters, "max_iters")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
 

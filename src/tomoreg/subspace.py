@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .grids import DisplacementField, GridContainer
+from .grids import DisplacementField, GridContainer, _real
 
 # singular values at or below this fraction of the largest are rank noise
 _RANK_RTOL = 1e-10
@@ -40,10 +40,16 @@ class DeformationSubspace(GridContainer):
         self.basis = np.ascontiguousarray(self.basis, dtype=np.float64).reshape(
             -1, self.grid.n_voxels * 3)
         self.singular_values = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
+        self.variance_fraction = _real(self.variance_fraction, "variance_fraction")
+        if not 0.0 < self.variance_fraction <= 1.0:
+            raise ValueError(f"variance_fraction must lie in (0, 1], "
+                             f"got {self.variance_fraction}")
         if self.mean.shape != self.dims + (3,):
             raise ValueError("mean field shape does not match grid dims")
         if self.singular_values.shape[0] != self.basis.shape[0]:
             raise ValueError("one singular value per basis vector required")
+        if not np.all(np.isfinite(self.singular_values)):
+            raise ValueError("singular values must be finite")
         if np.any(np.diff(self.singular_values) > 0.0):
             raise ValueError("singular values must be non-increasing")
 

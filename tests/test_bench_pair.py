@@ -90,6 +90,31 @@ def test_a_run_that_exited_nonzero_is_counted_not_just_dropped(bench_pair):
     assert summary["runs_exited_nonzero"] == {"parent": 0, "change": 1}
 
 
+def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path):
+    """Every change run of dense3d exited non-zero: its statistics are null
+    and its flags false, and proj2d's record is kept as before."""
+    runs = canned_runs(bench_pair)
+    broken = [{**r, "workload": "dense3d"} for r in runs]
+    broken = [{**r, "returncode": 1, "result": None, "environment": None}
+              if r["side"] == "change" else r for r in broken]
+    doc = bench_pair.record(runs + broken, SPEC, "abc1234",
+                            {"proj2d": [1] * 4, "dense3d": [1] * 4}, 1)
+    bench_pair.write_record(tmp_path / "BENCH_smoke.json", doc)
+    back = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    summary = back["summary"]
+    assert summary["proj2d"] == bench_pair.summarize(runs, SPEC)["proj2d"]
+    for name in ("register_s", "iterations"):
+        metric = summary["dense3d"][name]
+        for side in ("parent", "change"):
+            assert metric[side] == {"median": None, "q1": None, "q3": None,
+                                    "iqr": None, "n": 0}
+        assert metric["change_over_parent"] is None
+        assert (metric["pairs_change_lower"], metric["pairs_change_higher"],
+                metric["pairs_tied"]) == (0, 0, 0)
+        assert (metric["gain_shown"], metric["within_bound"]) == (False, False)
+    assert summary["dense3d"]["runs_exited_nonzero"] == {"parent": 0, "change": 5}
+
+
 def scaled_change(runs, factor):
     """The canned runs with every untraced change register_s times factor."""
     out = json.loads(json.dumps(runs))

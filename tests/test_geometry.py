@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import SPEC32
 
-from tomoreg import (DrrOperator, GridSpec, Image2D, Image3D, LossConfig,
+from tomoreg import (DrrOperator, GridSpec, Image3D, LossConfig,
                      Mask3D, ProjectionSet, SdctGeometry, build_sdct_geometry,
                      geometry_for, grid_for, lift3d, make_pair, step_for)
 from tomoreg.grids import sample_trilinear
@@ -140,11 +140,11 @@ def test_geometry_rejects_emitters_on_the_detector_plane():
 
 
 def test_detector_and_image_spacing_must_be_positive_and_finite():
+    # a projection stack has no spacing of its own: its pixel pitch is the
+    # detector's
     for bad in ((np.nan, 2.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)):
         with pytest.raises(ValueError, match="detector_spacing must be positive and finite"):
             replace(three_emitter_geometry(), detector_spacing=bad)
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
-            Image2D((8, 8), bad, np.zeros((8, 8)))
 
 
 def test_detector_axes_must_be_orthonormal():
@@ -162,8 +162,8 @@ def test_detector_axes_must_be_orthonormal():
 def test_zero_volume_renders_zero_image():
     geom = three_emitter_geometry()
     vol = Image3D(DIMS, SPACING, ORIGIN, np.zeros(DIMS))
-    img = DrrOperator(vol.grid, geom, 0.75).render(vol, 1)
-    assert_array_equal(img.data, np.zeros(geom.detector_dims))
+    projs = DrrOperator(vol.grid, geom, 0.75).render_all(vol)
+    assert_array_equal(projs.data, np.zeros(geom.detector_dims + (3,)))
 
 
 def test_central_ray_through_unit_cube_integrates_chord_length():
@@ -173,8 +173,8 @@ def test_central_ray_through_unit_cube_integrates_chord_length():
     vol = Image3D(dims, sp, org, np.ones(dims))
     geom = build_sdct_geometry(1, 10.0, 2000.0, detector_dims=(9, 9),
                                detector_spacing=(2.0, 2.0))
-    img = DrrOperator(vol.grid, geom, 0.5).render(vol, 0)
-    center = img.data[4, 4]
+    img = DrrOperator(vol.grid, geom, 0.5).forward(vol.data, 0)
+    center = img[4, 4]
     assert abs(center - 16.0) < 2.0 * 0.5
 
 
@@ -185,9 +185,9 @@ def test_impulse_projects_within_one_pixel_of_the_closed_form():
     vol = Image3D(DIMS, SPACING, ORIGIN, data)
     voxel_world = GRID.voxel_centers()[9, 11, 7]
     for ei in range(3):
-        img = DrrOperator(vol.grid, geom, 0.75).render(vol, ei)
+        img = DrrOperator(vol.grid, geom, 0.75).forward(vol.data, ei)
         pu, pv = project_point(geom, ei, voxel_world)
-        nz = np.argwhere(img.data > 1e-9)
+        nz = np.argwhere(img > 1e-9)
         assert nz.size > 0
         assert np.abs(nz[:, 0] - pu).max() <= 1.0
         assert np.abs(nz[:, 1] - pv).max() <= 1.0
@@ -200,8 +200,8 @@ def test_render_is_linear_in_the_volume():
     v2 = Image3D(DIMS, SPACING, ORIGIN, rng.random(DIMS))
     comb = Image3D(DIMS, SPACING, ORIGIN, 2.5 * v1.data - 0.7 * v2.data)
     op = DrrOperator(GRID, geom, 0.75)
-    got = op.render(comb, 1).data
-    want = 2.5 * op.render(v1, 1).data - 0.7 * op.render(v2, 1).data
+    got = op.forward(comb.data, 1)
+    want = 2.5 * op.forward(v1.data, 1) - 0.7 * op.forward(v2.data, 1)
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel < 1e-6
 
@@ -210,8 +210,8 @@ def test_halved_step_changes_pixels_less_than_one_sample():
     geom = three_emitter_geometry()
     rng = np.random.default_rng(0)
     vol = Image3D(DIMS, SPACING, ORIGIN, np.abs(rng.standard_normal(DIMS)))
-    coarse = DrrOperator(GRID, geom, 1.5).render(vol, 0).data
-    fine = DrrOperator(GRID, geom, 0.75).render(vol, 0).data
+    coarse = DrrOperator(GRID, geom, 1.5).forward(vol.data, 0)
+    fine = DrrOperator(GRID, geom, 0.75).forward(vol.data, 0)
     assert np.abs(coarse - fine).max() < 1.5 * vol.data.max()
 
 
@@ -219,10 +219,16 @@ def test_render_rejects_bad_emitter_index_and_step():
     geom = three_emitter_geometry()
     vol = Image3D(DIMS, SPACING, ORIGIN, np.ones(DIMS))
     with pytest.raises((IndexError, ValueError)):
-        DrrOperator(vol.grid, geom, 0.75).render(vol, 3)
+        DrrOperator(vol.grid, geom, 0.75).forward(vol.data, 3)
     for step in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step_mm must be positive and finite"):
-            DrrOperator(vol.grid, geom, step).render(vol, 0)
+            DrrOperator(vol.grid, geom, step).forward(vol.data, 0)
+    for step in (True, "1"):
+        with pytest.raises(ValueError, match="step_mm must be a real number"):
+            DrrOperator(vol.grid, geom, step)
+    other = Image3D(DIMS, SPACING, (0.0, 0.0, 40.0), np.ones(DIMS))
+    with pytest.raises(ValueError, match="volume grid does not match the operator grid"):
+        DrrOperator(vol.grid, geom, 0.75).render_all(other)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +238,8 @@ def test_render_rejects_bad_emitter_index_and_step():
 def test_constant_image_backprojects_to_its_value_inside_the_frustum():
     geom = build_sdct_geometry(1, 20.0, 400.0, detector_dims=(40, 40),
                                detector_spacing=(1.8, 1.8))
-    img = Image2D((40, 40), (1.8, 1.8), np.full((40, 40), 7.25))
-    lifted = lift3d(ProjectionSet(geom, [img]), GRID)
-    ch = lifted.channels[0].data
+    lifted = lift3d(ProjectionSet(geom, np.full((40, 40, 1), 7.25)), GRID)
+    ch = lifted.data[..., 0]
     inside = ch != 0.0
     assert inside.any()
     assert_allclose(ch[inside], 7.25, rtol=1e-12)
@@ -242,13 +247,12 @@ def test_constant_image_backprojects_to_its_value_inside_the_frustum():
 
 def test_impulse_pixel_lifts_to_a_one_pixel_tube():
     geom = three_emitter_geometry()
-    pix = np.zeros((40, 40))
+    pix = np.zeros((40, 40, 3))
     iu, iv = 17, 23
-    pix[iu, iv] = 1.0
-    images = [Image2D((40, 40), (1.8, 1.8),
-                      pix if i == 1 else np.zeros((40, 40))) for i in range(3)]
-    lifted = lift3d(ProjectionSet(geom, images), GRID)
-    nz = np.argwhere(lifted.channels[1].data > 1e-9)
+    pix[iu, iv, 1] = 1.0
+    lifted = lift3d(ProjectionSet(geom, pix), GRID)
+    assert lifted.data.shape == DIMS + (3,)
+    nz = np.argwhere(lifted.data[..., 1] > 1e-9)
     assert nz.size > 0
     # bilinear pickup is supported within one pixel of the impulse, so every
     # nonzero voxel must project there; that is the tube membership test
@@ -256,8 +260,8 @@ def test_impulse_pixel_lifts_to_a_one_pixel_tube():
     for p in world:
         pu, pv = project_point(geom, 1, p)
         assert max(abs(pu - iu), abs(pv - iv)) < 1.0 + 1e-9
-    assert_array_equal(lifted.channels[0].data, np.zeros(DIMS))
-    assert_array_equal(lifted.channels[2].data, np.zeros(DIMS))
+    assert_array_equal(lifted.data[..., 0], np.zeros(DIMS))
+    assert_array_equal(lifted.data[..., 2], np.zeros(DIMS))
 
 
 def test_render_then_lift_keeps_the_impulse_voxel_positive():
@@ -269,7 +273,7 @@ def test_render_then_lift_keeps_the_impulse_voxel_positive():
     lifted = lift3d(projs, GRID)
     voxel_world = GRID.voxel_centers()[9, 11, 7]
     for ei in range(3):
-        ch = lifted.channels[ei].data
+        ch = lifted.data[..., ei]
         assert ch[9, 11, 7] > 0.0
         # the channel maximum lies on (or within a voxel of) the emitter ray
         mx = np.unravel_index(np.argmax(ch), ch.shape)
@@ -284,16 +288,12 @@ def test_render_then_lift_keeps_the_impulse_voxel_positive():
 def test_lift_is_linear_in_projection_intensities():
     geom = three_emitter_geometry()
     rng = np.random.default_rng(2)
-    a = [Image2D((40, 40), (1.8, 1.8), rng.random((40, 40))) for _ in range(3)]
-    b = [Image2D((40, 40), (1.8, 1.8), rng.random((40, 40))) for _ in range(3)]
-    comb = [Image2D((40, 40), (1.8, 1.8), 1.5 * x.data + 0.25 * y.data)
-            for x, y in zip(a, b)]
+    a = rng.random((40, 40, 3))
+    b = rng.random((40, 40, 3))
     la = lift3d(ProjectionSet(geom, a), GRID)
     lb = lift3d(ProjectionSet(geom, b), GRID)
-    lc = lift3d(ProjectionSet(geom, comb), GRID)
-    for ch_a, ch_b, ch_c in zip(la.channels, lb.channels, lc.channels):
-        assert_allclose(ch_c.data, 1.5 * ch_a.data + 0.25 * ch_b.data,
-                        atol=1e-12)
+    lc = lift3d(ProjectionSet(geom, 1.5 * a + 0.25 * b), GRID)
+    assert_allclose(lc.data, 1.5 * la.data + 0.25 * lb.data, atol=1e-12)
 
 
 def test_voxel_at_the_emitter_is_zeroed_and_counted():
@@ -302,29 +302,30 @@ def test_voxel_at_the_emitter_is_zeroed_and_counted():
     emitter = geom.emitter_positions[0]
     grid = GridSpec((3, 3, 3), (1.0, 1.0, 1.0),
                     tuple(emitter - np.array([1.0, 1.0, 1.0])))
-    img = Image2D((12, 12), (2.0, 2.0), np.ones((12, 12)))
-    lifted = lift3d(ProjectionSet(geom, [img]), grid)
+    lifted = lift3d(ProjectionSet(geom, np.ones((12, 12, 1))), grid)
     assert lifted.n_undefined >= 1
-    assert lifted.channels[0].data[1, 1, 1] == 0.0
+    assert lifted.data[1, 1, 1, 0] == 0.0
 
 
 def test_projection_set_validates_count_and_sign():
     geom = three_emitter_geometry()
-    img = Image2D((40, 40), (1.8, 1.8), np.ones((40, 40)))
-    with pytest.raises(ValueError):
-        ProjectionSet(geom, [img, img])
-    with pytest.raises(ValueError):
-        ProjectionSet(geom, [img, img,
-                             Image2D((40, 40), (1.8, 1.8),
-                                     -np.ones((40, 40)))])
-    assert Image2D((4.0, 4), (1.0, 1.0), np.ones((4, 4))).dims == (4, 4)
-    for dims, spacing in (((4.7, 4), (1.0, 1.0)), ((4, True), (1.0, 1.0)),
-                          ((4, 4), (True, 1.0)), ((4, 4), (1.0, "1.0"))):
-        with pytest.raises(ValueError, match="must be a (whole|real) number"):
-            Image2D(dims, spacing, np.ones((4, 4)))
-    for dims, spacing in (((4, 4, 9), (1.0, 1.0)), ((4, 4), (1.0, 1.0, 5.0))):
-        with pytest.raises(ValueError, match="must have 2 entries, got 3"):
-            Image2D(dims, spacing, np.ones((4, 4)))
+    ones = np.ones((40, 40, 3))
+    assert ProjectionSet(geom, ones).data.shape == (40, 40, 3)
+    with pytest.raises(ValueError, match="projection count 2 does not match n_emitters 3"):
+        ProjectionSet(geom, ones[..., :2])
+    negative = ones.copy()
+    negative[..., 2] = -1.0
+    with pytest.raises(ValueError, match="projection values must be >= 0"):
+        ProjectionSet(geom, negative)
+    # the stack's leading axes are the detector's dims, whatever its count
+    for data in (np.ones((39, 40, 3)), np.ones((40, 41, 2))):
+        with pytest.raises(ValueError, match="does not match dims"):
+            ProjectionSet(geom, data)
+    for data, message in ((np.ones((40, 40)), "data must have 3 axes, got 2"),
+                          (np.ones((40, 40, 3), dtype=np.int64), "float array"),
+                          (np.full((40, 40, 3), np.nan), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            ProjectionSet(geom, data)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +395,7 @@ def test_a_geometry_2e_3_mm_off_is_another_geometry():
     op = DrrOperator(grid_for(SPEC32), deeper, step_for(SPEC32))
     grid = op.grid
     ones = np.ones(grid.dims)
-    projs = ProjectionSet(geom, [Image2D(geom.detector_dims, geom.detector_spacing,
-                                         np.ones(geom.detector_dims))] * geom.n_emitters)
+    projs = ProjectionSet(geom, np.ones(geom.detector_dims + (geom.n_emitters,)))
     with pytest.raises(ValueError, match="geometry does not match projections"):
         LossContext(LossConfig(loss_mode="sim2d"),
                     Image3D(grid.dims, grid.spacing, grid.origin, ones),
@@ -457,13 +457,14 @@ def reference_bilinear_pixels(data, gu, gv):
 def test_lift_matches_the_masked_bilinear_reference(scene):
     grid, geom, _, seed = scene
     rng = np.random.default_rng(seed)
-    images = [Image2D(geom.detector_dims, geom.detector_spacing,
-                      rng.random(geom.detector_dims)) for _ in range(geom.n_emitters)]
+    images = rng.random(geom.detector_dims + (geom.n_emitters,))
     lifted = lift3d(ProjectionSet(geom, images), grid)
     assert lifted.n_undefined == 0
+    assert lifted.data.shape == grid.dims + (geom.n_emitters,)
     centers = grid.voxel_centers().reshape(-1, 3)
-    for i, (img, ch) in enumerate(zip(images, lifted.channels)):
+    for i in range(geom.n_emitters):
+        img = images[..., i]
         gu, gv = project_point(geom, i, centers)
-        want = reference_bilinear_pixels(img.data, gu, gv).reshape(grid.dims)
+        want = reference_bilinear_pixels(img, gu, gv).reshape(grid.dims)
         # rounding, and fractions within 1e-9 of a pixel that the lift snaps
-        assert_allclose(ch.data, want, rtol=0.0, atol=2e-9 * img.data.max())
+        assert_allclose(lifted.data[..., i], want, rtol=0.0, atol=2e-9 * img.max())

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomoreg import (DisplacementField, DrrOperator, GridSpec, Image2D,
+from tomoreg import (DisplacementField, DrrOperator, GridSpec,
                      DeformationSubspace, Image3D, Landmarks, Mask3D,
                      OptimConfig, ProjectionSet,
                      build_sdct_geometry, build_subspace, gen_smooth_dvf,
@@ -107,14 +107,27 @@ def test_projection_round_trip_and_geometry_checks(tmp_path):
     rng = np.random.default_rng(4)
     geom = build_sdct_geometry(3, 25.0, 300.0, detector_dims=(8, 7),
                                detector_spacing=(2.0, 2.5))
-    images = [Image2D((8, 7), (2.0, 2.5), rng.random((8, 7)).astype(np.float32))
-              for _ in range(3)]
-    projs = ProjectionSet(geom, images)
+    projs = ProjectionSet(geom, rng.random((8, 7, 3)).astype(np.float32))
     p = str(tmp_path / "p.json")
     tio.write_projections(p, projs)
     back = tio.read_projections(p, geom)
-    for a, b in zip(back.images, images):
-        assert np.array_equal(a.data, b.data)
+    assert same_bits(back.data, projs.data)
+    header = json.loads((tmp_path / "p.json").read_text())
+    assert (header["dims"], header["spacing"], header["channels"]) == ([8, 7], [2.0, 2.5], 3)
+
+    # the header's pixel pitch must be the detector's within 1e-9 mm
+    for spacing, ok in (([2.0, 2.5 + 1e-10], True), ([2.0, 2.5 + 2e-3], False),
+                        ([float("nan"), 2.5], False)):
+        (tmp_path / "p.json").write_text(json.dumps({**header, "spacing": spacing}))
+        if ok:
+            assert same_bits(tio.read_projections(p, geom).data, projs.data)
+        else:
+            with pytest.raises(ValueError, match="does not match detector_spacing"):
+                tio.read_projections(p, geom)
+    (tmp_path / "p.json").write_text(json.dumps({**header, "spacing": [2.0, 2.5, 1.0]}))
+    with pytest.raises(ValueError, match="spacing must have 2 entries, got 3"):
+        tio.read_projections(p, geom)
+    tio.write_projections(p, projs)
 
     wrong_count = build_sdct_geometry(2, 25.0, 300.0, detector_dims=(8, 7),
                                       detector_spacing=(2.0, 2.5))
@@ -202,13 +215,13 @@ def test_every_container_kind_round_trips_bitwise(case, channels, n_comp):
     geom = build_sdct_geometry(channels, 25.0, 300.0, detector_dims=dims2,
                                detector_spacing=spacing2)
 
-    def write_stack(p, arrays):
-        tio.write_volume_stack(p, grid, arrays, extra={"n_undefined": 3})
+    def write_stack(p, data):
+        tio.write_volume_stack(p, grid, data, extra={"n_undefined": 3})
 
     def read_stack(p):
         h, data = tio._read_payload(p, "volume")
         assert h["n_undefined"] == 3 and tio.read_grid(p) == grid
-        return [data[..., i] for i in range(h["channels"])]
+        return data
 
     kinds = {
         "volume": (tio.write_image3d, tio.read_image3d,
@@ -219,11 +232,10 @@ def test_every_container_kind_round_trips_bitwise(case, channels, n_comp):
         "dvf": (tio.write_dvf, tio.read_dvf,
                 DisplacementField(grid.dims, grid.spacing, grid.origin,
                                   f32(*grid.dims, 3))),
-        "stack": (write_stack, read_stack, [f32(*grid.dims) for _ in range(channels)]),
+        "stack": (write_stack, read_stack, f32(*grid.dims, channels)),
         "projections": (
             tio.write_projections, lambda p: tio.read_projections(p, geom),
-            ProjectionSet(geom, [Image2D(dims2, spacing2, np.abs(f32(*dims2)))
-                                 for _ in range(channels)])),
+            ProjectionSet(geom, np.abs(f32(*dims2, channels)))),
         # float32 values, so the float64 arrays survive the float32 payload
         "subspace": (tio.write_subspace, tio.read_subspace, DeformationSubspace(
             grid.dims, grid.spacing, grid.origin, f32(*grid.dims, 3).astype(np.float64),
@@ -236,12 +248,9 @@ def test_every_container_kind_round_trips_bitwise(case, channels, n_comp):
             write(p1, obj)
             back = read(p1)
             if kind == "stack":
-                assert len(back) == channels
-                assert all(same_bits(a, b) for a, b in zip(back, obj))
+                assert same_bits(back, obj)
             elif kind == "projections":
-                assert len(back.images) == channels
-                assert all(same_bits(a.data, b.data) and a.spacing == b.spacing
-                           for a, b in zip(back.images, obj.images))
+                assert back.geometry is geom and same_bits(back.data, obj.data)
             elif kind == "subspace":
                 assert back.grid == grid and back.n_components == n_comp
                 assert same_bits(back.mean, obj.mean) and same_bits(back.basis, obj.basis)
@@ -356,7 +365,7 @@ def test_dataset_manifest_and_members_reload_cleanly(dataset):
     lm_s = tio.read_landmarks(str(sd / "landmarks_source.csv"))
     lm_t = tio.read_landmarks(str(sd / "landmarks_target.csv"))
     assert src.grid == u_true.grid
-    assert len(projs.images) == geom.n_emitters
+    assert projs.data.shape == geom.detector_dims + (geom.n_emitters,)
     assert mtre(u_true, lm_s, lm_t) < 1e-3
     before = mtre(zero_displacement(u_true.grid), lm_s, lm_t)
     assert before > 1.0
@@ -412,12 +421,26 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     ({"spacing": [True, "2.0", 2.0]}, "spacing must be a real number, got True"),
     ({"geometry": {"line_offset_mm": [True, "2.5"]}},
      "line_offset_mm must be a real number, got True"),
+    ({"geometry": {"step_mm": "1"}}, "step_mm must be a real number, got '1'"),
+    ({"geometry": {"step_mm": True}}, "step_mm must be a real number, got True"),
+    ({"geometry": {"span_angle_deg": True}},
+     "span_angle_deg must be a real number, got True"),
+    ({"geometry": {"source_detector_distance_mm": True}},
+     "source_detector_distance_mm must be a real number, got True"),
+    ({"deformation": {"magnitude_mm": True}},
+     "magnitude_mm must be a real number, got True"),
+    ({"deformation": {"magnitude_mm": "3"}},
+     "magnitude_mm must be a real number, got '3'"),
+    ({"deformation": {"smoothness_sigma_voxels": True}},
+     "smoothness_sigma_voxels must be a real number, got True"),
 ], ids=["unknown-key", "unknown-geometry-key", "list-spec", "number-section",
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
         "fractional-vessels", "boolean-vessels", "fractional-emitters", "fractional-detector-dims",
         "zero-step", "two-entry-dims", "four-entry-spacing", "boolean-spacing",
-        "boolean-offset"])
+        "boolean-offset", "string-step", "boolean-step", "boolean-span",
+        "boolean-distance", "boolean-magnitude", "string-magnitude",
+        "boolean-smoothness"])
 def test_phantom_gen_rejects_a_malformed_spec(tmp_path, capsys, spec, message):
     """Rejected before anything is written, with or without samples to make."""
     path = tmp_path / "spec.json"
@@ -445,8 +468,7 @@ def test_drr_render_cli_matches_the_operator(dataset, tmp_path):
     assert rc == 0
     geom = tio.read_geometry(str(sd / "geometry.json"))
     projs = tio.read_projections(op, geom)
-    for im in projs.images:
-        assert np.all(im.data == 0.0)
+    assert np.all(projs.data == 0.0)
 
 
 def test_drr_render_cli_rejects_a_non_finite_detector_spacing(dataset, tmp_path,
@@ -968,6 +990,34 @@ def test_projections_of_another_detector_pitch_exit_with_code_two(
                "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
     err = one_error_and_no_output(rc, capsys, tmp_path / "u.json")
     assert "projection spacing (3.0, 7.0) does not match detector_spacing" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("singular_values", "nan-first", "singular values must be finite"),
+    ("variance_fraction", float("nan"), "variance_fraction must lie in (0, 1]"),
+    ("variance_fraction", True,
+     "field 'variance_fraction' invalid: a value must be a real number, got True"),
+    ("variance_fraction", "0.99",
+     "field 'variance_fraction' invalid: a value must be a real number, got '0.99'"),
+], ids=["nan-singular-value", "nan-variance", "boolean-variance", "string-variance"])
+def test_a_malformed_subspace_header_exits_with_code_two(
+        dataset, balanced_subspace, tmp_path, capsys, field, value, message):
+    _, out = dataset
+    sd = sample_dir(out)
+    header = json.loads(balanced_subspace.read_text())
+    if value == "nan-first":
+        value = [float("nan")] + header[field][1:]
+    header[field] = value
+    (tmp_path / "sub.json").write_text(json.dumps(header))  # NaN as json.load reads it
+    shutil.copyfile(balanced_subspace.with_suffix(".raw"), tmp_path / "sub.raw")
+    rc = main(["register", "subspace2d",
+               "--source", str(sd / "source.json"),
+               "--source-mask", str(sd / "source_mask.json"),
+               "--projections", str(sd / "projections.json"),
+               "--geometry", str(sd / "geometry.json"),
+               "--subspace", str(tmp_path / "sub.json"),
+               "--iters", "1", "--out-dvf", str(tmp_path / "u.json")])
+    assert message in one_error_and_no_output(rc, capsys, tmp_path / "u.json")
 
 
 def nan_copy(header_path, dest):

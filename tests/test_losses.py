@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.ndimage import gaussian_filter
 
 from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
-                     GridSpec, Image2D, Image3D, LossConfig, Mask3D,
+                     GridSpec, Image3D, LossConfig, Mask3D,
                      ProjectionSet, build_sdct_geometry, build_subspace,
                      diffusion_energy, ncc, reconstruct, zero_displacement)
 from tomoreg.losses import (LossContext, _diffusion, diffusion_quadratic,
@@ -234,9 +234,7 @@ def test_degenerate_projection_pair_reduces_to_regularizer_plus_guard():
     mask = ones_mask(dims, sp, org)
     geom = build_sdct_geometry(3, 30.0, 300.0, detector_dims=(12, 12),
                                detector_spacing=(2.5, 2.5))
-    projs = ProjectionSet(geom, [Image2D((12, 12), (2.5, 2.5),
-                                         np.zeros((12, 12)))
-                                 for _ in range(3)])
+    projs = ProjectionSet(geom, np.zeros((12, 12, 3)))
     rng = np.random.default_rng(10)
     u = DisplacementField(dims, sp, org,
                           0.5 * rng.standard_normal(dims + (3,)))
@@ -272,13 +270,12 @@ def test_the_contrast_check_names_the_constant_operand():
                                detector_spacing=(2.5, 2.5))
     op = DrrOperator(img.grid, geom)
     projs = op.render_all(img)
-    dark = ProjectionSet(geom, [Image2D(im.dims, im.spacing, np.zeros(im.dims))
-                                for im in projs.images])
+    dark = ProjectionSet(geom, np.zeros_like(projs.data))
     # every ray of a geometry shifted 5 m sideways misses the grid
     off = np.array([5000.0, 0.0, 0.0])
     missed = ProjectionSet(replace(geom, emitter_positions=geom.emitter_positions + off,
                                    detector_origin=geom.detector_origin + off),
-                           projs.images)
+                           projs.data)
 
     def sim3d(source_mask=full, target_mask=full):
         return LossContext(LossConfig(0.1, "sim3d"), img, source_mask,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import SPEC32
 
-from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator, Image2D,
+from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator,
                      PhantomSpec, gen_phantom, gen_smooth_dvf, geometry_for,
                      grid_for, jacobian_stats, make_pair, mtre, step_for,
                      zero_displacement)
@@ -26,8 +26,8 @@ def grad_row_sum_max(data, spacing):
     return float(rows.max())
 
 
-def high_frequency_fraction(img: Image2D, cutoff_cyc_px: float = 0.25):
-    d = img.data.astype(np.float64)
+def high_frequency_fraction(img: np.ndarray, cutoff_cyc_px: float = 0.25):
+    d = img.astype(np.float64)
     win = np.hanning(d.shape[0])[:, None] * np.hanning(d.shape[1])[None, :]
     F = np.abs(np.fft.fftshift(np.fft.fft2(d * win))) ** 2
     fu = np.fft.fftshift(np.fft.fftfreq(d.shape[0]))
@@ -153,13 +153,27 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
      "detector_spacing_mm must be a real number, got '2.0'"),
     ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
     ({"spacing": [2.0, 2.0]}, "spacing must have 3 entries, got 2"),
+    ({"geometry": {"step_mm": "1"}}, "step_mm must be a real number, got '1'"),
+    ({"geometry": {"step_mm": True}}, "step_mm must be a real number, got True"),
+    ({"geometry": {"span_angle_deg": True}},
+     "span_angle_deg must be a real number, got True"),
+    ({"geometry": {"source_detector_distance_mm": True}},
+     "source_detector_distance_mm must be a real number, got True"),
+    ({"deformation": {"magnitude_mm": True}},
+     "magnitude_mm must be a real number, got True"),
+    ({"deformation": {"magnitude_mm": "3"}},
+     "magnitude_mm must be a real number, got '3'"),
+    ({"deformation": {"smoothness_sigma_voxels": True}},
+     "smoothness_sigma_voxels must be a real number, got True"),
 ], ids=["unknown-key", "unknown-geometry-key", "unknown-deformation-keys",
         "list-spec", "number-section", "list-section", "number-dims",
         "infinite-seed", "string-modes", "fractional-modes", "fractional-dims",
         "fractional-seed", "fractional-vessels", "fractional-emitters",
         "fractional-detector-dims", "one-entry-offset", "three-detector-dims",
         "one-entry-detector-spacing", "boolean-offset", "string-detector-spacing",
-        "two-entry-dims", "two-entry-spacing"])
+        "two-entry-dims", "two-entry-spacing", "string-step", "boolean-step",
+        "boolean-span", "boolean-distance", "boolean-magnitude", "string-magnitude",
+        "boolean-smoothness"])
 def test_spec_from_dict_rejects_unknown_keys_and_malformed_values(d, message):
     with pytest.raises(ValueError, match=message):
         PhantomSpec.from_dict(d)
@@ -175,10 +189,9 @@ def test_projections_of_a_tube_free_phantom_are_spectrally_smooth():
                            n_modes=4, magnitude_mm=12.0,
                            smoothness_sigma_voxels=16.0 * nd / 64))
     img, _, _ = gen_phantom(spec)
-    proj = DrrOperator(img.grid, geometry_for(spec), step_for(spec)).render(img, 0)
+    proj = DrrOperator(img.grid, geometry_for(spec), step_for(spec)).forward(img.data, 0)
     rng = np.random.default_rng(0)
-    noise = Image2D(proj.dims, proj.spacing,
-                    rng.random(proj.data.shape).astype(np.float32))
+    noise = rng.random(proj.shape).astype(np.float32)
     assert high_frequency_fraction(proj) < 0.002
     assert high_frequency_fraction(noise) > 0.05
 
@@ -251,10 +264,10 @@ def test_draw_family_has_the_generator_rank(train_fields32, sub32):
 def test_pair_ground_truth_is_self_consistent(pair32):
     assert mtre(pair32.u_true, pair32.lm_src, pair32.lm_tgt) < 1e-4
     assert np.array_equal(pair32.lm_src.ids, pair32.lm_tgt.ids)
-    assert pair32.projections.geometry.n_emitters == len(
-        pair32.projections.images)
-    for im in pair32.projections.images:
-        assert im.data.min() >= 0.0
+    geom = pair32.projections.geometry
+    assert pair32.projections.data.shape == geom.detector_dims + (geom.n_emitters,)
+    assert pair32.projections.data.dtype == np.float32
+    assert pair32.projections.data.min() >= 0.0
 
 
 def test_pair_misalignment_sits_in_the_expected_band(pair32):
@@ -279,9 +292,8 @@ def test_vanishing_deformation_degenerates_to_identical_scenes():
     assert np.array_equal(pz.source_mask.data, pz.target_mask.data)
     op = DrrOperator(grid_for(spec), geometry_for(spec),
                      step_mm=step_for(spec))
-    for i, im in enumerate(pz.projections.images):
-        rendered = op.render(pz.source, i).data.astype(np.float32)
-        assert np.array_equal(im.data, rendered)
+    rendered = op.render_all(pz.source).data.astype(np.float32)
+    assert np.array_equal(pz.projections.data, rendered)
 
 
 def test_pair_rejects_a_mismatched_projection_operator(op32):

@@ -7,12 +7,13 @@ import pytest
 from scipy.ndimage import gaussian_filter
 from conftest import SPEC32, zero_mean_subspace
 
-from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image2D,
-                     Image3D, LossConfig, Mask3D, NumericalAbort, OptimConfig,
-                     ProjectionSet, build_subspace, dice, gen_phantom,
-                     jacobian_stats, make_pair, mtre, per_axis_error, project,
-                     reconstruct, register_dense_3d, register_subspace_2d,
-                     register_subspace_3d, warp_image, zero_displacement)
+from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image3D,
+                     LossConfig, Mask3D, NumericalAbort, OptimConfig,
+                     ProjectionSet, build_sdct_geometry, build_subspace, dice,
+                     gen_phantom, jacobian_stats, make_pair, mtre,
+                     per_axis_error, project, reconstruct, register_dense_3d,
+                     register_subspace_2d, register_subspace_3d, warp_image,
+                     zero_displacement)
 from tomoreg.losses import LossContext
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
 from tomoreg import registration
@@ -554,9 +555,7 @@ def test_constant_operands_are_rejected(identity_scene, op32, driver):
     img, mask, sub, projs = identity_scene
     empty = Mask3D(mask.dims, mask.spacing, mask.origin,
                    np.zeros_like(mask.data))
-    dark = ProjectionSet(projs.geometry,
-                         [Image2D(im.dims, im.spacing, np.zeros_like(im.data))
-                          for im in projs.images])
+    dark = ProjectionSet(projs.geometry, np.zeros_like(projs.data))
     opt = OptimConfig(max_iters=5)
 
     def run(source_mask=mask, target_mask=mask, projections=projs, drr_op=op32):
@@ -582,7 +581,7 @@ def test_constant_operands_are_rejected(identity_scene, op32, driver):
             detector_origin=projs.geometry.detector_origin + off)
         with pytest.raises(ValueError, match="projection 0: no ray of "
                                              "emitter 0 meets the volume"):
-            run(projections=ProjectionSet(missed, projs.images), drr_op=None)
+            run(projections=ProjectionSet(missed, projs.data), drr_op=None)
         return
     with pytest.raises(ValueError, match="masked target is constant"):
         run(target_mask=empty)
@@ -610,6 +609,20 @@ def test_subspace_grid_must_match_source(identity_scene, op32):
 def test_optimizer_configuration_is_validated():
     with pytest.raises(ValueError):
         OptimConfig(max_iters=-1)
+    # counts are whole numbers and real values are numbers, not booleans or
+    # strings, which float() and comparisons would read as 1.0 or fail on late
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="max_iters must be a whole number"):
+            OptimConfig(max_iters=bad)
+    assert OptimConfig(max_iters=3.0).max_iters == 3
+    for bad in (True, "0.1"):
+        with pytest.raises(ValueError, match="lam must be a real number"):
+            LossConfig(lam=bad)
+    with pytest.raises(ValueError, match="span_angle_deg must be a real number"):
+        build_sdct_geometry(3, True, 100.0)
+    with pytest.raises(ValueError,
+                       match="source_detector_distance must be a real number"):
+        build_sdct_geometry(3, 30.0, True)
     # the gradient tolerance is fixed, like the loss-stall tolerance
     with pytest.raises(TypeError):
         OptimConfig(tol_grad=1e-9)

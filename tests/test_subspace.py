@@ -193,3 +193,19 @@ def test_subspace_invariants_are_enforced_on_construction():
                             basis=sub.basis,
                             singular_values=sub.singular_values[::-1].copy(),
                             variance_fraction=1.0)
+    fields_of = dict(dims=sub.dims, spacing=sub.spacing, origin=sub.origin,
+                     mean=sub.mean, basis=sub.basis)
+    nan_first = np.concatenate([[np.nan], sub.singular_values[1:]])
+    nan_last = np.concatenate([sub.singular_values[:-1], [np.nan]])
+    for values in (nan_first, nan_last, np.full(sub.n_components, np.inf)):
+        with pytest.raises(ValueError, match="singular values must be finite"):
+            DeformationSubspace(**fields_of, singular_values=values,
+                                variance_fraction=1.0)
+    for bad in (True, "0.99", np.bool_(True)):
+        with pytest.raises(ValueError, match="variance_fraction must be a real number"):
+            DeformationSubspace(**fields_of, singular_values=sub.singular_values,
+                                variance_fraction=bad)
+    for bad in (np.nan, 0.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match=r"variance_fraction must lie in \(0, 1\]"):
+            DeformationSubspace(**fields_of, singular_values=sub.singular_values,
+                                variance_fraction=bad)

@@ -60,6 +60,8 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
 
 
 def _stats(values: list) -> dict:
+    if not values:  # no complete pair
+        return {"median": None, "q1": None, "q3": None, "iqr": None, "n": 0}
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3),
             "iqr": float(q3 - q1), "n": len(values)}
@@ -71,8 +73,10 @@ def _claim_flags(vals: dict, metric: dict) -> dict:
     ``gain_shown``: the change is better in at least 9 of 10 pairs and its
     median is better than the parent's by more than the parent's IQR.
     ``within_bound``: the change's median is no worse than the parent's by
-    more than the metric's relative ``bound``.
+    more than the metric's relative ``bound``.  With no pair, neither holds.
     """
+    if not vals["parent"]:
+        return {"gain_shown": False, "within_bound": False}
     sign = 1.0 if metric["better"] == "lower" else -1.0
     parent, change = (sign * np.asarray(vals[s], dtype=np.float64) for s in SIDES)
     wins = int(np.sum(change < parent))
@@ -88,7 +92,8 @@ def summarize(runs: list, spec: dict) -> dict:
     """Per workload: each end-to-end metric's statistics and pairs won, the
     failed and attempted counts per side, the traced per-layer values, and
     per side the runs, traced or not, that exited non-zero.  Such a run has
-    no result, so its pair is missing from every statistic above."""
+    no result, so its pair is missing from every statistic above; a
+    workload with no complete pair gets null statistics and false flags."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         own = [r for r in runs if r["workload"] == workload]
@@ -102,12 +107,12 @@ def summarize(runs: list, spec: dict) -> dict:
             name = m["name"]
             vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
             diffs = np.subtract(vals["change"], vals["parent"])
+            stats = {s: _stats(vals[s]) for s in SIDES}
+            p_med, c_med = (stats[s]["median"] for s in SIDES)
             out[name] = {
                 "unit": m["unit"],
-                **{s: _stats(vals[s]) for s in SIDES},
-                "change_over_parent": (float(np.median(vals["change"])
-                                             / np.median(vals["parent"]))
-                                       if np.median(vals["parent"]) else None),
+                **stats,
+                "change_over_parent": c_med / p_med if p_med else None,
                 "pairs_change_lower": int(np.sum(diffs < 0)),
                 "pairs_change_higher": int(np.sum(diffs > 0)),
                 "pairs_tied": int(np.sum(diffs == 0)),
