@@ -18,6 +18,7 @@ import sys
 
 from . import io as tio
 from .geometry import DrrOperator, lift3d
+from .grids import _whole
 from .losses import LossConfig
 from .phantom import (PhantomSpec, geometry_for, grid_for, make_pair,
                       split_seed, step_for)
@@ -41,6 +42,7 @@ SAMPLE_FILES = {
 
 def generate_dataset(spec: PhantomSpec, master_seed: int, n: int, out_dir: str) -> dict:
     """Write n independent samples plus a manifest; returns the manifest."""
+    master_seed, n = _whole(master_seed, "master_seed"), _whole(n, "n", ">= 0")
     # built (lazily, no matrix yet) even for n = 0, so a bad geometry fails here
     drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec))
     os.makedirs(out_dir, exist_ok=True)
@@ -62,8 +64,8 @@ def generate_dataset(spec: PhantomSpec, master_seed: int, n: int, out_dir: str) 
         tio.write_landmarks(os.path.join(sdir, SAMPLE_FILES["landmarks_target"]), pair.lm_tgt)
         members.append({"name": name, "seed": seed,
                         "files": {k: f"{name}/{v}" for k, v in SAMPLE_FILES.items()}})
-    manifest = {"spec": spec.to_dict(), "master_seed": int(master_seed),
-                "n_samples": int(n), "members": members}
+    manifest = {"spec": spec.to_dict(), "master_seed": master_seed,
+                "n_samples": n, "members": members}
     tio.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
@@ -177,9 +179,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _add_register_common(p, with_alpha: bool) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
+    p.add_argument("--lambda", dest="lam", type=float, default=LossConfig.lam,
                    help="regularization weight")
-    p.add_argument("--iters", type=int, default=200, help="max iterations")
+    p.add_argument("--iters", type=int, default=OptimConfig.max_iters,
+                   help="max iterations")
     p.add_argument("--out-dvf", help="output displacement container")
     if with_alpha:
         p.add_argument("--out-alpha", help="output coefficient JSON")

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import (GridSpec, Image3D, _checked_payload, _entries, _real,
-                    _whole, sample_trilinear, trilinear_weights)
+from .grids import (GridSpec, Image3D, _array, _checked_payload, _entries,
+                    _real, _whole, sample_trilinear, trilinear_weights)
 
 _ORTHO_TOL = 1e-9
 _PLANE_TOL = 1e-9
 _MATCH_TOL = 1e-9  # mm; geometry entries further apart than this differ
+_MAX_STEPS = 2.0 ** 53  # samples per ray whose indices float64 holds exactly
 
 
 # ---------------------------------------------------------------------------
@@ -43,28 +44,17 @@ class SdctGeometry:
     detector_spacing: tuple[float, float]  # (pu, pv) mm
 
     def __post_init__(self):
-        self.n_emitters = _whole(self.n_emitters, "n_emitters")
-        self.emitter_positions = np.asarray(self.emitter_positions, dtype=np.float64).reshape(-1, 3)
-        self.detector_origin = np.asarray(self.detector_origin, dtype=np.float64).reshape(3)
-        self.detector_axes = np.asarray(self.detector_axes, dtype=np.float64).reshape(2, 3)
-        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims")
+        self.n_emitters = _whole(self.n_emitters, "n_emitters", ">= 1")
+        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims", ">= 1")
         self.detector_spacing = _entries(self.detector_spacing, 2, _real,
-                                         "detector_spacing")
+                                         "detector_spacing", "> 0")
+        self.emitter_positions = _array(self.emitter_positions, "emitter_positions",
+                                        (self.n_emitters, 3))
+        self.detector_origin = _array(self.detector_origin, "detector_origin", (3,))
+        self.detector_axes = _array(self.detector_axes, "detector_axes", (2, 3))
 
-        if self.n_emitters < 1:
-            raise ValueError("n_emitters must be >= 1")
-        if self.emitter_positions.shape[0] != self.n_emitters:
-            raise ValueError("emitter_positions count does not match n_emitters")
-        for arr in (self.emitter_positions, self.detector_origin, self.detector_axes):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("geometry arrays must be finite")
-        if any(d < 1 for d in self.detector_dims):
-            raise ValueError("detector_dims must be >= 1")
-        if any(not np.isfinite(s) or s <= 0.0 for s in self.detector_spacing):
-            raise ValueError(f"detector_spacing must be positive and finite, "
-                             f"got {self.detector_spacing}")
-
-        gram = self.detector_axes @ self.detector_axes.T
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail below
+            gram = self.detector_axes @ self.detector_axes.T
         if not np.allclose(gram, np.eye(2), atol=_ORTHO_TOL):
             raise ValueError("detector_axes must be orthonormal")
 
@@ -114,14 +104,9 @@ def build_sdct_geometry(n_emitters: int,
     extreme emitters subtend ``span_angle_deg`` at the detector center.
     """
     n_emitters = _whole(n_emitters, "n_emitters")
-    span_angle_deg = _real(span_angle_deg, "span_angle_deg")
-    source_detector_distance = _real(source_detector_distance, "source_detector_distance")
-    if n_emitters < 1:
-        raise ValueError("n_emitters must be >= 1")
-    if not (0.0 < span_angle_deg < 180.0):
-        raise ValueError("span_angle_deg must lie in (0, 180)")
-    if source_detector_distance <= 0.0:
-        raise ValueError("source_detector_distance must be positive")
+    span_angle_deg = _real(span_angle_deg, "span_angle_deg", "(0, 180)")
+    source_detector_distance = _real(source_detector_distance,
+                                     "source_detector_distance", "> 0")
 
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     wd, hd = _entries(detector_dims, 2, _whole, "detector_dims")
@@ -218,9 +203,7 @@ class DrrOperator:
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
                  step_mm: float | None = None):
         step_mm = (default_step_mm(grid.spacing) if step_mm is None
-                   else _real(step_mm, "step_mm"))
-        if not np.isfinite(step_mm) or step_mm <= 0.0:
-            raise ValueError(f"step_mm must be positive and finite, got {step_mm}")
+                   else _real(step_mm, "step_mm", "> 0"))
         self.grid = grid
         self.geometry = geometry
         self.step_mm = step_mm
@@ -242,9 +225,13 @@ class DrrOperator:
         npix = pix.shape[0]
 
         delta = pix - c[None, :]
-        length = np.linalg.norm(delta, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing length fails below
+            length = np.linalg.norm(delta, axis=1)
         if np.any(length < 1e-9):
             raise ValueError("emitter coincides with a detector pixel center")
+        if not np.all(length < _MAX_STEPS * step):
+            raise ValueError(f"emitter {emitter_index}: a ray of {length.max():.3g} mm "
+                             f"needs more than 2**53 steps of {step} mm")
         unit = delta / length[:, None]
 
         # interpolant support: voxel-center extent padded by one spacing

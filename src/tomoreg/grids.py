@@ -15,6 +15,7 @@ Array conventions used across the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,29 +26,63 @@ import numpy as np
 _ALIGN_EPS = 1e-9
 
 
-def _entries(values, n: int, convert, name: str) -> tuple:
-    """``values`` as exactly ``n`` entries, each read by ``convert(v, name)``."""
-    t = tuple(values)
-    if len(t) != n:
-        raise ValueError(f"{name} must have {n} entries, got {len(t)}")
-    return tuple(convert(v, name) for v in t)
+# the bounds a scalar field may carry: the test, and what the error says
+# the field must do
+_BOUNDS = {
+    None: (lambda x: True, "be finite"),
+    ">= 0": (lambda x: x >= 0.0, "be finite and >= 0"),
+    ">= 1": (lambda x: x >= 1.0, "be finite and >= 1"),
+    "> 0": (lambda x: x > 0.0, "be positive and finite"),
+    "(0, 1]": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+    "(0, 180)": (lambda x: 0.0 < x < 180.0, "lie in (0, 180)"),
+}
 
 
-def _whole(value, name: str = "a count") -> int:
-    """A count as an int; 16.0 passes, 2.7 and booleans are rejected."""
-    if isinstance(value, (bool, np.bool_)):  # int(True) would read as 1
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+def _real(value, name: str, bound=None, kind: str = "real number") -> float:
+    """A finite real number within ``bound`` (a key of ``_BOUNDS``) as a float.
+
+    The one reader of a scalar from outside.  A boolean or a string, which
+    float() would read as 1.0 or 2.5, is not a ``kind``, nor is null, a
+    list or an object; every error names the field.
+    """
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a {kind}, got {value!r}") from None
+    within, rule = _BOUNDS[bound]
+    if not (math.isfinite(x) and within(x)):
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return x
+
+
+def _whole(value, name: str, bound=None) -> int:
+    """A count as an int, read by ``_real``; 16.0 passes, 2.7 is rejected."""
+    _real(value, name, bound, "whole number")
     count = int(value)
     if count != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {value}")
     return count
 
 
-def _real(value, name: str = "a value") -> float:
-    """A real number as a float; booleans and strings are rejected."""
-    if isinstance(value, (bool, np.bool_, str)):  # float() would read 1.0, 2.5
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+def _entries(values, n: int, convert, name: str, *args) -> tuple:
+    """``values`` as exactly ``n`` entries, each read by ``convert(v, name, *args)``."""
+    try:
+        t = tuple(values)
+    except TypeError:  # a number or null where a list belongs
+        raise ValueError(f"{name} must have {n} entries, got {values!r}") from None
+    if len(t) != n:
+        raise ValueError(f"{name} must have {n} entries, got {len(t)}")
+    return tuple(convert(v, name, *args) for v in t)
+
+
+def _array(values, name: str, shape: tuple, bound=None):
+    """``values`` as a float array of ``shape``, each entry read by ``_real``."""
+    if not shape:
+        return _real(values, name, bound)
+    return np.array(_entries(values, shape[0], _array, name, shape[1:], bound),
+                    dtype=np.float64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +98,10 @@ class GridSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims"))
-        object.__setattr__(self, "spacing", _entries(self.spacing, 3, _real, "spacing"))
+        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", ">= 1"))
+        object.__setattr__(self, "spacing",
+                           _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "origin", _entries(self.origin, 3, _real, "origin"))
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be >= 1 per axis, got {self.dims}")
-        if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if any(not np.isfinite(o) for o in self.origin):
-            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def n_voxels(self) -> int:

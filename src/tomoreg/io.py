@@ -17,6 +17,7 @@ with identical content produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -43,6 +44,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _load_object(path: str) -> dict:
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path!r} must hold a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _raw_path(header_path: str) -> str:
     base, ext = os.path.splitext(header_path)
     if ext != ".json":
@@ -53,23 +61,6 @@ def _raw_path(header_path: str) -> str:
 def _require(cond: bool, field: str, detail: str):
     if not cond:
         raise ValueError(f"container field '{field}' invalid: {detail}")
-
-
-def _field(d: dict, name: str, convert):
-    """``convert(d[name])``; a value of the wrong JSON type is a ValueError
-    naming the field, not a TypeError from deep inside a constructor."""
-    try:
-        return convert(d[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"field '{name}' invalid: {exc}") from exc
-
-
-def _ints(values) -> tuple:
-    return tuple(_whole(v) for v in values)
-
-
-def _floats(values) -> tuple:
-    return tuple(_real(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +111,17 @@ def _write_payload(header_path: str, header: dict, data: np.ndarray) -> None:
 
 
 def _read_payload(header_path: str, expect_kind: str):
-    header = _load_json(header_path)
-    _require(isinstance(header, dict), "header", "not a JSON object")
+    header = _load_object(header_path)
     kind = header.get("kind")
     _require(kind in _KINDS, "kind", f"unknown kind {kind!r}")
     _require(kind == expect_kind, "kind", f"got '{kind}', expected '{expect_kind}'")
     _require(header.get("dtype") == _DTYPE, "dtype", f"got {header.get('dtype')!r}")
     _require(header.get("layout") == _LAYOUT, "layout", f"got {header.get('layout')!r}")
-    dims = _field(header, "dims", _ints)
-    channels = _field(header, "channels", _whole)
-    _require(channels >= 1, "channels", "must be >= 1")
+    dims = _entries(header["dims"], 2 if kind == "image2d" else 3, _whole, "dims", ">= 1")
+    channels = _whole(header["channels"], "channels", ">= 1")
     with open(_raw_path(header_path), "rb") as fh:
         payload = fh.read()
-    expect = 4 * channels * int(np.prod(dims))
+    expect = 4 * channels * math.prod(dims)
     _require(len(payload) == expect, "payload",
              f"byte length {len(payload)}, header implies {expect}")
     header.update(dims=dims, channels=channels)
@@ -153,8 +142,7 @@ def _read_grid(path: str, cls):
         _require(h["channels"] == 1, "channels",
                  f"a {kind} has 1 channel, got {h['channels']}")
         data = data[..., 0]
-    return cls(h["dims"], _field(h, "spacing", _floats), _field(h, "origin", _floats),
-               data)
+    return cls(h["dims"], h["spacing"], h["origin"], data)
 
 
 def write_image3d(path: str, img: Image3D) -> None:
@@ -183,10 +171,8 @@ def read_dvf(path: str) -> DisplacementField:
 
 def read_grid(path: str):
     """Grid described by any 3D container header, without the payload."""
-    h = _load_json(path)
-    dims = _field(h, "dims", _ints)
-    _require(len(dims) == 3, "dims", "3D container required")
-    return GridSpec(dims, _field(h, "spacing", _floats), _field(h, "origin", _floats))
+    h = _load_object(path)
+    return GridSpec(h["dims"], h["spacing"], h["origin"])
 
 
 def write_volume_stack(path: str, grid, data: np.ndarray,
@@ -209,7 +195,8 @@ def read_projections(path: str, geometry: SdctGeometry) -> ProjectionSet:
     be the detector's and the emitter count of ``geometry``."""
     h, data = _read_payload(path, "image2d")
     dims = h["dims"]
-    spacing = _field(h, "spacing", lambda v: _entries(v, 2, _real, "spacing"))
+    spacing = _entries(h["spacing"], 2, _real, "spacing")
+    _entries(h["origin"], 2, _real, "origin")  # unused, but read as in any header
     _require(h["channels"] == geometry.n_emitters, "channels",
              f"{h['channels']} images for {geometry.n_emitters} emitters")
     _require(dims == geometry.detector_dims, "dims",
@@ -235,18 +222,17 @@ def write_subspace(path: str, sub: DeformationSubspace) -> None:
 def read_subspace(path: str) -> DeformationSubspace:
     h, data = _read_payload(path, "subspace")
     dims = h["dims"]
-    n_comp = _field(h, "n_components", _whole)
+    n_comp = _whole(h["n_components"], "n_components", ">= 0")
     _require(h["channels"] == 3 * (n_comp + 1), "channels",
              f"{h['channels']} channels for n_components {n_comp}")
     # (field, voxel, component); the subspace copies both slices to float64
     fields = data.reshape(-1, n_comp + 1, 3).transpose(1, 0, 2)
     return DeformationSubspace(
-        dims=dims, spacing=_field(h, "spacing", _floats),
-        origin=_field(h, "origin", _floats),
+        dims=dims, spacing=h["spacing"], origin=h["origin"],
         mean=fields[0].reshape(dims + (3,)),
         basis=fields[1:].reshape(n_comp, 3 * fields.shape[1]),
-        singular_values=_field(h, "singular_values", _floats),
-        variance_fraction=_field(h, "variance_fraction", _real),
+        singular_values=h["singular_values"],
+        variance_fraction=h["variance_fraction"],
     )
 
 
@@ -266,19 +252,9 @@ def write_geometry(path: str, geom: SdctGeometry) -> None:
 
 
 def read_geometry(path: str) -> SdctGeometry:
-    d = _load_json(path)
-
-    def array(name):
-        return _field(d, name, lambda v: np.asarray(v, dtype=np.float64))
-
-    return SdctGeometry(
-        n_emitters=_field(d, "n_emitters", _whole),
-        emitter_positions=array("emitter_positions"),
-        detector_origin=array("detector_origin"),
-        detector_axes=array("detector_axes"),
-        detector_dims=_field(d, "detector_dims", _ints),
-        detector_spacing=_field(d, "detector_spacing", _floats),
-    )
+    d = _load_object(path)
+    return SdctGeometry(d["n_emitters"], d["emitter_positions"], d["detector_origin"],
+                        d["detector_axes"], d["detector_dims"], d["detector_spacing"])
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,7 @@ class LossConfig:
     loss_mode: str = "sim3d"
 
     def __post_init__(self):
-        self.lam = _real(self.lam, "lam")
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError("lam must be finite and >= 0")
+        self.lam = _real(self.lam, "lam", ">= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
 

@@ -48,16 +48,9 @@ class DeformationSpec:
     smoothness_sigma_voxels: float = 16.0
 
     def __post_init__(self):
-        if not np.isfinite(self.n_modes) or self.n_modes < 1:
-            raise ValueError("n_modes must be finite and >= 1")
-        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes"))
-        for name in ("magnitude_mm", "smoothness_sigma_voxels"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not np.isfinite(self.magnitude_mm) or self.magnitude_mm < 0.0:
-            raise ValueError("magnitude_mm must be finite and >= 0")
-        if (not np.isfinite(self.smoothness_sigma_voxels)
-                or self.smoothness_sigma_voxels <= 0.0):
-            raise ValueError("smoothness_sigma_voxels must be finite and positive")
+        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes", ">= 1"))
+        for name, bound in (("magnitude_mm", ">= 0"), ("smoothness_sigma_voxels", "> 0")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, bound))
 
 
 @dataclass(frozen=True)
@@ -96,15 +89,12 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims"))
-        object.__setattr__(self, "spacing", _entries(self.spacing, 3, _real, "spacing"))
+        object.__setattr__(self, "spacing",
+                           _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
-        object.__setattr__(self, "n_vessels", _whole(self.n_vessels, "n_vessels"))
+        object.__setattr__(self, "n_vessels", _whole(self.n_vessels, "n_vessels", ">= 0"))
         if min(self.dims) < 16:
             raise ValueError("dims too small to fit phantom structures (min 16)")
-        if any(not np.isfinite(s) or s <= 0.0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if self.n_vessels < 0:
-            raise ValueError("n_vessels must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -113,21 +103,15 @@ class PhantomSpec:
     def from_dict(d: dict) -> "PhantomSpec":
         """The spec ``to_dict`` wrote; a missing or null entry keeps its default.
 
-        Raises ValueError for an unknown key, for a spec or section that is
-        not an object, for a value of the wrong type, for a count (dims,
-        seed, n_vessels, n_modes, n_emitters, detector_dims) that is not a
-        whole number, for dims or spacing without exactly three entries,
-        and for a pair field without exactly two entries.
+        Raises ValueError, naming the field, for an unknown key, for a spec
+        or section that is not an object, and for every value the spec's
+        classes refuse.
         """
         kw = _spec_fields(d, PhantomSpec, "spec")
-        try:
-            for name, cls in (("deformation", DeformationSpec),
-                              ("geometry", AcquisitionSpec)):
-                if name in kw:
-                    kw[name] = cls(**_spec_fields(kw[name], cls, name))
-            return PhantomSpec(**kw)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed phantom spec: {exc}") from exc
+        for name, cls in (("deformation", DeformationSpec), ("geometry", AcquisitionSpec)):
+            if name in kw:
+                kw[name] = cls(**_spec_fields(kw[name], cls, name))
+        return PhantomSpec(**kw)
 
 
 def _spec_fields(d, cls, what: str) -> dict:

@@ -71,9 +71,7 @@ class OptimConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        self.max_iters = _whole(self.max_iters, "max_iters")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        self.max_iters = _whole(self.max_iters, "max_iters", ">= 0")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .grids import DisplacementField, GridContainer, _real
+from .grids import DisplacementField, GridContainer, _array, _real
 
 # singular values at or below this fraction of the largest are rank noise
 _RANK_RTOL = 1e-10
@@ -39,17 +39,11 @@ class DeformationSubspace(GridContainer):
         self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         self.basis = np.ascontiguousarray(self.basis, dtype=np.float64).reshape(
             -1, self.grid.n_voxels * 3)
-        self.singular_values = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
-        self.variance_fraction = _real(self.variance_fraction, "variance_fraction")
-        if not 0.0 < self.variance_fraction <= 1.0:
-            raise ValueError(f"variance_fraction must lie in (0, 1], "
-                             f"got {self.variance_fraction}")
+        self.singular_values = _array(self.singular_values, "singular_values",
+                                      (self.basis.shape[0],), ">= 0")
+        self.variance_fraction = _real(self.variance_fraction, "variance_fraction", "(0, 1]")
         if self.mean.shape != self.dims + (3,):
             raise ValueError("mean field shape does not match grid dims")
-        if self.singular_values.shape[0] != self.basis.shape[0]:
-            raise ValueError("one singular value per basis vector required")
-        if not np.all(np.isfinite(self.singular_values)):
-            raise ValueError("singular values must be finite")
         if np.any(np.diff(self.singular_values) > 0.0):
             raise ValueError("singular values must be non-increasing")
 
@@ -65,8 +59,7 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
     fraction reaches ``variance_fraction`` (the vector that crosses the
     threshold is included); exactly-zero singular values are always dropped.
     """
-    if not (0.0 < variance_fraction <= 1.0):
-        raise ValueError("variance_fraction must lie in (0, 1]")
+    variance_fraction = _real(variance_fraction, "variance_fraction", "(0, 1]")
     if len(fields) == 0:
         raise ValueError("at least one displacement field is required")
     grid = fields[0].grid
@@ -97,7 +90,7 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
         mean=mean.reshape(grid.dims + (3,)),
         basis=Vt[:n_keep].copy(),
         singular_values=s[:n_keep].copy(),
-        variance_fraction=float(variance_fraction),
+        variance_fraction=variance_fraction,
     )
 
 

@@ -58,13 +58,15 @@ def canned_runs(bench_pair):
 
 def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_path):
     runs = canned_runs(bench_pair)
-    doc = bench_pair.record(runs, SPEC, "abc1234", {"proj2d": [1] * 4}, 1)
+    doc = bench_pair.record(runs, SPEC, "abc1234", {"proj2d": [1] * 4}, 1,
+                            {"parent": 120, "change": 110})
     path = tmp_path / "BENCH_smoke.json"
     bench_pair.write_record(path, doc)
     back = json.loads(path.read_text(encoding="utf-8"))
 
     assert back["runs"] == runs
     assert back["parent_commit"] == "abc1234"
+    assert back["src_lines"] == {"parent": 120, "change": 110}
     assert "git_commit" not in back["environment"]
     reg = back["summary"]["proj2d"]["register_s"]
     assert reg["parent"] == pytest.approx({"median": 0.35, "q1": 0.25, "q3": 0.425,
@@ -98,7 +100,8 @@ def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path)
     broken = [{**r, "returncode": 1, "result": None, "environment": None}
               if r["side"] == "change" else r for r in broken]
     doc = bench_pair.record(runs + broken, SPEC, "abc1234",
-                            {"proj2d": [1] * 4, "dense3d": [1] * 4}, 1)
+                            {"proj2d": [1] * 4, "dense3d": [1] * 4}, 1,
+                            {"parent": 120, "change": 110})
     bench_pair.write_record(tmp_path / "BENCH_smoke.json", doc)
     back = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     summary = back["summary"]
@@ -157,6 +160,16 @@ def test_a_win_in_too_few_pairs_or_by_less_than_the_iqr_shows_no_gain(bench_pair
     # for a higher-is-better metric the same lower values are a loss
     assert flags([v - 0.5 for v in parent], "higher") == {"gain_shown": False,
                                                            "within_bound": False}
+
+
+def test_src_lines_counts_the_package_modules_only(bench_pair, tmp_path):
+    pkg = tmp_path / "src" / "tomoreg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (pkg / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline
+    (pkg / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
+    (tmp_path / "tools.py").write_text("w = 4\n", encoding="utf-8")
+    assert bench_pair.src_lines(tmp_path) == 3
 
 
 def test_an_empty_run_output_is_an_error(bench_pair):

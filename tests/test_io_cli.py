@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomoreg import (DisplacementField, DrrOperator, GridSpec,
-                     DeformationSubspace, Image3D, Landmarks, Mask3D,
-                     OptimConfig, ProjectionSet,
+                     DeformationSubspace, Image3D, Landmarks, LossConfig,
+                     Mask3D, OptimConfig, ProjectionSet,
                      build_sdct_geometry, build_subspace, gen_smooth_dvf,
                      make_pair, mtre, reconstruct, register_subspace_2d,
                      zero_displacement)
 from tomoreg import io as tio
-from tomoreg.cli import main
+from tomoreg.cli import build_parser, generate_dataset, main
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
 
 GRID = GridSpec((6, 5, 4), (1.5, 2.0, 1.0), (-1.0, 0.5, 3.0))
@@ -116,14 +116,16 @@ def test_projection_round_trip_and_geometry_checks(tmp_path):
     assert (header["dims"], header["spacing"], header["channels"]) == ([8, 7], [2.0, 2.5], 3)
 
     # the header's pixel pitch must be the detector's within 1e-9 mm
-    for spacing, ok in (([2.0, 2.5 + 1e-10], True), ([2.0, 2.5 + 2e-3], False),
-                        ([float("nan"), 2.5], False)):
+    for spacing, ok in (([2.0, 2.5 + 1e-10], True), ([2.0, 2.5 + 2e-3], False)):
         (tmp_path / "p.json").write_text(json.dumps({**header, "spacing": spacing}))
         if ok:
             assert same_bits(tio.read_projections(p, geom).data, projs.data)
         else:
             with pytest.raises(ValueError, match="does not match detector_spacing"):
                 tio.read_projections(p, geom)
+    (tmp_path / "p.json").write_text(json.dumps({**header, "spacing": [float("nan"), 2.5]}))
+    with pytest.raises(ValueError, match="spacing must be finite, got nan"):
+        tio.read_projections(p, geom)
     (tmp_path / "p.json").write_text(json.dumps({**header, "spacing": [2.0, 2.5, 1.0]}))
     with pytest.raises(ValueError, match="spacing must have 2 entries, got 3"):
         tio.read_projections(p, geom)
@@ -397,13 +399,37 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     assert manifest["members"] == []
 
 
+def test_a_negative_sample_count_exits_with_code_two(tmp_path, capsys):
+    out = tmp_path / "neg"
+    rc = main(["phantom", "gen", "--n", "-1", "--out", str(out)])
+    assert one_error_and_no_output(rc, capsys, out) == "error: n must be finite and >= 0, got -1"
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="n must be"):
+            generate_dataset(SPEC24, 0, bad, str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["register", "subspace3d", "--source", "s", "--target", "t", "--source-mask", "m",
+     "--target-mask", "m", "--subspace", "b"],
+    ["register", "subspace2d", "--source", "s", "--source-mask", "m",
+     "--projections", "p", "--geometry", "g", "--subspace", "b"],
+    ["register", "dense", "--source", "s", "--target", "t", "--source-mask", "m",
+     "--target-mask", "m"],
+], ids=["subspace3d", "subspace2d", "dense"])
+def test_register_flag_defaults_are_the_config_defaults(command):
+    args = build_parser().parse_args(command)
+    assert args.lam == LossConfig().lam
+    assert args.iters == OptimConfig().max_iters
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"dimz": [16, 16, 16]}, "unknown phantom spec key(s): dimz"),
     ({"geometry": {"n_emiters": 2}}, "unknown phantom geometry key(s): n_emiters"),
     ([16, 16, 16], "phantom spec must be an object, got list"),
     ({"deformation": 5}, "phantom deformation must be an object, got int"),
     ({"deformation": {"smoothness_sigma_voxels": float("inf")}},
-     "smoothness_sigma_voxels must be finite and positive"),
+     "smoothness_sigma_voxels must be positive and finite"),
     ({"deformation": {"magnitude_mm": float("nan")}},
      "magnitude_mm must be finite and >= 0"),
     ({"deformation": {"n_modes": 2.5}}, "n_modes must be a whole number, got 2.5"),
@@ -955,7 +981,7 @@ def test_a_header_field_of_the_wrong_json_type_exits_with_code_two(
     op = tmp_path / "proj.json"
     rc = main(["drr", "render", "--volume", str(tmp_path / "source.json"),
                "--geometry", str(tmp_path / "geometry.json"), "--out", str(op)])
-    assert f"field '{field}'" in one_error_and_no_output(rc, capsys, op)
+    assert one_error_and_no_output(rc, capsys, op).startswith(f"error: {field} must ")
 
 
 @pytest.mark.parametrize("field, value", [("detector_dims", [8, 8, 3]),
@@ -993,12 +1019,12 @@ def test_projections_of_another_detector_pitch_exit_with_code_two(
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("singular_values", "nan-first", "singular values must be finite"),
+    ("singular_values", "nan-first", "singular_values must be finite"),
     ("variance_fraction", float("nan"), "variance_fraction must lie in (0, 1]"),
     ("variance_fraction", True,
-     "field 'variance_fraction' invalid: a value must be a real number, got True"),
+     "variance_fraction must be a real number, got True"),
     ("variance_fraction", "0.99",
-     "field 'variance_fraction' invalid: a value must be a real number, got '0.99'"),
+     "variance_fraction must be a real number, got '0.99'"),
 ], ids=["nan-singular-value", "nan-variance", "boolean-variance", "string-variance"])
 def test_a_malformed_subspace_header_exits_with_code_two(
         dataset, balanced_subspace, tmp_path, capsys, field, value, message):

@@ -101,7 +101,8 @@ def test_spec_validation():
             DeformationSpec(n_modes=bad)
         with pytest.raises(ValueError, match="magnitude_mm must be finite"):
             DeformationSpec(magnitude_mm=bad)
-        with pytest.raises(ValueError, match="smoothness_sigma_voxels must be finite"):
+        with pytest.raises(ValueError,
+                           match="smoothness_sigma_voxels must be positive and finite"):
             DeformationSpec(smoothness_sigma_voxels=bad)
 
 
@@ -132,9 +133,9 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
     ([16, 16, 16], "phantom spec must be an object, got list"),
     ({"deformation": 5}, "phantom deformation must be an object, got int"),
     ({"geometry": [4]}, "phantom geometry must be an object, got list"),
-    ({"dims": 16}, "malformed phantom spec"),
-    ({"seed": float("inf")}, "malformed phantom spec"),
-    ({"deformation": {"n_modes": "4"}}, "malformed phantom spec"),
+    ({"dims": 16}, "dims must have 3 entries, got 16"),
+    ({"seed": float("inf")}, "seed must be finite, got inf"),
+    ({"deformation": {"n_modes": "4"}}, "n_modes must be a whole number, got '4'"),
     ({"deformation": {"n_modes": 2.5}}, r"n_modes must be a whole number, got 2\.5"),
     ({"dims": [20.7, 20, 20]}, r"dims must be a whole number, got 20\.7"),
     ({"seed": 2.7}, r"seed must be a whole number, got 2\.7"),

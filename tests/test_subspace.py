@@ -198,7 +198,7 @@ def test_subspace_invariants_are_enforced_on_construction():
     nan_first = np.concatenate([[np.nan], sub.singular_values[1:]])
     nan_last = np.concatenate([sub.singular_values[:-1], [np.nan]])
     for values in (nan_first, nan_last, np.full(sub.n_components, np.inf)):
-        with pytest.raises(ValueError, match="singular values must be finite"):
+        with pytest.raises(ValueError, match="singular_values must be finite"):
             DeformationSubspace(**fields_of, singular_values=values,
                                 variance_fraction=1.0)
     for bad in (True, "0.99", np.bool_(True)):

@@ -10,8 +10,8 @@ its own checkout.  Pair i uses the i-th seed of ``--seeds`` and one run per
 side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
-working tree: the environment, every run with its result line, per
-workload each side's count of runs that exited non-zero, and per workload
+working tree: the environment, each side's line count of ``src/tomoreg/*.py``,
+every run with its result line, per workload each side's count of runs that exited non-zero, and per workload
 and end-to-end metric each side's median and quartiles, how many pairs
 the change read lower, higher or equal, and two flags:
 ``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
@@ -130,8 +130,14 @@ def summarize(runs: list, spec: dict) -> dict:
     return summary
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the package source, ``src/tomoreg/*.py``, in one checkout."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src" / "tomoreg").glob("*.py"))
+
+
 def record(runs: list, spec: dict, parent: str, seeds: dict,
-           traced_seed: int | None) -> dict:
+           traced_seed: int | None, lines: dict) -> dict:
     env = next(r["environment"] for r in runs if r["environment"])
     return {
         "what": ("Paired perfbench/run.py runs of the parent commit and of the "
@@ -144,6 +150,7 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
         "statistics": STATISTICS,
         "environment": {k: v for k, v in env.items()
                         if k not in ("git_commit", "workload", "seed")},
+        "src_lines": lines,
         "summary": summarize(runs, spec),
         "runs": runs,
     }
@@ -184,6 +191,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         parent = export(args.parent, Path(tmp))
         checkouts = {"parent": Path(tmp) / "tree", "change": ROOT}
+        lines = {side: src_lines(checkouts[side]) for side in SIDES}
         plan = [(w, seed, 0) for w in args.workload for seed in args.seeds]
         if args.traced_seed is not None:
             plan += [(w, args.traced_seed, 1) for w in args.workload]
@@ -196,7 +204,7 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {side} {workload} seed {seed} trace {trace}: "
                       f"{'failed to run' if res is None else 'ok'}", flush=True)
     doc = record(runs, spec, parent, {w: list(args.seeds) for w in args.workload},
-                 args.traced_seed)
+                 args.traced_seed, lines)
     write_record(ROOT / f"BENCH_{args.label}.json", doc)
     return 0 if all(r["returncode"] == 0 for r in runs) else 1
 
