@@ -14,8 +14,7 @@ from .grids import (GridSpec, Image3D, Mask3D, DisplacementField, Landmarks,
 from .geometry import (SdctGeometry, ProjectionSet, LiftedVolume, DrrOperator,
                        build_sdct_geometry, default_step_mm, lift3d)
 from .subspace import DeformationSubspace, build_subspace, project, reconstruct
-from .losses import (LossConfig, LossContext, ncc, diffusion_energy,
-                     grad_alpha, grad_dense)
+from .losses import LossConfig, LossContext, grad_alpha, grad_dense
 from .registration import (OptimConfig, RegistrationReport, NumericalAbort,
                            register_subspace_3d, register_subspace_2d,
                            register_dense_3d)
@@ -34,8 +33,7 @@ __all__ = [
     "SdctGeometry", "ProjectionSet", "LiftedVolume", "DrrOperator",
     "build_sdct_geometry", "default_step_mm", "lift3d",
     "DeformationSubspace", "build_subspace", "project", "reconstruct",
-    "LossConfig", "LossContext", "ncc", "diffusion_energy",
-    "grad_alpha", "grad_dense",
+    "LossConfig", "LossContext", "grad_alpha", "grad_dense",
     "OptimConfig", "RegistrationReport", "NumericalAbort",
     "register_subspace_3d", "register_subspace_2d", "register_dense_3d",
     "MetricsReport", "mtre", "per_axis_error", "dice", "evaluate_registration",

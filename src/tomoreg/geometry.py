@@ -194,10 +194,18 @@ class DrrOperator:
 
     Sample points along each emitter-to-pixel segment are fixed in world
     space, so the projection is an exactly linear map from voxel values to
-    pixel values.  Both the forward map and its adjoint are exposed; the
-    adjoint distributes pixel values back through the same interpolation
-    weights, which keeps finite-difference checks of projection-domain
-    losses consistent.
+    pixel values.  Both the forward map and its adjoint are exposed, each
+    acting on every emitter at once in the ``ProjectionSet`` layout
+    ``detector_dims + (n_emitters,)``; the adjoint distributes pixel values
+    back through the same interpolation weights, which keeps
+    finite-difference checks of projection-domain losses consistent.
+
+    The emitters' matrices are built on first use (``render_all`` forces
+    them) and stacked into one CSR matrix, kept with a CSR copy of its
+    transpose so that the adjoint is a row-wise product too.  The copy
+    doubles the matrices' memory.  With four emitters each of the two
+    takes about 7 MB at 32 cubed (40 x 40 pixels) and about 60 MB at 64
+    cubed (80 x 80 pixels), about 15 MB per emitter.
     """
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
@@ -207,16 +215,28 @@ class DrrOperator:
         self.grid = grid
         self.geometry = geometry
         self.step_mm = step_mm
-        self._mats: dict[int, sparse.csr_matrix] = {}
+        self._stack: tuple[sparse.csr_matrix, sparse.csr_matrix] | None = None
 
-    def _mat(self, emitter_index: int) -> sparse.csr_matrix:
-        if not (0 <= emitter_index < self.geometry.n_emitters):
-            raise ValueError(f"emitter_index {emitter_index} out of range")
-        mat = self._mats.get(emitter_index)
-        if mat is None:
-            mat = self._build(emitter_index)
-            self._mats[emitter_index] = mat
-        return mat
+    def _matrices(self):
+        """The stacked matrix A and a CSR copy of its transpose, built once.
+
+        Row p * n_emitters + i of A is emitter i's matrix row for pixel p,
+        so A @ volume is the ``ProjectionSet`` layout and the rows of each
+        emitter are every n_emitters-th row.  Each row is ``_build``'s row,
+        entry for entry, so A's products equal each emitter's own.
+        """
+        if self._stack is None:
+            n = self.geometry.n_emitters
+            A = sparse.vstack([self._build(i) for i in range(n)], format="csr")
+            npix = A.shape[0] // n
+            A = A[(np.arange(n) * npix + np.arange(npix)[:, None]).reshape(-1)]
+            self._stack = A, A.T.tocsr()
+        return self._stack
+
+    def _nnz(self) -> np.ndarray:
+        """Stored entries of each emitter's matrix, read from A's row pointers."""
+        A = self._matrices()[0]
+        return np.diff(A.indptr).reshape(-1, self.geometry.n_emitters).sum(axis=0)
 
     def _build(self, emitter_index: int):
         grid, geom, step = self.grid, self.geometry, self.step_mm
@@ -262,25 +282,28 @@ class DrrOperator:
         return sparse.coo_matrix((step * wgt, (ray[point], cols)),
                                  shape=(npix, grid.n_voxels)).tocsr()
 
-    def forward(self, vol_data: np.ndarray, emitter_index: int) -> np.ndarray:
-        """Project (W,H,D) voxel values to a (Wd,Hd) detector image."""
-        flat = np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
-        out = self._mat(emitter_index) @ flat
-        return out.reshape(self.geometry.detector_dims)
+    def forward(self, vol_data: np.ndarray) -> np.ndarray:
+        """Project (W,H,D) voxel values through every emitter at once.
 
-    def adjoint(self, pix_data: np.ndarray, emitter_index: int) -> np.ndarray:
-        """Transpose map: (Wd,Hd) pixel values back to (W,H,D) voxels."""
+        Returns ``detector_dims + (n_emitters,)``, the ``ProjectionSet``
+        layout, from one sparse product.
+        """
+        flat = np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
+        out = self._matrices()[0] @ flat
+        return out.reshape(self.geometry.detector_dims + (self.geometry.n_emitters,))
+
+    def adjoint(self, pix_data: np.ndarray) -> np.ndarray:
+        """Transpose map: ``detector_dims + (n_emitters,)`` pixel values back to
+        (W,H,D) voxels, summed over the emitters in one sparse product."""
         flat = np.ascontiguousarray(pix_data, dtype=np.float64).reshape(-1)
-        out = self._mat(emitter_index).T @ flat
+        out = self._matrices()[1] @ flat
         return out.reshape(self.grid.dims)
 
     def render_all(self, vol: Image3D) -> ProjectionSet:
         """Every emitter's projection of ``vol``, stacked on the last axis."""
         if vol.grid != self.grid:
             raise ValueError("volume grid does not match the operator grid")
-        return ProjectionSet(self.geometry, np.stack(
-            [self.forward(vol.data, i) for i in range(self.geometry.n_emitters)],
-            axis=-1))
+        return ProjectionSet(self.geometry, self.forward(vol.data))
 
 
 # ---------------------------------------------------------------------------

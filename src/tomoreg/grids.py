@@ -121,10 +121,6 @@ class GridSpec:
         pts = np.asarray(pts, dtype=np.float64)
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
-    def voxel_to_world(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.float64)
-        return np.asarray(self.origin) + idx * np.asarray(self.spacing)
-
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """True for points inside the voxel-center extent of the grid."""
         g = self.world_to_voxel(np.atleast_2d(pts))
@@ -455,44 +451,41 @@ def _cell_support(data: np.ndarray) -> np.ndarray:
     return cell.reshape(-1)
 
 
-def warp_scalar_with_gradient(data: np.ndarray, src_grid: GridSpec,
-                              u: DisplacementField, support: np.ndarray):
-    """Warped values plus a callable for d(warped)/d(displacement) in 1/mm.
+def warp_scalar_with_gradient(data: np.ndarray, g: np.ndarray, support: np.ndarray):
+    """Trilinear values of ``data`` at voxel coords g (n,3), plus a callable
+    for their spatial derivative.
 
-    ``support`` is ``_cell_support(data)``.  The warp is the value phase:
-    it looks up the cell of every sample point in ``support``, gathers the
-    eight corners of the points in a supported cell once, and returns the
-    warped (W,H,D) volume with +0.0 at every other point, which is what
-    blending eight +0.0 corners gives.  The returned zero-argument callable
-    is the gradient phase: it finishes the (W,H,D,3) derivative from those
-    same corners and the two z-face planes the values were blended from,
-    +0.0 elsewhere, so a caller that needs only values never pays for it.
-    The closure holds the corners, the fractions and the planes, 13 floats
-    per supported point, and the points' indices, for as long as the
-    caller keeps it.
+    ``support`` is ``_cell_support(data)``.  This is the value phase: it
+    looks up the cell of every point in ``support``, gathers the eight
+    corners of the points in a supported cell once, and returns the (n,)
+    values with +0.0 at every other point, which is what blending eight
+    +0.0 corners gives.  The returned zero-argument callable is the
+    gradient phase.  It returns the indices of the supported points and
+    their (m,3) derivative in voxel units, from those same corners and the
+    two z-face planes the values were blended from; the derivative is +0.0
+    at every other point.  So a caller that needs only values never pays
+    for it.  The closure holds the corners, the fractions and the planes,
+    13 floats per supported point, and the points' indices, for as long as
+    the caller keeps it.
 
-    The gradient is the exact spatial derivative of the trilinear
+    The derivative is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream
     losses agree with chain-rule gradients at tight tolerance.
     """
-    i0, f = _snap_fraction(_warp_coords(src_grid, u))
+    i0, f = _snap_fraction(g)
     active = np.flatnonzero(support.take(_padded_index(data.shape, i0, _VOXEL)[0]))
     f = f[active]
     flat = _pad(data, 0.0).reshape(-1)
     corners = flat.take(_padded_index(data.shape, i0[active], _CELL_Z_FASTEST))
-    sp = np.asarray(src_grid.spacing)
-    n, shape = i0.shape[0], u.dims + (3,)
 
     vals, planes = _interpolate(corners, f)
-    warped = np.zeros(n)
+    warped = np.zeros(i0.shape[0])
     warped[active] = vals
 
     def gradient():
-        grad = np.zeros((n, 3))
-        grad[active] = _interpolant_gradient(corners, f, planes) / sp
-        return grad.reshape(shape)
+        return active, _interpolant_gradient(corners, f, planes)
 
-    return warped.reshape(u.dims), gradient
+    return warped, gradient
 
 
 # ---------------------------------------------------------------------------

@@ -270,18 +270,35 @@ def write_landmarks(path: str, lm: Landmarks) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_number(text: str, name: str, whole: bool):
+    """A landmark CSV field: an id (``whole``) as an int within int64, or a
+    coordinate as a finite float read by ``_real``.  Every error names the
+    field."""
+    kind = "whole number" if whole else "real number"
+    try:
+        value = int(text) if whole else float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a {kind}, got {text!r}") from None
+    if not whole:
+        return _real(value, name)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} must fit in a 64-bit integer, got {text}")
+    return value
+
+
 def read_landmarks(path: str) -> Landmarks:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "id,x,y,z":
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "id,x,y,z":
         raise ValueError(f"landmark file {path!r} must start with header 'id,x,y,z'")
     ids, pts = [], []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
-            raise ValueError(f"landmark row {ln!r} must have 4 comma-separated fields")
-        ids.append(int(parts[0]))
-        pts.append([float(v) for v in parts[1:]])
+            raise ValueError(f"landmark line {n} ({ln!r}) must have 4 comma-separated fields")
+        ids.append(_csv_number(parts[0], f"landmark line {n} id", True))
+        pts.append([_csv_number(v, f"landmark line {n} {axis}", False)
+                    for axis, v in zip("xyz", parts[1:])])
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size != np.unique(ids).size:
         raise ValueError(f"landmark file {path!r} contains duplicate ids")

@@ -20,16 +20,23 @@ Where the regulariser is evaluated: a ``LossContext`` with lam > 0 runs the
 diffusion passes over the grid on every evaluation, which is what
 ``grad_alpha``, ``grad_dense`` and the dense driver use.  On
 a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
-``diffusion_quadratic`` builds it once per registration as one Gram matrix,
+``diffusion_quadratic`` builds it once per subspace as one Gram matrix,
 and the subspace drivers evaluate it in closed form next to a context with
 lam = 0, which skips the grid passes.
 
-A ``LossContext`` evaluates in two phases.  ``evaluate`` runs the value
-phase: the warp, the similarity (for sim2d the DRR forwards) and the
-diffusion energy from one forward-difference pass.  It returns the total
-with a callable for the gradient phase: the interpolant derivative, the
-projection adjoints, the diffusion gradient from the same differences and
-the chain rule.  The context itself keeps nothing between
+A ``LossContext`` evaluates at source-voxel coordinates, in two phases.
+Its coordinate core, ``_evaluate_coords``, runs the value phase of the
+similarity: one warp at the given coordinates and, for sim2d, one DRR
+forward product for every emitter.  It returns the similarity with a
+callable for the gradient phase, which gives d sim / d warped (from one
+adjoint product for sim2d), the voxels in a supported cell and the
+interpolant derivative at them in voxel units.  The subspace drivers get
+the coordinates from their plan and apply the chain rule in alpha
+themselves.  ``evaluate(u)`` maps a field to coordinates, adds the
+diffusion energy from one forward-difference pass, and its callable
+returns dL/du in 1/mm: the derivative divided by the spacing, times
+d sim / d warped, plus the diffusion gradient from the same differences.
+The context itself keeps nothing between
 evaluations.  Besides its inputs it holds the table of interpolation cells
 where the masked source has support, built once, so the warp gathers and
 blends only the sample points in those cells.  The callable holds its
@@ -46,14 +53,13 @@ evaluates is warped once.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _real,
-                    warp_scalar_with_gradient)
+                    _warp_coords, warp_scalar_with_gradient)
 from .subspace import DeformationSubspace, reconstruct
 
 _EPS = 1e-8
@@ -75,27 +81,6 @@ class LossConfig:
 # ---------------------------------------------------------------------------
 # normalized cross correlation
 # ---------------------------------------------------------------------------
-
-def ncc(a, b) -> float:
-    """Pearson correlation over all elements; constant input gives 0.
-
-    Accepts Image3D or ndarray operands of identical shape.  An
-    exactly constant operand makes the correlation undefined; it is
-    defined as 0 here and a RuntimeWarning is emitted.
-    """
-    da = np.asarray(getattr(a, "data", a), dtype=np.float64)
-    db = np.asarray(getattr(b, "data", b), dtype=np.float64)
-    if da.shape != db.shape:
-        raise ValueError(f"shape mismatch {da.shape} vs {db.shape}")
-    if da.size == 0:
-        raise ValueError("empty input")
-    if np.ptp(da) == 0.0 or np.ptp(db) == 0.0:
-        warnings.warn("ncc of a constant input is undefined, returning 0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    val, _ = _ncc_core(da.reshape(-1), db.reshape(-1))
-    return val
-
 
 def _ncc_core(a: np.ndarray, b: np.ndarray):
     """Guarded correlation plus the pieces needed for its gradient."""
@@ -152,11 +137,6 @@ def _diffusion(data: np.ndarray, spacing):
         return g
 
     return energy, grad
-
-
-def diffusion_energy(u: DisplacementField) -> float:
-    """(1/|Omega|) sum of squared forward differences of u in 1/mm units."""
-    return _diffusion(u.data.astype(np.float64, copy=False), u.spacing)[0]
 
 
 def diffusion_quadratic(sub: DeformationSubspace):
@@ -232,9 +212,9 @@ class LossContext:
             names = ["masked target"]
         else:
             names = [f"projection {i}" for i in range(n)]
-            for i in range(n):
+            for i, nnz in enumerate(op._nnz()):
                 # an emitter whose rays all miss the grid renders zero for every field
-                if op._mat(i).nnz == 0:
+                if nnz == 0:
                     raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
         for name, arr in zip(["masked source", *names], [self.msrc, *self._measured]):
             if np.ptp(arr) == 0.0:
@@ -245,27 +225,47 @@ class LossContext:
     def _similarity(self, warped: np.ndarray):
         # the closure captures what it needs, never ``self``, so a gradient
         # callable the caller keeps does not keep its context alive
-        op, dims = self.drr_op, self.grid.dims
+        op = self.drr_op
         n = len(self._measured)
+        # column i renders operand i: the warped volume itself, or every
+        # emitter's projection from one forward product
+        rendered = warped.reshape(-1, 1) if op is None else op.forward(warped).reshape(-1, n)
+        shape = rendered.shape
         loss = 0.0
         parts = []
         for i, p in enumerate(self._measured):
-            rendered = warped if op is None else op.forward(warped, i)
-            val, pi = _ncc_core(p, rendered.reshape(-1))
+            val, pi = _ncc_core(p, rendered[:, i])
             loss += (1.0 - val) / n
             parts.append(pi)
 
         def grad():
-            gvol = np.zeros(dims, dtype=np.float64)
+            gp = np.zeros(shape)
             for i, pi in enumerate(parts):
-                gp = -_ncc_grad_b(pi) / n
-                gvol += (gp.reshape(dims) if op is None else
-                         op.adjoint(gp.reshape(op.geometry.detector_dims), i))
-            return gvol
+                gp[:, i] += -_ncc_grad_b(pi) / n
+            return (gp if op is None else op.adjoint(gp)).reshape(-1)
 
         return loss, grad
 
-    # -- public evaluations -------------------------------------------------
+    # -- evaluations ---------------------------------------------------------
+
+    def _evaluate_coords(self, coords: np.ndarray):
+        """The similarity at source-voxel coordinates ``coords``, (n_voxels, 3)
+        in C order, and a zero-argument callable for its gradient phase.
+
+        The one warp of an evaluation happens here; both ``evaluate`` and
+        the subspace drivers, which map coefficients to coordinates
+        themselves, come through.  The callable returns dsim/dwarped per
+        voxel (n_voxels,), the indices of the voxels whose coordinates lie
+        in a supported cell, and the warp's derivative at them in voxel
+        units, (len(active), 3); the derivative is zero at every other voxel.
+        """
+        warped, warp_grad = warp_scalar_with_gradient(self.msrc, coords, self._support)
+        sim, sim_grad = self._similarity(warped)
+
+        def grad():
+            return (sim_grad(), *warp_grad())
+
+        return sim, grad
 
     def loss(self, u: DisplacementField) -> float:
         """Total loss at u; runs the value phase only."""
@@ -286,18 +286,20 @@ class LossContext:
         """
         if u.grid != self.grid:
             raise ValueError("displacement grid does not match the loss grid")
-        warped, warp_grad = warp_scalar_with_gradient(self.msrc, self.grid, u,
-                                                      self._support)
-        sim, sim_grad = self._similarity(warped)
+        sim, sim_grad = self._evaluate_coords(_warp_coords(self.grid, u))
         lam = self.cfg.lam
         total = sim
         if lam:
             energy, reg_grad = _diffusion(u.data.astype(np.float64, copy=False),
                                           self.grid.spacing)
             total += lam * energy
+        sp = np.asarray(self.grid.spacing)
 
         def grad():
-            g = sim_grad()[..., None] * warp_grad()
+            s, active, d = sim_grad()
+            dwarp = np.zeros((s.size, 3))
+            dwarp[active] = d / sp
+            g = (s[:, None] * dwarp).reshape(u.dims + (3,))
             if lam:
                 g += lam * reg_grad()
             return g

@@ -12,7 +12,7 @@ holds exactly over the training set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
@@ -23,6 +23,21 @@ from .grids import DisplacementField, GridContainer, _array, _real
 _RANK_RTOL = 1e-10
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array.
+
+    Contiguous, so reconstruct reads it without a gather; read-only, so the
+    registration plan built from it cannot go stale.  An array that is the
+    caller's own is copied first, so the caller's stays writeable and a
+    view into a larger payload does not keep that payload alive.
+    """
+    out = np.ascontiguousarray(values, dtype=np.float64)
+    if out is values:
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class DeformationSubspace(GridContainer):
     """Mean field plus orthonormal basis fields spanning the model."""
@@ -31,14 +46,14 @@ class DeformationSubspace(GridContainer):
     basis: np.ndarray             # (N_e, W*H*D*3), rows orthonormal
     singular_values: np.ndarray   # (N_e,) descending
     variance_fraction: float
+    # the registration drivers' evaluation plan (``registration._plan``),
+    # built on the first registration with this subspace
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        # contiguous, so reconstruct reads them without a gather and a view
-        # into a larger payload does not keep that payload alive
-        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        self.basis = np.ascontiguousarray(self.basis, dtype=np.float64).reshape(
-            -1, self.grid.n_voxels * 3)
+        self.mean = _read_only(self.mean)
+        self.basis = _read_only(self.basis).reshape(-1, self.grid.n_voxels * 3)
         self.singular_values = _array(self.singular_values, "singular_values",
                                       (self.basis.shape[0],), ">= 0")
         self.variance_fraction = _real(self.variance_fraction, "variance_fraction", "(0, 1]")
@@ -88,8 +103,8 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
     return DeformationSubspace(
         dims=grid.dims, spacing=grid.spacing, origin=grid.origin,
         mean=mean.reshape(grid.dims + (3,)),
-        basis=Vt[:n_keep].copy(),
-        singular_values=s[:n_keep].copy(),
+        basis=Vt[:n_keep],
+        singular_values=s[:n_keep],
         variance_fraction=variance_fraction,
     )
 

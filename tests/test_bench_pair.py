@@ -80,6 +80,7 @@ def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_pa
     assert back["summary"]["proj2d"]["attempted"] == {"parent": 20, "change": 20}
     assert back["summary"]["proj2d"]["traced"]["change"] == {"grids.warp_calls": 11.0}
     assert back["summary"]["proj2d"]["runs_exited_nonzero"] == {"parent": 0, "change": 0}
+    assert back["summary"]["proj2d"]["pairs_iterations_differ"] == 0
 
 
 def test_a_run_that_exited_nonzero_is_counted_not_just_dropped(bench_pair):
@@ -116,6 +117,18 @@ def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path)
                 metric["pairs_tied"]) == (0, 0, 0)
         assert (metric["gain_shown"], metric["within_bound"]) == (False, False)
     assert summary["dense3d"]["runs_exited_nonzero"] == {"parent": 0, "change": 5}
+
+
+def test_pairs_whose_iteration_counts_differ_are_counted(bench_pair):
+    """A change that moves one pair's iteration count, by one in either
+    direction, shows in the count even where the medians tie."""
+    runs = json.loads(json.dumps(canned_runs(bench_pair)))
+    for r, iters in ((runs[1], 31), (runs[6], 29)):  # pairs 0 and 3, change side
+        assert (r["side"], r["trace"]) == ("change", 0)
+        r["result"]["metrics"]["iterations"]["value"] = iters
+    summary = bench_pair.summarize(runs, SPEC)["proj2d"]
+    assert summary["pairs_iterations_differ"] == 2
+    assert summary["iterations"]["change"]["median"] == summary["iterations"]["parent"]["median"]
 
 
 def scaled_change(runs, factor):

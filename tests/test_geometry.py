@@ -173,7 +173,7 @@ def test_central_ray_through_unit_cube_integrates_chord_length():
     vol = Image3D(dims, sp, org, np.ones(dims))
     geom = build_sdct_geometry(1, 10.0, 2000.0, detector_dims=(9, 9),
                                detector_spacing=(2.0, 2.0))
-    img = DrrOperator(vol.grid, geom, 0.5).forward(vol.data, 0)
+    img = DrrOperator(vol.grid, geom, 0.5).forward(vol.data)[..., 0]
     center = img[4, 4]
     assert abs(center - 16.0) < 2.0 * 0.5
 
@@ -184,8 +184,9 @@ def test_impulse_projects_within_one_pixel_of_the_closed_form():
     data[9, 11, 7] = 1.0
     vol = Image3D(DIMS, SPACING, ORIGIN, data)
     voxel_world = GRID.voxel_centers()[9, 11, 7]
+    imgs = DrrOperator(vol.grid, geom, 0.75).forward(vol.data)
     for ei in range(3):
-        img = DrrOperator(vol.grid, geom, 0.75).forward(vol.data, ei)
+        img = imgs[..., ei]
         pu, pv = project_point(geom, ei, voxel_world)
         nz = np.argwhere(img > 1e-9)
         assert nz.size > 0
@@ -200,8 +201,8 @@ def test_render_is_linear_in_the_volume():
     v2 = Image3D(DIMS, SPACING, ORIGIN, rng.random(DIMS))
     comb = Image3D(DIMS, SPACING, ORIGIN, 2.5 * v1.data - 0.7 * v2.data)
     op = DrrOperator(GRID, geom, 0.75)
-    got = op.forward(comb.data, 1)
-    want = 2.5 * op.forward(v1.data, 1) - 0.7 * op.forward(v2.data, 1)
+    got = op.forward(comb.data)
+    want = 2.5 * op.forward(v1.data) - 0.7 * op.forward(v2.data)
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel < 1e-6
 
@@ -210,19 +211,19 @@ def test_halved_step_changes_pixels_less_than_one_sample():
     geom = three_emitter_geometry()
     rng = np.random.default_rng(0)
     vol = Image3D(DIMS, SPACING, ORIGIN, np.abs(rng.standard_normal(DIMS)))
-    coarse = DrrOperator(GRID, geom, 1.5).forward(vol.data, 0)
-    fine = DrrOperator(GRID, geom, 0.75).forward(vol.data, 0)
+    coarse = DrrOperator(GRID, geom, 1.5).forward(vol.data)[..., 0]
+    fine = DrrOperator(GRID, geom, 0.75).forward(vol.data)[..., 0]
     assert np.abs(coarse - fine).max() < 1.5 * vol.data.max()
 
 
 def test_render_rejects_bad_emitter_index_and_step():
     geom = three_emitter_geometry()
     vol = Image3D(DIMS, SPACING, ORIGIN, np.ones(DIMS))
-    with pytest.raises((IndexError, ValueError)):
-        DrrOperator(vol.grid, geom, 0.75).forward(vol.data, 3)
+    # every emitter renders at once, on the last axis: there is no fourth
+    assert DrrOperator(vol.grid, geom, 0.75).forward(vol.data).shape == (40, 40, 3)
     for step in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step_mm must be positive and finite"):
-            DrrOperator(vol.grid, geom, step).forward(vol.data, 0)
+            DrrOperator(vol.grid, geom, step).forward(vol.data)
     for step in (True, "1"):
         with pytest.raises(ValueError, match="step_mm must be a real number"):
             DrrOperator(vol.grid, geom, step)
@@ -355,12 +356,59 @@ def test_operator_adjoint_matches_forward_inner_product(scene):
     grid, geom, step, seed = scene
     op = DrrOperator(grid, geom, step_mm=step)
     rng = np.random.default_rng(seed)
-    for i in range(geom.n_emitters):
-        x = rng.random(grid.dims)
-        y = rng.random(geom.detector_dims)
-        lhs = float(np.sum(op.forward(x, i) * y))
-        rhs = float(np.sum(x * op.adjoint(y, i)))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    x = rng.random(grid.dims)
+    y = rng.random(geom.detector_dims + (geom.n_emitters,))
+    lhs = float(np.sum(op.forward(x) * y))
+    rhs = float(np.sum(x * op.adjoint(y)))
+    assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenes())
+def test_the_stacked_matrix_holds_each_emitters_rows_entry_for_entry(scene):
+    """Row p * n + i of the stacked matrix is row p of emitter i's own
+    matrix, with the same entries in the same order, so the all-emitter
+    forward equals each emitter's own product bit for bit."""
+    grid, geom, step, seed = scene
+    op = DrrOperator(grid, geom, step_mm=step)
+    A, AT = op._matrices()
+    n = geom.n_emitters
+    vol = np.random.default_rng(seed).random(grid.dims)
+    got = op.forward(vol)
+    assert got.shape == geom.detector_dims + (n,)
+    for i in range(n):
+        own = op._build(i)
+        rows = A[i::n]
+        assert_array_equal(rows.indptr, own.indptr)
+        assert_array_equal(rows.indices, own.indices)
+        assert_array_equal(rows.data.view(np.int64), own.data.view(np.int64))
+        want = own @ vol.reshape(-1)
+        assert_array_equal(got[..., i].reshape(-1).view(np.int64), want.view(np.int64))
+    assert (AT != A.T).nnz == 0
+    assert_array_equal(op._nnz(), [op._build(i).nnz for i in range(n)])
+
+
+def test_the_emitter_whose_rays_all_miss_the_grid_is_named():
+    """Emitter 1 sits 60 mm to the side of a grid just below emitter 0, so
+    none of its rays to the detector crosses the grid."""
+    grid = GridSpec((5, 5, 5), (1.0, 1.0, 1.0), (-2.0, -2.0, 88.0))
+    geom = SdctGeometry(n_emitters=3,
+                        emitter_positions=[[0.0, 0.0, 100.0], [60.0, 0.0, 100.0],
+                                           [1.0, 0.0, 100.0]],
+                        detector_origin=(-3.5, -3.5, 0.0),
+                        detector_axes=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                        detector_dims=(8, 8), detector_spacing=(1.0, 1.0))
+    op = DrrOperator(grid, geom)
+    nnz = op._nnz()
+    assert nnz[0] > 0 and nnz[1] == 0 and nnz[2] > 0
+    rng = np.random.default_rng(4)
+    ones = np.ones(grid.dims)
+    ctx = LossContext(LossConfig(loss_mode="sim2d"),
+                      Image3D(grid.dims, grid.spacing, grid.origin, rng.random(grid.dims)),
+                      Mask3D(grid.dims, grid.spacing, grid.origin, ones),
+                      projections=ProjectionSet(geom, rng.random((8, 8, 3))), drr_op=op)
+    with pytest.raises(ValueError, match="projection 1: no ray of emitter 1 meets"):
+        ctx.require_contrast()
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,6 +422,7 @@ def test_forward_is_the_unclipped_midpoint_sum(scene):
     step = op.step_mm
     vol = np.random.default_rng(seed).random(grid.dims)
     pix = geom.pixel_centers().reshape(-1, 3)
+    got = op.forward(vol)
     for i, c in enumerate(geom.emitter_positions):
         length = np.linalg.norm(pix - c, axis=1)
         n = np.floor(length / step).astype(np.int64)
@@ -382,7 +431,7 @@ def test_forward_is_the_unclipped_midpoint_sum(scene):
         pts = c + t[None, :, None] * ((pix - c) / length[:, None])[:, None, :]
         vals = sample_trilinear(vol, grid.world_to_voxel(pts.reshape(-1, 3)))
         want = step * np.where(k < n[:, None], vals.reshape(n.size, -1), 0.0).sum(axis=1)
-        assert_allclose(op.forward(vol, i).reshape(-1), want, rtol=1e-12, atol=0.0)
+        assert_allclose(got[..., i].reshape(-1), want, rtol=1e-12, atol=0.0)
 
 
 def test_a_geometry_2e_3_mm_off_is_another_geometry():
@@ -413,7 +462,7 @@ def test_axis_parallel_ray_beside_the_grid_builds_without_warnings():
     grid = GridSpec((3, 4, 5), (1.0, 1.5, 2.0), (2.0, -2.0, 20.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mat = DrrOperator(grid, geom)._mat(0)
+        mat = DrrOperator(grid, geom)._build(0)
     assert mat.nnz > 0 and mat[12].nnz == 0
 
 
@@ -428,7 +477,7 @@ def test_subnormal_ray_component_builds_without_warnings():
                                    detector_dims=(5, 5), detector_spacing=(1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mats.append(DrrOperator(grid, geom)._mat(0))
+            mats.append(DrrOperator(grid, geom)._build(0))
     assert mats[0].nnz > 0 and (mats[0] != mats[1]).nnz == 0
 
 

@@ -1,4 +1,5 @@
 """File formats and the command-line pipelines built on them."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -769,7 +770,7 @@ def test_evaluate_cli(dataset, tmp_path):
     assert rep["pct_neg_jacobian"] == 0.0
 
     # hand-built two-landmark offset
-    center = grid.voxel_to_world(np.array([12.0, 12.0, 12.0]))
+    center = grid.voxel_centers()[12, 12, 12]
     lm_t = Landmarks(np.array([0, 1]),
                      np.stack([center, center + np.array([8.0, 0.0, 0.0])]))
     lm_s = Landmarks(lm_t.ids.copy(), lm_t.points + np.array([1.0, 2.0, 2.0]))
@@ -888,7 +889,7 @@ def test_validation_failures_exit_with_code_two(dataset, balanced_subspace,
 
     # a basis scaled by 100 breaks the orthonormality the first step assumes
     scaled = tio.read_subspace(str(balanced_subspace))
-    scaled.basis *= 100.0
+    scaled = dataclasses.replace(scaled, basis=100.0 * scaled.basis)
     tio.write_subspace(str(tmp_path / "scaled_sub.json"), scaled)
     capsys.readouterr()
     rc = main(["register", "subspace3d",

@@ -190,7 +190,7 @@ def test_projections_of_a_tube_free_phantom_are_spectrally_smooth():
                            n_modes=4, magnitude_mm=12.0,
                            smoothness_sigma_voxels=16.0 * nd / 64))
     img, _, _ = gen_phantom(spec)
-    proj = DrrOperator(img.grid, geometry_for(spec), step_for(spec)).forward(img.data, 0)
+    proj = DrrOperator(img.grid, geometry_for(spec), step_for(spec)).forward(img.data)[..., 0]
     rng = np.random.default_rng(0)
     noise = rng.random(proj.shape).astype(np.float32)
     assert high_frequency_fraction(proj) < 0.002

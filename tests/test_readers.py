@@ -1,12 +1,12 @@
 """Every reader of an outside file, fed one field it cannot expect.
 
 One generated test per kind of file a command reads: volume, mask, dvf,
-projections, subspace, geometry and phantom spec, each through
-``cli.main`` in process, and the coefficient file through
+projections, subspace, geometry, phantom spec and landmark CSV, each
+through ``cli.main`` in process, and the coefficient file through
 ``io.read_alpha``.  Each example writes a small valid scene, replaces one
 field of one file (a top-level field, a section entry or one entry of a
-list, at any depth) with a drawn JSON value and runs a command that reads
-it.  The run either exits 0, or exits 2 (3 for a numerical failure) with
+list, at any depth; for the CSV, one field of one row) with a drawn value
+and runs a command that reads it.  The run either exits 0, or exits 2 (3 for a numerical failure) with
 exactly one ``error:`` line and no output file.  It never raises, never
 warns, and a boolean or a string in a numeric field always exits 2.
 """
@@ -105,17 +105,17 @@ def _edited(doc, path, value):
     return doc, held
 
 
-def check(name, path, value, argv, out):
+def run(name, text, argv, out):
     """Run ``argv`` (``@`` standing for the scene directory) on the scene with
-    ``name`` edited at ``path``, and check how it ends."""
-    doc, held = _edited(json.loads(SCENE[name]), path, value)
+    file ``name`` replaced by ``text``, check how it ends, and return the
+    exit code and the error line, if any."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for fn, payload in SCENE.items():
             with open(os.path.join(tmp, fn), "wb") as fh:
                 fh.write(payload)
         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
@@ -125,10 +125,17 @@ def check(name, path, value, argv, out):
     assert [str(w.message) for w in caught] == []
     if rc == 0:
         assert lines == []
-    else:
-        assert rc in (2, 3)
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        assert not wrote
+        return rc, None
+    assert rc in (2, 3)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not wrote
+    return rc, lines[0]
+
+
+def check(name, path, value, argv, out):
+    """``run`` on the scene with the JSON file ``name`` edited at ``path``."""
+    doc, held = _edited(json.loads(SCENE[name]), path, value)
+    rc, _ = run(name, json.dumps(doc), argv, out)
     if isinstance(value, (bool, str)) and not isinstance(held, str):
         assert rc == 2, (path, value)
 
@@ -182,6 +189,7 @@ def test_subspace_reader(path, value):
 @example(("detector_origin", 0), True)
 @example(("detector_origin", 1), "0")
 @example(("emitter_positions", 1, 2), True)
+@example(("detector_dims", 0), 1e300)
 def test_geometry_reader(path, value):
     check("geometry.json", path, value, DRR, "out.json")
 
@@ -193,6 +201,46 @@ def test_geometry_reader(path, value):
 def test_phantom_spec_reader(path, value):
     check("spec.json", path, value,
           ["phantom", "gen", "--spec", "@spec.json", "--n", "0", "--out", "@out"], "out")
+
+
+# what a landmark CSV field may hold: each of VALUES as JSON text, and
+# texts that int() or float() reject or read out of range
+CSV_TEXTS = [json.dumps(v) for v in VALUES] + [
+    "", "x", "1.7", "0x10", "1e400", "nan", "-inf", " 7 ", "99999999999999999999",
+    str(2 ** 63), str(-2 ** 63)]
+
+
+def _int64_text(text):
+    try:
+        return -2 ** 63 <= int(text) < 2 ** 63
+    except ValueError:
+        return False
+
+
+def _finite_text(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@EXAMPLES
+@given(st.integers(2, 4), st.integers(0, 3), st.sampled_from(CSV_TEXTS))
+@example(2, 0, "99999999999999999999")
+@example(3, 0, "1.7")
+@example(4, 1, "0x10")
+def test_landmark_reader(line, column, text):
+    """Line ``line`` of the CSV gets ``text`` in field ``column``; an id
+    that is not a whole number within int64, or a coordinate that is not a
+    finite number, exits 2 with an error naming the line and the field."""
+    rows = SCENE["landmarks.csv"].decode("utf-8").splitlines()
+    entries = rows[line - 1].split(",")
+    entries[column] = text
+    rows[line - 1] = ",".join(entries)
+    rc, error = run("landmarks.csv", "\n".join(rows) + "\n", EVALUATE, "out.json")
+    field = ("id", "x", "y", "z")[column]
+    if not (_int64_text(text) if column == 0 else _finite_text(text)):
+        assert rc == 2 and error.startswith(f"error: landmark line {line} {field} must"), error
 
 
 @EXAMPLES

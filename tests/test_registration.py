@@ -235,22 +235,22 @@ def random_problem(dims, spacing, seed):
 def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
     src, tgt, mask, sub = random_problem((10, 8, 6), (1.5, 1.2, 2.0), 3)
     evaluated = []
-    evaluate = LossContext.evaluate
+    evaluate = LossContext._evaluate_coords
 
-    def recording(ctx, u):
-        evaluated.append(u.data.copy())
-        return evaluate(ctx, u)
+    def recording(ctx, coords):
+        evaluated.append(coords.copy())
+        return evaluate(ctx, coords)
 
-    monkeypatch.setattr(LossContext, "evaluate", recording)
+    # both drivers reach the coordinate core, at source-voxel coordinates
+    monkeypatch.setattr(LossContext, "_evaluate_coords", recording)
     opt = OptimConfig(max_iters=1)
     if driver == "subspace3d":
         register_subspace_3d(src, tgt, mask, mask, sub, opt_cfg=opt)
-        start = sub.mean
     else:
         register_dense_3d(src, tgt, mask, mask, opt_cfg=opt)
-        start = 0.0
     # evaluated[0] is the starting point, evaluated[1] the first trial
-    rms = np.sqrt(np.mean(np.sum((evaluated[1] - start) ** 2, axis=-1)))
+    moved = (evaluated[1] - evaluated[0]) * np.asarray(src.spacing)
+    rms = np.sqrt(np.mean(np.sum(moved ** 2, axis=-1)))
     assert rms == pytest.approx(min(src.spacing), rel=1e-9)
 
 
@@ -522,6 +522,14 @@ def test_non_finite_subspace_payload_aborts(identity_scene):
         register_subspace_3d(img, img, mask, mask, bad,
                              LossConfig(lam=0.1, loss_mode="sim3d"),
                              OptimConfig(max_iters=5))
+    bad_mean = sub.mean.copy()
+    bad_mean[1, 2, 3, 0] = np.nan
+    bad = dataclasses.replace(sub, mean=bad_mean)
+    for _ in range(2):  # a subspace that fails a check keeps no plan
+        with pytest.raises(NumericalAbort, match="subspace mean field"):
+            register_subspace_3d(img, img, mask, mask, bad,
+                                 LossConfig(lam=0.1, loss_mode="sim3d"),
+                                 OptimConfig(max_iters=5))
 
 
 def test_wrong_loss_mode_is_rejected(identity_scene):
@@ -546,6 +554,26 @@ def test_a_basis_that_is_not_orthonormal_is_rejected(identity_scene, op32):
         register_subspace_3d(img, img, mask, mask, scaled)
     with pytest.raises(ValueError, match="not orthonormal"):
         register_subspace_2d(img, projs, mask, scaled, drr_op=op32)
+
+
+def test_the_plan_follows_the_arrays_the_subspace_holds(identity_scene):
+    """The plan is reused while the subspace holds the arrays it was built
+    from.  They cannot be written in place; a new basis gets a new plan,
+    checked afresh."""
+    img, mask, sub, _ = identity_scene
+    sub = dataclasses.replace(sub)  # a copy that has no plan yet
+    opt = OptimConfig(max_iters=1)
+    register_subspace_3d(img, img, mask, mask, sub, opt_cfg=opt)
+    plan = registration._plan(sub)
+    register_subspace_3d(img, img, mask, mask, sub, opt_cfg=opt)
+    assert registration._plan(sub) is plan
+    with pytest.raises(ValueError, match="read-only"):
+        sub.basis *= 100.0
+    with pytest.raises(ValueError, match="read-only"):
+        sub.mean[0, 0, 0, 0] = 1.0
+    sub.basis = 100.0 * sub.basis
+    with pytest.raises(ValueError, match="not orthonormal"):
+        register_subspace_3d(img, img, mask, mask, sub, opt_cfg=opt)
 
 
 @pytest.mark.parametrize("driver", ["subspace3d", "subspace2d", "dense"])

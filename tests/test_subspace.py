@@ -209,3 +209,22 @@ def test_subspace_invariants_are_enforced_on_construction():
         with pytest.raises(ValueError, match=r"variance_fraction must lie in \(0, 1\]"):
             DeformationSubspace(**fields_of, singular_values=sub.singular_values,
                                 variance_fraction=bad)
+
+
+def test_the_arrays_are_read_only_and_the_callers_stay_writeable():
+    """The registration plan is built from the mean and basis, so they
+    cannot change in place; the arrays a caller passed are copied first."""
+    rng = np.random.default_rng(5)
+    mean = rng.standard_normal(GRID.dims + (3,))
+    basis = np.linalg.qr(rng.standard_normal((GRID.n_voxels * 3, 2)))[0].T.copy()
+    sub = DeformationSubspace(dims=GRID.dims, spacing=GRID.spacing, origin=GRID.origin,
+                              mean=mean, basis=basis, singular_values=[2.0, 1.0],
+                              variance_fraction=1.0)
+    for arr in (sub.mean, sub.basis):
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1.0
+    kept = sub.mean.copy(), sub.basis.copy()
+    mean[0, 0, 0, 0] += 1.0
+    basis[0, 0] += 1.0
+    assert np.array_equal(sub.mean, kept[0]) and np.array_equal(sub.basis, kept[1])

@@ -11,7 +11,8 @@ side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
 working tree: the environment, each side's line count of ``src/tomoreg/*.py``,
-every run with its result line, per workload each side's count of runs that exited non-zero, and per workload
+every run with its result line, per workload each side's count of runs that
+exited non-zero and the number of pairs whose ``iterations`` differ, and per workload
 and end-to-end metric each side's median and quartiles, how many pairs
 the change read lower, higher or equal, and two flags:
 ``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
@@ -90,8 +91,9 @@ def _claim_flags(vals: dict, metric: dict) -> dict:
 
 def summarize(runs: list, spec: dict) -> dict:
     """Per workload: each end-to-end metric's statistics and pairs won, the
-    failed and attempted counts per side, the traced per-layer values, and
-    per side the runs, traced or not, that exited non-zero.  Such a run has
+    failed and attempted counts per side, the traced per-layer values, per
+    side the runs, traced or not, that exited non-zero, and the number of
+    complete pairs whose two sides differ in ``iterations``.  Such a run has
     no result, so its pair is missing from every statistic above; a
     workload with no complete pair gets null statistics and false flags."""
     summary = {}
@@ -126,6 +128,10 @@ def summarize(runs: list, spec: dict) -> dict:
                          for r in own if r["trace"] and r["result"]}
         out["runs_exited_nonzero"] = {s: sum(r["side"] == s and r["result"] is None
                                              for r in own) for s in SIDES}
+        # a rounding-level change that moves an iteration count shows here,
+        # not only in a median
+        out["pairs_iterations_differ"] = sum(
+            len({p[s]["metrics"]["iterations"]["value"] for s in SIDES}) > 1 for p in pairs)
         summary[workload] = out
     return summary
 
