@@ -44,8 +44,8 @@ class SdctGeometry:
     detector_spacing: tuple[float, float]  # (pu, pv) mm
 
     def __post_init__(self):
-        self.n_emitters = _whole(self.n_emitters, "n_emitters", ">= 1")
-        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims", ">= 1")
+        self.n_emitters = _whole(self.n_emitters, "n_emitters", "count")
+        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims", "count")
         self.detector_spacing = _entries(self.detector_spacing, 2, _real,
                                          "detector_spacing", "> 0")
         self.emitter_positions = _array(self.emitter_positions, "emitter_positions",
@@ -103,13 +103,13 @@ def build_sdct_geometry(n_emitters: int,
     ``line_offset`` in detector coordinates).  Its length is chosen so the
     extreme emitters subtend ``span_angle_deg`` at the detector center.
     """
-    n_emitters = _whole(n_emitters, "n_emitters")
+    n_emitters = _whole(n_emitters, "n_emitters", "count")
     span_angle_deg = _real(span_angle_deg, "span_angle_deg", "(0, 180)")
     source_detector_distance = _real(source_detector_distance,
                                      "source_detector_distance", "> 0")
 
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    wd, hd = _entries(detector_dims, 2, _whole, "detector_dims")
+    wd, hd = _entries(detector_dims, 2, _whole, "detector_dims", "count")
     pu, pv = _entries(detector_spacing, 2, _real, "detector_spacing")
     det_origin = np.array([-0.5 * (wd - 1) * pu, -0.5 * (hd - 1) * pv, 0.0])
 

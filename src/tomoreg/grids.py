@@ -26,12 +26,18 @@ import numpy as np
 _ALIGN_EPS = 1e-9
 
 
+# the largest count that sizes an array: voxels along one axis, emitters,
+# detector pixels along one axis, channels.  A larger one is refused at the
+# reader, naming its field, before anything is allocated.
+_MAX_COUNT = 2 ** 16
+
 # the bounds a scalar field may carry: the test, and what the error says
 # the field must do
 _BOUNDS = {
     None: (lambda x: True, "be finite"),
     ">= 0": (lambda x: x >= 0.0, "be finite and >= 0"),
     ">= 1": (lambda x: x >= 1.0, "be finite and >= 1"),
+    "count": (lambda x: 1.0 <= x <= _MAX_COUNT, f"lie in [1, {_MAX_COUNT}]"),
     "> 0": (lambda x: x > 0.0, "be positive and finite"),
     "(0, 1]": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
     "(0, 180)": (lambda x: 0.0 < x < 180.0, "lie in (0, 180)"),
@@ -98,7 +104,7 @@ class GridSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", ">= 1"))
+        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", "count"))
         object.__setattr__(self, "spacing",
                            _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "origin", _entries(self.origin, 3, _real, "origin"))
@@ -215,20 +221,29 @@ def zero_displacement(grid: GridSpec) -> DisplacementField:
 
 @dataclass
 class Landmarks:
-    """Labelled world-mm points; ids are unique integers."""
+    """Labelled world-mm points; ids are unique integers within int64.
+
+    Ids of any shape are flattened and points taken as rows of three, as
+    the objects given; each id is read by ``_whole`` and each coordinate by
+    ``_real``, so a boolean, a string or an object is refused, naming the
+    field, instead of being cast.
+    """
 
     ids: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.ids.shape[0] != self.points.shape[0]:
-            raise ValueError("ids and points disagree in length")
+        ids = [_whole(i, "landmark ids") for i in np.asarray(self.ids, dtype=object).reshape(-1)]
+        if not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
+            raise ValueError("landmark ids must fit in a 64-bit integer")
+        self.ids = np.array(ids, dtype=np.int64)
+        points = np.asarray(self.points, dtype=object)
+        if points.size % 3:
+            raise ValueError(f"landmark points must be rows of 3 coordinates, "
+                             f"got {points.size} entries")
+        self.points = _array(points.reshape(-1, 3), "landmark points", (self.ids.size, 3))
         if np.unique(self.ids).size != self.ids.size:
             raise ValueError("landmark ids must be unique")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("landmark coordinates must be finite")
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -286,16 +301,22 @@ def _padded_index(dims, i0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return base[None, :] + (offsets @ np.array([sx, sy, 1]))[:, None]
 
 
-def _gather_corners(data: np.ndarray, g: np.ndarray):
-    """The 8 cell corners around each voxel coord g (n,3), in one gather.
+def _gather_corners(padded: np.ndarray, g: np.ndarray):
+    """The 8 cell corners around each voxel coord g (n,3), in one gather
+    from ``padded``, which is ``_pad(data, 0.0)``.
 
     Returns the corners (8, n) or (8, n, C), ordered with z fastest
     (c000, c001, c010, c011, c100, ...), and the snapped fractions (n, 3).
     A cell with any corner outside the grid reads zeros there.
     """
     i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
-    flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
-    return flat.take(_padded_index(data.shape[:3], i0, _CELL_Z_FASTEST), axis=0), f
+    flat = padded.reshape((-1,) + padded.shape[3:])
+    return flat.take(_padded_index(_unpadded(padded), i0, _CELL_Z_FASTEST), axis=0), f
+
+
+def _unpadded(padded: np.ndarray) -> tuple:
+    """The dims of the grid that ``_pad`` padded into ``padded``."""
+    return tuple(n - 4 for n in padded.shape[:3])
 
 
 def trilinear_weights(grid: GridSpec, pts: np.ndarray):
@@ -371,8 +392,14 @@ def sample_trilinear(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     ``warp_scalar_with_gradient``, which keeps the corners so that a caller
     can ask for it later, or never.
     """
-    corners, f = _gather_corners(data, g)
-    return _interpolate(corners, f)[0]
+    return _trilinear_sampler(data)(g)
+
+
+def _trilinear_sampler(data: np.ndarray):
+    """``sample_trilinear`` of ``data`` as a callable of g alone, which pads
+    ``data`` once for every call it serves."""
+    padded = _pad(data, 0.0)
+    return lambda g: _interpolate(*_gather_corners(padded, g))[0]
 
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -433,9 +460,9 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
     return type(src)(u.dims, u.spacing, u.origin, out)
 
 
-def _cell_support(data: np.ndarray) -> np.ndarray:
-    """Flat table over ``_pad(data)``: True for each cell with a corner that
-    is not bitwise +0.0.
+def _cell_support(padded: np.ndarray) -> np.ndarray:
+    """Flat table over ``padded``, which is ``_pad(data, 0.0)``: True for
+    each cell with a corner that is not bitwise +0.0.
 
     Entry b is the cell whose lowest corner is padded voxel b, the base
     index ``_padded_index`` gives a sample point.  A cell whose eight
@@ -443,7 +470,6 @@ def _cell_support(data: np.ndarray) -> np.ndarray:
     every point inside it; one with a -0.0 corner can give -0.0, so the
     test is on the bits, not on the value.
     """
-    padded = _pad(data, 0.0)
     cell = padded.view(f"i{padded.itemsize}") != 0
     for a in range(3):  # each cell ORs its corner voxel with its upper neighbours
         head = (slice(None),) * a
@@ -451,11 +477,13 @@ def _cell_support(data: np.ndarray) -> np.ndarray:
     return cell.reshape(-1)
 
 
-def warp_scalar_with_gradient(data: np.ndarray, g: np.ndarray, support: np.ndarray):
-    """Trilinear values of ``data`` at voxel coords g (n,3), plus a callable
-    for their spatial derivative.
+def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.ndarray):
+    """Trilinear values of a (W,H,D) ``data`` at voxel coords g (n,3), plus a
+    callable for their spatial derivative.
 
-    ``support`` is ``_cell_support(data)``.  This is the value phase: it
+    ``padded`` is ``_pad(data, 0.0)`` and ``support`` is
+    ``_cell_support(padded)``, both built once by the caller and read, not
+    copied, on every call.  This is the value phase: it
     looks up the cell of every point in ``support``, gathers the eight
     corners of the points in a supported cell once, and returns the (n,)
     values with +0.0 at every other point, which is what blending eight
@@ -472,11 +500,11 @@ def warp_scalar_with_gradient(data: np.ndarray, g: np.ndarray, support: np.ndarr
     interpolant at the sample points, so finite differences of downstream
     losses agree with chain-rule gradients at tight tolerance.
     """
+    dims = _unpadded(padded)
     i0, f = _snap_fraction(g)
-    active = np.flatnonzero(support.take(_padded_index(data.shape, i0, _VOXEL)[0]))
+    active = np.flatnonzero(support.take(_padded_index(dims, i0, _VOXEL)[0]))
     f = f[active]
-    flat = _pad(data, 0.0).reshape(-1)
-    corners = flat.take(_padded_index(data.shape, i0[active], _CELL_Z_FASTEST))
+    corners = padded.reshape(-1).take(_padded_index(dims, i0[active], _CELL_Z_FASTEST))
 
     vals, planes = _interpolate(corners, f)
     warped = np.zeros(i0.shape[0])

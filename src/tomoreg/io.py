@@ -117,8 +117,8 @@ def _read_payload(header_path: str, expect_kind: str):
     _require(kind == expect_kind, "kind", f"got '{kind}', expected '{expect_kind}'")
     _require(header.get("dtype") == _DTYPE, "dtype", f"got {header.get('dtype')!r}")
     _require(header.get("layout") == _LAYOUT, "layout", f"got {header.get('layout')!r}")
-    dims = _entries(header["dims"], 2 if kind == "image2d" else 3, _whole, "dims", ">= 1")
-    channels = _whole(header["channels"], "channels", ">= 1")
+    dims = _entries(header["dims"], 2 if kind == "image2d" else 3, _whole, "dims", "count")
+    channels = _whole(header["channels"], "channels", "count")
     with open(_raw_path(header_path), "rb") as fh:
         payload = fh.read()
     expect = 4 * channels * math.prod(dims)

@@ -37,9 +37,10 @@ diffusion energy from one forward-difference pass, and its callable
 returns dL/du in 1/mm: the derivative divided by the spacing, times
 d sim / d warped, plus the diffusion gradient from the same differences.
 The context itself keeps nothing between
-evaluations.  Besides its inputs it holds the table of interpolation cells
-where the masked source has support, built once, so the warp gathers and
-blends only the sample points in those cells.  The callable holds its
+evaluations.  Besides its inputs it holds the zero-padded masked source and
+the table of interpolation cells where that source has support, both built
+once, so the warp copies nothing per evaluation and gathers and blends only
+the sample points in those cells.  The callable holds its
 evaluation's state for as long as the caller keeps it: per sample point in
 a supported cell the eight gathered corners, three fractions, the two
 z-face planes of the interpolant and the point's index; the correlation
@@ -58,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DrrOperator, ProjectionSet
-from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _real,
-                    _warp_coords, warp_scalar_with_gradient)
+from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _pad,
+                    _real, _warp_coords, warp_scalar_with_gradient)
 from .subspace import DeformationSubspace, reconstruct
 
 _EPS = 1e-8
@@ -180,7 +181,8 @@ class LossContext:
         if source_mask.grid != self.grid:
             raise ValueError("source mask grid does not match source grid")
         self.msrc = source.data.astype(np.float64) * source_mask.data
-        self._support = _cell_support(self.msrc)
+        self._padded = _pad(self.msrc, 0.0)
+        self._support = _cell_support(self._padded)
 
         if cfg.loss_mode == "sim3d":
             if target is None or target_mask is None:
@@ -259,7 +261,7 @@ class LossContext:
         in a supported cell, and the warp's derivative at them in voxel
         units, (len(active), 3); the derivative is zero at every other voxel.
         """
-        warped, warp_grad = warp_scalar_with_gradient(self.msrc, coords, self._support)
+        warped, warp_grad = warp_scalar_with_gradient(self._padded, coords, self._support)
         sim, sim_grad = self._similarity(warped)
 
         def grad():

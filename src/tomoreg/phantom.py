@@ -23,7 +23,7 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _entries, _real, _whole, sample_displacement, warp_image)
+                    _entries, _real, _trilinear_sampler, _whole, warp_image)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -33,7 +33,8 @@ _LANDMARK_MAX_ITERS = 100
 
 def split_seed(master_seed: int, key) -> int:
     """Stable derived seed for a sub-stream of a master seed."""
-    digest = hashlib.sha256(f"{int(master_seed)}:{key}".encode()).digest()
+    master_seed = _whole(master_seed, "master_seed")
+    digest = hashlib.sha256(f"{master_seed}:{key}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -64,18 +65,19 @@ class AcquisitionSpec:
     step_mm: float | None = None                      # default: half min voxel spacing
 
     def __post_init__(self):
-        object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters"))
+        object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters", "count"))
         for name in ("span_angle_deg", "source_detector_distance_mm", "step_mm"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _real(value, name))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
-        for name, convert in (("line_offset_mm", _real), ("detector_dims", _whole),
-                              ("detector_spacing_mm", _real)):
+        for name, convert, bound in (("line_offset_mm", _real, None),
+                                     ("detector_dims", _whole, "count"),
+                                     ("detector_spacing_mm", _real, None)):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _entries(value, 2, convert, name))
+                object.__setattr__(self, name, _entries(value, 2, convert, name, bound))
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class PhantomSpec:
     geometry: AcquisitionSpec = field(default_factory=AcquisitionSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims"))
+        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", "count"))
         object.__setattr__(self, "spacing",
                            _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
@@ -173,6 +175,29 @@ def _ellipsoid(grid: GridSpec):
     return center, semi
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, so a memoised array cannot be changed in place."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=4)
+def _region_frame(grid: GridSpec):
+    """Voxel centres, ellipsoid mask and the mask times its rim taper, read-only.
+
+    They depend on the grid alone, so every phantom on one grid shares them.
+    """
+    center, semi = _ellipsoid(grid)
+    coords = grid.voxel_centers()
+    rel = (coords - center) / semi
+    rel2 = np.sum(rel * rel, axis=-1)
+    mask = (rel2 <= 1.0).astype(np.float64)
+    # smoothstep shoulder so intensity reaches zero continuously at the rim
+    t = np.clip((1.0 - rel2) / 0.3, 0.0, 1.0)
+    taper = t * t * (3.0 - 2.0 * t)
+    return _frozen(coords), _frozen(mask), _frozen(mask * taper)
+
+
 def _segment_distance(pts: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     d = p1 - p0
     denom = float(d @ d)
@@ -195,14 +220,7 @@ def gen_phantom(spec: PhantomSpec):
     grid = grid_for(spec)
     rng = np.random.default_rng(split_seed(spec.seed, "phantom"))
     center, semi = _ellipsoid(grid)
-
-    coords = grid.voxel_centers()
-    rel = (coords - center) / semi
-    rel2 = np.sum(rel * rel, axis=-1)
-    mask = (rel2 <= 1.0).astype(np.float64)
-    # smoothstep shoulder so intensity reaches zero continuously at the rim
-    t = np.clip((1.0 - rel2) / 0.3, 0.0, 1.0)
-    taper = t * t * (3.0 - 2.0 * t)
+    coords, mask, shell = _region_frame(grid)
 
     noise = rng.standard_normal(grid.dims)
     smooth = gaussian_filter(noise, sigma=3.0, mode="nearest")
@@ -241,7 +259,7 @@ def gen_phantom(spec: PhantomSpec):
             bump = 0.9 * np.exp(-0.5 * (dist / tube_radius) ** 2)
             tubes[sub] = np.maximum(tubes[sub], bump.reshape(tubes[sub].shape))
 
-    intensity = mask * taper * (base + tubes)
+    intensity = shell * (base + tubes)
 
     image = Image3D(grid.dims, grid.spacing, grid.origin,
                     intensity.astype(np.float32))
@@ -258,19 +276,20 @@ def gen_phantom(spec: PhantomSpec):
 # smooth low-rank deformations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def _region_selector(dims) -> np.ndarray:
-    """Boolean voxel selector for the phantom ellipsoid, origin-free."""
+    """Boolean voxel selector for the phantom ellipsoid, origin-free, read-only."""
     idx = np.stack(np.meshgrid(*(np.arange(d, dtype=np.float64) for d in dims),
                                indexing="ij"), axis=-1)
     center = 0.5 * (np.asarray(dims, dtype=np.float64) - 1.0)
     semi = np.array([0.30, 0.30, 0.32]) * np.asarray(dims, dtype=np.float64)
     rel = (idx - center) / semi
-    return np.sum(rel * rel, axis=-1) <= 1.0
+    return _frozen(np.sum(rel * rel, axis=-1) <= 1.0)
 
 
 @lru_cache(maxsize=4)
 def _deformation_modes(dims, spacing, seed, n_modes, sigma):
-    """Fixed family of smooth single-axis mode fields.
+    """Fixed family of smooth single-axis mode fields, read-only.
 
     Smoothing zero-pads so values taper off toward the grid boundary, and
     each mode is normalized by its peak inside the phantom region; both
@@ -287,14 +306,18 @@ def _deformation_modes(dims, spacing, seed, n_modes, sigma):
         if peak > 0.0:
             comp = comp / peak
         modes[m, ..., m % 3] = comp
-    return modes
+    return _frozen(modes)
 
 
 def _grad_row_sum_max(data: np.ndarray, spacing) -> float:
     """Max over voxels/components of sum_d |forward diff along d| / s_d."""
-    # appending the last slice gives the last voxel a difference of exactly 0
-    rows = sum(np.abs(np.diff(data, axis=ax, append=data.take([-1], axis=ax)))
-               / float(spacing[ax]) for ax in range(3))
+    # the last voxel along each axis keeps a difference of exactly 0
+    rows = np.zeros(data.shape)
+    for ax in range(3):
+        d = np.diff(data, axis=ax)
+        np.abs(d, out=d)
+        d /= float(spacing[ax])
+        rows[(slice(None),) * ax + (slice(0, -1),)] += d
     return float(rows.max())
 
 
@@ -350,9 +373,11 @@ class PhantomPair:
 
 def _solve_target_landmarks(u: DisplacementField, pts_src: np.ndarray) -> np.ndarray:
     """Fixed-point solve of p + u(p) = l_s for each source landmark."""
+    sample = _trilinear_sampler(u.data)  # pads the field once per solve
+    grid = u.grid
     p = pts_src.copy()
     for _ in range(_LANDMARK_MAX_ITERS):
-        p_new = pts_src - sample_displacement(u, p)
+        p_new = pts_src - sample(grid.world_to_voxel(p))
         if float(np.max(np.linalg.norm(p_new - p, axis=1))) < _LANDMARK_TOL_MM:
             return p_new
         p = p_new

@@ -2,9 +2,10 @@
 
 A displacement field is modelled as u = u_mean + sum_i alpha_i * e_i where
 the e_i are orthonormal principal directions of a set of training fields.
-The decomposition runs directly on the raw mean-centered sample matrix
-(samples as rows, flattened fields as columns); singular values are kept
-untouched so the discarded-energy identity
+The decomposition is an economy SVD of the tall mean-centered matrix, one
+flattened field per column, whose left singular vectors are the e_i; no
+Gram matrix is formed.  Singular values are kept untouched so the
+discarded-energy identity
 
     sum_k ||u_k - reconstruct(project(u_k))||^2 = sum_{i > N_e} sigma_i^2
 
@@ -70,9 +71,15 @@ class DeformationSubspace(GridContainer):
 def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspace:
     """PCA of displacement fields sharing one grid.
 
+    The fields are stacked as the rows of one float64 matrix and centred in
+    place; its transpose, (3 * n_voxels) x n_fields and Fortran-ordered, is
+    factored by LAPACK without a copy and overwritten.  Its left singular
+    vectors are the basis rows.
+
     Keeps the smallest basis count whose cumulative squared-singular-value
     fraction reaches ``variance_fraction`` (the vector that crosses the
-    threshold is included); exactly-zero singular values are always dropped.
+    threshold is included); singular values at or below ``_RANK_RTOL``
+    times the largest are rank noise and always dropped.
     """
     variance_fraction = _real(variance_fraction, "variance_fraction", "(0, 1]")
     if len(fields) == 0:
@@ -82,16 +89,20 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
         if f.grid != grid:
             raise ValueError("all displacement fields must share one grid")
 
-    X = np.stack([f.data.astype(np.float64, copy=False).reshape(-1) for f in fields])
+    X = np.empty((len(fields), grid.n_voxels * 3))
+    for row, f in zip(X, fields):
+        row[:] = f.data.reshape(-1)
     mean = X.mean(axis=0)
-    Xc = X - mean[None, :]
+    X -= mean
 
-    # economy SVD; rows of Vt are candidate basis vectors
-    _, s, Vt = linalg.svd(Xc, full_matrices=False, lapack_driver="gesdd")
+    # economy SVD of the tall X.T, whose columns are the centred fields;
+    # columns of U are candidate basis vectors
+    U, s, _ = linalg.svd(X.T, full_matrices=False, overwrite_a=True,
+                         lapack_driver="gesdd")
+    del X
 
-    nonzero = s > (_RANK_RTOL * s[0] if s.size and s[0] > 0.0 else 0.0)
-    s = s[nonzero]
-    Vt = Vt[nonzero]
+    # s descends, so the kept columns are the leading ones
+    s = s[s > (_RANK_RTOL * s[0] if s.size and s[0] > 0.0 else 0.0)]
 
     if s.size == 0:
         n_keep = 0
@@ -103,7 +114,7 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
     return DeformationSubspace(
         dims=grid.dims, spacing=grid.spacing, origin=grid.origin,
         mean=mean.reshape(grid.dims + (3,)),
-        basis=Vt[:n_keep],
+        basis=U[:, :n_keep].T,
         singular_values=s[:n_keep],
         variance_fraction=variance_fraction,
     )

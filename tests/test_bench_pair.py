@@ -59,7 +59,7 @@ def canned_runs(bench_pair):
 def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_path):
     runs = canned_runs(bench_pair)
     doc = bench_pair.record(runs, SPEC, "abc1234", {"proj2d": [1] * 4}, 1,
-                            {"parent": 120, "change": 110})
+                            {"parent": 120, "change": 110}, [])
     path = tmp_path / "BENCH_smoke.json"
     bench_pair.write_record(path, doc)
     back = json.loads(path.read_text(encoding="utf-8"))
@@ -102,7 +102,7 @@ def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path)
               if r["side"] == "change" else r for r in broken]
     doc = bench_pair.record(runs + broken, SPEC, "abc1234",
                             {"proj2d": [1] * 4, "dense3d": [1] * 4}, 1,
-                            {"parent": 120, "change": 110})
+                            {"parent": 120, "change": 110}, [])
     bench_pair.write_record(tmp_path / "BENCH_smoke.json", doc)
     back = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     summary = back["summary"]
@@ -188,3 +188,44 @@ def test_src_lines_counts_the_package_modules_only(bench_pair, tmp_path):
 def test_an_empty_run_output_is_an_error(bench_pair):
     with pytest.raises(ValueError, match="printed nothing"):
         bench_pair.parse_output("\n")
+
+
+def canned_setup64():
+    """Three 64-cubed pairs, sides alternating; the change is faster in every
+    stage but the DRR build, which ties in pair 0 and loses in pair 2; its
+    pair-1 parent child failed."""
+    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 940.0), (0, "change", 1.1, 2.0, 2.1, 0.9, 960.0),
+            (1, "change", 1.2, 2.1, 2.0, 0.8, 950.0), (1, "parent", None),
+            (2, "parent", 2.2, 5.4, 2.0, 1.2, 942.0), (2, "change", 1.0, 1.9, 2.2, 0.7, 930.0)]
+    runs = []
+    for pair, side, *values in rows:
+        stages = (None if values == [None]
+                  else dict(zip(["train_fields_s", "build_subspace_s", "drr_build_s",
+                                 "make_pair_s", "peak_rss_mb"], values)))
+        runs.append({"pair": pair, "side": side, "seed": 7, "stages": stages,
+                     "returncode": 0 if stages else 1})
+    return runs
+
+
+def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_path):
+    setup64 = canned_setup64()
+    doc = bench_pair.record(canned_runs(bench_pair), SPEC, "abc1234", {"proj2d": [1] * 4},
+                            1, {"parent": 120, "change": 110}, setup64)
+    bench_pair.write_record(tmp_path / "BENCH_smoke.json", doc)
+    back = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    section = back["setup64"]
+    assert section["runs"] == setup64
+    summary = section["summary"]
+    # pair 1 has no parent result, so pairs 0 and 2 are compared
+    build = summary["build_subspace_s"]
+    assert build["parent"] == pytest.approx({"median": 5.2, "q1": 5.1, "q3": 5.3,
+                                             "iqr": 0.2, "n": 2})
+    assert build["change"]["median"] == pytest.approx(1.95)
+    assert (build["pairs_change_lower"], build["pairs_change_higher"],
+            build["pairs_tied"]) == (2, 0, 0)
+    drr = summary["drr_build_s"]
+    assert (drr["pairs_change_lower"], drr["pairs_change_higher"],
+            drr["pairs_tied"]) == (0, 1, 1)
+    assert summary["peak_rss_mb"]["change"]["median"] == pytest.approx(945.0)
+    assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_exited_nonzero"}
+    assert summary["runs_exited_nonzero"] == {"parent": 1, "change": 0}

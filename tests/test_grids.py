@@ -11,7 +11,7 @@ from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, jacobian_stats, sample_displacement,
                      warp_image, zero_displacement)
 from tomoreg.grids import (_cell_support, _gather_corners, _interpolant_gradient,
-                           _interpolate, _snap_fraction, _warp_coords, sample_nearest,
+                           _interpolate, _pad, _snap_fraction, _warp_coords, sample_nearest,
                            sample_trilinear, trilinear_weights, warp_scalar_with_gradient)
 
 from conftest import SPEC32
@@ -34,6 +34,13 @@ def scattered(parts, n):
     out = np.zeros((n, 3))
     out[active] = d
     return out
+
+
+def warp(data, g):
+    """``warp_scalar_with_gradient`` of ``data`` with its pad and support
+    table built as ``LossContext`` builds them."""
+    padded = _pad(data, 0.0)
+    return warp_scalar_with_gradient(padded, g, _cell_support(padded))
 
 
 def sample_at(vol, p):
@@ -97,6 +104,41 @@ def test_displacement_field_requires_three_finite_components():
 def test_landmark_ids_must_be_unique():
     with pytest.raises(ValueError):
         Landmarks([1, 1], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize("ids, points, message", [
+    ([True, False], [[1.5, 0, 0], [0, 0, 0]], "landmark ids must be a whole number, got True"),
+    (np.array([1, 0], dtype=bool), np.zeros((2, 3)), "landmark ids must be a whole number"),
+    (["1", 2], np.zeros((2, 3)), "landmark ids must be a whole number, got '1'"),
+    ([{}, 2], np.zeros((2, 3)), r"landmark ids must be a whole number, got \{\}"),
+    ([1.7, 2], np.zeros((2, 3)), "landmark ids must be a whole number, got 1.7"),
+    ([2 ** 63, 2], np.zeros((2, 3)), "landmark ids must fit in a 64-bit integer"),
+    ([1, 0], [["1.5", True, 0], [0, 0, 0]], "landmark points must be a real number, got '1.5'"),
+    ([1, 0], [[1.5, True, 0], [0, 0, 0]], "landmark points must be a real number, got True"),
+    ([1, 0], [[1.5, None, 0], [0, 0, 0]], "landmark points must be a real number, got None"),
+    ([1, 0], [[1.5, np.nan, 0], [0, 0, 0]], "landmark points must be finite, got nan"),
+    ([1, 0], np.zeros((3, 3)), "landmark points must have 2 entries, got 3"),
+    ([1, 0], np.zeros((2, 2)), "landmark points must be rows of 3 coordinates, got 4"),
+    ([1, 0], [[1, 2, 3], [4, 5]], "landmark points must be rows of 3 coordinates, got 2"),
+])
+def test_landmarks_refuse_what_is_not_a_number(ids, points, message):
+    """Ids are read as whole numbers within int64 and points as finite
+    reals, entry by entry: nothing is cast, and the error names the field."""
+    with pytest.raises(ValueError, match=message):
+        Landmarks(ids, points)
+
+
+def test_landmarks_keep_whole_floats_and_int64_ids():
+    lm = Landmarks(np.array([4, -2 ** 63 + 1]), np.arange(6).reshape(2, 3))
+    assert lm.ids.dtype == np.int64 and lm.ids.tolist() == [4, -2 ** 63 + 1]
+    assert lm.points.dtype == np.float64 and lm.points[1].tolist() == [3.0, 4.0, 5.0]
+    assert Landmarks([4.0, np.float32(5.0)], np.zeros((2, 3))).ids.tolist() == [4, 5]
+    assert len(Landmarks(np.empty(0, dtype=np.int64), np.empty((0, 3)))) == 0
+    # ids of any shape are flattened, and points are taken as rows of three
+    one = Landmarks(7, [1, 2, 3])
+    assert one.ids.tolist() == [7] and one.points.tolist() == [[1.0, 2.0, 3.0]]
+    two = Landmarks(np.array([[1, 2]]), np.arange(6))
+    assert two.ids.tolist() == [1, 2] and two.points.shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +312,7 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     assert_same_bits(sample_trilinear(data, g), reference_trilinear(data, g))
     assert_same_bits(sample_nearest(data, g), reference_nearest(data, g))
     # the derivative, from the same corners and planes the warp keeps
-    corners, f = _gather_corners(data, g)
+    corners, f = _gather_corners(_pad(data, 0.0), g)
     planes = _interpolate(corners, f)[1]
     assert_same_bits(_interpolant_gradient(corners, f, planes),
                      reference_trilinear(data, g, with_gradient=True)[1])
@@ -293,8 +335,7 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     g_ref = (base + u.data / np.asarray(spacing)).reshape(-1, 3)
     want_vals, want_grad = reference_trilinear(data, g_ref, with_gradient=True)
     # the warp samples only cells with a corner that is not +0.0
-    vals, gradient = warp_scalar_with_gradient(data, _warp_coords(grid, u),
-                                               _cell_support(data))
+    vals, gradient = warp(data, _warp_coords(grid, u))
     assert_same_bits(vals, want_vals)
     assert_same_bits(scattered(gradient(), vals.size), want_grad)
 
@@ -356,8 +397,7 @@ def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
     for interp in ("trilinear", "nearest"):
         assert_same_bits(warp_image(src, u, interp).data, data)
     data64 = data.astype(np.float64)
-    vals, _ = warp_scalar_with_gradient(data64, _warp_coords(src.grid, u),
-                                        _cell_support(data64))
+    vals, _ = warp(data64, _warp_coords(src.grid, u))
     assert_same_bits(vals, data.astype(np.float64).reshape(-1))
 
 
@@ -408,8 +448,7 @@ def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
                     warnings.simplefilter("error")
                     out = warp_image(src, u, interp)
                     if interp == "trilinear":
-                        vals, gradient = warp_scalar_with_gradient(
-                            src.data, _warp_coords(src.grid, u), _cell_support(src.data))
+                        vals, gradient = warp(src.data, _warp_coords(src.grid, u))
                         assert_array_equal(vals, 0.0)
                         assert gradient()[0].size == 0  # no point in a supported cell
                 assert_array_equal(out.data, 0.0)

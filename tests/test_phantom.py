@@ -1,5 +1,8 @@
 """Synthetic scene generator: volumes, low-rank deformations, pairs."""
+import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +13,9 @@ from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator,
                      PhantomSpec, gen_phantom, gen_smooth_dvf, geometry_for,
                      grid_for, jacobian_stats, make_pair, mtre, step_for,
                      zero_displacement)
-from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL,
-                             _region_selector, split_seed)
+from tomoreg.cli import main
+from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL, _deformation_modes,
+                             _region_frame, _region_selector, split_seed)
 
 
 def grad_row_sum_max(data, spacing):
@@ -46,6 +50,11 @@ def test_seed_splitting_is_deterministic_and_key_sensitive():
     assert split_seed(0, "a") != split_seed(1, "a")
     v = split_seed(12345, "anything")
     assert isinstance(v, int) and 0 <= v < 2 ** 64
+    # the seed is read as a whole number: 7.0 is 7, a boolean or 2.5 is refused
+    assert split_seed(7.0, "a") == split_seed(np.int64(7), "a") == split_seed(7, "a")
+    for bad in (True, 2.5, "7", float("nan")):
+        with pytest.raises(ValueError, match="master_seed must"):
+            split_seed(bad, "a")
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +67,50 @@ def test_generation_is_bitwise_deterministic():
     assert np.array_equal(img1.data, img2.data)
     assert np.array_equal(mask1.data, mask2.data)
     assert np.array_equal(lm1.points, lm2.points)
+
+
+def test_the_memoised_per_grid_arrays_are_read_only():
+    """The arrays every phantom and field on one grid shares cannot be
+    written, while each call's own outputs stay writeable."""
+    defo = SPEC32.deformation
+    grid = grid_for(SPEC32)
+    shared = [_region_selector(SPEC32.dims), *_region_frame(grid),
+              _deformation_modes(SPEC32.dims, SPEC32.spacing, SPEC32.seed,
+                                 defo.n_modes, defo.smoothness_sigma_voxels)]
+    for arr in shared:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.reshape(-1)[0] = 1
+    img, mask, lm = gen_phantom(SPEC32)
+    u = gen_smooth_dvf(SPEC32, seed=3)
+    for arr in (img.data, mask.data, lm.points, u.data):
+        assert arr.flags.writeable
+
+
+def _tree_hashes(root):
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_phantom_gen_files_are_equal_across_processes_and_warm_caches(tmp_path):
+    """Two fresh processes and this one, whose per-grid caches are warm,
+    write SHA-256-equal datasets on a non-cubic grid."""
+    spec = PhantomSpec(dims=(16, 18, 17), spacing=(4.0, 3.5, 4.2), seed=5,
+                       deformation=DeformationSpec(smoothness_sigma_voxels=5.0),
+                       geometry=AcquisitionSpec(n_emitters=2))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    argv = ["phantom", "gen", "--spec", str(spec_path), "--seed", "3", "--n", "2"]
+    for out in ("a", "b"):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "tomoreg", *argv, "--out", str(tmp_path / out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    gen_smooth_dvf(spec, seed=1)  # warms the caches this process keeps
+    assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+    want = _tree_hashes(tmp_path / "a")
+    assert len(want) == 2 * 15 + 1  # 9 files per sample, 6 with a raw payload
+    assert _tree_hashes(tmp_path / "b") == want == _tree_hashes(tmp_path / "c")
 
 
 def test_mask_is_binary_and_intensities_live_inside_it():
@@ -166,6 +219,10 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
      "magnitude_mm must be a real number, got '3'"),
     ({"deformation": {"smoothness_sigma_voxels": True}},
      "smoothness_sigma_voxels must be a real number, got True"),
+    ({"geometry": {"n_emitters": 1e20}}, r"n_emitters must lie in \[1, 65536\], got 1e\+20"),
+    ({"geometry": {"detector_dims": [1e20, 8]}},
+     r"detector_dims must lie in \[1, 65536\], got 1e\+20"),
+    ({"dims": [16, 16, 2 ** 16 + 1]}, r"dims must lie in \[1, 65536\], got 65537"),
 ], ids=["unknown-key", "unknown-geometry-key", "unknown-deformation-keys",
         "list-spec", "number-section", "list-section", "number-dims",
         "infinite-seed", "string-modes", "fractional-modes", "fractional-dims",
@@ -174,7 +231,7 @@ def test_spec_from_dict_keeps_defaults_for_null_and_missing_entries():
         "one-entry-detector-spacing", "boolean-offset", "string-detector-spacing",
         "two-entry-dims", "two-entry-spacing", "string-step", "boolean-step",
         "boolean-span", "boolean-distance", "boolean-magnitude", "string-magnitude",
-        "boolean-smoothness"])
+        "boolean-smoothness", "huge-emitters", "huge-detector-dims", "huge-dims"])
 def test_spec_from_dict_rejects_unknown_keys_and_malformed_values(d, message):
     with pytest.raises(ValueError, match=message):
         PhantomSpec.from_dict(d)

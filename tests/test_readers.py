@@ -203,6 +203,27 @@ def test_phantom_spec_reader(path, value):
           ["phantom", "gen", "--spec", "@spec.json", "--n", "0", "--out", "@out"], "out")
 
 
+PHANTOM_GEN = ["phantom", "gen", "--spec", "@spec.json", "--n", "0", "--out", "@out"]
+
+
+@pytest.mark.parametrize("name, path, value, argv, field", [
+    ("geometry.json", ("detector_dims", 0), 1e20, DRR, "detector_dims"),
+    ("geometry.json", ("detector_dims", 1), 10 ** 20, DRR, "detector_dims"),
+    ("geometry.json", ("n_emitters",), 1e20, DRR, "n_emitters"),
+    ("spec.json", ("geometry", "detector_dims"), [1e20, 8], PHANTOM_GEN, "detector_dims"),
+    ("spec.json", ("geometry", "n_emitters"), 1e20, PHANTOM_GEN, "n_emitters"),
+    ("spec.json", ("dims", 2), 2 ** 16 + 1, PHANTOM_GEN, "dims"),
+    ("source.json", ("dims", 0), 1e20, DRR, "dims"),
+], ids=["geometry-detector-u", "geometry-detector-v", "geometry-emitters",
+        "spec-detector", "spec-emitters", "spec-dims", "volume-dims"])
+def test_a_huge_count_exits_2_naming_its_field(name, path, value, argv, field):
+    """A finite count too large for any array is refused by the reader, with
+    the field's name, before numpy is asked for the array."""
+    doc, _ = _edited(json.loads(SCENE[name]), path, value)
+    rc, error = run(name, json.dumps(doc), argv, "out")
+    assert rc == 2 and error.startswith(f"error: {field} must lie in [1, 65536], got"), error
+
+
 # what a landmark CSV field may hold: each of VALUES as JSON text, and
 # texts that int() or float() reject or read out of range
 CSV_TEXTS = [json.dumps(v) for v in VALUES] + [

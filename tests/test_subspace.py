@@ -1,10 +1,14 @@
 """Mean/basis construction, projection and reconstruction of field spaces."""
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy import linalg
 
 from tomoreg import (DeformationSubspace, DisplacementField, GridSpec,
                      build_subspace, project, reconstruct)
+from tomoreg.subspace import _RANK_RTOL
 
 GRID = GridSpec((5, 4, 3), (1.5, 2.0, 1.0), (-1.0, 0.0, 2.0))
 
@@ -58,6 +62,66 @@ def test_duplicated_inputs_do_not_inflate_the_rank():
     f1, f2 = rand_field(5), rand_field(6)
     sub = build_subspace([f1, f2, f1, f2, f1], 1.0)
     assert sub.n_components <= 2
+
+
+def reference_pca(fields, variance_fraction):
+    """Mean, kept singular values and basis rows from the samples-as-rows
+    factorization: the economy SVD of the centred (n_fields, 3 * n_voxels)
+    matrix, whose right singular vectors are the basis, with the same rank
+    and variance rules."""
+    X = np.stack([f.data.astype(np.float64).reshape(-1) for f in fields])
+    mean = X.mean(axis=0)
+    _, s, Vt = linalg.svd(X - mean[None, :], full_matrices=False,
+                          lapack_driver="gesdd")
+    nonzero = s > (_RANK_RTOL * s[0] if s.size and s[0] > 0.0 else 0.0)
+    s, Vt = s[nonzero], Vt[nonzero]
+    n_keep = 0
+    if s.size:
+        energy = np.cumsum(s ** 2) / np.sum(s ** 2)
+        n_keep = min(int(np.searchsorted(energy, variance_fraction - 1e-12) + 1), s.size)
+    return mean, s[:n_keep], Vt[:n_keep]
+
+
+@st.composite
+def field_sets(draw):
+    """Training sets on small non-cubic grids: 1-40 fields, some grids with
+    fewer field entries (3 * n_voxels, down to 3) than fields, drawn
+    distinct, as a few fields repeated in a shuffled order, or as one field
+    repeated.  The repeated field holds multiples of 1/8 below 8, so the
+    mean of its copies is exact and the centred matrix is exactly zero."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    grid = GridSpec(dims, (1.5, 2.0, 1.0), (-1.0, 0.0, 2.0))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["distinct", "repeated", "identical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "identical":
+        data = [rng.integers(-64, 64, dims + (3,)) / 8.0] * n
+    else:
+        n_distinct = n if kind == "distinct" else draw(st.integers(1, n))
+        distinct = [rng.standard_normal(dims + (3,)) for _ in range(n_distinct)]
+        data = [distinct[i % n_distinct] for i in rng.permutation(n)]
+    fields = [DisplacementField(grid.dims, grid.spacing, grid.origin, d) for d in data]
+    return fields, kind, draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_sets())
+def test_the_tall_factorization_matches_the_samples_as_rows_one(case):
+    """``build_subspace`` factors the transpose of the matrix the reference
+    factors: same components kept, singular values within 1e-12 of the
+    largest, basis rows equal up to sign, the mean bit for bit."""
+    fields, kind, variance = case
+    sub = build_subspace(fields, variance)
+    mean, s, Vt = reference_pca(fields, variance)
+    assert sub.n_components == s.size
+    if kind == "identical":
+        assert sub.n_components == 0
+    assert_array_equal(sub.mean.reshape(-1), mean)
+    if s.size:
+        assert np.max(np.abs(sub.singular_values - s)) <= 1e-12 * s[0]
+        sign = np.sign(np.sum(sub.basis * Vt, axis=1))
+        assert np.all(sign != 0)
+        assert np.max(np.abs(sub.basis - sign[:, None] * Vt)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

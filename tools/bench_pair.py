@@ -18,11 +18,22 @@ the change read lower, higher or equal, and two flags:
 ``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
 parent's IQR) and ``within_bound`` (the change's median no worse than the
 parent's by more than the metric's bound).
+
+The record also holds a 64-cubed set-up section, ``setup64``.  For three
+alternating pairs, on the first three seeds, a child process per checkout,
+with that checkout's ``src`` first on ``sys.path``, times 30 training
+fields, ``build_subspace(..., 0.99)``, a forced ``DrrOperator`` build and
+one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), and reports
+its ``ru_maxrss``.  Per stage the section holds each side's median and
+quartiles and how many pairs the change read lower, higher or equal.
+Three pairs are too few for the claim rule, so these figures are
+indicative only.  A child peaks near 1 GB.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -58,6 +69,84 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
         return {**run, "result": None, "environment": None}
     env, result = parse_output(proc.stdout)
     return {**run, "result": result, "environment": env}
+
+
+# the 64-cubed set-up, run from the root of one checkout: argv[1] is the
+# seed; prints one JSON object of stage times (wall seconds) and peak RSS
+SETUP64_CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, "src")
+import numpy as np
+from tomoreg import (DrrOperator, Image3D, PhantomSpec, build_subspace, gen_smooth_dvf,
+                     geometry_for, grid_for, make_pair, step_for)
+from tomoreg.phantom import split_seed
+
+seed, spec, out = int(sys.argv[1]), PhantomSpec(), {}
+
+
+def timed(name, fn):
+    t0 = time.perf_counter()
+    value = fn()
+    out[name] = time.perf_counter() - t0
+    return value
+
+
+def forced_operator():
+    grid = grid_for(spec)
+    op = DrrOperator(grid, geometry_for(spec), step_for(spec))
+    op.render_all(Image3D(grid.dims, grid.spacing, grid.origin,
+                          np.zeros(grid.dims, dtype=np.float32)))
+    return op
+
+
+fields = timed("train_fields_s", lambda: [
+    gen_smooth_dvf(spec, seed=split_seed(seed, f"train{i}")) for i in range(30)])
+sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
+del fields
+op = timed("drr_build_s", forced_operator)
+timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps(out))
+"""
+SETUP64_PAIRS = 3
+SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pair_s",
+                  "peak_rss_mb")
+
+
+def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
+    """One 64-cubed set-up child in ``checkout``; ``stages`` is None if it failed."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(["python3", "-c", SETUP64_CHILD, str(seed)], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+    stages = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else None
+    return {"pair": pair, "side": side, "seed": seed, "returncode": proc.returncode,
+            "stages": stages}
+
+
+def summarize_setup64(runs: list) -> dict:
+    """Per stage of the complete 64-cubed pairs: each side's statistics and
+    how many pairs the change read lower, higher or equal."""
+    by_pair = {}
+    for r in runs:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r["stages"]
+    pairs = [p for p in by_pair.values() if all(p.get(s) for s in SIDES)]
+    out = {name: _paired({s: [p[s][name] for p in pairs] for s in SIDES})
+           for name in SETUP64_STAGES}
+    out["runs_exited_nonzero"] = {s: sum(r["side"] == s and r["stages"] is None
+                                         for r in runs) for s in SIDES}
+    return out
+
+
+def _paired(vals: dict) -> dict:
+    """Each side's statistics of paired values, and how many pairs the
+    change read lower, higher or equal."""
+    diffs = np.subtract(vals["change"], vals["parent"])
+    return {**{s: _stats(vals[s]) for s in SIDES},
+            "pairs_change_lower": int(np.sum(diffs < 0)),
+            "pairs_change_higher": int(np.sum(diffs > 0)),
+            "pairs_tied": int(np.sum(diffs == 0))}
 
 
 def _stats(values: list) -> dict:
@@ -108,16 +197,12 @@ def summarize(runs: list, spec: dict) -> dict:
         for m in spec["end_to_end"]:
             name = m["name"]
             vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
-            diffs = np.subtract(vals["change"], vals["parent"])
-            stats = {s: _stats(vals[s]) for s in SIDES}
-            p_med, c_med = (stats[s]["median"] for s in SIDES)
+            paired = _paired(vals)
+            p_med, c_med = (paired[s]["median"] for s in SIDES)
             out[name] = {
                 "unit": m["unit"],
-                **stats,
+                **paired,
                 "change_over_parent": c_med / p_med if p_med else None,
-                "pairs_change_lower": int(np.sum(diffs < 0)),
-                "pairs_change_higher": int(np.sum(diffs > 0)),
-                "pairs_tied": int(np.sum(diffs == 0)),
                 "bound": m["bound"],
                 **_claim_flags(vals, m),
             }
@@ -143,9 +228,9 @@ def src_lines(checkout: Path) -> int:
 
 
 def record(runs: list, spec: dict, parent: str, seeds: dict,
-           traced_seed: int | None, lines: dict) -> dict:
+           traced_seed: int | None, lines: dict, setup64: list) -> dict:
     env = next(r["environment"] for r in runs if r["environment"])
-    return {
+    doc = {
         "what": ("Paired perfbench/run.py runs of the parent commit and of the "
                  "working tree, alternating which side runs first in each pair"),
         "parent_commit": parent,
@@ -159,7 +244,18 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
         "src_lines": lines,
         "summary": summarize(runs, spec),
         "runs": runs,
+        "setup64": {
+            "what": ("The default 64-cubed PhantomSpec's set-up, one child process "
+                     "per side and pair with that checkout's src first on sys.path: "
+                     "30 training fields, build_subspace(fields, 0.99), a forced "
+                     "DrrOperator build and one make_pair; wall seconds and "
+                     "ru_maxrss.  Three pairs are too few for the claim rule, so "
+                     "these figures are indicative only"),
+            "summary": summarize_setup64(setup64),
+            "runs": list(setup64),
+        },
     }
+    return doc
 
 
 def write_record(path: Path, doc: dict) -> None:
@@ -209,10 +305,17 @@ def main(argv=None) -> int:
                 res = runs[-1]["result"]
                 print(f"pair {pair} {side} {workload} seed {seed} trace {trace}: "
                       f"{'failed to run' if res is None else 'ok'}", flush=True)
+        setup64 = []
+        for pair, seed in enumerate(args.seeds[:SETUP64_PAIRS]):
+            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+                setup64.append(run_setup64(checkouts[side], pair, side, seed))
+                print(f"setup64 pair {pair} {side} seed {seed}: "
+                      f"{'failed to run' if setup64[-1]['stages'] is None else 'ok'}",
+                      flush=True)
     doc = record(runs, spec, parent, {w: list(args.seeds) for w in args.workload},
-                 args.traced_seed, lines)
+                 args.traced_seed, lines, setup64)
     write_record(ROOT / f"BENCH_{args.label}.json", doc)
-    return 0 if all(r["returncode"] == 0 for r in runs) else 1
+    return 0 if all(r["returncode"] == 0 for r in runs + setup64) else 1
 
 
 if __name__ == "__main__":
