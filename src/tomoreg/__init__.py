@@ -14,10 +14,9 @@ from .grids import (GridSpec, Image3D, Mask3D, DisplacementField, Landmarks,
 from .geometry import (SdctGeometry, ProjectionSet, LiftedVolume, DrrOperator,
                        build_sdct_geometry, default_step_mm, lift3d)
 from .subspace import DeformationSubspace, build_subspace, project, reconstruct
-from .losses import LossConfig, LossContext, grad_alpha, grad_dense
-from .registration import (OptimConfig, RegistrationReport, NumericalAbort,
-                           register_subspace_3d, register_subspace_2d,
-                           register_dense_3d)
+from .losses import LossConfig, LossContext, NumericalAbort, grad_alpha, grad_dense
+from .registration import (OptimConfig, RegistrationReport, register_subspace_3d,
+                           register_subspace_2d, register_dense_3d)
 from .metrics import (MetricsReport, mtre, per_axis_error, dice,
                       evaluate_registration)
 from .phantom import (PhantomSpec, DeformationSpec, AcquisitionSpec,

@@ -19,11 +19,11 @@ import sys
 from . import io as tio
 from .geometry import DrrOperator, lift3d
 from .grids import _whole
-from .losses import LossConfig
+from .losses import LossConfig, NumericalAbort
 from .phantom import (PhantomSpec, geometry_for, grid_for, make_pair,
                       split_seed, step_for)
-from .registration import (NumericalAbort, OptimConfig, register_dense_3d,
-                           register_subspace_2d, register_subspace_3d)
+from .registration import (OptimConfig, register_dense_3d, register_subspace_2d,
+                           register_subspace_3d)
 from .metrics import evaluate_registration
 from .subspace import build_subspace
 

@@ -242,8 +242,10 @@ class Landmarks:
             raise ValueError(f"landmark points must be rows of 3 coordinates, "
                              f"got {points.size} entries")
         self.points = _array(points.reshape(-1, 3), "landmark points", (self.ids.size, 3))
-        if np.unique(self.ids).size != self.ids.size:
-            raise ValueError("landmark ids must be unique")
+        unique, counts = np.unique(self.ids, return_counts=True)
+        if unique.size != self.ids.size:
+            raise ValueError(f"landmark ids must be unique, got duplicate id "
+                             f"{unique[counts > 1][0]}")
 
     def __len__(self) -> int:
         return int(self.ids.size)

@@ -299,10 +299,7 @@ def read_landmarks(path: str) -> Landmarks:
         ids.append(_csv_number(parts[0], f"landmark line {n} id", True))
         pts.append([_csv_number(v, f"landmark line {n} {axis}", False)
                     for axis, v in zip("xyz", parts[1:])])
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size != np.unique(ids).size:
-        raise ValueError(f"landmark file {path!r} contains duplicate ids")
-    return Landmarks(ids, np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+    return Landmarks(ids, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ projection adjoint redistributes pixel residuals through the same sampling
 weights used by the forward rendering, so central finite differences agree
 with the analytic gradients at tight tolerance.
 
-Where the regulariser is evaluated: a ``LossContext`` with lam > 0 runs the
-diffusion passes over the grid on every evaluation, which is what
-``grad_alpha``, ``grad_dense`` and the dense driver use.  On
-a subspace u = mean + basis.T alpha the energy is a quadratic in alpha,
-``diffusion_quadratic`` builds it once per subspace as one Gram matrix,
-and the subspace drivers evaluate it in closed form next to a context with
-lam = 0, which skips the grid passes.
+Where the regulariser is evaluated: both objectives below weight it by
+the context's ``cfg.lam``.  ``evaluate(u)``, which ``grad_dense`` and the
+dense driver use, runs the diffusion passes over the grid on every
+evaluation with lam > 0.  On a subspace u = mean + basis.T alpha the energy
+is a quadratic in alpha: ``diffusion_quadratic`` builds it once per
+subspace as one Gram matrix, and the subspace objective evaluates it in
+closed form, with no grid pass.
 
 A ``LossContext`` evaluates at source-voxel coordinates, in two phases.
 Its coordinate core, ``_evaluate_coords``, runs the value phase of the
@@ -30,18 +30,20 @@ similarity: one warp at the given coordinates and, for sim2d, one DRR
 forward product for every emitter.  It returns the similarity with a
 callable for the gradient phase, which gives d sim / d warped (from one
 adjoint product for sim2d), the voxels in a supported cell and the
-interpolant derivative at them in voxel units.  The subspace drivers get
-the coordinates from their plan and apply the chain rule in alpha
-themselves.  ``evaluate(u)`` maps a field to coordinates, adds the
+interpolant derivative at them in voxel units.  Two objectives come
+through it.  ``evaluate(u)`` maps a field to coordinates, adds the
 diffusion energy from one forward-difference pass, and its callable
 returns dL/du in 1/mm: the derivative divided by the spacing, times
 d sim / d warped, plus the diffusion gradient from the same differences.
-The context itself keeps nothing between
-evaluations.  Besides its inputs it holds the zero-padded masked source and
-the table of interpolation cells where that source has support, both built
-once, so the warp copies nothing per evaluation and gathers and blends only
-the sample points in those cells.  The callable holds its
-evaluation's state for as long as the caller keeps it: per sample point in
+``_subspace_objective(sub)``, the loss in alpha that the subspace drivers
+descend and ``grad_alpha`` differentiates, gets the coordinates from the
+subspace's plan (``_plan``) in one product, applies the chain rule over
+the supported voxels only and builds no field.  The context itself keeps
+nothing between evaluations.  Besides its inputs it holds the zero-padded
+masked source and the table of interpolation cells where that source has
+support, both built once, so the warp copies nothing per evaluation and
+gathers and blends only the sample points in those cells.  The callable
+holds its evaluation's state for as long as the caller keeps it: per sample point in
 a supported cell the eight gathered corners, three fractions, the two
 z-face planes of the interpolant and the point's index; the correlation
 terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
@@ -55,15 +57,17 @@ evaluates is warped once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _pad,
                     _real, _warp_coords, warp_scalar_with_gradient)
-from .subspace import DeformationSubspace, reconstruct
+from .subspace import DeformationSubspace, _coefficients
 
 _EPS = 1e-8
+_ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
 
 LOSS_MODES = ("sim3d", "sim2d")
 
@@ -77,6 +81,15 @@ class LossConfig:
         self.lam = _real(self.lam, "lam", ">= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
+
+
+class NumericalAbort(RuntimeError):
+    """Raised when a loss or gradient evaluation turns non-finite."""
+
+
+def _check_finite(value, what: str):
+    if not np.all(np.isfinite(value)):
+        raise NumericalAbort(f"non-finite {what} encountered")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +171,66 @@ def diffusion_quadratic(sub: DeformationSubspace):
     return float(M[0, 0]), M[0, 1:], M[1:, 1:]
 
 
+class _Plan(NamedTuple):
+    """What every evaluation on one subspace shares, built once per subspace.
+
+    ``g0`` holds the source-voxel coordinates of the mean field, mean /
+    spacing plus the index ramp, flat; ``bs`` the basis rows divided by the
+    spacing of their component, as (n_voxels, 3, k).  So one product gives
+    an evaluation's sample coordinates, and the rows of the supported
+    voxels give the chain rule.  (c, b, G) is ``diffusion_quadratic``'s
+    energy in alpha.  ``mean`` and ``basis`` are the subspace's read-only
+    arrays the plan was built from.
+    """
+
+    mean: np.ndarray
+    basis: np.ndarray
+    g0: np.ndarray
+    bs: np.ndarray
+    c: float
+    b: np.ndarray
+    G: np.ndarray
+
+    def coords(self, alpha: np.ndarray) -> np.ndarray:
+        """Source-voxel coordinates (n_voxels, 3) of the field at alpha."""
+        with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
+            return (self.g0 + self.bs.reshape(self.g0.size, -1) @ alpha).reshape(-1, 3)
+
+    def pullback(self, s: np.ndarray, active: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """dsim/dalpha from ``LossContext._evaluate_coords``'s gradient parts.
+
+        The warp's derivative is zero off the supported voxels, so the sum
+        runs over those rows of ``bs`` only.
+        """
+        return (s[active, None] * d).reshape(-1) @ self.bs[active].reshape(-1, self.bs.shape[2])
+
+
+def _plan(sub: DeformationSubspace) -> _Plan:
+    """``sub``'s evaluation plan, built and checked on its first evaluation.
+
+    The plan is kept on ``sub`` and reused while ``sub.mean`` and
+    ``sub.basis`` are the arrays it was built from; both are read-only, so
+    it cannot go stale.  A subspace that fails a check keeps no plan.
+    """
+    plan = sub._plan
+    if plan is not None and plan.mean is sub.mean and plan.basis is sub.basis:
+        return plan
+    # structural checks happen at load time; non-finite payloads are a
+    # numerical failure of the optimization state, not an input-format error
+    _check_finite(sub.mean, "subspace mean field")
+    _check_finite(sub.basis, "subspace basis")
+    k = sub.n_components
+    deviation = np.max(np.abs(sub.basis @ sub.basis.T - np.eye(k)))
+    if deviation > _ORTHONORMAL_TOL:
+        raise ValueError(f"subspace basis rows are not orthonormal "
+                         f"(max |B B^T - I| = {deviation:.3g})")
+    mean = DisplacementField(sub.dims, sub.spacing, sub.origin, sub.mean)
+    bs = sub.basis.reshape(k, -1, 3) / np.asarray(sub.spacing)
+    sub._plan = _Plan(sub.mean, sub.basis, _warp_coords(sub.grid, mean).reshape(-1),
+                      np.ascontiguousarray(bs.transpose(1, 2, 0)), *diffusion_quadratic(sub))
+    return sub._plan
+
+
 # ---------------------------------------------------------------------------
 # loss context: precomputations shared across evaluations
 # ---------------------------------------------------------------------------
@@ -180,8 +253,7 @@ class LossContext:
         self.grid = source.grid
         if source_mask.grid != self.grid:
             raise ValueError("source mask grid does not match source grid")
-        self.msrc = source.data.astype(np.float64) * source_mask.data
-        self._padded = _pad(self.msrc, 0.0)
+        self._padded = _pad(source.data.astype(np.float64) * source_mask.data, 0.0)
         self._support = _cell_support(self._padded)
 
         if cfg.loss_mode == "sim3d":
@@ -218,13 +290,25 @@ class LossContext:
                 # an emitter whose rays all miss the grid renders zero for every field
                 if nnz == 0:
                     raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
-        for name, arr in zip(["masked source", *names], [self.msrc, *self._measured]):
+        msrc = self._padded[2:-2, 2:-2, 2:-2]
+        for name, arr in zip(["masked source", *names], [msrc, *self._measured]):
             if np.ptp(arr) == 0.0:
                 raise ValueError(f"{name} is constant, so its correlation is undefined")
 
-    # -- similarity: value now, d sim / d warped on demand ------------------
+    # -- evaluations ---------------------------------------------------------
 
-    def _similarity(self, warped: np.ndarray):
+    def _evaluate_coords(self, coords: np.ndarray):
+        """The similarity at source-voxel coordinates ``coords``, (n_voxels, 3)
+        in C order, and a zero-argument callable for its gradient phase.
+
+        The one warp of an evaluation happens here; both objectives, which
+        map a field or coefficients to coordinates, come through.  The
+        callable returns dsim/dwarped per voxel (n_voxels,), the indices of
+        the voxels whose coordinates lie in a supported cell, and the warp's
+        derivative at them in voxel units, (len(active), 3); the derivative
+        is zero at every other voxel.
+        """
+        warped, warp_grad = warp_scalar_with_gradient(self._padded, coords, self._support)
         # the closure captures what it needs, never ``self``, so a gradient
         # callable the caller keeps does not keep its context alive
         op = self.drr_op
@@ -233,41 +317,45 @@ class LossContext:
         # emitter's projection from one forward product
         rendered = warped.reshape(-1, 1) if op is None else op.forward(warped).reshape(-1, n)
         shape = rendered.shape
-        loss = 0.0
+        sim = 0.0
         parts = []
         for i, p in enumerate(self._measured):
             val, pi = _ncc_core(p, rendered[:, i])
-            loss += (1.0 - val) / n
+            sim += (1.0 - val) / n
             parts.append(pi)
 
         def grad():
             gp = np.zeros(shape)
             for i, pi in enumerate(parts):
                 gp[:, i] += -_ncc_grad_b(pi) / n
-            return (gp if op is None else op.adjoint(gp)).reshape(-1)
-
-        return loss, grad
-
-    # -- evaluations ---------------------------------------------------------
-
-    def _evaluate_coords(self, coords: np.ndarray):
-        """The similarity at source-voxel coordinates ``coords``, (n_voxels, 3)
-        in C order, and a zero-argument callable for its gradient phase.
-
-        The one warp of an evaluation happens here; both ``evaluate`` and
-        the subspace drivers, which map coefficients to coordinates
-        themselves, come through.  The callable returns dsim/dwarped per
-        voxel (n_voxels,), the indices of the voxels whose coordinates lie
-        in a supported cell, and the warp's derivative at them in voxel
-        units, (len(active), 3); the derivative is zero at every other voxel.
-        """
-        warped, warp_grad = warp_scalar_with_gradient(self._padded, coords, self._support)
-        sim, sim_grad = self._similarity(warped)
-
-        def grad():
-            return (sim_grad(), *warp_grad())
+            return ((gp if op is None else op.adjoint(gp)).reshape(-1), *warp_grad())
 
         return sim, grad
+
+    def _subspace_objective(self, sub: DeformationSubspace):
+        """The total loss in alpha on ``sub``: a function of alpha that gives
+        the loss and a zero-argument callable for dL/dalpha.
+
+        Coordinates come from ``sub``'s plan, so no field is built, and the
+        diffusion energy is the plan's quadratic, so lam * energy and its
+        gradient cost k-by-k algebra instead of grid passes.  The basis rows
+        must be orthonormal, as the descent's first step and ``reconstruct``
+        assume.
+        """
+        if sub.grid != self.grid:
+            raise ValueError("subspace grid does not match source grid")
+        if sub.n_components == 0:
+            raise ValueError("subspace has no components, so there is nothing to fit")
+        plan = _plan(sub)
+        lam = self.cfg.lam
+
+        def objective(a):
+            sim, sim_grad = self._evaluate_coords(plan.coords(a))
+            Ga = plan.G @ a
+            loss = sim + lam * (plan.c + (2.0 * plan.b + Ga) @ a)
+            return loss, lambda: plan.pullback(*sim_grad()) + (2.0 * lam) * (plan.b + Ga)
+
+        return objective
 
     def loss(self, u: DisplacementField) -> float:
         """Total loss at u; runs the value phase only."""
@@ -315,10 +403,9 @@ class LossContext:
 
 def grad_alpha(ctx: LossContext, sub: DeformationSubspace,
                alpha: np.ndarray) -> np.ndarray:
-    """Analytic dL/dalpha at u = reconstruct(sub, alpha)."""
-    u = reconstruct(sub, alpha)
-    _, g = ctx.loss_and_grad(u)
-    return sub.basis @ g.reshape(-1)
+    """Analytic dL/dalpha at u = reconstruct(sub, alpha), from the objective
+    the subspace drivers descend."""
+    return ctx._subspace_objective(sub)(_coefficients(sub, alpha))[1]()
 
 
 def grad_dense(ctx: LossContext, u: DisplacementField) -> DisplacementField:

@@ -1,20 +1,15 @@
 """Registration drivers: subspace coefficients or dense fields by descent.
 
-Each driver builds one objective on its own parameters, subspace
-coefficients or a per-voxel field: a function that evaluates the total loss
-at a point and returns it with a callable for its analytic gradient there.
-Both reach the loss context's coordinate core, which warps at given
-source-voxel coordinates.  The dense driver's objective is its loss
-context's ``evaluate``, which maps the field to coordinates and evaluates
-the diffusion regulariser on the grid.  The subspace drivers read the
-subspace's evaluation plan, built and checked once per subspace on its
-first registration and kept on it: the coordinates of the mean field and
-the basis scaled to voxel units, so an evaluation's coordinates are one
-product away from the coefficients and the chain rule runs over the
-supported voxels only, and the regulariser as a k-by-k quadratic in the
-coefficients.  An evaluation there costs the product, the warp and the
-similarity; no field is built until the result.  The descent loop sees
-only the objective and the field's grid.
+Each driver descends one objective that its loss context owns: a function
+of the driver's parameters that evaluates the total loss at a point and
+returns it with a callable for its analytic gradient there.  The subspace
+drivers descend the context's subspace objective in the coefficients,
+whose regulariser is a k-by-k quadratic and whose coordinates come from
+the subspace's evaluation plan, so no field is built until the result.
+The dense driver descends ``evaluate`` in a per-voxel field, which
+evaluates the diffusion regulariser on the grid.  Each reads the
+regulariser weight from the context's ``LossConfig``.  The descent loop
+sees only the objective and the field's grid.
 
 The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
@@ -41,16 +36,15 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.ndimage import gaussian_filter1d
 
 from .geometry import DrrOperator, ProjectionSet
-from .grids import DisplacementField, GridSpec, Image3D, Mask3D, _warp_coords, _whole
-from .losses import LossConfig, LossContext, diffusion_quadratic
+from .grids import DisplacementField, GridSpec, Image3D, Mask3D, _whole
+from .losses import LossConfig, LossContext, _check_finite
 from .subspace import DeformationSubspace, reconstruct
 
 _ARMIJO_C = 1e-4
@@ -58,7 +52,6 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _LOSS_WINDOW = 5
 _MEMORY = 7  # curvature pairs (s, y) kept by L-BFGS
-_ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
 # converged_loss: the last _LOSS_WINDOW iterations cut the loss by less
 # than this fraction
 _TOL_LOSS = 1e-8
@@ -68,10 +61,6 @@ _TOL_GRAD = 1e-9
 # Gaussian filter of the dense descent direction, in voxels along each
 # axis; none across the three components
 _SMOOTH_SIGMA = 1.0
-
-
-class NumericalAbort(RuntimeError):
-    """Raised when a loss or gradient evaluation turns non-finite."""
 
 
 @dataclass
@@ -90,12 +79,6 @@ class RegistrationReport:
     stop_reason: str
     alpha: list | None
     wall_time_s: float
-
-
-def _check_finite(value, what: str):
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalAbort(f"non-finite {what} encountered")
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
@@ -224,90 +207,11 @@ def _loss_config(cfg: LossConfig | None, mode: str, driver: str) -> LossConfig:
     return cfg
 
 
-class _Plan(NamedTuple):
-    """What every evaluation on one subspace shares, built once per subspace.
-
-    ``g0`` holds the source-voxel coordinates of the mean field, mean /
-    spacing plus the index ramp, flat; ``bs`` the basis rows divided by the
-    spacing of their component, as (n_voxels, 3, k).  So one product gives
-    an evaluation's sample coordinates, and the rows of the supported
-    voxels give the chain rule.  (c, b, G) is ``diffusion_quadratic``'s
-    energy in alpha.  ``mean`` and ``basis`` are the subspace's read-only
-    arrays the plan was built from.
-    """
-
-    mean: np.ndarray
-    basis: np.ndarray
-    g0: np.ndarray
-    bs: np.ndarray
-    c: float
-    b: np.ndarray
-    G: np.ndarray
-
-    def coords(self, alpha: np.ndarray) -> np.ndarray:
-        """Source-voxel coordinates (n_voxels, 3) of the field at alpha."""
-        with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
-            return (self.g0 + self.bs.reshape(self.g0.size, -1) @ alpha).reshape(-1, 3)
-
-    def pullback(self, s: np.ndarray, active: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """dsim/dalpha from ``LossContext._evaluate_coords``'s gradient parts.
-
-        The warp's derivative is zero off the supported voxels, so the sum
-        runs over those rows of ``bs`` only.
-        """
-        return (s[active, None] * d).reshape(-1) @ self.bs[active].reshape(-1, self.bs.shape[2])
-
-
-def _plan(sub: DeformationSubspace) -> _Plan:
-    """``sub``'s evaluation plan, built and checked on its first registration.
-
-    The plan is kept on ``sub`` and reused while ``sub.mean`` and
-    ``sub.basis`` are the arrays it was built from; both are read-only, so
-    it cannot go stale.  A subspace that fails a check keeps no plan.
-    """
-    plan = sub._plan
-    if plan is not None and plan.mean is sub.mean and plan.basis is sub.basis:
-        return plan
-    # structural checks happen at load time; non-finite payloads are a
-    # numerical failure of the optimization state, not an input-format error
-    _check_finite(sub.mean, "subspace mean field")
-    _check_finite(sub.basis, "subspace basis")
-    k = sub.n_components
-    deviation = np.max(np.abs(sub.basis @ sub.basis.T - np.eye(k)))
-    if deviation > _ORTHONORMAL_TOL:
-        raise ValueError(f"subspace basis rows are not orthonormal "
-                         f"(max |B B^T - I| = {deviation:.3g})")
-    mean = DisplacementField(sub.dims, sub.spacing, sub.origin, sub.mean)
-    bs = sub.basis.reshape(k, -1, 3) / np.asarray(sub.spacing)
-    sub._plan = _Plan(sub.mean, sub.basis, _warp_coords(sub.grid, mean).reshape(-1),
-                      np.ascontiguousarray(bs.transpose(1, 2, 0)), *diffusion_quadratic(sub))
-    return sub._plan
-
-
-def _register_subspace(ctx: LossContext, lam: float, sub: DeformationSubspace,
+def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
                        opt_cfg: OptimConfig | None):
-    """Fit subspace coefficients; ``ctx`` has lam 0, the regulariser is here.
-
-    Every evaluation reads the subspace's plan: its sample coordinates are
-    one product away from alpha, so no field is built until the result,
-    and the diffusion energy is a quadratic in alpha, so an evaluation adds
-    lam * energy and its gradient in k-by-k algebra instead of grid passes.
-    The basis rows must be orthonormal, as ``_minimize``'s first step and
-    ``reconstruct`` assume.
-    """
-    if sub.grid != ctx.grid:
-        raise ValueError("subspace grid does not match source grid")
-    if sub.n_components == 0:
-        raise ValueError("subspace has no components, so there is nothing to fit")
-    plan = _plan(sub)
+    """Fit subspace coefficients by descending ``ctx``'s subspace objective."""
+    objective = ctx._subspace_objective(sub)
     ctx.require_contrast()
-
-    def objective(a):
-        sim, sim_grad = ctx._evaluate_coords(plan.coords(a))
-        Ga = plan.G @ a
-        loss = sim + lam * (plan.c + (2.0 * plan.b + Ga) @ a)
-        return loss, lambda: plan.pullback(*sim_grad()) + (2.0 * lam) * (plan.b + Ga)
-
     alpha, report = _minimize(objective, np.zeros(sub.n_components), ctx.grid, opt_cfg)
     report.alpha = [float(a) for a in alpha]
     return alpha, reconstruct(sub, alpha), report
@@ -319,9 +223,8 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
     cfg = _loss_config(loss_cfg, "sim3d", "register_subspace_3d")
-    ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
-                      target=target, target_mask=target_mask)
-    return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
+    ctx = LossContext(cfg, source, source_mask, target=target, target_mask=target_mask)
+    return _register_subspace(ctx, sub, opt_cfg)
 
 
 def register_subspace_2d(source: Image3D, projections: ProjectionSet,
@@ -331,9 +234,8 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
     cfg = _loss_config(loss_cfg, "sim2d", "register_subspace_2d")
-    ctx = LossContext(replace(cfg, lam=0.0), source, source_mask,
-                      projections=projections, drr_op=drr_op)
-    return _register_subspace(ctx, cfg.lam, sub, opt_cfg)
+    ctx = LossContext(cfg, source, source_mask, projections=projections, drr_op=drr_op)
+    return _register_subspace(ctx, sub, opt_cfg)
 
 
 def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,

@@ -28,7 +28,7 @@ def _read_only(values) -> np.ndarray:
     """``values`` as a read-only C-contiguous float64 array.
 
     Contiguous, so reconstruct reads it without a gather; read-only, so the
-    registration plan built from it cannot go stale.  An array that is the
+    evaluation plan built from it cannot go stale.  An array that is the
     caller's own is copied first, so the caller's stays writeable and a
     view into a larger payload does not keep that payload alive.
     """
@@ -47,8 +47,8 @@ class DeformationSubspace(GridContainer):
     basis: np.ndarray             # (N_e, W*H*D*3), rows orthonormal
     singular_values: np.ndarray   # (N_e,) descending
     variance_fraction: float
-    # the registration drivers' evaluation plan (``registration._plan``),
-    # built on the first registration with this subspace
+    # the subspace objective's evaluation plan (``losses._plan``), built on
+    # the first evaluation on this subspace
     _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,12 +128,18 @@ def project(sub: DeformationSubspace, u: DisplacementField) -> np.ndarray:
     return sub.basis @ resid
 
 
-def reconstruct(sub: DeformationSubspace, alpha: np.ndarray) -> DisplacementField:
-    """Field u_mean + sum_i alpha_i e_i for a coefficient vector."""
+def _coefficients(sub: DeformationSubspace, alpha) -> np.ndarray:
+    """``alpha`` as a flat float64 vector of one entry per component."""
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     if alpha.shape[0] != sub.n_components:
         raise ValueError(
             f"alpha has {alpha.shape[0]} entries, subspace has {sub.n_components}")
+    return alpha
+
+
+def reconstruct(sub: DeformationSubspace, alpha: np.ndarray) -> DisplacementField:
+    """Field u_mean + sum_i alpha_i e_i for a coefficient vector."""
+    alpha = _coefficients(sub, alpha)
     flat = sub.mean.reshape(-1).copy()
     if alpha.size:
         flat += sub.basis.T @ alpha

@@ -66,7 +66,7 @@ def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_pa
 
     assert back["runs"] == runs
     assert back["parent_commit"] == "abc1234"
-    assert back["src_lines"] == {"parent": 120, "change": 110}
+    assert back["src_code_lines"] == {"parent": 120, "change": 110}
     assert "git_commit" not in back["environment"]
     reg = back["summary"]["proj2d"]["register_s"]
     assert reg["parent"] == pytest.approx({"median": 0.35, "q1": 0.25, "q3": 0.425,
@@ -182,7 +182,16 @@ def test_src_lines_counts_the_package_modules_only(bench_pair, tmp_path):
     (pkg / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline
     (pkg / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
     (tmp_path / "tools.py").write_text("w = 4\n", encoding="utf-8")
-    assert bench_pair.src_lines(tmp_path) == 3
+    assert bench_pair.src_code_lines(tmp_path) == 3
+    # docstrings, comments and blank lines are not code; a string that is
+    # not a docstring is, on every line it spans, and so is a line that
+    # ends in a comment
+    (pkg / "c.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\n'
+        'def f():\n    """One line."""\n\n    return 1  # one\n\n'
+        'class C:\n    """Two\n    lines."""\n    s = """not\na docstring"""\n',
+        encoding="utf-8")
+    assert bench_pair.src_code_lines(tmp_path) == 3 + 5
 
 
 def test_an_empty_run_output_is_an_error(bench_pair):

@@ -102,8 +102,10 @@ def test_displacement_field_requires_three_finite_components():
 
 
 def test_landmark_ids_must_be_unique():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="landmark ids must be unique, got duplicate id 1$"):
         Landmarks([1, 1], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="got duplicate id 5$"):
+        Landmarks([5, 2, 5.0], np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("ids, points, message", [

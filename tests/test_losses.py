@@ -12,9 +12,8 @@ from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
                      ProjectionSet, build_sdct_geometry, build_subspace,
                      reconstruct, zero_displacement)
 from tomoreg.grids import _warp_coords
-from tomoreg.losses import (LossContext, _diffusion, _ncc_core, diffusion_quadratic,
-                            grad_alpha, grad_dense)
-from tomoreg.registration import _plan
+from tomoreg.losses import (LossContext, _diffusion, _ncc_core, _plan,
+                            diffusion_quadratic, grad_alpha, grad_dense)
 
 
 def ncc(a, b) -> float:
@@ -51,8 +50,19 @@ def box_mask(dims, spacing, origin, box):
     return Mask3D(dims, spacing, origin, data)
 
 
-def fd_instance(seed, dims=(8, 8, 8), spacing=(1.5, 1.2, 1.0), mask_box=None):
-    """Smooth random problem with both loss modes attached.
+def fd_instance(seed, **grid):
+    """``fd_scene``'s problem with both loss modes attached, at lam 0.1."""
+    scene, sub, alpha = fd_scene(seed, **grid)
+    ctx3 = LossContext(LossConfig(0.1, "sim3d"), scene["source"], scene["source_mask"],
+                       target=scene["target"], target_mask=scene["target_mask"])
+    ctx2 = LossContext(LossConfig(0.1, "sim2d"), scene["source"], scene["source_mask"],
+                       projections=scene["projections"], drr_op=scene["drr_op"])
+    return ctx3, ctx2, sub, alpha
+
+
+def fd_scene(seed, dims=(8, 8, 8), spacing=(1.5, 1.2, 1.0), mask_box=None):
+    """Smooth random problem: the inputs of both loss modes, a subspace and
+    a coefficient vector.
 
     The grid is centred in x and y.  With ``mask_box`` the source mask is
     that box, otherwise all ones.  The finite-difference probe itself is
@@ -88,11 +98,9 @@ def fd_instance(seed, dims=(8, 8, 8), spacing=(1.5, 1.2, 1.0), mask_box=None):
                               singular_values=np.array([3.0, 2.0, 1.0]),
                               variance_fraction=1.0)
     alpha = 0.5 * rng.standard_normal(3)
-    ctx3 = LossContext(LossConfig(0.1, "sim3d"), src, src_mask,
-                       target=tgt, target_mask=mask)
-    ctx2 = LossContext(LossConfig(0.1, "sim2d"), src, src_mask,
-                       projections=projs, drr_op=op)
-    return ctx3, ctx2, sub, alpha
+    scene = dict(source=src, source_mask=src_mask, target=tgt, target_mask=mask,
+                 projections=projs, drr_op=op)
+    return scene, sub, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +355,31 @@ def test_coefficient_gradient_matches_finite_differences(seed, grid):
             fd = (ctx.loss(reconstruct(sub, ap))
                   - ctx.loss(reconstruct(sub, am))) / (2.0 * h)
             assert abs(g[i] - fd) / max(abs(fd), 1e-12) < 1e-4
+
+
+@pytest.mark.parametrize("seed, grid", [
+    pytest.param(3, {}, id="3"), pytest.param(7, PARTIAL, id="partial-mask-7")])
+def test_grad_alpha_is_the_gradient_the_subspace_drivers_descend(monkeypatch, seed, grid):
+    """Both subspace drivers descend the objective grad_alpha differentiates,
+    with the caller's lam: their first gradient at alpha is grad_alpha's
+    bit for bit."""
+    from tomoreg import RegistrationReport, register_subspace_2d, register_subspace_3d
+    from tomoreg import registration
+    scene, sub, alpha = fd_scene(seed, **grid)
+    got = []
+
+    def first_gradient(objective, x0, *args):
+        got.append(objective(alpha)[1]())
+        return x0, RegistrationReport(0.0, [0.0], 0, "max_iters", None, 0.0)
+
+    monkeypatch.setattr(registration, "_minimize", first_gradient)
+    register_subspace_3d(scene["source"], scene["target"], scene["source_mask"],
+                         scene["target_mask"], sub, LossConfig(0.1, "sim3d"))
+    register_subspace_2d(scene["source"], scene["projections"], scene["source_mask"],
+                         sub, LossConfig(0.1, "sim2d"), drr_op=scene["drr_op"])
+    ctx3, ctx2 = fd_instance(seed, **grid)[:2]
+    assert_same_bits(got[0], grad_alpha(ctx3, sub, alpha))
+    assert_same_bits(got[1], grad_alpha(ctx2, sub, alpha))
 
 
 def test_constant_images_isolate_the_regularizer_gradient():

@@ -14,7 +14,7 @@ from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image3D,
                      per_axis_error, project, reconstruct, register_dense_3d,
                      register_subspace_2d, register_subspace_3d, warp_image,
                      zero_displacement)
-from tomoreg.losses import LossContext
+from tomoreg.losses import LossContext, _plan, grad_alpha
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
 from tomoreg import registration
 
@@ -530,6 +530,9 @@ def test_non_finite_subspace_payload_aborts(identity_scene):
             register_subspace_3d(img, img, mask, mask, bad,
                                  LossConfig(lam=0.1, loss_mode="sim3d"),
                                  OptimConfig(max_iters=5))
+    ctx = LossContext(LossConfig(), img, mask, target=img, target_mask=mask)
+    with pytest.raises(NumericalAbort, match="subspace mean field"):
+        grad_alpha(ctx, bad, np.zeros(bad.n_components))
 
 
 def test_wrong_loss_mode_is_rejected(identity_scene):
@@ -554,6 +557,9 @@ def test_a_basis_that_is_not_orthonormal_is_rejected(identity_scene, op32):
         register_subspace_3d(img, img, mask, mask, scaled)
     with pytest.raises(ValueError, match="not orthonormal"):
         register_subspace_2d(img, projs, mask, scaled, drr_op=op32)
+    ctx = LossContext(LossConfig(), img, mask, target=img, target_mask=mask)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        grad_alpha(ctx, scaled, np.zeros(scaled.n_components))
 
 
 def test_the_plan_follows_the_arrays_the_subspace_holds(identity_scene):
@@ -564,9 +570,9 @@ def test_the_plan_follows_the_arrays_the_subspace_holds(identity_scene):
     sub = dataclasses.replace(sub)  # a copy that has no plan yet
     opt = OptimConfig(max_iters=1)
     register_subspace_3d(img, img, mask, mask, sub, opt_cfg=opt)
-    plan = registration._plan(sub)
+    plan = _plan(sub)
     register_subspace_3d(img, img, mask, mask, sub, opt_cfg=opt)
-    assert registration._plan(sub) is plan
+    assert _plan(sub) is plan
     with pytest.raises(ValueError, match="read-only"):
         sub.basis *= 100.0
     with pytest.raises(ValueError, match="read-only"):
@@ -632,6 +638,14 @@ def test_subspace_grid_must_match_source(identity_scene, op32):
             register_subspace_3d(img, img, mask, mask, bad)
         with pytest.raises(ValueError, match=message):
             register_subspace_2d(img, projs, mask, bad, drr_op=op32)
+    # the gradient entry point refuses what the drivers refuse, and a
+    # coefficient vector of the wrong length
+    ctx = LossContext(LossConfig(), img, mask, target=img, target_mask=mask)
+    with pytest.raises(ValueError, match="grid does not match"):
+        grad_alpha(ctx, other, np.zeros(other.n_components))
+    k = sub.n_components
+    with pytest.raises(ValueError, match=f"alpha has {k + 1} entries, subspace has {k}$"):
+        grad_alpha(ctx, sub, np.zeros(k + 1))
 
 
 def test_optimizer_configuration_is_validated():

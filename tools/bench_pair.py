@@ -10,7 +10,7 @@ its own checkout.  Pair i uses the i-th seed of ``--seeds`` and one run per
 side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
-working tree: the environment, each side's line count of ``src/tomoreg/*.py``,
+working tree: the environment, each side's code-line count of ``src/tomoreg/*.py``,
 every run with its result line, per workload each side's count of runs that
 exited non-zero and the number of pairs whose ``iterations`` differ, and per workload
 and end-to-end metric each side's median and quartiles, how many pairs
@@ -32,12 +32,15 @@ indicative only.  A child peaks near 1 GB.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = [1618, 2718, 4242, 9001, 31337] * 2
 SIDES = ("parent", "change")
+NON_CODE_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                   tokenize.DEDENT, tokenize.ENDMARKER}
 STATISTICS = ("median and quartiles (numpy.percentile, linear) over each side's "
               "runs; a pair counts for the change when its value is lower")
 
@@ -221,10 +226,24 @@ def summarize(runs: list, spec: dict) -> dict:
     return summary
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines of the package source, ``src/tomoreg/*.py``, in one checkout."""
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in (checkout / "src" / "tomoreg").glob("*.py"))
+def src_code_lines(checkout: Path) -> int:
+    """Code lines of the package source, ``src/tomoreg/*.py``, in one checkout:
+    lines that hold a token other than a comment, outside module, class and
+    function docstrings.  Blank lines, comments and docstrings do not count."""
+    total = 0
+    for path in (checkout / "src" / "tomoreg").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NON_CODE_TOKENS:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docstrings)
+    return total
 
 
 def record(runs: list, spec: dict, parent: str, seeds: dict,
@@ -241,7 +260,7 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
         "statistics": STATISTICS,
         "environment": {k: v for k, v in env.items()
                         if k not in ("git_commit", "workload", "seed")},
-        "src_lines": lines,
+        "src_code_lines": lines,
         "summary": summarize(runs, spec),
         "runs": runs,
         "setup64": {
@@ -293,7 +312,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         parent = export(args.parent, Path(tmp))
         checkouts = {"parent": Path(tmp) / "tree", "change": ROOT}
-        lines = {side: src_lines(checkouts[side]) for side in SIDES}
+        lines = {side: src_code_lines(checkouts[side]) for side in SIDES}
         plan = [(w, seed, 0) for w in args.workload for seed in args.seeds]
         if args.traced_seed is not None:
             plan += [(w, args.traced_seed, 1) for w in args.workload]
