@@ -424,19 +424,24 @@ def sample_displacement(u: DisplacementField, pts: np.ndarray) -> np.ndarray:
 # warping
 # ---------------------------------------------------------------------------
 
-def _warp_coords(src_grid: GridSpec, u: DisplacementField) -> np.ndarray:
-    """Continuous source-voxel coords of x + u(x) for every target voxel."""
+def _warp_coords(src_grid: GridSpec, grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """Continuous source-voxel coords of x + u(x) for every voxel x of ``grid``.
+
+    ``data`` holds u's (W,H,D,3) values in mm on ``grid``, the field's own
+    grid, which may differ from ``src_grid``, the grid that is sampled.  The
+    coordinates come back as (n_voxels, 3) in C order, a new float64 array.
+    """
     sp = np.asarray(src_grid.spacing)
-    g = u.data.astype(np.float64)
-    same = src_grid == u.grid
+    g = data.astype(np.float64)
+    same = src_grid == grid
     with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
         if same:
             # index-space arithmetic keeps grid-aligned samples exact for u == 0
             g /= sp
-        for a, n in enumerate(u.dims):
+        for a, n in enumerate(grid.dims):
             ramp = np.arange(n, dtype=np.float64)
             if not same:
-                ramp = u.origin[a] + u.spacing[a] * ramp
+                ramp = grid.origin[a] + grid.spacing[a] * ramp
             g[..., a] += ramp.reshape((-1,) + (1,) * (2 - a))
         if not same:
             g -= np.asarray(src_grid.origin)
@@ -453,7 +458,7 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
         raise ValueError(f"unknown interpolation mode {interp!r}")
     if isinstance(src, Mask3D) and interp != "nearest":
         raise ValueError("Mask3D must be warped with nearest-neighbor interpolation")
-    g = _warp_coords(src.grid, u)
+    g = _warp_coords(src.grid, u.grid, u.data)
     if interp == "trilinear":
         vals = sample_trilinear(src.data.astype(np.float64, copy=False), g)
     else:

@@ -17,12 +17,11 @@ weights used by the forward rendering, so central finite differences agree
 with the analytic gradients at tight tolerance.
 
 Where the regulariser is evaluated: both objectives below weight it by
-the context's ``cfg.lam``.  ``evaluate(u)``, which ``grad_dense`` and the
-dense driver use, runs the diffusion passes over the grid on every
-evaluation with lam > 0.  On a subspace u = mean + basis.T alpha the energy
-is a quadratic in alpha: ``diffusion_quadratic`` builds it once per
-subspace as one Gram matrix, and the subspace objective evaluates it in
-closed form, with no grid pass.
+the context's ``cfg.lam``.  The dense objective runs the diffusion passes
+over the grid on every evaluation with lam > 0.  On a subspace u = mean +
+basis.T alpha the energy is a quadratic in alpha: ``diffusion_quadratic``
+builds it once per subspace as one Gram matrix, and the subspace objective
+evaluates it in closed form, with no grid pass.
 
 A ``LossContext`` evaluates at source-voxel coordinates, in two phases.
 Its coordinate core, ``_evaluate_coords``, runs the value phase of the
@@ -31,28 +30,37 @@ forward product for every emitter.  It returns the similarity with a
 callable for the gradient phase, which gives d sim / d warped (from one
 adjoint product for sim2d), the voxels in a supported cell and the
 interpolant derivative at them in voxel units.  Two objectives come
-through it.  ``evaluate(u)`` maps a field to coordinates, adds the
+through it, one per kind of driver, and each is a function of a flat
+parameter vector that gives the total loss and a callable for its
+gradient.  ``_dense_objective()``, which the dense driver descends, reads
+the vector as the (W,H,D,3) field, maps it to coordinates, adds the
 diffusion energy from one forward-difference pass, and its callable
-returns dL/du in 1/mm: the derivative divided by the spacing, times
-d sim / d warped, plus the diffusion gradient from the same differences.
-``_subspace_objective(sub)``, the loss in alpha that the subspace drivers
-descend and ``grad_alpha`` differentiates, gets the coordinates from the
-subspace's plan (``_plan``) in one product, applies the chain rule over
-the supported voxels only and builds no field.  The context itself keeps
-nothing between evaluations.  Besides its inputs it holds the zero-padded
-masked source and the table of interpolation cells where that source has
-support, both built once, so the warp copies nothing per evaluation and
-gathers and blends only the sample points in those cells.  The callable
-holds its evaluation's state for as long as the caller keeps it: per sample point in
-a supported cell the eight gathered corners, three fractions, the two
-z-face planes of the interpolant and the point's index; the correlation
-terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
-lam > 0 the three forward-difference arrays, about 9 floats per voxel; and
-the field itself.  On the benchmark scene 14-17 % of the points sit in
-supported cells, so the warp's share is about 2 floats per voxel instead
-of 13.  A line search keeps the callable of each trial until the next one
-and calls it only for the trial it accepts, so each point a registration
-evaluates is warped once.
+returns the flat dL/du in 1/mm: the derivative divided by the spacing,
+times d sim / d warped, plus the diffusion gradient from the same
+differences.  ``evaluate(u)``, under ``loss``, ``loss_and_grad`` and
+``grad_dense``, is that objective at a ``DisplacementField``, with the
+gradient shaped as the field.  ``_subspace_objective(sub)``, the loss in
+alpha that the subspace drivers descend and ``grad_alpha`` differentiates,
+gets the coordinates from the subspace's plan (``_plan``) in one product,
+applies the chain rule over the supported voxels only and builds no
+field.  So this module alone knows how a parameter vector lays out a
+field.
+
+The context itself keeps nothing between evaluations.  Besides its inputs
+it holds the zero-padded masked source and the table of interpolation
+cells where that source has support, both built once, so the warp copies
+nothing per evaluation and gathers and blends only the sample points in
+those cells.  A gradient callable holds its evaluation's state for as long
+as the caller keeps it: per sample point in a supported cell the eight
+gathered corners, three fractions, the two z-face planes of the
+interpolant and the point's index; the correlation terms, two floats per
+voxel (sim3d) or per detector pixel (sim2d); with lam > 0 the three
+forward-difference arrays, about 9 floats per voxel; and, from
+``evaluate``, the field itself.  On the benchmark scene 14-17 % of the
+points sit in supported cells, so the warp's share is about 2 floats per
+voxel instead of 13.  A line search keeps the callable of each trial until
+the next one and calls it only for the trial it accepts, so each point a
+registration evaluates is warped once.
 """
 from __future__ import annotations
 
@@ -224,9 +232,8 @@ def _plan(sub: DeformationSubspace) -> _Plan:
     if deviation > _ORTHONORMAL_TOL:
         raise ValueError(f"subspace basis rows are not orthonormal "
                          f"(max |B B^T - I| = {deviation:.3g})")
-    mean = DisplacementField(sub.dims, sub.spacing, sub.origin, sub.mean)
     bs = sub.basis.reshape(k, -1, 3) / np.asarray(sub.spacing)
-    sub._plan = _Plan(sub.mean, sub.basis, _warp_coords(sub.grid, mean).reshape(-1),
+    sub._plan = _Plan(sub.mean, sub.basis, _warp_coords(sub.grid, sub.grid, sub.mean).reshape(-1),
                       np.ascontiguousarray(bs.transpose(1, 2, 0)), *diffusion_quadratic(sub))
     return sub._plan
 
@@ -357,6 +364,41 @@ class LossContext:
 
         return objective
 
+    def _dense_objective(self):
+        """The total loss in a dense field: a function of the flat float64
+        field x, the (W,H,D,3) displacement in mm in C order, that gives the
+        loss and a zero-argument callable for the flat dL/dx in 1/mm.
+
+        Coordinates come from x directly, so no field is built, and the
+        diffusion energy takes one forward-difference pass, whose three
+        arrays the callable reuses.  The callable gives the gradient at x as
+        evaluated, so call it before x is changed in place.
+        """
+        grid, lam = self.grid, self.cfg.lam
+        shape = grid.dims + (3,)
+        sp = np.asarray(grid.spacing)
+
+        def objective(x):
+            data = x.reshape(shape)
+            sim, sim_grad = self._evaluate_coords(_warp_coords(grid, grid, data))
+            total = sim
+            if lam:
+                energy, reg_grad = _diffusion(data, grid.spacing)
+                total += lam * energy
+
+            def grad():
+                s, active, d = sim_grad()
+                dwarp = np.zeros((s.size, 3))
+                dwarp[active] = d / sp
+                g = (s[:, None] * dwarp).reshape(shape)
+                if lam:
+                    g += lam * reg_grad()
+                return g.reshape(-1)
+
+            return total, grad
+
+        return objective
+
     def loss(self, u: DisplacementField) -> float:
         """Total loss at u; runs the value phase only."""
         return self.evaluate(u)[0]
@@ -367,7 +409,8 @@ class LossContext:
         return total, grad()
 
     def evaluate(self, u: DisplacementField):
-        """Total loss at u and a zero-argument callable for dL/du.
+        """Total loss at u and a zero-argument callable for dL/du, from the
+        dense objective.
 
         The value phase runs now.  The callable runs the gradient phase from
         its state and returns dL/du as a (W,H,D,3) array in 1/mm units.  It
@@ -376,25 +419,8 @@ class LossContext:
         """
         if u.grid != self.grid:
             raise ValueError("displacement grid does not match the loss grid")
-        sim, sim_grad = self._evaluate_coords(_warp_coords(self.grid, u))
-        lam = self.cfg.lam
-        total = sim
-        if lam:
-            energy, reg_grad = _diffusion(u.data.astype(np.float64, copy=False),
-                                          self.grid.spacing)
-            total += lam * energy
-        sp = np.asarray(self.grid.spacing)
-
-        def grad():
-            s, active, d = sim_grad()
-            dwarp = np.zeros((s.size, 3))
-            dwarp[active] = d / sp
-            g = (s[:, None] * dwarp).reshape(u.dims + (3,))
-            if lam:
-                g += lam * reg_grad()
-            return g
-
-        return total, grad
+        total, grad = self._dense_objective()(u.data.astype(np.float64, copy=False))
+        return total, lambda: grad().reshape(u.data.shape)
 
 
 # ---------------------------------------------------------------------------

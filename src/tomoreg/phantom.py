@@ -183,15 +183,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _region_frame(grid: GridSpec):
-    """Voxel centres, ellipsoid mask and the mask times its rim taper, read-only.
+    """Voxel centres, the boolean ellipsoid mask and the mask times its rim
+    taper, read-only.
 
-    They depend on the grid alone, so every phantom on one grid shares them.
+    They depend on the grid alone, so every phantom and deformation on one
+    grid shares them; the mask is the one rule of what lies inside.
     """
     center, semi = _ellipsoid(grid)
     coords = grid.voxel_centers()
     rel = (coords - center) / semi
     rel2 = np.sum(rel * rel, axis=-1)
-    mask = (rel2 <= 1.0).astype(np.float64)
+    mask = rel2 <= 1.0
     # smoothstep shoulder so intensity reaches zero continuously at the rim
     t = np.clip((1.0 - rel2) / 0.3, 0.0, 1.0)
     taper = t * t * (3.0 - 2.0 * t)
@@ -265,11 +267,7 @@ def gen_phantom(spec: PhantomSpec):
                     intensity.astype(np.float32))
     mask3d = Mask3D(grid.dims, grid.spacing, grid.origin,
                     mask.astype(np.float32))
-    if lm_points:
-        landmarks = Landmarks(np.arange(len(lm_points)), np.asarray(lm_points))
-    else:
-        landmarks = Landmarks(np.empty(0, dtype=np.int64), np.empty((0, 3)))
-    return image, mask3d, landmarks
+    return image, mask3d, Landmarks(np.arange(len(lm_points)), np.asarray(lm_points))
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +275,7 @@ def gen_phantom(spec: PhantomSpec):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
-def _region_selector(dims) -> np.ndarray:
-    """Boolean voxel selector for the phantom ellipsoid, origin-free, read-only."""
-    idx = np.stack(np.meshgrid(*(np.arange(d, dtype=np.float64) for d in dims),
-                               indexing="ij"), axis=-1)
-    center = 0.5 * (np.asarray(dims, dtype=np.float64) - 1.0)
-    semi = np.array([0.30, 0.30, 0.32]) * np.asarray(dims, dtype=np.float64)
-    rel = (idx - center) / semi
-    return _frozen(np.sum(rel * rel, axis=-1) <= 1.0)
-
-
-@lru_cache(maxsize=4)
-def _deformation_modes(dims, spacing, seed, n_modes, sigma):
+def _deformation_modes(grid: GridSpec, seed, n_modes, sigma):
     """Fixed family of smooth single-axis mode fields, read-only.
 
     Smoothing zero-pads so values taper off toward the grid boundary, and
@@ -296,11 +283,11 @@ def _deformation_modes(dims, spacing, seed, n_modes, sigma):
     choices keep the scale anchored where the object (and its landmarks)
     actually live.
     """
-    inside = _region_selector(dims)
-    modes = np.zeros((n_modes,) + tuple(dims) + (3,))
+    inside = _region_frame(grid)[1]
+    modes = np.zeros((n_modes,) + grid.dims + (3,))
     for m in range(n_modes):
         rng = np.random.default_rng(split_seed(seed, f"dvf-mode-{m}"))
-        comp = gaussian_filter(rng.standard_normal(dims), sigma=sigma,
+        comp = gaussian_filter(rng.standard_normal(grid.dims), sigma=sigma,
                                mode="constant", cval=0.0)
         peak = np.max(np.abs(comp[inside]))
         if peak > 0.0:
@@ -311,13 +298,9 @@ def _deformation_modes(dims, spacing, seed, n_modes, sigma):
 
 def _grad_row_sum_max(data: np.ndarray, spacing) -> float:
     """Max over voxels/components of sum_d |forward diff along d| / s_d."""
-    # the last voxel along each axis keeps a difference of exactly 0
-    rows = np.zeros(data.shape)
-    for ax in range(3):
-        d = np.diff(data, axis=ax)
-        np.abs(d, out=d)
-        d /= float(spacing[ax])
-        rows[(slice(None),) * ax + (slice(0, -1),)] += d
+    # appending the last slice gives the last voxel a difference of exactly 0
+    rows = sum(np.abs(np.diff(data, axis=ax, append=data.take([-1], axis=ax)))
+               / float(spacing[ax]) for ax in range(3))
     return float(rows.max())
 
 
@@ -333,8 +316,7 @@ def gen_smooth_dvf(spec: PhantomSpec, alpha=None,
     """
     defo = spec.deformation
     grid = grid_for(spec)
-    modes = _deformation_modes(spec.dims, spec.spacing, spec.seed,
-                               defo.n_modes, defo.smoothness_sigma_voxels)
+    modes = _deformation_modes(grid, spec.seed, defo.n_modes, defo.smoothness_sigma_voxels)
     if alpha is None:
         rng = np.random.default_rng(split_seed(spec.seed if seed is None else seed, "dvf-alpha"))
         alpha = rng.uniform(-1.0, 1.0, size=defo.n_modes)
@@ -343,7 +325,7 @@ def gen_smooth_dvf(spec: PhantomSpec, alpha=None,
         raise ValueError(f"alpha must have {defo.n_modes} entries")
 
     u = np.tensordot(alpha, modes, axes=(0, 0))
-    inside = _region_selector(spec.dims)
+    inside = _region_frame(grid)[1]
     peak = float(np.max(np.linalg.norm(u[inside], axis=-1)))
     if peak > 0.0:
         u = u * (defo.magnitude_mm / peak)

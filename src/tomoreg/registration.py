@@ -1,15 +1,17 @@
 """Registration drivers: subspace coefficients or dense fields by descent.
 
-Each driver descends one objective that its loss context owns: a function
-of the driver's parameters that evaluates the total loss at a point and
-returns it with a callable for its analytic gradient there.  The subspace
-drivers descend the context's subspace objective in the coefficients,
-whose regulariser is a k-by-k quadratic and whose coordinates come from
-the subspace's evaluation plan, so no field is built until the result.
-The dense driver descends ``evaluate`` in a per-voxel field, which
-evaluates the diffusion regulariser on the grid.  Each reads the
-regulariser weight from the context's ``LossConfig``.  The descent loop
-sees only the objective and the field's grid.
+Each driver descends one objective that its loss context builds: a
+function of a flat parameter vector that evaluates the total loss at a
+point and returns it with a callable for its analytic gradient there.  The
+subspace drivers descend the context's subspace objective in the
+coefficients, whose regulariser is a k-by-k quadratic and whose
+coordinates come from the subspace's evaluation plan.  The dense driver
+descends the context's dense objective in the flat per-voxel field, which
+evaluates the diffusion regulariser on the grid.  So no driver builds a
+field until the result, and only the loss layer knows how a vector lays
+out a field.  Each objective reads the regulariser weight from the
+context's ``LossConfig``.  The descent loop sees only the objective and
+the field's grid.
 
 The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
@@ -253,16 +255,6 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
     ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
                       source, source_mask, target=target, target_mask=target_mask)
     grid = source.grid
-    shape = grid.dims + (3,)
-
-    def to_field(x):
-        return DisplacementField(grid.dims, grid.spacing, grid.origin,
-                                 x.reshape(shape))
-
-    def objective(x):
-        loss, grad = ctx.evaluate(to_field(x))
-        return loss, lambda: grad().reshape(-1)
-
     # the filter along each axis as the matrix of its weights, the
     # "nearest" edge folded in: K @ v filters v, so three small products
     # filter the (W,H,D,3) direction
@@ -276,7 +268,8 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
         return np.matmul(kz, g).reshape(-1)
 
     ctx.require_contrast()
-    x, report = _minimize(objective, np.zeros(grid.n_voxels * 3), grid, opt_cfg,
-                          smooth)
-    return to_field(x), report
+    x, report = _minimize(ctx._dense_objective(), np.zeros(grid.n_voxels * 3), grid,
+                          opt_cfg, smooth)
+    return DisplacementField(grid.dims, grid.spacing, grid.origin,
+                             x.reshape(grid.dims + (3,))), report
 

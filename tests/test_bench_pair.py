@@ -79,7 +79,7 @@ def test_the_record_holds_every_run_and_the_paired_statistics(bench_pair, tmp_pa
     assert back["summary"]["proj2d"]["failed"] == {"parent": 1, "change": 1}
     assert back["summary"]["proj2d"]["attempted"] == {"parent": 20, "change": 20}
     assert back["summary"]["proj2d"]["traced"]["change"] == {"grids.warp_calls": 11.0}
-    assert back["summary"]["proj2d"]["runs_exited_nonzero"] == {"parent": 0, "change": 0}
+    assert back["summary"]["proj2d"]["runs_without_result"] == {"parent": 0, "change": 0}
     assert back["summary"]["proj2d"]["pairs_iterations_differ"] == 0
 
 
@@ -90,7 +90,7 @@ def test_a_run_that_exited_nonzero_is_counted_not_just_dropped(bench_pair):
     # pair 1 lost its change run, so only pairs 0, 2 and 3 are compared
     assert summary["register_s"]["parent"]["n"] == 3
     assert summary["attempted"] == {"parent": 20, "change": 15}
-    assert summary["runs_exited_nonzero"] == {"parent": 0, "change": 1}
+    assert summary["runs_without_result"] == {"parent": 0, "change": 1}
 
 
 def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path):
@@ -116,7 +116,7 @@ def test_a_workload_with_no_complete_pair_keeps_the_record(bench_pair, tmp_path)
         assert (metric["pairs_change_lower"], metric["pairs_change_higher"],
                 metric["pairs_tied"]) == (0, 0, 0)
         assert (metric["gain_shown"], metric["within_bound"]) == (False, False)
-    assert summary["dense3d"]["runs_exited_nonzero"] == {"parent": 0, "change": 5}
+    assert summary["dense3d"]["runs_without_result"] == {"parent": 0, "change": 5}
 
 
 def test_pairs_whose_iteration_counts_differ_are_counted(bench_pair):
@@ -236,5 +236,37 @@ def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_
     assert (drr["pairs_change_lower"], drr["pairs_change_higher"],
             drr["pairs_tied"]) == (0, 1, 1)
     assert summary["peak_rss_mb"]["change"]["median"] == pytest.approx(945.0)
-    assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_exited_nonzero"}
-    assert summary["runs_exited_nonzero"] == {"parent": 1, "change": 0}
+    assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result"}
+    assert summary["runs_without_result"] == {"parent": 1, "change": 0}
+
+
+def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
+        bench_pair, tmp_path, monkeypatch):
+    """A run.py and a set-up child that exit 0 after a line that is not JSON
+    are recorded without a result, with the parse error, and counted; the
+    record is still written, with no environment, and main exits 1."""
+    checkout = tmp_path / "tree"
+    for rel in ("perfbench/run.py", "src/tomoreg/__init__.py"):
+        (checkout / rel).parent.mkdir(parents=True)
+        (checkout / rel).write_text("import sys\nprint('not json')\nsys.exit(0)\n",
+                                    encoding="utf-8")
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    run_one, run_setup64 = bench_pair.run_one, bench_pair.run_setup64
+    monkeypatch.setattr(bench_pair, "ROOT", root)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: "abc1234")
+    monkeypatch.setattr(bench_pair, "run_one", lambda _, *args: run_one(checkout, *args))
+    monkeypatch.setattr(bench_pair, "run_setup64",
+                        lambda _, *args: run_setup64(checkout, *args))
+    assert bench_pair.main(["--parent", "HEAD", "--label", "smoke",
+                            "--workload", "proj2d", "--seeds", "1"]) == 1
+    back = json.loads((root / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    assert back["environment"] is None
+    for run in back["runs"] + back["setup64"]["runs"]:
+        assert run["returncode"] == 0
+        assert run.get("result", run.get("stages")) is None
+        assert "is not a JSON object: 'not json'" in run["error"]
+    both = {"parent": 1, "change": 1}
+    assert back["summary"]["proj2d"]["runs_without_result"] == both
+    assert back["setup64"]["summary"]["runs_without_result"] == both

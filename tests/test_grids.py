@@ -337,7 +337,7 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     g_ref = (base + u.data / np.asarray(spacing)).reshape(-1, 3)
     want_vals, want_grad = reference_trilinear(data, g_ref, with_gradient=True)
     # the warp samples only cells with a corner that is not +0.0
-    vals, gradient = warp(data, _warp_coords(grid, u))
+    vals, gradient = warp(data, _warp_coords(grid, u.grid, u.data))
     assert_same_bits(vals, want_vals)
     assert_same_bits(scattered(gradient(), vals.size), want_grad)
 
@@ -399,7 +399,7 @@ def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
     for interp in ("trilinear", "nearest"):
         assert_same_bits(warp_image(src, u, interp).data, data)
     data64 = data.astype(np.float64)
-    vals, _ = warp(data64, _warp_coords(src.grid, u))
+    vals, _ = warp(data64, _warp_coords(src.grid, u.grid, u.data))
     assert_same_bits(vals, data.astype(np.float64).reshape(-1))
 
 
@@ -450,7 +450,7 @@ def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
                     warnings.simplefilter("error")
                     out = warp_image(src, u, interp)
                     if interp == "trilinear":
-                        vals, gradient = warp(src.data, _warp_coords(src.grid, u))
+                        vals, gradient = warp(src.data, _warp_coords(src.grid, u.grid, u.data))
                         assert_array_equal(vals, 0.0)
                         assert gradient()[0].size == 0  # no point in a supported cell
                 assert_array_equal(out.data, 0.0)

@@ -495,6 +495,37 @@ def test_regularizer_adjoint_at_a_linear_field_is_boundary_only():
     assert np.abs(g).max() > 1e-4
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+@pytest.mark.parametrize("seed, grid", [
+    pytest.param(3, {}, id="3"), pytest.param(7, PARTIAL, id="partial-mask-7")])
+def test_grad_dense_is_the_gradient_the_dense_driver_descends(monkeypatch, seed, grid,
+                                                               lam):
+    """The dense driver descends the objective that ``loss`` evaluates and
+    grad_dense differentiates, with the caller's lam: at a random field its
+    loss and gradient are theirs bit for bit."""
+    from tomoreg import RegistrationReport, register_dense_3d
+    from tomoreg import registration
+    scene, sub, _ = fd_scene(seed, **grid)
+    rng = np.random.default_rng(seed)
+    u = DisplacementField(sub.dims, sub.spacing, sub.origin,
+                          0.5 * rng.standard_normal(sub.dims + (3,)))
+    got = []
+
+    def at_u(objective, x0, *args):
+        loss, grad = objective(u.data.reshape(-1))
+        got.append((loss, grad()))
+        return x0, RegistrationReport(0.0, [0.0], 0, "max_iters", None, 0.0)
+
+    monkeypatch.setattr(registration, "_minimize", at_u)
+    register_dense_3d(scene["source"], scene["target"], scene["source_mask"],
+                      scene["target_mask"], LossConfig(lam, "sim3d"))
+    ctx = LossContext(LossConfig(lam, "sim3d"), scene["source"], scene["source_mask"],
+                      target=scene["target"], target_mask=scene["target_mask"])
+    (loss, grad), = got
+    assert_same_bits(loss, ctx.loss(u))
+    assert_same_bits(grad, grad_dense(ctx, u).data.reshape(-1))
+
+
 # ---------------------------------------------------------------------------
 # limited-angle null space
 # ---------------------------------------------------------------------------
@@ -591,9 +622,10 @@ def test_a_field_changed_in_place_is_evaluated_afresh(mode):
 def test_registration_warps_each_evaluated_point_once(monkeypatch, pair32,
                                                       sub32, op32):
     """Each trial is one evaluation, whose gradient callable serves the
-    accepted point, so the drivers warp once per evaluation.  Both reach
-    the coordinate core: the dense driver through ``evaluate``, the
-    subspace drivers directly."""
+    accepted point, so the drivers warp once per evaluation.  Every driver
+    reaches the coordinate core from the objective its loss context builds,
+    the dense one as the subspace ones, and none calls ``loss`` or
+    ``loss_and_grad``."""
     import tomoreg.losses
     from tomoreg import OptimConfig, register_dense_3d, register_subspace_2d
     warps = counting(monkeypatch, tomoreg.losses, "warp_scalar_with_gradient")
@@ -619,7 +651,7 @@ def test_a_dense_registration_makes_one_difference_pass_per_evaluation(
     import tomoreg.losses
     from tomoreg import OptimConfig, register_dense_3d
     diffs = counting(monkeypatch, tomoreg.losses, "_forward_diffs")
-    evals = counting(monkeypatch, LossContext, "evaluate")
+    evals = counting(monkeypatch, LossContext, "_evaluate_coords")
     _, rep = register_dense_3d(pair32.source, pair32.target, pair32.source_mask,
                                pair32.target_mask, LossConfig(0.1, "sim3d"),
                                OptimConfig(max_iters=4))
@@ -731,7 +763,7 @@ def test_the_plan_at_zero_is_the_mean_fields_warp_coordinates(sub32):
     for sub in (replace(sub32), fd_instance(7, **PARTIAL)[2]):
         coords = _plan(sub).coords(np.zeros(sub.n_components))
         mean = DisplacementField(sub.dims, sub.spacing, sub.origin, sub.mean)
-        assert_same_bits(coords, _warp_coords(sub.grid, mean))
+        assert_same_bits(coords, _warp_coords(sub.grid, mean.grid, mean.data))
 
 
 @pytest.mark.parametrize("seed, grid", [

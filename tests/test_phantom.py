@@ -15,7 +15,7 @@ from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator,
                      zero_displacement)
 from tomoreg.cli import main
 from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL, _deformation_modes,
-                             _region_frame, _region_selector, split_seed)
+                             _region_frame, split_seed)
 
 
 def grad_row_sum_max(data, spacing):
@@ -74,9 +74,9 @@ def test_the_memoised_per_grid_arrays_are_read_only():
     written, while each call's own outputs stay writeable."""
     defo = SPEC32.deformation
     grid = grid_for(SPEC32)
-    shared = [_region_selector(SPEC32.dims), *_region_frame(grid),
-              _deformation_modes(SPEC32.dims, SPEC32.spacing, SPEC32.seed,
-                                 defo.n_modes, defo.smoothness_sigma_voxels)]
+    shared = [*_region_frame(grid),
+              _deformation_modes(grid, SPEC32.seed, defo.n_modes,
+                                 defo.smoothness_sigma_voxels)]
     for arr in shared:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -300,7 +300,7 @@ def test_requested_magnitude_is_reached_unless_capped():
     spec = replace(SPEC32, deformation=replace(SPEC32.deformation,
                                                magnitude_mm=2.0))
     u = gen_smooth_dvf(spec, seed=9)
-    inside = _region_selector(spec.dims)
+    inside = _region_frame(grid_for(spec))[1]
     norms = np.linalg.norm(u.data.astype(np.float64), axis=-1)
     assert float(norms[inside].max()) == pytest.approx(2.0, rel=1e-5)
 

@@ -11,10 +11,12 @@ side; even pairs run the parent first, odd pairs the change.  With
 ``--traced-seed`` each workload also gets one traced pair for its per-layer
 metrics.  The record is written to ``BENCH_<label>.json`` at the root of the
 working tree: the environment, each side's code-line count of ``src/tomoreg/*.py``,
-every run with its result line, per workload each side's count of runs that
-exited non-zero and the number of pairs whose ``iterations`` differ, and per workload
-and end-to-end metric each side's median and quartiles, how many pairs
-the change read lower, higher or equal, and two flags:
+every run with its result line (or, for a run without one, why not), per
+workload each side's count of runs without a result (exited non-zero, or
+exited 0 without a result line) and the number of pairs whose
+``iterations`` differ, and per workload and end-to-end metric each side's
+median and quartiles, how many pairs the change read lower, higher or
+equal, and two flags:
 ``gain_shown`` (better in 9 of 10 pairs, medians apart by more than the
 parent's IQR) and ``within_bound`` (the change's median no worse than the
 parent's by more than the metric's bound).
@@ -54,26 +56,54 @@ STATISTICS = ("median and quartiles (numpy.percentile, linear) over each side's 
               "runs; a pair counts for the change when its value is lower")
 
 
+def _json_object(line: str, what: str) -> dict:
+    """``line`` read as a JSON object; ValueError naming ``what`` otherwise."""
+    try:
+        value = json.loads(line)
+    except ValueError:
+        value = None
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object: {line[:200]!r}")
+    return value
+
+
 def parse_output(stdout: str) -> tuple[dict, dict]:
-    """(environment, result) from run.py's first and last output lines."""
+    """(environment, result) from run.py's first and last output lines;
+    ValueError when either is missing or not the JSON object it should be."""
     lines = [ln for ln in stdout.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("run.py printed nothing")
-    return json.loads(lines[0])["environment"], json.loads(lines[-1])
+    env = _json_object(lines[0], "run.py's first line").get("environment")
+    if not isinstance(env, dict):
+        raise ValueError("run.py's first line holds no environment object")
+    return env, _json_object(lines[-1], "run.py's last line")
+
+
+def _child(command: list, checkout: Path, parse, env=None):
+    """Run ``command`` in ``checkout``: the process, ``parse`` of its output
+    (None when it fails) and the error (None when it succeeds).  A run that
+    exits 0 with output ``parse`` rejects is recorded, not raised."""
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        return proc, None, f"exited with code {proc.returncode}"
+    try:
+        return proc, parse(proc.stdout), None
+    except ValueError as exc:
+        return proc, None, str(exc)
 
 
 def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
             seconds: float, trace: int) -> dict:
+    """One run.py run; ``result`` and ``environment`` are None, and ``error``
+    says why, when it has no result."""
     command = ["python3", "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    run = {"pair": pair, "side": side, "workload": workload, "seed": seed,
-           "trace": trace, "command": command, "returncode": proc.returncode}
-    if proc.returncode != 0:
-        print(proc.stderr, file=sys.stderr)
-        return {**run, "result": None, "environment": None}
-    env, result = parse_output(proc.stdout)
-    return {**run, "result": result, "environment": env}
+    proc, parsed, error = _child(command, checkout, parse_output)
+    env, result = parsed or (None, None)
+    return {"pair": pair, "side": side, "workload": workload, "seed": seed,
+            "trace": trace, "command": command, "returncode": proc.returncode,
+            "result": result, "environment": env, "error": error}
 
 
 # the 64-cubed set-up, run from the root of one checkout: argv[1] is the
@@ -119,15 +149,14 @@ SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pai
 
 
 def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
-    """One 64-cubed set-up child in ``checkout``; ``stages`` is None if it failed."""
+    """One 64-cubed set-up child in ``checkout``; ``stages`` is None, and
+    ``error`` says why, if it printed no stage line."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(["python3", "-c", SETUP64_CHILD, str(seed)], cwd=checkout,
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(proc.stderr, file=sys.stderr)
-    stages = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else None
+    proc, stages, error = _child(
+        ["python3", "-c", SETUP64_CHILD, str(seed)], checkout,
+        lambda out: _json_object(out.strip().rpartition("\n")[2], "the last line"), env)
     return {"pair": pair, "side": side, "seed": seed, "returncode": proc.returncode,
-            "stages": stages}
+            "stages": stages, "error": error}
 
 
 def summarize_setup64(runs: list) -> dict:
@@ -139,7 +168,7 @@ def summarize_setup64(runs: list) -> dict:
     pairs = [p for p in by_pair.values() if all(p.get(s) for s in SIDES)]
     out = {name: _paired({s: [p[s][name] for p in pairs] for s in SIDES})
            for name in SETUP64_STAGES}
-    out["runs_exited_nonzero"] = {s: sum(r["side"] == s and r["stages"] is None
+    out["runs_without_result"] = {s: sum(r["side"] == s and r["stages"] is None
                                          for r in runs) for s in SIDES}
     return out
 
@@ -186,10 +215,11 @@ def _claim_flags(vals: dict, metric: dict) -> dict:
 def summarize(runs: list, spec: dict) -> dict:
     """Per workload: each end-to-end metric's statistics and pairs won, the
     failed and attempted counts per side, the traced per-layer values, per
-    side the runs, traced or not, that exited non-zero, and the number of
-    complete pairs whose two sides differ in ``iterations``.  Such a run has
-    no result, so its pair is missing from every statistic above; a
-    workload with no complete pair gets null statistics and false flags."""
+    side the runs, traced or not, without a result (exited non-zero or
+    printed no result line), and the number of complete pairs whose two
+    sides differ in ``iterations``.  A run without a result leaves its pair
+    out of every statistic above; a workload with no complete pair gets
+    null statistics and false flags."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         own = [r for r in runs if r["workload"] == workload]
@@ -216,7 +246,7 @@ def summarize(runs: list, spec: dict) -> dict:
                                if r["side"] == s and r["result"]) for s in SIDES}
         out["traced"] = {r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
                          for r in own if r["trace"] and r["result"]}
-        out["runs_exited_nonzero"] = {s: sum(r["side"] == s and r["result"] is None
+        out["runs_without_result"] = {s: sum(r["side"] == s and r["result"] is None
                                              for r in own) for s in SIDES}
         # a rounding-level change that moves an iteration count shows here,
         # not only in a median
@@ -248,7 +278,9 @@ def src_code_lines(checkout: Path) -> int:
 
 def record(runs: list, spec: dict, parent: str, seeds: dict,
            traced_seed: int | None, lines: dict, setup64: list) -> dict:
-    env = next(r["environment"] for r in runs if r["environment"])
+    """The record of ``runs``; its environment is the first run's that has
+    one, and null when none has."""
+    env = next((r["environment"] for r in runs if r["environment"]), None)
     doc = {
         "what": ("Paired perfbench/run.py runs of the parent commit and of the "
                  "working tree, alternating which side runs first in each pair"),
@@ -258,8 +290,8 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
         "seeds": seeds,
         "traced_seed": traced_seed,
         "statistics": STATISTICS,
-        "environment": {k: v for k, v in env.items()
-                        if k not in ("git_commit", "workload", "seed")},
+        "environment": env and {k: v for k, v in env.items()
+                                if k not in ("git_commit", "workload", "seed")},
         "src_code_lines": lines,
         "summary": summarize(runs, spec),
         "runs": runs,
@@ -334,7 +366,7 @@ def main(argv=None) -> int:
     doc = record(runs, spec, parent, {w: list(args.seeds) for w in args.workload},
                  args.traced_seed, lines, setup64)
     write_record(ROOT / f"BENCH_{args.label}.json", doc)
-    return 0 if all(r["returncode"] == 0 for r in runs + setup64) else 1
+    return 0 if all(r["error"] is None for r in runs + setup64) else 1
 
 
 if __name__ == "__main__":
