@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import (GridSpec, Image3D, _array, _checked_payload, _entries,
+from .grids import (GridSpec, Image3D, _array, _checked_payload, _dims, _entries,
                     _real, _whole, sample_trilinear, trilinear_weights)
 
 _ORTHO_TOL = 1e-9
@@ -45,7 +45,7 @@ class SdctGeometry:
 
     def __post_init__(self):
         self.n_emitters = _whole(self.n_emitters, "n_emitters", "count")
-        self.detector_dims = _entries(self.detector_dims, 2, _whole, "detector_dims", "count")
+        self.detector_dims = _dims(self.detector_dims, 2, "detector_dims", "pixels")
         self.detector_spacing = _entries(self.detector_spacing, 2, _real,
                                          "detector_spacing", "> 0")
         self.emitter_positions = _array(self.emitter_positions, "emitter_positions",
@@ -109,7 +109,7 @@ def build_sdct_geometry(n_emitters: int,
                                      "source_detector_distance", "> 0")
 
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    wd, hd = _entries(detector_dims, 2, _whole, "detector_dims", "count")
+    wd, hd = _dims(detector_dims, 2, "detector_dims", "pixels")
     pu, pv = _entries(detector_spacing, 2, _real, "detector_spacing")
     det_origin = np.array([-0.5 * (wd - 1) * pu, -0.5 * (hd - 1) * pv, 0.0])
 

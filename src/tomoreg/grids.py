@@ -30,6 +30,10 @@ _ALIGN_EPS = 1e-9
 # detector pixels along one axis, channels.  A larger one is refused at the
 # reader, naming its field, before anything is allocated.
 _MAX_COUNT = 2 ** 16
+# the largest number of voxels of a grid or pixels of a detector, 256 cubed
+# or 4096 squared; refused the same way, since counts that each pass can
+# still multiply to an array no machine holds
+_MAX_TOTAL = 2 ** 24
 
 # the bounds a scalar field may carry: the test, and what the error says
 # the field must do
@@ -83,6 +87,16 @@ def _entries(values, n: int, convert, name: str, *args) -> tuple:
     return tuple(convert(v, name, *args) for v in t)
 
 
+def _dims(values, n: int, name: str, unit: str) -> tuple:
+    """``values`` as ``n`` counts, each read by ``_whole``, whose product,
+    the number of ``unit`` they size, is at most ``_MAX_TOTAL``."""
+    dims = _entries(values, n, _whole, name, "count")
+    total = math.prod(dims)
+    if total > _MAX_TOTAL:
+        raise ValueError(f"{name} {list(dims)} give {total} {unit}, more than {_MAX_TOTAL}")
+    return dims
+
+
 def _array(values, name: str, shape: tuple, bound=None):
     """``values`` as a float array of ``shape``, each entry read by ``_real``."""
     if not shape:
@@ -104,7 +118,7 @@ class GridSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", "count"))
+        object.__setattr__(self, "dims", _dims(self.dims, 3, "dims", "voxels"))
         object.__setattr__(self, "spacing",
                            _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "origin", _entries(self.origin, 3, _real, "origin"))
@@ -454,17 +468,20 @@ def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
 
     Masks must be warped with ``interp="nearest"`` so values stay binary.
     """
+    return _resample(src, u.grid, _warp_coords(src.grid, u.grid, u.data), interp)
+
+
+def _resample(src, grid: GridSpec, g: np.ndarray, interp: str):
+    """``src`` sampled at source-voxel coords ``g``, one row per voxel of
+    ``grid`` in C order, as an image of its own type and dtype on ``grid``."""
     if interp not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation mode {interp!r}")
     if isinstance(src, Mask3D) and interp != "nearest":
         raise ValueError("Mask3D must be warped with nearest-neighbor interpolation")
-    g = _warp_coords(src.grid, u.grid, u.data)
-    if interp == "trilinear":
-        vals = sample_trilinear(src.data.astype(np.float64, copy=False), g)
-    else:
-        vals = sample_nearest(src.data.astype(np.float64, copy=False), g)
-    out = vals.reshape(u.dims).astype(src.data.dtype, copy=False)
-    return type(src)(u.dims, u.spacing, u.origin, out)
+    sample = sample_trilinear if interp == "trilinear" else sample_nearest
+    vals = sample(src.data.astype(np.float64, copy=False), g)
+    out = vals.reshape(grid.dims).astype(src.data.dtype, copy=False)
+    return type(src)(grid.dims, grid.spacing, grid.origin, out)
 
 
 def _cell_support(padded: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import _MATCH_TOL, ProjectionSet, SdctGeometry
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _entries, _real, _whole)
+                    _dims, _entries, _real, _whole)
 from .subspace import DeformationSubspace
 
 _GRID_KINDS = {Image3D: "volume", Mask3D: "mask", DisplacementField: "dvf"}
@@ -117,7 +117,8 @@ def _read_payload(header_path: str, expect_kind: str):
     _require(kind == expect_kind, "kind", f"got '{kind}', expected '{expect_kind}'")
     _require(header.get("dtype") == _DTYPE, "dtype", f"got {header.get('dtype')!r}")
     _require(header.get("layout") == _LAYOUT, "layout", f"got {header.get('layout')!r}")
-    dims = _entries(header["dims"], 2 if kind == "image2d" else 3, _whole, "dims", "count")
+    n, unit = (2, "pixels") if kind == "image2d" else (3, "voxels")
+    dims = _dims(header["dims"], n, "dims", unit)
     channels = _whole(header["channels"], "channels", "count")
     with open(_raw_path(header_path), "rb") as fh:
         payload = fh.read()

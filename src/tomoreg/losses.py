@@ -61,6 +61,17 @@ points sit in supported cells, so the warp's share is about 2 floats per
 voxel instead of 13.  A line search keeps the callable of each trial until
 the next one and calls it only for the trial it accepts, so each point a
 registration evaluates is warped once.
+
+The same state gives the Gauss-Newton matrix of the loss, with nothing
+more kept.  The coordinate core's gradient callable carries
+``gauss_newton(jac)``: from the warp's derivative at the supported voxels,
+times ``jac`` to the parameters and pushed through the DRR matrix, and
+from the centred renderings among the correlation terms, it forms the
+matrix of the similarity.  The subspace objective's callable carries
+``gauss_newton()``, that matrix in alpha plus the regulariser's exact
+2 lam G, which the descent factors once per registration as its initial
+inverse Hessian.  The DRR product takes the rows of the operator's cached
+transpose at the supported voxels, a fraction of a full product.
 """
 from __future__ import annotations
 
@@ -204,6 +215,11 @@ class _Plan(NamedTuple):
         with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
             return (self.g0 + self.bs.reshape(self.g0.size, -1) @ alpha).reshape(-1, 3)
 
+    def jacobian(self, active: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """d warped / d alpha at the supported voxels, (len(active), k): the
+        warp's derivative ``d`` there times their rows of ``bs``."""
+        return np.einsum("mc,mck->mk", d, self.bs[active])
+
     def pullback(self, s: np.ndarray, active: np.ndarray, d: np.ndarray) -> np.ndarray:
         """dsim/dalpha from ``LossContext._evaluate_coords``'s gradient parts.
 
@@ -337,17 +353,45 @@ class LossContext:
                 gp[:, i] += -_ncc_grad_b(pi) / n
             return ((gp if op is None else op.adjoint(gp)).reshape(-1), *warp_grad())
 
+        def gauss_newton(jac):
+            """The Gauss-Newton matrix of sim in the parameters whose warp
+            Jacobian at the supported voxels is ``jac(active, d)``, (m, k):
+            (1/n) sum over operands of Jt^T Jt / w, w = |r - mean r|^2
+            (guarded), where Jt is the rendering's Jacobian J with its
+            columns centred and the normalised centred rendering projected
+            out.  With mu = J's column sums over its N rows and q = J^T
+            (r - mean r), Jt^T Jt = J^T J - mu mu^T / N - (2 w - sbb) / w^2
+            q q^T, so only J's non-zero rows are needed: for sim3d, the
+            supported voxels."""
+            active, d = warp_grad()
+            dw = jac(active, d)
+            if op is None:  # J is dw at the supported voxels, zero elsewhere
+                J, rows = dw[:, None, :], active
+            else:  # A[:, active] @ dw from the rows of the cached transpose
+                J, rows = (op._matrices()[1][active].T @ dw).reshape(shape + (-1,)), slice(None)
+            H = 0.0
+            for i, (_, bc, sbb, _, _) in enumerate(parts):
+                w = sbb + _EPS
+                Ji = J[:, i]
+                mu, q = Ji.sum(axis=0), bc[rows] @ Ji
+                H = H + (Ji.T @ Ji - np.outer(mu, mu / shape[0])
+                         - np.outer(q, q * ((2.0 * w - sbb) / w ** 2))) / (w * n)
+            return H
+
+        grad.gauss_newton = gauss_newton
         return sim, grad
 
     def _subspace_objective(self, sub: DeformationSubspace):
         """The total loss in alpha on ``sub``: a function of alpha that gives
-        the loss and a zero-argument callable for dL/dalpha.
+        the loss and a zero-argument callable for dL/dalpha.  The callable's
+        ``gauss_newton()`` gives the k-by-k Gauss-Newton matrix of the loss
+        at that alpha from the same evaluation.
 
         Coordinates come from ``sub``'s plan, so no field is built, and the
         diffusion energy is the plan's quadratic, so lam * energy and its
         gradient cost k-by-k algebra instead of grid passes.  The basis rows
-        must be orthonormal, as the descent's first step and ``reconstruct``
-        assume.
+        must be orthonormal, as ``reconstruct`` and the descent's fallback
+        first step assume.
         """
         if sub.grid != self.grid:
             raise ValueError("subspace grid does not match source grid")
@@ -360,7 +404,13 @@ class LossContext:
             sim, sim_grad = self._evaluate_coords(plan.coords(a))
             Ga = plan.G @ a
             loss = sim + lam * (plan.c + (2.0 * plan.b + Ga) @ a)
-            return loss, lambda: plan.pullback(*sim_grad()) + (2.0 * lam) * (plan.b + Ga)
+
+            def grad():
+                return plan.pullback(*sim_grad()) + (2.0 * lam) * (plan.b + Ga)
+
+            grad.gauss_newton = lambda: (sim_grad.gauss_newton(plan.jacobian)
+                                         + (2.0 * lam) * plan.G)
+            return loss, grad
 
         return objective
 

@@ -23,7 +23,8 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _entries, _real, _trilinear_sampler, _whole, warp_image)
+                    _dims, _entries, _real, _resample, _trilinear_sampler,
+                    _warp_coords, _whole)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -72,12 +73,13 @@ class AcquisitionSpec:
                 object.__setattr__(self, name, _real(value, name))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
-        for name, convert, bound in (("line_offset_mm", _real, None),
-                                     ("detector_dims", _whole, "count"),
-                                     ("detector_spacing_mm", _real, None)):
+        for name in ("line_offset_mm", "detector_spacing_mm"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _entries(value, 2, convert, name, bound))
+                object.__setattr__(self, name, _entries(value, 2, _real, name))
+        if self.detector_dims is not None:
+            object.__setattr__(self, "detector_dims",
+                               _dims(self.detector_dims, 2, "detector_dims", "pixels"))
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class PhantomSpec:
     geometry: AcquisitionSpec = field(default_factory=AcquisitionSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _entries(self.dims, 3, _whole, "dims", "count"))
+        object.__setattr__(self, "dims", _dims(self.dims, 3, "dims", "voxels"))
         object.__setattr__(self, "spacing",
                            _entries(self.spacing, 3, _real, "spacing", "> 0"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
@@ -382,8 +384,10 @@ def make_pair(spec: PhantomSpec, seed: int,
     alpha = rng.uniform(-1.0, 1.0, size=spec.deformation.n_modes)
     u_true = gen_smooth_dvf(spec, alpha=alpha)
 
-    target = warp_image(source, u_true, interp="trilinear")
-    target_mask = warp_image(source_mask, u_true, interp="nearest")
+    # both warps sample at the same coordinates, computed once
+    g = _warp_coords(source.grid, u_true.grid, u_true.data)
+    target = _resample(source, u_true.grid, g, "trilinear")
+    target_mask = _resample(source_mask, u_true.grid, g, "nearest")
     lm_tgt_pts = _solve_target_landmarks(u_true, lm_src.points)
     lm_tgt = Landmarks(lm_src.ids.copy(), lm_tgt_pts)
 

@@ -16,20 +16,38 @@ the field's grid.
 The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
 shrink factor 0.5).  It keeps the last 7 curvature pairs (s, y) with
-s.y > 0; the initial inverse Hessian is gamma times the driver's smoothing
-of the direction, gamma = s.y / y.y of the newest pair.  For the subspace
-drivers the smoothing is the identity.  For the dense driver it is a
-Gaussian filter of one voxel per axis with the "nearest" edge, applied as
-three small matrix products, one per axis: each matrix holds the 1-D
-filter's weights, built once per registration.  The two-loop recursion
-updates one work vector in place with BLAS axpys.  Two step rules:
-while no pair is stored the direction is steepest (or smoothed) descent
-and its first trial moves the field by one voxel RMS; once a pair is
-stored the first trial is the unit step.  No step size is
-configured.  The history costs 2 * 7 floats per parameter: a few hundred
-bytes for subspace coefficients, 11 MB for a dense field at 32 cubed and
-88 MB at 64 cubed.  Each trial is evaluated once, and only the accepted
-trial's gradient is computed.  Accepted losses form a non-increasing trace.
+s.y > 0.  Two kinds of initial inverse Hessian H0:
+
+* For the subspace drivers, the inverse of H, the k-by-k Gauss-Newton
+  matrix of the loss in alpha at alpha = 0: (1/n) sum over the n measured
+  operands of Jt^T Jt / |r - mean r|^2, plus the regulariser's exact
+  2 lam G.  J is the rendering's Jacobian in alpha, the warp's derivative
+  times the scaled basis rows pushed through the DRR matrix (the identity
+  for sim3d); Jt is J with its columns centred and the normalised centred
+  rendering r projected out.  H comes from the first evaluation's own
+  state, with no second warp, and costs about half a value evaluation.
+  It has its own scale, so it is not scaled by gamma and every first
+  trial is the unit step.  The projection loss is many times flatter
+  along depth than in the detector plane, the depth ambiguity of a
+  limited-angle acquisition; H gives that scale from the start instead of
+  leaving L-BFGS to learn it, so a projection registration needs about
+  half the iterations.  An H that is not positive definite, which takes
+  lam = 0 and a direction no operand sees, leaves the rule below.
+* Otherwise, gamma times the driver's smoothing of the direction, gamma
+  = s.y / y.y of the newest pair.  For the subspace drivers the smoothing
+  is the identity.  For the dense driver it is a Gaussian filter of one
+  voxel per axis with the "nearest" edge, applied as three small matrix
+  products, one per axis: each matrix holds the 1-D filter's weights,
+  built once per registration.  While no pair is stored the direction is
+  steepest (or smoothed) descent and its first trial moves the field by
+  one voxel RMS; once a pair is stored the first trial is the unit step.
+
+The two-loop recursion updates one work vector in place with BLAS axpys.
+No step size is configured.  The history costs 2 * 7 floats per
+parameter: a few hundred bytes for subspace coefficients, 11 MB for a
+dense field at 32 cubed and 88 MB at 64 cubed.  Each trial is evaluated
+once, and only the accepted trial's gradient is computed.  Accepted
+losses form a non-increasing trace.
 
 Everything is deterministic: fixed evaluation order, no stochastic
 sampling, so repeated runs on identical inputs reproduce results bitwise.
@@ -41,6 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.ndimage import gaussian_filter1d
 
@@ -83,13 +102,15 @@ class RegistrationReport:
     wall_time_s: float
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, pairs, smooth, scaled: bool = True) -> np.ndarray:
     """-H g by the two-loop recursion over ``pairs`` of (s, y, s.y), oldest first.
 
     H0 is gamma * ``smooth`` (the identity when None), gamma = s.y / y.y of
     the newest pair, and 1 with no pair, so then the direction is -H0 g.
-    One work vector is updated in place by BLAS axpys, scaled by gamma and
-    negated, so no pair adds a temporary of the parameter's size.
+    Unless ``scaled``, gamma is 1 throughout: ``smooth`` is then an inverse
+    Hessian with its own scale.  One work vector is updated in place by
+    BLAS axpys, scaled by gamma and negated, so no pair adds a temporary of
+    the parameter's size.
     """
     q = grad.copy()
     coefs = []
@@ -98,12 +119,22 @@ def _lbfgs_direction(grad: np.ndarray, pairs, smooth) -> np.ndarray:
         q = daxpy(y, q, a=-a)
         coefs.append(a)
     r = q if smooth is None else smooth(q)
-    if pairs:
+    if pairs and scaled:
         _, y, sy = pairs[-1]
         r = dscal(sy / ddot(y, y), r)
     for (s, y, sy), a in zip(pairs, reversed(coefs)):
         r = daxpy(s, r, a=a - ddot(y, r) / sy)
     return np.negative(r, out=r)
+
+
+def _inverse(H: np.ndarray):
+    """q -> H^-1 q by ``H``'s Cholesky factor; None when ``H`` is not
+    positive definite."""
+    try:
+        factor = cho_factor(H)
+    except LinAlgError:
+        return None
+    return lambda q: cho_solve(factor, q)
 
 
 def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None,
@@ -117,22 +148,31 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
 
     The run stops as converged_grad once every gradient entry is below
     ``_TOL_GRAD``.  Otherwise the iteration takes d = -H g from the stored
-    pairs (the smoothed or plain -g while none is stored) and falls back
-    to -g when d does not descend, so d is non-zero with a negative slope.
-    An accepted step's pair (s, y) is stored only when s.y > 0, which
-    keeps H positive definite; the last ``_MEMORY`` are kept, 2 *
-    ``_MEMORY`` floats per parameter.  With a pair stored the first trial
-    is the unit step, the natural scale of a quasi-Newton step.  An
-    accepted trial that does not lower the loss has lost the slope to
-    rounding: a flat stretch, which ends as line_search_failed.
+    pairs (-H0 g while none is stored) and falls back to -g when d does
+    not descend, so d is non-zero with a negative slope.  An accepted
+    step's pair (s, y) is stored only when s.y > 0, which keeps H positive
+    definite; the last ``_MEMORY`` are kept, 2 * ``_MEMORY`` floats per
+    parameter.  With a pair stored the first trial is the unit step, the
+    natural scale of a quasi-Newton step.  An accepted trial that does not
+    lower the loss has lost the slope to rounding: a flat stretch, which
+    ends as line_search_failed.
+
+    A gradient callable may also carry ``gauss_newton``, a zero-argument
+    callable for the curvature matrix H of the loss at its point, as the
+    subspace objective's do.  Then, once the starting point has passed the
+    converged_grad test, H is built there and factored by Cholesky, and
+    H^-1 is H0 for the whole run, unscaled by gamma: it has its own scale,
+    so every first trial is the unit step.  An H that is not positive
+    definite (lam = 0 and a direction that no operand sees) leaves H0 = I.
 
     Precondition: x maps to the field by an isometry, so a step in x moves
     the field's (W,H,D,3) entries by the same Euclidean length.  Both
     drivers' maps are: subspace basis rows are orthonormal, and the dense
-    map is the identity.  So the first trial step with no pair stored, of
-    length min(spacing) * sqrt(n_voxels) in x, moves the field by one voxel
-    RMS without a warp to find that out.  Each trial is evaluated once; the
-    gradient callable of the accepted trial gives the next gradient.
+    map is the identity.  So with H0 scaled by gamma, the first trial step
+    with no pair stored, of length min(spacing) * sqrt(n_voxels) in x,
+    moves the field by one voxel RMS without a warp to find that out.
+    Each trial is evaluated once; the gradient callable of the accepted
+    trial gives the next gradient.
     """
     cfg = cfg or OptimConfig()
 
@@ -150,21 +190,30 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     t0 = time.perf_counter()
     loss, grad_fn = value(x)
     grad = gradient(grad_fn)
+    gauss_newton = getattr(grad_fn, "gauss_newton", None)
     trace = [float(loss)]
     stop = "max_iters"
     first_len = min(grid.spacing) * np.sqrt(grid.n_voxels)
     pairs = deque(maxlen=_MEMORY)
+    h0, scaled = smooth, True
     for _ in range(cfg.max_iters):
         if np.max(np.abs(grad)) < _TOL_GRAD:
             stop = "converged_grad"
             break
+        if gauss_newton is not None:  # the starting point's H, once
+            H = gauss_newton()
+            _check_finite(H, "Gauss-Newton matrix")
+            solve = _inverse(H)
+            if solve is not None:
+                h0, scaled = solve, False
+            gauss_newton = None
 
-        d = _lbfgs_direction(grad, pairs, smooth)
+        d = _lbfgs_direction(grad, pairs, h0, scaled)
         slope = float(grad @ d)
         if slope >= 0.0:  # not a descent direction; fall back
             d = -grad
             slope = -float(grad @ grad)
-        t = 1.0 if pairs else first_len / float(np.linalg.norm(d))
+        t = 1.0 if pairs or not scaled else first_len / float(np.linalg.norm(d))
 
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * d

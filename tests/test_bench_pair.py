@@ -201,16 +201,20 @@ def test_an_empty_run_output_is_an_error(bench_pair):
 
 def canned_setup64():
     """Three 64-cubed pairs, sides alternating; the change is faster in every
-    stage but the DRR build, which ties in pair 0 and loses in pair 2; its
-    pair-1 parent child failed."""
-    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 940.0), (0, "change", 1.1, 2.0, 2.1, 0.9, 960.0),
-            (1, "change", 1.2, 2.1, 2.0, 0.8, 950.0), (1, "parent", None),
-            (2, "parent", 2.2, 5.4, 2.0, 1.2, 942.0), (2, "change", 1.0, 1.9, 2.2, 0.7, 930.0)]
+    stage but the DRR build, which ties in pair 0 and loses in pair 2, and
+    its registration takes fewer iterations; its pair-1 parent child
+    failed."""
+    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0),
+            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0),
+            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0), (1, "parent", None),
+            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0),
+            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0)]
     runs = []
     for pair, side, *values in rows:
         stages = (None if values == [None]
                   else dict(zip(["train_fields_s", "build_subspace_s", "drr_build_s",
-                                 "make_pair_s", "peak_rss_mb"], values)))
+                                 "make_pair_s", "register2d_s", "register2d_iterations",
+                                 "peak_rss_mb"], values)))
         runs.append({"pair": pair, "side": side, "seed": 7, "stages": stages,
                      "returncode": 0 if stages else 1})
     return runs
@@ -236,6 +240,10 @@ def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_
     assert (drr["pairs_change_lower"], drr["pairs_change_higher"],
             drr["pairs_tied"]) == (0, 1, 1)
     assert summary["peak_rss_mb"]["change"]["median"] == pytest.approx(945.0)
+    assert summary["register2d_s"]["parent"]["median"] == pytest.approx(0.75)
+    iters = summary["register2d_iterations"]
+    assert (iters["parent"]["median"], iters["change"]["median"]) == (11.5, 6.0)
+    assert iters["pairs_change_lower"] == 2
     assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result"}
     assert summary["runs_without_result"] == {"parent": 1, "change": 0}
 
@@ -270,3 +278,26 @@ def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
     both = {"parent": 1, "change": 1}
     assert back["summary"]["proj2d"]["runs_without_result"] == both
     assert back["setup64"]["summary"]["runs_without_result"] == both
+
+
+def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys):
+    """The set-up child, run in process on a 16-cubed scene instead of the
+    default 64-cubed one, prints one JSON line with every stage: the
+    registration's time and a whole, positive iteration count among them."""
+    import sys
+
+    import tomoreg
+    from tomoreg import AcquisitionSpec, DeformationSpec, PhantomSpec
+
+    small = PhantomSpec(dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8), n_vessels=2,
+                        deformation=DeformationSpec(n_modes=2, magnitude_mm=8.0,
+                                                    smoothness_sigma_voxels=3.0),
+                        geometry=AcquisitionSpec(n_emitters=2))
+    monkeypatch.setattr(tomoreg, "PhantomSpec", lambda: small)
+    monkeypatch.setattr(sys, "argv", ["-c", "7"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    exec(compile(bench_pair.SETUP64_CHILD, "setup64", "exec"), {"__name__": "__main__"})
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == set(bench_pair.SETUP64_STAGES)
+    assert all(out[name] > 0 for name in bench_pair.SETUP64_STAGES)
+    assert isinstance(out["register2d_iterations"], int)

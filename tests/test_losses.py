@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 from tomoreg import (DeformationSubspace, DisplacementField, DrrOperator,
                      GridSpec, Image3D, LossConfig, Mask3D,
                      ProjectionSet, build_sdct_geometry, build_subspace,
-                     reconstruct, zero_displacement)
+                     reconstruct, warp_image, zero_displacement)
 from tomoreg.grids import _warp_coords
 from tomoreg.losses import (LossContext, _diffusion, _ncc_core, _plan,
                             diffusion_quadratic, grad_alpha, grad_dense)
@@ -380,6 +380,40 @@ def test_grad_alpha_is_the_gradient_the_subspace_drivers_descend(monkeypatch, se
     ctx3, ctx2 = fd_instance(seed, **grid)[:2]
     assert_same_bits(got[0], grad_alpha(ctx3, sub, alpha))
     assert_same_bits(got[1], grad_alpha(ctx2, sub, alpha))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+@pytest.mark.parametrize("mode", ["sim3d", "sim2d"])
+def test_the_gauss_newton_matrix_is_the_hessian_at_zero_residual(mode, lam):
+    """The measured operands are the renderings of the masked source warped
+    by the subspace mean, so alpha = 0 has zero residual and there the
+    Gauss-Newton matrix of 1 - NCC is its Hessian; with the exact
+    regulariser quadratic added, H matches central differences of
+    grad_alpha."""
+    scene, sub, _ = fd_scene(3)
+    src, src_mask, op = scene["source"], scene["source_mask"], scene["drr_op"]
+    masked = Image3D(src.dims, src.spacing, src.origin,
+                     src.data.astype(np.float64) * src_mask.data)
+    moved = warp_image(masked, reconstruct(sub, np.zeros(sub.n_components)))
+    cfg = LossConfig(lam, mode)
+    if mode == "sim3d":
+        ctx = LossContext(cfg, src, src_mask, target=moved,
+                          target_mask=ones_mask(src.dims, src.spacing, src.origin))
+    else:
+        ctx = LossContext(cfg, src, src_mask, projections=op.render_all(moved), drr_op=op)
+    k = sub.n_components
+    _, grad = ctx._subspace_objective(sub)(np.zeros(k))
+    # the similarity is stationary; the regulariser's gradient is its own
+    sim_grad = grad() - 2.0 * lam * _plan(sub).b
+    assert np.max(np.abs(sim_grad)) < 1e-7 * np.max(np.abs(grad.gauss_newton()))
+    H = grad.gauss_newton()
+    # small enough that no sample point crosses a cell face, where the
+    # interpolant's derivative jumps
+    h = 1e-5
+    fd = np.stack([(grad_alpha(ctx, sub, h * e) - grad_alpha(ctx, sub, -h * e)) / (2.0 * h)
+                   for e in np.eye(k)], axis=1)
+    assert_allclose(H, fd, rtol=0.0, atol=1e-4 * np.abs(H).max())
+    assert np.all(np.linalg.eigvalsh(H) > 0.0)
 
 
 def test_constant_images_isolate_the_regularizer_gradient():

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -222,6 +223,39 @@ def test_a_huge_count_exits_2_naming_its_field(name, path, value, argv, field):
     doc, _ = _edited(json.loads(SCENE[name]), path, value)
     rc, error = run(name, json.dumps(doc), argv, "out")
     assert rc == 2 and error.startswith(f"error: {field} must lie in [1, 65536], got"), error
+
+
+@pytest.mark.parametrize("name, path, value, argv, field, total", [
+    ("spec.json", ("dims",), [4096, 4096, 4096],
+     ["phantom", "gen", "--spec", "@spec.json", "--n", "1", "--out", "@out"],
+     "dims", "68719476736 voxels"),
+    ("spec.json", ("geometry", "detector_dims"), [65536, 65536], PHANTOM_GEN, "detector_dims",
+     "4294967296 pixels"),
+    ("geometry.json", ("detector_dims",), [65536, 512], DRR, "detector_dims",
+     "33554432 pixels"),
+    ("source.json", ("dims",), [4096, 4096, 2], DRR, "dims", "33554432 voxels"),
+    ("projections.json", ("dims",), [8192, 4096],
+     ["lift3d", "export", "--projections", "@projections.json", "--geometry",
+      "@geometry.json", "--grid-like", "@source.json", "--out", "@out.json"],
+     "dims", "33554432 pixels"),
+], ids=["spec-voxels", "spec-pixels", "geometry-pixels", "volume-voxels",
+        "projections-pixels"])
+def test_a_grid_too_large_to_allocate_exits_2_naming_its_field(
+        name, path, value, argv, field, total):
+    """Counts that each lie in [1, 65536] can still multiply to more voxels
+    or detector pixels than any array can hold.  The reader refuses the
+    total, naming the field, before an array of that size is asked for:
+    the run allocates less than 64 MB in all."""
+    doc, _ = _edited(json.loads(SCENE[name]), path, value)
+    tracemalloc.start()
+    try:
+        rc, error = run(name, json.dumps(doc), argv, "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and error == (f"error: {field} {value} give {total}, "
+                                 f"more than 16777216"), error
+    assert peak < 64 * 2 ** 20
 
 
 # what a landmark CSV field may hold: each of VALUES as JSON text, and

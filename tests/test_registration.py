@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 from conftest import SPEC32, zero_mean_subspace
 
@@ -233,6 +234,8 @@ def random_problem(dims, spacing, seed):
 
 @pytest.mark.parametrize("driver", ["subspace3d", "dense"])
 def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
+    """The dense driver's first trial moves the field by one voxel RMS; a
+    subspace driver's is the Gauss-Newton step -H^-1 g from alpha = 0."""
     src, tgt, mask, sub = random_problem((10, 8, 6), (1.5, 1.2, 2.0), 3)
     evaluated = []
     evaluate = LossContext._evaluate_coords
@@ -249,6 +252,13 @@ def test_first_trial_moves_the_field_by_one_voxel_rms(monkeypatch, driver):
     else:
         register_dense_3d(src, tgt, mask, mask, opt_cfg=opt)
     # evaluated[0] is the starting point, evaluated[1] the first trial
+    if driver == "subspace3d":
+        ctx = LossContext(LossConfig(), src, mask, target=tgt, target_mask=mask)
+        _, grad = ctx._subspace_objective(sub)(np.zeros(sub.n_components))
+        want = _plan(sub).coords(-np.linalg.solve(grad.gauss_newton(), grad()))
+        assert_allclose(evaluated[1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert not np.array_equal(evaluated[1], evaluated[0])
+        return
     moved = (evaluated[1] - evaluated[0]) * np.asarray(src.spacing)
     rms = np.sqrt(np.mean(np.sum(moved ** 2, axis=-1)))
     assert rms == pytest.approx(min(src.spacing), rel=1e-9)
@@ -277,6 +287,50 @@ def test_an_exactly_zero_direction_takes_no_step_and_no_warning(pair32):
     assert alpha.tolist() == [0.0]
     assert (rep.iterations, rep.stop_reason) == (0, "converged_grad")
     assert len(set(rep.loss_trace)) == 1
+
+
+@pytest.mark.parametrize("driver", ["subspace3d", "subspace2d"])
+def test_a_singular_gauss_newton_matrix_leaves_the_identity(
+        monkeypatch, pair32, sub32, op32, driver):
+    """With lam = 0, a basis field that moves only voxel (0, 0, 0), where the
+    masked source and its interpolant gradient are exactly zero, gives H a
+    zero row and column, so H is not positive definite: the run keeps
+    H0 = I.  It neither raises nor warns, its trace does not increase, and
+    the invisible coefficient stays 0 while the visible one moves."""
+    msrc = pair32.source.data * pair32.source_mask.data
+    assert not msrc[:2, :2, :2].any()
+    visible = sub32.basis[0].copy()
+    visible[:3] = 0.0  # voxel (0, 0, 0) moves with the second field only
+    basis = np.zeros((2, visible.size))
+    basis[0] = visible / np.linalg.norm(visible)
+    basis[1, 0] = 1.0
+    sub = DeformationSubspace(dims=pair32.source.dims, spacing=pair32.source.spacing,
+                              origin=pair32.source.origin,
+                              mean=np.zeros(pair32.source.dims + (3,)), basis=basis,
+                              singular_values=np.ones(2), variance_fraction=1.0)
+    solvers = []
+    inverse = registration._inverse
+
+    def recording(H):
+        solvers.append(inverse(H))
+        return solvers[-1]
+
+    monkeypatch.setattr(registration, "_inverse", recording)
+    opt = OptimConfig(max_iters=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if driver == "subspace3d":
+            alpha, _, rep = register_subspace_3d(
+                pair32.source, pair32.target, pair32.source_mask, pair32.target_mask,
+                sub, LossConfig(lam=0.0), opt)
+        else:
+            alpha, _, rep = register_subspace_2d(
+                pair32.source, pair32.projections, pair32.source_mask, sub,
+                LossConfig(lam=0.0, loss_mode="sim2d"), opt, drr_op=op32)
+    assert solvers == [None]
+    assert alpha[1] == 0.0 and alpha[0] != 0.0
+    assert rep.iterations >= 1
+    assert np.all(np.diff(rep.loss_trace) <= 0.0)
 
 
 @pytest.mark.parametrize("dims, spacing", [((2, 1, 3), (0.7, 1.9, 1.3)),
@@ -328,11 +382,11 @@ def spy_directions(monkeypatch, points, replace_with=None):
     calls = []
     direction = registration._lbfgs_direction
 
-    def recording(grad, pairs, smooth):
+    def recording(grad, pairs, smooth, *scaled):
         calls.append((points[-1].copy(), grad.copy(), list(pairs), len(points)))
         if replace_with is not None and pairs:
             return replace_with(grad)
-        return direction(grad, pairs, smooth)
+        return direction(grad, pairs, smooth, *scaled)
 
     monkeypatch.setattr(registration, "_lbfgs_direction", recording)
     return calls
@@ -389,9 +443,9 @@ def test_the_dense_initial_hessian_is_the_gaussian_filter(monkeypatch, dims, spa
     smooths = []
     direction = registration._lbfgs_direction
 
-    def recording(grad, pairs, smooth):
+    def recording(grad, pairs, smooth, *scaled):
         smooths.append(smooth)
-        return direction(grad, pairs, smooth)
+        return direction(grad, pairs, smooth, *scaled)
 
     monkeypatch.setattr(registration, "_lbfgs_direction", recording)
     register_dense_3d(src, tgt, mask, mask, opt_cfg=OptimConfig(max_iters=1))

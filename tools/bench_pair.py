@@ -21,12 +21,14 @@ equal, and two flags:
 parent's IQR) and ``within_bound`` (the change's median no worse than the
 parent's by more than the metric's bound).
 
-The record also holds a 64-cubed set-up section, ``setup64``.  For three
+The record also holds a 64-cubed section, ``setup64``.  For three
 alternating pairs, on the first three seeds, a child process per checkout,
 with that checkout's ``src`` first on ``sys.path``, times 30 training
 fields, ``build_subspace(..., 0.99)``, a forced ``DrrOperator`` build and
-one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), and reports
-its ``ru_maxrss``.  Per stage the section holds each side's median and
+one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then
+``register_subspace_2d`` of that pair at lam 0.1 and at most 200
+iterations, and reports the registration's iterations and its own
+``ru_maxrss``.  Per stage the section holds each side's median and
 quartiles and how many pairs the change read lower, higher or equal.
 Three pairs are too few for the claim rule, so these figures are
 indicative only.  A child peaks near 1 GB.
@@ -106,14 +108,16 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
             "result": result, "environment": env, "error": error}
 
 
-# the 64-cubed set-up, run from the root of one checkout: argv[1] is the
-# seed; prints one JSON object of stage times (wall seconds) and peak RSS
+# the 64-cubed set-up and one projection registration, run from the root
+# of one checkout: argv[1] is the seed; prints one JSON object of stage
+# times (wall seconds), the registration's iterations and peak RSS
 SETUP64_CHILD = """
 import json, resource, sys, time
 sys.path.insert(0, "src")
 import numpy as np
-from tomoreg import (DrrOperator, Image3D, PhantomSpec, build_subspace, gen_smooth_dvf,
-                     geometry_for, grid_for, make_pair, step_for)
+from tomoreg import (DrrOperator, Image3D, LossConfig, OptimConfig, PhantomSpec,
+                     build_subspace, gen_smooth_dvf, geometry_for, grid_for, make_pair,
+                     register_subspace_2d, step_for)
 from tomoreg.phantom import split_seed
 
 seed, spec, out = int(sys.argv[1]), PhantomSpec(), {}
@@ -139,13 +143,17 @@ fields = timed("train_fields_s", lambda: [
 sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
 op = timed("drr_build_s", forced_operator)
-timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
+pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
+report = timed("register2d_s", lambda: register_subspace_2d(
+    pair.source, pair.projections, pair.source_mask, sub, LossConfig(0.1, "sim2d"),
+    OptimConfig(max_iters=200), drr_op=op))[2]
+out["register2d_iterations"] = report.iterations
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
 """
 SETUP64_PAIRS = 3
 SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pair_s",
-                  "peak_rss_mb")
+                  "register2d_s", "register2d_iterations", "peak_rss_mb")
 
 
 def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
@@ -299,9 +307,10 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
             "what": ("The default 64-cubed PhantomSpec's set-up, one child process "
                      "per side and pair with that checkout's src first on sys.path: "
                      "30 training fields, build_subspace(fields, 0.99), a forced "
-                     "DrrOperator build and one make_pair; wall seconds and "
-                     "ru_maxrss.  Three pairs are too few for the claim rule, so "
-                     "these figures are indicative only"),
+                     "DrrOperator build, one make_pair and register_subspace_2d of "
+                     "that pair (lam 0.1, max_iters 200); wall seconds, the "
+                     "registration's iterations and ru_maxrss.  Three pairs are too "
+                     "few for the claim rule, so these figures are indicative only"),
             "summary": summarize_setup64(setup64),
             "runs": list(setup64),
         },
