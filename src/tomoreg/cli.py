@@ -5,8 +5,9 @@ export, subspace construction, registration and metric evaluation.  All
 randomness enters through explicit --seed flags, every output is a
 bit-exact container or sorted-key JSON, and no command mutates its inputs.
 
-Exit codes: 0 success, 2 invalid input or validation failure, 3 numerical
-failure during optimization.
+Exit codes: 0 success, 2 invalid input or validation failure, or an input
+too large for memory (for example a ray step so small that the DRR matrix
+cannot be allocated), 3 numerical failure during optimization.
 """
 from __future__ import annotations
 
@@ -279,6 +280,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {detail}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

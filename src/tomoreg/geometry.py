@@ -203,7 +203,10 @@ class DrrOperator:
     The emitters' matrices are built on first use (``render_all`` forces
     them) and stacked into one CSR matrix, kept with a CSR copy of its
     transpose so that the adjoint is a row-wise product too.  The copy
-    doubles the matrices' memory.  With four emitters each of the two
+    also serves the projection loss, which renders and back-projects
+    through its rows at the voxels the warped volume does not zero,
+    sliced once per evaluation, instead of through the full products.
+    The copy doubles the matrices' memory.  With four emitters each of the two
     takes about 7 MB at 32 cubed (40 x 40 pixels) and about 60 MB at 64
     cubed (80 x 80 pixels), about 15 MB per emitter.
     """

@@ -269,29 +269,42 @@ class Landmarks:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def _snap_fraction(g: np.ndarray):
-    """Split continuous voxel coords into base index and snapped fraction.
+def _snap_index(g: np.ndarray):
+    """The snapped base index of continuous voxel coords g, with the raw
+    fraction g - floor(g) and where it snapped up; ``_snap`` finishes the
+    fraction, for every point or only for some.
 
     The base index stays a float; ``_padded_index`` bounds it before the
     integer cast, so coordinates beyond the int64 range are well defined.
-    An infinite coordinate, from a displacement that overflowed in voxel
-    units, gets fraction 0 instead of inf - inf, so it reads the pad.
     """
     i0 = np.floor(g)
     with np.errstate(invalid="ignore"):
         f = g - i0
     hi = f > 1.0 - _ALIGN_EPS
     i0 += hi
+    return i0, f, hi
+
+
+def _snap(f: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The snapped fraction of raw fractions ``f`` that ``_snap_index`` gave.
+
+    An infinite coordinate, from a displacement that overflowed in voxel
+    units, gets fraction 0 instead of inf - inf, so it reads the pad.
+    """
     f = np.where(hi, 0.0, f)
-    f = np.where(f >= _ALIGN_EPS, f, 0.0)  # also maps NaN to 0
-    return i0, f
+    return np.where(f >= _ALIGN_EPS, f, 0.0)  # also maps NaN to 0
+
+
+def _snap_fraction(g: np.ndarray):
+    """Split continuous voxel coords into base index and snapped fraction."""
+    i0, f, hi = _snap_index(g)
+    return i0, _snap(f, hi)
 
 
 # corner steps (dx, dy, dz) of a trilinear cell, z fastest: the warp reads
 # them as c[x, y, z], and the DRR matrix lists its entries in this order
 _CELL_Z_FASTEST = np.array([(dx, dy, dz) for dx in (0, 1)
                             for dy in (0, 1) for dz in (0, 1)])
-_VOXEL = np.zeros((1, 3), dtype=np.int64)
 
 
 def _pad(data: np.ndarray, fill) -> np.ndarray:
@@ -302,19 +315,26 @@ def _pad(data: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _padded_index(dims, i0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Flat indices (k, n) into ``_pad`` of a dims grid for voxels i0 + offsets.
+def _padded_index(dims, i0: np.ndarray) -> np.ndarray:
+    """Flat indices (n,) into ``_pad`` of a dims grid of the voxels i0 (n,3).
 
-    Each whole-valued float base index i0 (n,3) is clipped into the pad, to
-    [-2, dim] per axis, before it is cast to int64, so with offsets of 0 or
-    1 a voxel outside the grid always lands on the fill, however far out.
-    This is the package's only bounds rule for grid reads.
+    Each whole-valued float index is clipped into the pad, to [-2, dim] per
+    axis, before it is cast to int64, so it and its upper neighbours, the
+    ``_cell_steps`` from it, land on the fill when outside the grid,
+    however far out.  This is the package's only bounds rule for grid
+    reads.
     """
     sy = dims[2] + 4
     sx = (dims[1] + 4) * sy
     i0 = np.clip(i0, -2, np.asarray(dims)).astype(np.int64) + 2
-    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
-    return base[None, :] + (offsets @ np.array([sx, sy, 1]))[:, None]
+    return i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
+
+
+def _cell_steps(dims) -> np.ndarray:
+    """The flat steps into ``_pad`` of a dims grid from a cell's lowest
+    corner to its eight corners, z fastest, as a column (8, 1)."""
+    sy = dims[2] + 4
+    return (_CELL_Z_FASTEST @ np.array([(dims[1] + 4) * sy, sy, 1]))[:, None]
 
 
 def _gather_corners(padded: np.ndarray, g: np.ndarray):
@@ -327,7 +347,8 @@ def _gather_corners(padded: np.ndarray, g: np.ndarray):
     """
     i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
     flat = padded.reshape((-1,) + padded.shape[3:])
-    return flat.take(_padded_index(_unpadded(padded), i0, _CELL_Z_FASTEST), axis=0), f
+    dims = _unpadded(padded)
+    return flat.take(_padded_index(dims, i0) + _cell_steps(dims), axis=0), f
 
 
 def _unpadded(padded: np.ndarray) -> tuple:
@@ -349,7 +370,7 @@ def trilinear_weights(grid: GridSpec, pts: np.ndarray):
     wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]]) for a in range(3))
     w = ((wx[:, None, None] * wy[None, :, None]) * wz[None, None, :]).reshape(8, -1)
     voxel = _pad(np.arange(grid.n_voxels).reshape(grid.dims), -1).reshape(-1)
-    col = voxel.take(_padded_index(grid.dims, i0, _CELL_Z_FASTEST))
+    col = voxel.take(_padded_index(grid.dims, i0) + _cell_steps(grid.dims))
     keep = ((col >= 0) & (w > 0.0)).T
     point = np.repeat(np.arange(keep.shape[0]), np.count_nonzero(keep, axis=1))
     return point, col.T[keep], w.T[keep]
@@ -422,7 +443,7 @@ def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nearest-voxel sampling with zeros outside the grid (ties round up)."""
     idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5)
     flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
-    return flat.take(_padded_index(data.shape[:3], idx, _VOXEL)[0], axis=0)
+    return flat.take(_padded_index(data.shape[:3], idx), axis=0)
 
 
 def sample_displacement(u: DisplacementField, pts: np.ndarray) -> np.ndarray:
@@ -502,42 +523,38 @@ def _cell_support(padded: np.ndarray) -> np.ndarray:
 
 
 def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.ndarray):
-    """Trilinear values of a (W,H,D) ``data`` at voxel coords g (n,3), plus a
-    callable for their spatial derivative.
+    """Trilinear values of a (W,H,D) ``data`` at the voxel coords g (n,3)
+    that lie in a supported cell, plus a callable for their spatial
+    derivative.
 
     ``padded`` is ``_pad(data, 0.0)`` and ``support`` is
     ``_cell_support(padded)``, both built once by the caller and read, not
-    copied, on every call.  This is the value phase: it
-    looks up the cell of every point in ``support``, gathers the eight
-    corners of the points in a supported cell once, and returns the (n,)
-    values with +0.0 at every other point, which is what blending eight
-    +0.0 corners gives.  The returned zero-argument callable is the
-    gradient phase.  It returns the indices of the supported points and
-    their (m,3) derivative in voxel units, from those same corners and the
-    two z-face planes the values were blended from; the derivative is +0.0
-    at every other point.  So a caller that needs only values never pays
-    for it.  The closure holds the corners, the fractions and the planes,
-    13 floats per supported point, and the points' indices, for as long as
-    the caller keeps it.
+    copied, on every call.  This is the value phase: it snaps the base index
+    of every point and looks its cell up in ``support``, then snaps the
+    fractions of the points in a supported cell and gathers their eight
+    corners once, from that same base index.  It returns the indices of
+    those points, ascending, and their (m,) values; every other point's
+    value is +0.0, which is what blending eight +0.0 corners gives.  The
+    returned zero-argument callable is the gradient phase: the (m,3)
+    derivative in voxel units at those points, from the same corners and
+    the two z-face planes the values were blended from; the derivative is
+    +0.0 at every other point.  So a caller that needs only values never
+    pays for it.  The closure holds the corners, the fractions and the
+    planes, 13 floats per supported point, for as long as the caller keeps
+    it.
 
     The derivative is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream
     losses agree with chain-rule gradients at tight tolerance.
     """
     dims = _unpadded(padded)
-    i0, f = _snap_fraction(g)
-    active = np.flatnonzero(support.take(_padded_index(dims, i0, _VOXEL)[0]))
-    f = f[active]
-    corners = padded.reshape(-1).take(_padded_index(dims, i0[active], _CELL_Z_FASTEST))
-
+    i0, f, hi = _snap_index(g)
+    base = _padded_index(dims, i0)
+    active = np.flatnonzero(support.take(base))
+    f = _snap(f[active], hi[active])
+    corners = padded.reshape(-1).take(base[active] + _cell_steps(dims))
     vals, planes = _interpolate(corners, f)
-    warped = np.zeros(i0.shape[0])
-    warped[active] = vals
-
-    def gradient():
-        return active, _interpolant_gradient(corners, f, planes)
-
-    return warped, gradient
+    return active, vals, lambda: _interpolant_gradient(corners, f, planes)
 
 
 # ---------------------------------------------------------------------------

@@ -25,26 +25,33 @@ evaluates it in closed form, with no grid pass.
 
 A ``LossContext`` evaluates at source-voxel coordinates, in two phases.
 Its coordinate core, ``_evaluate_coords``, runs the value phase of the
-similarity: one warp at the given coordinates and, for sim2d, one DRR
-forward product for every emitter.  It returns the similarity with a
-callable for the gradient phase, which gives d sim / d warped (from one
-adjoint product for sim2d), the voxels in a supported cell and the
-interpolant derivative at them in voxel units.  Two objectives come
-through it, one per kind of driver, and each is a function of a flat
-parameter vector that gives the total loss and a callable for its
-gradient.  ``_dense_objective()``, which the dense driver descends, reads
-the vector as the (W,H,D,3) field, maps it to coordinates, adds the
-diffusion energy from one forward-difference pass, and its callable
-returns the flat dL/du in 1/mm: the derivative divided by the spacing,
-times d sim / d warped, plus the diffusion gradient from the same
-differences.  ``evaluate(u)``, under ``loss``, ``loss_and_grad`` and
-``grad_dense``, is that objective at a ``DisplacementField``, with the
-gradient shaped as the field.  ``_subspace_objective(sub)``, the loss in
-alpha that the subspace drivers descend and ``grad_alpha`` differentiates,
-gets the coordinates from the subspace's plan (``_plan``) in one product,
-applies the chain rule over the supported voxels only and builds no
-field.  So this module alone knows how a parameter vector lays out a
-field.
+similarity: one warp at the given coordinates, which samples only the
+voxels whose coordinates lie in a cell where the masked source has support
+(the warped volume is +0.0 at every other voxel), and, for sim2d, one
+rendering of every emitter.  The rendering needs only the DRR matrix's
+columns at those supported voxels: it takes the rows of the operator's
+cached transpose there, once per evaluation, and renders from them.  It
+returns the similarity with a callable for the gradient phase, which
+gives, at the supported voxels only, d sim / d warped (for sim2d
+back-projected through the same rows), the voxels' indices and the
+interpolant derivative at them in voxel units; d sim / d warped is never
+formed elsewhere, since the derivative there is zero.  The full
+``DrrOperator.forward`` and ``adjoint`` products are not used by the loss.
+Two objectives come through it, one per kind of driver, and each is a
+function of a flat parameter vector that gives the total loss and a
+callable for its gradient.  ``_dense_objective()``, which the dense driver
+descends, reads the vector as the (W,H,D,3) field, maps it to coordinates,
+adds the diffusion energy from one forward-difference pass, and its
+callable returns the flat dL/du in 1/mm: the diffusion gradient from the
+same differences, plus, at the supported voxels, the derivative divided by
+the spacing times d sim / d warped.  ``evaluate(u)``, under ``loss``,
+``loss_and_grad`` and ``grad_dense``, is that objective at a
+``DisplacementField``, with the gradient shaped as the field.
+``_subspace_objective(sub)``, the loss in alpha that the subspace drivers
+descend and ``grad_alpha`` differentiates, gets the coordinates from the
+subspace's plan (``_plan``) in one product, applies the chain rule over
+the supported voxels only and builds no field.  So this module alone
+knows how a parameter vector lays out a field.
 
 The context itself keeps nothing between evaluations.  Besides its inputs
 it holds the zero-padded masked source and the table of interpolation
@@ -53,14 +60,15 @@ nothing per evaluation and gathers and blends only the sample points in
 those cells.  A gradient callable holds its evaluation's state for as long
 as the caller keeps it: per sample point in a supported cell the eight
 gathered corners, three fractions, the two z-face planes of the
-interpolant and the point's index; the correlation terms, two floats per
-voxel (sim3d) or per detector pixel (sim2d); with lam > 0 the three
-forward-difference arrays, about 9 floats per voxel; and, from
-``evaluate``, the field itself.  On the benchmark scene 14-17 % of the
-points sit in supported cells, so the warp's share is about 2 floats per
-voxel instead of 13.  A line search keeps the callable of each trial until
-the next one and calls it only for the trial it accepts, so each point a
-registration evaluates is warped once.
+interpolant and the point's index; for sim2d the row slice of the
+transpose, about 1.1 MB at 32 cubed with four emitters; the correlation
+terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
+lam > 0 the three forward-difference arrays, about 9 floats per voxel;
+and, from ``evaluate``, the field itself.  On the benchmark scene 14-17 %
+of the points sit in supported cells, so the warp's share is about 2
+floats per voxel instead of 13.  A line search keeps the callable of each
+trial until the next one and calls it only for the trial it accepts, so
+each point a registration evaluates is warped once.
 
 The same state gives the Gauss-Newton matrix of the loss, with nothing
 more kept.  The coordinate core's gradient callable carries
@@ -70,8 +78,8 @@ from the centred renderings among the correlation terms, it forms the
 matrix of the similarity.  The subspace objective's callable carries
 ``gauss_newton()``, that matrix in alpha plus the regulariser's exact
 2 lam G, which the descent factors once per registration as its initial
-inverse Hessian.  The DRR product takes the rows of the operator's cached
-transpose at the supported voxels, a fraction of a full product.
+inverse Hessian.  Its DRR product reuses the evaluation's row slice of
+the transpose, so it slices nothing again.
 """
 from __future__ import annotations
 
@@ -226,7 +234,7 @@ class _Plan(NamedTuple):
         The warp's derivative is zero off the supported voxels, so the sum
         runs over those rows of ``bs`` only.
         """
-        return (s[active, None] * d).reshape(-1) @ self.bs[active].reshape(-1, self.bs.shape[2])
+        return (s[:, None] * d).reshape(-1) @ self.bs[active].reshape(-1, self.bs.shape[2])
 
 
 def _plan(sub: DeformationSubspace) -> _Plan:
@@ -326,19 +334,24 @@ class LossContext:
 
         The one warp of an evaluation happens here; both objectives, which
         map a field or coefficients to coordinates, come through.  The
-        callable returns dsim/dwarped per voxel (n_voxels,), the indices of
-        the voxels whose coordinates lie in a supported cell, and the warp's
-        derivative at them in voxel units, (len(active), 3); the derivative
-        is zero at every other voxel.
+        callable returns, at the voxels whose coordinates lie in a
+        supported cell, dsim/dwarped (m,), the voxels' indices, ascending,
+        and the warp's derivative in voxel units (m, 3); the derivative is
+        zero at every other voxel, so nothing there is computed.
         """
-        warped, warp_grad = warp_scalar_with_gradient(self._padded, coords, self._support)
+        active, vals, warp_grad = warp_scalar_with_gradient(self._padded, coords, self._support)
         # the closure captures what it needs, never ``self``, so a gradient
         # callable the caller keeps does not keep its context alive
-        op = self.drr_op
         n = len(self._measured)
-        # column i renders operand i: the warped volume itself, or every
-        # emitter's projection from one forward product
-        rendered = warped.reshape(-1, 1) if op is None else op.forward(warped).reshape(-1, n)
+        # for sim2d, the rows of A's transpose at the supported voxels: A's
+        # columns there, the only ones the warped volume does not zero, so
+        # A @ warped is rows.T @ vals, each pixel summed in the same order
+        rows = None if self.drr_op is None else self.drr_op._matrices()[1][active]
+        if rows is None:  # the identity renders the warped volume
+            rendered = np.zeros((coords.shape[0], 1))
+            rendered[active, 0] = vals
+        else:
+            rendered = (rows.T @ vals).reshape(-1, n)
         shape = rendered.shape
         sim = 0.0
         parts = []
@@ -351,7 +364,8 @@ class LossContext:
             gp = np.zeros(shape)
             for i, pi in enumerate(parts):
                 gp[:, i] += -_ncc_grad_b(pi) / n
-            return ((gp if op is None else op.adjoint(gp)).reshape(-1), *warp_grad())
+            s = gp[active, 0] if rows is None else rows @ gp.reshape(-1)
+            return s, active, warp_grad()
 
         def gauss_newton(jac):
             """The Gauss-Newton matrix of sim in the parameters whose warp
@@ -363,17 +377,16 @@ class LossContext:
             (r - mean r), Jt^T Jt = J^T J - mu mu^T / N - (2 w - sbb) / w^2
             q q^T, so only J's non-zero rows are needed: for sim3d, the
             supported voxels."""
-            active, d = warp_grad()
-            dw = jac(active, d)
-            if op is None:  # J is dw at the supported voxels, zero elsewhere
-                J, rows = dw[:, None, :], active
-            else:  # A[:, active] @ dw from the rows of the cached transpose
-                J, rows = (op._matrices()[1][active].T @ dw).reshape(shape + (-1,)), slice(None)
+            dw = jac(active, warp_grad())
+            if rows is None:  # J is dw at the supported voxels, zero elsewhere
+                J, nonzero = dw[:, None, :], active
+            else:  # A[:, active] @ dw
+                J, nonzero = (rows.T @ dw).reshape(shape + (-1,)), slice(None)
             H = 0.0
             for i, (_, bc, sbb, _, _) in enumerate(parts):
                 w = sbb + _EPS
                 Ji = J[:, i]
-                mu, q = Ji.sum(axis=0), bc[rows] @ Ji
+                mu, q = Ji.sum(axis=0), bc[nonzero] @ Ji
                 H = H + (Ji.T @ Ji - np.outer(mu, mu / shape[0])
                          - np.outer(q, q * ((2.0 * w - sbb) / w ** 2))) / (w * n)
             return H
@@ -438,11 +451,12 @@ class LossContext:
 
             def grad():
                 s, active, d = sim_grad()
-                dwarp = np.zeros((s.size, 3))
-                dwarp[active] = d / sp
-                g = (s[:, None] * dwarp).reshape(shape)
                 if lam:
-                    g += lam * reg_grad()
+                    g = reg_grad()
+                    g *= lam
+                else:
+                    g = np.zeros(shape)
+                g.reshape(-1, 3)[active] += s[:, None] * (d / sp)
                 return g.reshape(-1)
 
             return total, grad

@@ -25,14 +25,15 @@ s.y > 0.  Two kinds of initial inverse Hessian H0:
   times the scaled basis rows pushed through the DRR matrix (the identity
   for sim3d); Jt is J with its columns centred and the normalised centred
   rendering r projected out.  H comes from the first evaluation's own
-  state, with no second warp, and costs about half a value evaluation.
-  It has its own scale, so it is not scaled by gamma and every first
-  trial is the unit step.  The projection loss is many times flatter
-  along depth than in the detector plane, the depth ambiguity of a
-  limited-angle acquisition; H gives that scale from the start instead of
-  leaving L-BFGS to learn it, so a projection registration needs about
-  half the iterations.  An H that is not positive definite, which takes
-  lam = 0 and a direction no operand sees, leaves the rule below.
+  state, with no second warp and, for sim2d, no second slice of the DRR
+  matrix, and costs about a third of a value evaluation.  It has its own
+  scale, so it is not scaled by gamma and every first trial is the unit
+  step.  The projection loss is many times flatter along depth than in the
+  detector plane, the depth ambiguity of a limited-angle acquisition; H
+  gives that scale from the start instead of leaving L-BFGS to learn it,
+  so a projection registration needs about half the iterations.  An H that
+  is not positive definite, which takes lam = 0 and a direction no operand
+  sees, leaves the rule below.
 * Otherwise, gamma times the driver's smoothing of the direction, gamma
   = s.y / y.y of the newest pair.  For the subspace drivers the smoothing
   is the identity.  For the dense driver it is a Gaussian filter of one
@@ -197,7 +198,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     pairs = deque(maxlen=_MEMORY)
     h0, scaled = smooth, True
     for _ in range(cfg.max_iters):
-        if np.max(np.abs(grad)) < _TOL_GRAD:
+        if max(grad.max(), -grad.min()) < _TOL_GRAD:
             stop = "converged_grad"
             break
         if gauss_newton is not None:  # the starting point's H, once
@@ -216,7 +217,8 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
         t = 1.0 if pairs or not scaled else first_len / float(np.linalg.norm(d))
 
         for _ in range(_MAX_BACKTRACKS):
-            cand = x + t * d
+            cand = np.multiply(d, t)
+            cand += x
             cand_loss, grad_fn = value(cand)
             if cand_loss <= loss + _ARMIJO_C * t * slope:
                 break

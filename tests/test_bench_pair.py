@@ -1,8 +1,10 @@
 """The paired-benchmark recorder's parsing, statistics and record writer."""
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
@@ -202,19 +204,19 @@ def test_an_empty_run_output_is_an_error(bench_pair):
 def canned_setup64():
     """Three 64-cubed pairs, sides alternating; the change is faster in every
     stage but the DRR build, which ties in pair 0 and loses in pair 2, and
-    its registration takes fewer iterations; its pair-1 parent child
-    failed."""
-    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0),
-            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0),
-            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0), (1, "parent", None),
-            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0),
-            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0)]
+    its registration takes fewer iterations, with the same outputs in pair 0
+    and other ones in pair 2; its pair-1 parent child failed."""
+    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0, "aa"),
+            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0, "aa"),
+            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0, "bb"), (1, "parent", None),
+            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0, "cc"),
+            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0, "dd")]
     runs = []
     for pair, side, *values in rows:
         stages = (None if values == [None]
                   else dict(zip(["train_fields_s", "build_subspace_s", "drr_build_s",
                                  "make_pair_s", "register2d_s", "register2d_iterations",
-                                 "peak_rss_mb"], values)))
+                                 "peak_rss_mb", "register2d_sha256"], values)))
         runs.append({"pair": pair, "side": side, "seed": 7, "stages": stages,
                      "returncode": 0 if stages else 1})
     return runs
@@ -244,8 +246,23 @@ def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_
     iters = summary["register2d_iterations"]
     assert (iters["parent"]["median"], iters["change"]["median"]) == (11.5, 6.0)
     assert iters["pairs_change_lower"] == 2
-    assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result"}
+    assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result",
+                            "pairs_outputs_differ"}
     assert summary["runs_without_result"] == {"parent": 1, "change": 0}
+    # pair 2's digests differ; pair 1, with no parent result, is not compared
+    assert summary["pairs_outputs_differ"] == 1
+
+
+def test_pairs_whose_64_cubed_outputs_differ_are_counted(bench_pair):
+    """Equal digests count nothing, whatever the timings; each complete pair
+    with two different digests counts one."""
+    setup64 = json.loads(json.dumps(canned_setup64()))
+    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 1
+    setup64[5]["stages"]["register2d_sha256"] = "cc"
+    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 0
+    setup64[1]["stages"]["register2d_sha256"] = "ab"
+    setup64[5]["stages"]["register2d_sha256"] = "cd"
+    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 2
 
 
 def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
@@ -282,12 +299,14 @@ def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
 
 def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys):
     """The set-up child, run in process on a 16-cubed scene instead of the
-    default 64-cubed one, prints one JSON line with every stage: the
-    registration's time and a whole, positive iteration count among them."""
+    default 64-cubed one, prints one JSON line with every stage, the
+    registration's time and a whole, positive iteration count among them,
+    and the SHA-256 of the registration's alpha, field and loss trace."""
     import sys
 
     import tomoreg
     from tomoreg import AcquisitionSpec, DeformationSpec, PhantomSpec
+    from tomoreg.phantom import split_seed
 
     small = PhantomSpec(dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8), n_vessels=2,
                         deformation=DeformationSpec(n_modes=2, magnitude_mm=8.0,
@@ -298,6 +317,19 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     monkeypatch.setattr(sys, "path", list(sys.path))
     exec(compile(bench_pair.SETUP64_CHILD, "setup64", "exec"), {"__name__": "__main__"})
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == set(bench_pair.SETUP64_STAGES)
+    assert set(out) == {*bench_pair.SETUP64_STAGES, bench_pair.SETUP64_DIGEST}
     assert all(out[name] > 0 for name in bench_pair.SETUP64_STAGES)
     assert isinstance(out["register2d_iterations"], int)
+    # the digest is of the registration the child ran: rerun it here
+    small = tomoreg.PhantomSpec()
+    sub = tomoreg.build_subspace([tomoreg.gen_smooth_dvf(
+        small, seed=split_seed(7, f"train{i}")) for i in range(30)], 0.99)
+    op = tomoreg.DrrOperator(tomoreg.grid_for(small), tomoreg.geometry_for(small),
+                             tomoreg.step_for(small))
+    pair = tomoreg.make_pair(small, split_seed(7, "pair0"), drr_op=op)
+    alpha, u, report = tomoreg.register_subspace_2d(
+        pair.source, pair.projections, pair.source_mask, sub,
+        tomoreg.LossConfig(0.1, "sim2d"), tomoreg.OptimConfig(max_iters=200), drr_op=op)
+    want = hashlib.sha256(alpha.tobytes() + u.data.tobytes()
+                          + np.asarray(report.loss_trace).tobytes()).hexdigest()
+    assert out[bench_pair.SETUP64_DIGEST] == want

@@ -38,9 +38,14 @@ def scattered(parts, n):
 
 def warp(data, g):
     """``warp_scalar_with_gradient`` of ``data`` with its pad and support
-    table built as ``LossContext`` builds them."""
+    table built as ``LossContext`` builds them, its values scattered into
+    +0.0 at every point: the values (n,) and a callable for the gradient
+    phase's (active, d)."""
     padded = _pad(data, 0.0)
-    return warp_scalar_with_gradient(padded, g, _cell_support(padded))
+    active, vals, gradient = warp_scalar_with_gradient(padded, g, _cell_support(padded))
+    out = np.zeros(g.shape[0])
+    out[active] = vals
+    return out, lambda: (active, gradient())
 
 
 def sample_at(vol, p):

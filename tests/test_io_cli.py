@@ -958,6 +958,26 @@ def one_error_and_no_output(rc, capsys, out_path):
     return err[0]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.3 TiB for an array", ""])
+def test_running_out_of_memory_exits_with_code_two(dataset, tmp_path, capsys,
+                                                   monkeypatch, message):
+    """A ray step so small that the DRR matrix cannot be allocated ends in
+    one error line and exit 2, not a traceback; the allocation itself is
+    stood in for, so nothing large is ever asked for."""
+    _, out = dataset
+    sd = sample_dir(out)
+
+    def exhausted(self, emitter_index):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(DrrOperator, "_build", exhausted)
+    proj = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(sd / "source.json"), "--geometry",
+               str(sd / "geometry.json"), "--step-mm", "1e-6", "--out", str(proj)])
+    err = one_error_and_no_output(rc, capsys, proj)
+    assert err == f"error: out of memory: {message or 'an allocation failed'}"
+
+
 @pytest.mark.parametrize("name, field, value", [
     ("source.json", "dims", 5),
     ("source.json", "channels", None),

@@ -816,3 +816,86 @@ def test_the_plan_gives_the_field_paths_loss_and_gradient(seed, grid):
         want = sub.basis @ (grad() - 0.1 * reg_grad()).reshape(-1)
         assert_allclose(plan.pullback(*parts()), want, rtol=0.0,
                         atol=1e-10 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# the projection loss's products over the supported voxels
+# ---------------------------------------------------------------------------
+
+def minus_zero_scene(seed):
+    """``fd_scene`` on the anisotropic partial-mask grid, with a block of
+    the masked source set to -0.0: it has support, so its cells are
+    sampled, and each of its corners blends to a signed zero."""
+    scene, sub, alpha = fd_scene(seed, **PARTIAL)
+    src = scene["source"]
+    data = src.data.copy()
+    data[3:5, 2:4, 4:7] = -0.0
+    scene["source"] = Image3D(src.dims, src.spacing, src.origin, data)
+    return scene, sub, alpha
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_the_supported_voxel_products_equal_the_full_operator_products(seed):
+    """The coordinate core renders from the transpose's rows at the
+    supported voxels and back-projects into them only; its similarity and
+    d sim / d warped there equal, bit for bit, those of the full
+    ``DrrOperator.forward`` of the warped volume and ``adjoint`` of the
+    pixel gradient, taken at the same voxels."""
+    from tomoreg.grids import _cell_support, _pad, warp_scalar_with_gradient
+    from tomoreg.losses import _ncc_grad_b
+    scene, sub, alpha = minus_zero_scene(seed)
+    src, src_mask, op = scene["source"], scene["source_mask"], scene["drr_op"]
+    ctx = LossContext(LossConfig(0.1, "sim2d"), src, src_mask,
+                      projections=scene["projections"], drr_op=op)
+    for a in (alpha, 3.0 * alpha, np.zeros(sub.n_components)):
+        coords = _plan(sub).coords(a)
+        sim, grad = ctx._evaluate_coords(coords)
+        s, active, d = grad()
+
+        padded = _pad(src.data.astype(np.float64) * src_mask.data, 0.0)
+        want_active, vals, _ = warp_scalar_with_gradient(padded, coords, _cell_support(padded))
+        assert_array_equal(active, want_active)
+        assert np.any(np.signbit(vals) & (vals == 0.0))  # the -0.0 block is sampled
+        assert 0 < active.size < coords.shape[0]
+        warped = np.zeros(src.grid.n_voxels)
+        warped[active] = vals
+        rendered = op.forward(warped.reshape(src.dims))
+        n = rendered.shape[-1]
+        want_sim, gp = 0.0, np.zeros(rendered.shape)
+        for i in range(n):
+            val, parts = _ncc_core(scene["projections"].data[..., i].reshape(-1),
+                                   rendered[..., i].reshape(-1))
+            want_sim += (1.0 - val) / n
+            gp[..., i] += (-_ncc_grad_b(parts) / n).reshape(rendered.shape[:2])
+        assert_same_bits(sim, want_sim)
+        assert_same_bits(s, op.adjoint(gp).reshape(-1)[active])
+        assert d.shape == (active.size, 3)
+
+
+def test_a_projection_evaluation_slices_the_transpose_once(monkeypatch):
+    """A sim2d value, its gradient and its Gauss-Newton matrix share one
+    row slice of the operator's transpose, and none of them calls the
+    full ``DrrOperator.forward`` or ``adjoint``."""
+    from scipy import sparse
+
+    _, ctx2, sub, alpha = fd_instance(7, **PARTIAL)
+    op = ctx2.drr_op
+    A, At = op._matrices()
+    slices = []
+
+    class CountingRows(sparse.csr_matrix):
+        def __getitem__(self, key):
+            slices.append(key)
+            return super().__getitem__(key)
+
+    op._stack = (A, CountingRows(At))
+    full = [counting(monkeypatch, DrrOperator, name) for name in ("forward", "adjoint")]
+    loss, grad = ctx2._subspace_objective(sub)(alpha)
+    g, H = grad(), grad.gauss_newton()
+    assert len(slices) == 1 and [c[0] for c in full] == [0, 0]
+    # the same numbers as a fresh context on an unwrapped operator
+    _, fresh, _, _ = fd_instance(7, **PARTIAL)
+    want_loss, want_grad = fresh._subspace_objective(sub)(alpha)
+    assert_same_bits(loss, want_loss)
+    assert_same_bits(g, want_grad())
+    assert_same_bits(H, want_grad.gauss_newton())

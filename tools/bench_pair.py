@@ -27,11 +27,13 @@ with that checkout's ``src`` first on ``sys.path``, times 30 training
 fields, ``build_subspace(..., 0.99)``, a forced ``DrrOperator`` build and
 one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then
 ``register_subspace_2d`` of that pair at lam 0.1 and at most 200
-iterations, and reports the registration's iterations and its own
-``ru_maxrss``.  Per stage the section holds each side's median and
-quartiles and how many pairs the change read lower, higher or equal.
-Three pairs are too few for the claim rule, so these figures are
-indicative only.  A child peaks near 1 GB.
+iterations, and reports the registration's iterations, a SHA-256 of its
+coefficients, field and loss trace, and its own ``ru_maxrss``.  Per stage
+the section holds each side's median and quartiles and how many pairs the
+change read lower, higher or equal, and it counts the complete pairs
+whose two registrations differ in that digest.  Three pairs are too few
+for the claim rule, so these figures are indicative only.  A child peaks
+near 1 GB.
 """
 from __future__ import annotations
 
@@ -110,9 +112,10 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
 
 # the 64-cubed set-up and one projection registration, run from the root
 # of one checkout: argv[1] is the seed; prints one JSON object of stage
-# times (wall seconds), the registration's iterations and peak RSS
+# times (wall seconds), the registration's iterations, the digest of its
+# outputs and peak RSS
 SETUP64_CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 sys.path.insert(0, "src")
 import numpy as np
 from tomoreg import (DrrOperator, Image3D, LossConfig, OptimConfig, PhantomSpec,
@@ -144,16 +147,22 @@ sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
 op = timed("drr_build_s", forced_operator)
 pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
-report = timed("register2d_s", lambda: register_subspace_2d(
+alpha, u, report = timed("register2d_s", lambda: register_subspace_2d(
     pair.source, pair.projections, pair.source_mask, sub, LossConfig(0.1, "sim2d"),
-    OptimConfig(max_iters=200), drr_op=op))[2]
+    OptimConfig(max_iters=200), drr_op=op))
 out["register2d_iterations"] = report.iterations
+digest = hashlib.sha256()
+for part in (alpha, u.data, report.loss_trace):
+    digest.update(np.ascontiguousarray(part).tobytes())
+out["register2d_sha256"] = digest.hexdigest()
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
 """
 SETUP64_PAIRS = 3
 SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pair_s",
                   "register2d_s", "register2d_iterations", "peak_rss_mb")
+# the child's digest of the registration's coefficients, field and loss trace
+SETUP64_DIGEST = "register2d_sha256"
 
 
 def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
@@ -169,7 +178,9 @@ def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
 
 def summarize_setup64(runs: list) -> dict:
     """Per stage of the complete 64-cubed pairs: each side's statistics and
-    how many pairs the change read lower, higher or equal."""
+    how many pairs the change read lower, higher or equal; the runs without
+    a result per side; and the number of complete pairs whose two
+    registrations' output digests differ."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["stages"]
@@ -178,6 +189,8 @@ def summarize_setup64(runs: list) -> dict:
            for name in SETUP64_STAGES}
     out["runs_without_result"] = {s: sum(r["side"] == s and r["stages"] is None
                                          for r in runs) for s in SIDES}
+    out["pairs_outputs_differ"] = sum(
+        len({p[s].get(SETUP64_DIGEST) for s in SIDES}) > 1 for p in pairs)
     return out
 
 
@@ -309,8 +322,9 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
                      "30 training fields, build_subspace(fields, 0.99), a forced "
                      "DrrOperator build, one make_pair and register_subspace_2d of "
                      "that pair (lam 0.1, max_iters 200); wall seconds, the "
-                     "registration's iterations and ru_maxrss.  Three pairs are too "
-                     "few for the claim rule, so these figures are indicative only"),
+                     "registration's iterations, a SHA-256 of its alpha, field and "
+                     "loss trace, and ru_maxrss.  Three pairs are too few for the "
+                     "claim rule, so these figures are indicative only"),
             "summary": summarize_setup64(setup64),
             "runs": list(setup64),
         },
