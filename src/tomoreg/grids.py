@@ -11,7 +11,12 @@ Array conventions used across the package:
 * interpolation uses a zero-padding convention: contributions from corner
   voxels outside the grid are zero.  Every grid read of the package (the
   warp, the DRR matrix weights, the lift's detector reads) goes through
-  ``_pad`` and ``_padded_index``.
+  ``_pad`` and ``_padded_index``;
+* sample coordinates are (n, 3) arrays of any strides, and every pass over
+  all of them (the warp's coordinates, the snapped cell index, its bounds
+  and the flat index) runs one axis at a time, on (n,) columns with scalar
+  spacings and bounds: numpy's inner loop over an (n, 3) array broadcast
+  against a 3-vector runs over 3 elements per point.
 """
 from __future__ import annotations
 
@@ -269,36 +274,44 @@ class Landmarks:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def _snap_index(g: np.ndarray):
-    """The snapped base index of continuous voxel coords g, with the raw
-    fraction g - floor(g) and where it snapped up; ``_snap`` finishes the
-    fraction, for every point or only for some.
+def _snap_index(dims, g: np.ndarray):
+    """The flat base index (n,) into ``_pad`` of a dims grid of the cell
+    around each continuous voxel coord g (n, 3), of any strides, and the
+    raw fractions g - floor(g), three (n,) arrays, one per axis; ``_snap``
+    finishes the fractions, for every point or only for some.
 
-    The base index stays a float; ``_padded_index`` bounds it before the
-    integer cast, so coordinates beyond the int64 range are well defined.
+    A fraction within ``_ALIGN_EPS`` below 1 moves its base index up one
+    voxel.  The base index stays a float until ``_padded_index`` bounds it,
+    so coordinates beyond the int64 range are well defined.
     """
-    i0 = np.floor(g)
-    with np.errstate(invalid="ignore"):
-        f = g - i0
-    hi = f > 1.0 - _ALIGN_EPS
-    i0 += hi
-    return i0, f, hi
+    i0, frac = [], []
+    with np.errstate(invalid="ignore"):  # inf - inf, for an infinite coordinate
+        for a in range(3):
+            ga = g[:, a]
+            ia = np.floor(ga)
+            fa = ga - ia
+            ia += fa > 1.0 - _ALIGN_EPS
+            i0.append(ia)
+            frac.append(fa)
+    return _padded_index(dims, i0), frac
 
 
-def _snap(f: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The snapped fraction of raw fractions ``f`` that ``_snap_index`` gave.
+def _snap(frac, points=None) -> np.ndarray:
+    """The snapped fractions (m, 3) of the raw per-axis fractions ``frac``
+    that ``_snap_index`` gave, at the indices ``points`` or at every point,
+    as the transpose of a (3, m) array.
 
-    An infinite coordinate, from a displacement that overflowed in voxel
-    units, gets fraction 0 instead of inf - inf, so it reads the pad.
+    A fraction within ``_ALIGN_EPS`` of 0 or of 1 snaps to 0; near 1 the
+    base index moved up instead.  An infinite coordinate, from a
+    displacement that overflowed in voxel units, has fraction inf - inf and
+    gets 0 instead, so it reads the pad.
     """
-    f = np.where(hi, 0.0, f)
-    return np.where(f >= _ALIGN_EPS, f, 0.0)  # also maps NaN to 0
-
-
-def _snap_fraction(g: np.ndarray):
-    """Split continuous voxel coords into base index and snapped fraction."""
-    i0, f, hi = _snap_index(g)
-    return i0, _snap(f, hi)
+    f = np.empty((3, frac[0].size if points is None else points.size))
+    for fa, out in zip(frac, f):
+        if points is not None:
+            fa = fa.take(points)
+        out[...] = np.where((fa >= _ALIGN_EPS) & (fa <= 1.0 - _ALIGN_EPS), fa, 0.0)
+    return f.T
 
 
 # corner steps (dx, dy, dz) of a trilinear cell, z fastest: the warp reads
@@ -315,19 +328,26 @@ def _pad(data: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _padded_index(dims, i0: np.ndarray) -> np.ndarray:
-    """Flat indices (n,) into ``_pad`` of a dims grid of the voxels i0 (n,3).
+def _padded_index(dims, i0) -> np.ndarray:
+    """Flat indices (n,) into ``_pad`` of a dims grid of the voxels whose
+    whole-valued float indices along x, y and z are the three (n,) arrays
+    ``i0``, which it overwrites.
 
-    Each whole-valued float index is clipped into the pad, to [-2, dim] per
-    axis, before it is cast to int64, so it and its upper neighbours, the
-    ``_cell_steps`` from it, land on the fill when outside the grid,
-    however far out.  This is the package's only bounds rule for grid
-    reads.
+    Each index is clipped into the pad, to [-2, dim] on its axis, before the
+    integer cast, so it and its upper neighbours, the ``_cell_steps`` from
+    it, land on the fill when outside the grid, however far out.  This is
+    the package's only bounds rule for grid reads.  The flat index is summed
+    in float64, which is exact below 2^53, and cast once.
     """
+    x, y, z = (np.clip(ia, -2, n, out=ia) for ia, n in zip(i0, dims))
     sy = dims[2] + 4
     sx = (dims[1] + 4) * sy
-    i0 = np.clip(i0, -2, np.asarray(dims)).astype(np.int64) + 2
-    return i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
+    x *= sx
+    y *= sy
+    x += y
+    x += z
+    x += 2 * (sx + sy + 1)
+    return x.astype(np.int64)
 
 
 def _cell_steps(dims) -> np.ndarray:
@@ -345,10 +365,10 @@ def _gather_corners(padded: np.ndarray, g: np.ndarray):
     (c000, c001, c010, c011, c100, ...), and the snapped fractions (n, 3).
     A cell with any corner outside the grid reads zeros there.
     """
-    i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
-    flat = padded.reshape((-1,) + padded.shape[3:])
     dims = _unpadded(padded)
-    return flat.take(_padded_index(dims, i0) + _cell_steps(dims), axis=0), f
+    base, frac = _snap_index(dims, np.asarray(g, dtype=np.float64))
+    flat = padded.reshape((-1,) + padded.shape[3:])
+    return flat.take(base + _cell_steps(dims), axis=0), _snap(frac)
 
 
 def _unpadded(padded: np.ndarray) -> tuple:
@@ -366,11 +386,12 @@ def trilinear_weights(grid: GridSpec, pts: np.ndarray):
     which a DRR matrix sums duplicate entries: another order changes every
     matrix in the last bit.
     """
-    i0, f = _snap_fraction(grid.world_to_voxel(pts))
+    base, frac = _snap_index(grid.dims, grid.world_to_voxel(pts))
+    f = _snap(frac)
     wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]]) for a in range(3))
     w = ((wx[:, None, None] * wy[None, :, None]) * wz[None, None, :]).reshape(8, -1)
     voxel = _pad(np.arange(grid.n_voxels).reshape(grid.dims), -1).reshape(-1)
-    col = voxel.take(_padded_index(grid.dims, i0) + _cell_steps(grid.dims))
+    col = voxel.take(base + _cell_steps(grid.dims))
     keep = ((col >= 0) & (w > 0.0)).T
     point = np.repeat(np.arange(keep.shape[0]), np.count_nonzero(keep, axis=1))
     return point, col.T[keep], w.T[keep]
@@ -441,9 +462,9 @@ def _trilinear_sampler(data: np.ndarray):
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nearest-voxel sampling with zeros outside the grid (ties round up)."""
-    idx = np.floor(np.asarray(g, dtype=np.float64) + 0.5)
-    flat = _pad(data, 0.0).reshape((-1,) + data.shape[3:])
-    return flat.take(_padded_index(data.shape[:3], idx), axis=0)
+    g = np.asarray(g, dtype=np.float64)
+    idx = _padded_index(data.shape[:3], [np.floor(g[:, a] + 0.5) for a in range(3)])
+    return _pad(data, 0.0).reshape((-1,) + data.shape[3:]).take(idx, axis=0)
 
 
 def sample_displacement(u: DisplacementField, pts: np.ndarray) -> np.ndarray:
@@ -464,24 +485,26 @@ def _warp_coords(src_grid: GridSpec, grid: GridSpec, data: np.ndarray) -> np.nda
 
     ``data`` holds u's (W,H,D,3) values in mm on ``grid``, the field's own
     grid, which may differ from ``src_grid``, the grid that is sampled.  The
-    coordinates come back as (n_voxels, 3) in C order, a new float64 array.
+    coordinates come back as (n_voxels, 3), one row per voxel in C order:
+    the transpose of a new component-major float64 array, built one
+    component at a time.  Each component is cast to float64 before any
+    arithmetic, so a float32 field gives the float64 field's coordinates.
     """
-    sp = np.asarray(src_grid.spacing)
-    g = data.astype(np.float64)
     same = src_grid == grid
+    g = np.empty((3,) + grid.dims)
     with np.errstate(over="ignore"):  # an overflow to +-inf reads the pad
-        if same:
-            # index-space arithmetic keeps grid-aligned samples exact for u == 0
-            g /= sp
         for a, n in enumerate(grid.dims):
-            ramp = np.arange(n, dtype=np.float64)
-            if not same:
-                ramp = grid.origin[a] + grid.spacing[a] * ramp
-            g[..., a] += ramp.reshape((-1,) + (1,) * (2 - a))
-        if not same:
-            g -= np.asarray(src_grid.origin)
-            g /= sp
-    return g.reshape(-1, 3)
+            ramp = np.arange(n, dtype=np.float64).reshape((-1,) + (1,) * (2 - a))
+            if same:
+                # index-space arithmetic keeps grid-aligned samples exact for u == 0
+                np.divide(data[..., a], src_grid.spacing[a], out=g[a], dtype=np.float64)
+                g[a] += ramp
+            else:
+                np.add(data[..., a], grid.origin[a] + grid.spacing[a] * ramp, out=g[a],
+                       dtype=np.float64)
+                g[a] -= src_grid.origin[a]
+                g[a] /= src_grid.spacing[a]
+    return g.reshape(3, -1).T
 
 
 def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
@@ -523,16 +546,18 @@ def _cell_support(padded: np.ndarray) -> np.ndarray:
 
 
 def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.ndarray):
-    """Trilinear values of a (W,H,D) ``data`` at the voxel coords g (n,3)
-    that lie in a supported cell, plus a callable for their spatial
-    derivative.
+    """Trilinear values of a (W,H,D) ``data`` at the voxel coords g (n,3),
+    of any strides, that lie in a supported cell, plus a callable for their
+    spatial derivative.
 
     ``padded`` is ``_pad(data, 0.0)`` and ``support`` is
     ``_cell_support(padded)``, both built once by the caller and read, not
     copied, on every call.  This is the value phase: it snaps the base index
-    of every point and looks its cell up in ``support``, then snaps the
-    fractions of the points in a supported cell and gathers their eight
-    corners once, from that same base index.  It returns the indices of
+    of every point, one axis at a time, and looks its cell up in
+    ``support``, then snaps the fractions of the points in a supported cell,
+    one axis at a time from a gather of that axis's raw fractions, and
+    gathers their eight corners once, from that same base index.  It
+    returns the indices of
     those points, ascending, and their (m,) values; every other point's
     value is +0.0, which is what blending eight +0.0 corners gives.  The
     returned zero-argument callable is the gradient phase: the (m,3)
@@ -548,10 +573,9 @@ def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.nda
     losses agree with chain-rule gradients at tight tolerance.
     """
     dims = _unpadded(padded)
-    i0, f, hi = _snap_index(g)
-    base = _padded_index(dims, i0)
+    base, frac = _snap_index(dims, g)
     active = np.flatnonzero(support.take(base))
-    f = _snap(f[active], hi[active])
+    f = _snap(frac, active)
     corners = padded.reshape(-1).take(base[active] + _cell_steps(dims))
     vals, planes = _interpolate(corners, f)
     return active, vals, lambda: _interpolant_gradient(corners, f, planes)

@@ -162,6 +162,11 @@ def _diffusion(data: np.ndarray, spacing):
 
     One difference pass serves both: the callable keeps the three
     difference arrays and builds a new gradient from them on each call.
+    The gradient sums, from zero, each axis's difference scaled by
+    2 / n_voxels / spacing into the upper slices and out of the lower ones.
+    The first axis's terms are written as 0.0 plus the scaled difference,
+    so a -0.0 term reads +0.0 as in that sum, and every axis is scaled into
+    one buffer: no zeros and one temporary per call.
     """
     shape = data.shape
     n = shape[0] * shape[1] * shape[2]
@@ -169,11 +174,18 @@ def _diffusion(data: np.ndarray, spacing):
     energy = sum(float(np.sum(d * d)) for _, _, d in diffs) / n
 
     def grad():
-        g = np.zeros(shape)
+        g = np.empty(shape)
+        buf = np.empty(max(diff.size for _, _, diff in diffs))
         for ax, inv, diff in diffs:
-            scaled = (2.0 / n) * inv * diff
+            scaled = np.multiply((2.0 / n) * inv, diff,
+                                 out=buf[:diff.size].reshape(diff.shape))
             head = (slice(None),) * ax
-            g[head + (slice(1, None),)] += scaled
+            upper = head + (slice(1, None),)
+            if ax:
+                g[upper] += scaled
+            else:
+                g[0] = 0.0
+                np.add(0.0, scaled, out=g[upper])
             g[head + (slice(0, -1),)] -= scaled
         return g
 
@@ -330,7 +342,8 @@ class LossContext:
 
     def _evaluate_coords(self, coords: np.ndarray):
         """The similarity at source-voxel coordinates ``coords``, (n_voxels, 3)
-        in C order, and a zero-argument callable for its gradient phase.
+        with one row per voxel in C order and any strides, and a
+        zero-argument callable for its gradient phase.
 
         The one warp of an evaluation happens here; both objectives, which
         map a field or coefficients to coordinates, come through.  The
@@ -439,7 +452,6 @@ class LossContext:
         """
         grid, lam = self.grid, self.cfg.lam
         shape = grid.dims + (3,)
-        sp = np.asarray(grid.spacing)
 
         def objective(x):
             data = x.reshape(shape)
@@ -456,7 +468,10 @@ class LossContext:
                     g *= lam
                 else:
                     g = np.zeros(shape)
-                g.reshape(-1, 3)[active] += s[:, None] * (d / sp)
+                # one component at a time: each column gets s * d / spacing
+                # at the supported voxels
+                for a, col in enumerate(g.reshape(-1, 3).T):
+                    col[active] += s * (d[:, a] / grid.spacing[a])
                 return g.reshape(-1)
 
             return total, grad

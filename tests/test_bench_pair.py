@@ -205,18 +205,19 @@ def canned_setup64():
     """Three 64-cubed pairs, sides alternating; the change is faster in every
     stage but the DRR build, which ties in pair 0 and loses in pair 2, and
     its registration takes fewer iterations, with the same outputs in pair 0
-    and other ones in pair 2; its pair-1 parent child failed."""
-    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0, "aa"),
-            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0, "aa"),
-            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0, "bb"), (1, "parent", None),
-            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0, "cc"),
-            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0, "dd")]
+    and other ones in pair 2, from other set-up data in pair 0 and the same
+    in pair 2; its pair-1 parent child failed."""
+    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0, "aa", "s0"),
+            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0, "aa", "s1"),
+            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0, "bb", "s2"), (1, "parent", None),
+            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0, "cc", "s3"),
+            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0, "dd", "s3")]
     runs = []
     for pair, side, *values in rows:
         stages = (None if values == [None]
                   else dict(zip(["train_fields_s", "build_subspace_s", "drr_build_s",
                                  "make_pair_s", "register2d_s", "register2d_iterations",
-                                 "peak_rss_mb", "register2d_sha256"], values)))
+                                 "peak_rss_mb", "register2d_sha256", "setup_sha256"], values)))
         runs.append({"pair": pair, "side": side, "seed": 7, "stages": stages,
                      "returncode": 0 if stages else 1})
     return runs
@@ -247,22 +248,40 @@ def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_
     assert (iters["parent"]["median"], iters["change"]["median"]) == (11.5, 6.0)
     assert iters["pairs_change_lower"] == 2
     assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result",
-                            "pairs_outputs_differ"}
+                            "pairs_outputs_differ", "pairs_setup_differ"}
     assert summary["runs_without_result"] == {"parent": 1, "change": 0}
-    # pair 2's digests differ; pair 1, with no parent result, is not compared
+    # pair 2's output digests and pair 0's set-up digests differ; pair 1,
+    # with no parent result, is not compared
     assert summary["pairs_outputs_differ"] == 1
+    assert summary["pairs_setup_differ"] == 1
+
+
+def assert_counts_pairs_that_differ(bench_pair, digest, count):
+    """Equal digests count nothing, whatever the timings; each complete pair
+    with two different digests counts one, and each count reads its own
+    digest only."""
+    setup64 = json.loads(json.dumps(canned_setup64()))
+    for r in setup64:
+        if r["stages"]:
+            r["stages"][digest] = "same"
+    assert bench_pair.summarize_setup64(setup64)[count] == 0
+    setup64[1]["stages"][digest] = "ab"  # pair 0, change side
+    assert bench_pair.summarize_setup64(setup64)[count] == 1
+    setup64[5]["stages"][digest] = "cd"  # pair 2, change side
+    assert bench_pair.summarize_setup64(setup64)[count] == 2
+    setup64[2]["stages"][digest] = "ef"  # pair 1 has no parent result
+    summary = bench_pair.summarize_setup64(setup64)
+    assert summary[count] == 2
+    # as canned, one pair differs in each digest
+    assert [summary[c] for c in bench_pair.SETUP64_DIGESTS.values() if c != count] == [1]
 
 
 def test_pairs_whose_64_cubed_outputs_differ_are_counted(bench_pair):
-    """Equal digests count nothing, whatever the timings; each complete pair
-    with two different digests counts one."""
-    setup64 = json.loads(json.dumps(canned_setup64()))
-    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 1
-    setup64[5]["stages"]["register2d_sha256"] = "cc"
-    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 0
-    setup64[1]["stages"]["register2d_sha256"] = "ab"
-    setup64[5]["stages"]["register2d_sha256"] = "cd"
-    assert bench_pair.summarize_setup64(setup64)["pairs_outputs_differ"] == 2
+    assert_counts_pairs_that_differ(bench_pair, "register2d_sha256", "pairs_outputs_differ")
+
+
+def test_pairs_whose_64_cubed_setups_differ_are_counted(bench_pair):
+    assert_counts_pairs_that_differ(bench_pair, "setup_sha256", "pairs_setup_differ")
 
 
 def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
@@ -301,7 +320,8 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     """The set-up child, run in process on a 16-cubed scene instead of the
     default 64-cubed one, prints one JSON line with every stage, the
     registration's time and a whole, positive iteration count among them,
-    and the SHA-256 of the registration's alpha, field and loss trace."""
+    the SHA-256 of the registration's alpha, field and loss trace, and the
+    SHA-256 of the training fields, the DRR matrices and the pair."""
     import sys
 
     import tomoreg
@@ -317,19 +337,29 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     monkeypatch.setattr(sys, "path", list(sys.path))
     exec(compile(bench_pair.SETUP64_CHILD, "setup64", "exec"), {"__name__": "__main__"})
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {*bench_pair.SETUP64_STAGES, bench_pair.SETUP64_DIGEST}
+    assert set(out) == {*bench_pair.SETUP64_STAGES, *bench_pair.SETUP64_DIGESTS}
     assert all(out[name] > 0 for name in bench_pair.SETUP64_STAGES)
     assert isinstance(out["register2d_iterations"], int)
-    # the digest is of the registration the child ran: rerun it here
+    # the digests are of the set-up and the registration the child ran:
+    # rerun them here
     small = tomoreg.PhantomSpec()
-    sub = tomoreg.build_subspace([tomoreg.gen_smooth_dvf(
-        small, seed=split_seed(7, f"train{i}")) for i in range(30)], 0.99)
+    fields = [tomoreg.gen_smooth_dvf(small, seed=split_seed(7, f"train{i}"))
+              for i in range(30)]
+    sub = tomoreg.build_subspace(fields, 0.99)
     op = tomoreg.DrrOperator(tomoreg.grid_for(small), tomoreg.geometry_for(small),
                              tomoreg.step_for(small))
     pair = tomoreg.make_pair(small, split_seed(7, "pair0"), drr_op=op)
+    A, At = op._matrices()
+    setup = [f.data for f in fields] + [A.data, A.indices, A.indptr,
+                                        At.data, At.indices, At.indptr]
+    setup += [pair.source.data, pair.target.data, pair.source_mask.data,
+              pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
+              pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data]
+    assert out["setup_sha256"] == hashlib.sha256(
+        b"".join(part.tobytes() for part in setup)).hexdigest()
     alpha, u, report = tomoreg.register_subspace_2d(
         pair.source, pair.projections, pair.source_mask, sub,
         tomoreg.LossConfig(0.1, "sim2d"), tomoreg.OptimConfig(max_iters=200), drr_op=op)
     want = hashlib.sha256(alpha.tobytes() + u.data.tobytes()
                           + np.asarray(report.loss_trace).tobytes()).hexdigest()
-    assert out[bench_pair.SETUP64_DIGEST] == want
+    assert out["register2d_sha256"] == want

@@ -10,9 +10,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, jacobian_stats, sample_displacement,
                      warp_image, zero_displacement)
-from tomoreg.grids import (_cell_support, _gather_corners, _interpolant_gradient,
-                           _interpolate, _pad, _snap_fraction, _warp_coords, sample_nearest,
-                           sample_trilinear, trilinear_weights, warp_scalar_with_gradient)
+from tomoreg.grids import (_ALIGN_EPS, _cell_support, _gather_corners,
+                           _interpolant_gradient, _interpolate, _pad, _padded_index, _snap,
+                           _snap_index, _warp_coords, sample_nearest, sample_trilinear,
+                           trilinear_weights, warp_scalar_with_gradient)
 
 from conftest import SPEC32
 
@@ -204,6 +205,30 @@ def test_sample_rejects_nonfinite_points():
 # the one-gather sampler against an eight-corner reference
 # ---------------------------------------------------------------------------
 
+def reference_snap_fraction(g):
+    """The base index (n, 3), as whole-valued floats, and the snapped
+    fraction (n, 3) of voxel coords g, each step over all three axes at
+    once: a fraction within _ALIGN_EPS below 1 moves the index up and reads
+    0, one within _ALIGN_EPS above 0 reads 0, and so does inf - inf."""
+    i0 = np.floor(g)
+    with np.errstate(invalid="ignore"):
+        f = g - i0
+    hi = f > 1.0 - _ALIGN_EPS
+    i0 += hi
+    f = np.where(hi, 0.0, f)
+    return i0, np.where(f >= _ALIGN_EPS, f, 0.0)
+
+
+def reference_padded_index(dims, i0):
+    """Flat indices into ``_pad`` of a dims grid of whole-valued float
+    indices i0 (n, 3): clipped to [-2, dim] against the dims vector, cast,
+    then combined."""
+    sy = dims[2] + 4
+    sx = (dims[1] + 4) * sy
+    i0 = np.clip(i0, -2, np.asarray(dims)).astype(np.int64) + 2
+    return i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2]
+
+
 def _corner(volc, i0, dx, dy, dz):
     W, H, D = volc.shape[:3]
     ix, iy, iz = i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz
@@ -216,7 +241,7 @@ def reference_trilinear(data, g, with_gradient=False):
     """Trilinear sampling that reads each corner separately and masks it."""
     scalar = data.ndim == 3
     volc = data[..., None] if scalar else data
-    i0, f = _snap_fraction(np.asarray(g, dtype=np.float64))
+    i0, f = reference_snap_fraction(np.asarray(g, dtype=np.float64))
     i0 = i0.astype(np.int64)
     c000, c100, c010, c110, c001, c101, c011, c111 = (
         _corner(volc, i0, dx, dy, dz)
@@ -271,6 +296,44 @@ def axis_coord(n):
     rim = st.one_of(st.floats(-1.0, 0.0), st.floats(n - 1.0, float(n)))
     far = st.one_of(st.floats(-1e6, -2.0), st.floats(n + 1.0, 1e6))
     return st.one_of(inside, lattice, half, rim, far)
+
+
+def index_coord(n):
+    """One voxel coordinate on an axis of n voxels for the cell index: every
+    sampling regime, the extremes of float64 and any float but NaN."""
+    extreme = st.sampled_from([np.inf, -np.inf, 1e308, -1e308, -0.0, 2.0 ** 63, -2.0 ** 63])
+    return st.one_of(axis_coord(n), extreme, st.floats(allow_nan=False))
+
+
+@st.composite
+def index_cases(draw):
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    points = draw(st.lists(st.tuples(*(index_coord(n) for n in dims)),
+                           min_size=1, max_size=32))
+    g = np.array(points, dtype=np.float64)
+    some = np.flatnonzero(draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g))))
+    return dims, g, some, draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(index_cases())
+def test_the_per_axis_cell_index_matches_the_broadcast_reference(case):
+    """The base index, its bounds and the flat index, computed one axis at a
+    time, and the snapped fractions, of every point or of some, equal the
+    (n, 3) formulas bit for bit, on C-order and on transposed coordinates."""
+    dims, g, some, transposed = case
+    if transposed:  # as _warp_coords returns them
+        g = np.ascontiguousarray(g.T).T
+    i0, f = reference_snap_fraction(g)
+    base, frac = _snap_index(dims, g)
+    assert base.dtype == np.int64
+    assert_array_equal(base, reference_padded_index(dims, i0))
+    assert_same_bits(np.ascontiguousarray(_snap(frac)), f)
+    assert_same_bits(np.ascontiguousarray(_snap(frac, some)), f[some])
+    # the nearest-voxel index goes through the same bounds rule
+    assert_array_equal(_padded_index(dims, [np.floor(g[:, a] + 0.5) for a in range(3)]),
+                       reference_padded_index(dims, np.floor(g + 0.5)))
 
 
 # how much of the sampled volume is not +0.0: where the loss warp skips cells
@@ -351,7 +414,7 @@ def reference_weight_table(grid, pts):
     """The 8 corner voxels (n, 8) and weights of each point, z fastest, with
     each corner bounds-tested and its weight zeroed outside the grid."""
     W, H, D = grid.dims
-    i0, f = _snap_fraction(grid.world_to_voxel(pts))
+    i0, f = reference_snap_fraction(grid.world_to_voxel(pts))
     i0 = i0.astype(np.int64)
     wx, wy, wz = (np.stack([1.0 - f[:, a], f[:, a]], axis=1) for a in range(3))
     cols = np.empty((pts.shape[0], 8), dtype=np.int64)
@@ -406,6 +469,37 @@ def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
     data64 = data.astype(np.float64)
     vals, _ = warp(data64, _warp_coords(src.grid, u.grid, u.data))
     assert_same_bits(vals, data.astype(np.float64).reshape(-1))
+
+
+def reference_warp_coords(src_grid, grid, data):
+    """x + u(x) in source-voxel coords, (n_voxels, 3) in C order, from the
+    float64 cast of ``data``, each step against the 3-vectors of spacing
+    and origin at once."""
+    g = data.astype(np.float64)
+    ramp = np.stack(np.meshgrid(*(np.arange(n, dtype=np.float64) for n in grid.dims),
+                                indexing="ij"), axis=-1)
+    if src_grid == grid:
+        g /= np.asarray(src_grid.spacing)
+        g += ramp
+    else:
+        g += np.asarray(grid.origin) + np.asarray(grid.spacing) * ramp
+        g -= np.asarray(src_grid.origin)
+        g /= np.asarray(src_grid.spacing)
+    return g.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37])
+def test_warp_coords_of_a_float32_field_are_those_of_its_float64_cast(shift):
+    """Each component is cast to float64 before it is divided by the
+    spacing, on the field's own grid and on one with another origin; a
+    float32 field divided as float32 would differ in the last bits."""
+    grid = GridSpec((5, 4, 3), (1.3, 0.7, 2.9), (-3.0, 2.0, 0.5))
+    src = GridSpec(grid.dims, grid.spacing, np.add(grid.origin, shift))
+    data = (3.0 * np.random.default_rng(5).standard_normal(grid.dims + (3,))).astype(np.float32)
+    got = _warp_coords(src, grid, data)
+    assert got.shape == (grid.n_voxels, 3)
+    assert_same_bits(got, reference_warp_coords(src, grid, data))
+    assert_same_bits(got, _warp_coords(src, grid, data.astype(np.float64)))
 
 
 def test_constant_one_voxel_shift_indexes_neighbors():

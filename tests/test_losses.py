@@ -216,6 +216,37 @@ def test_energy_is_zero_only_for_constant_fields():
     assert diffusion_energy(u) > 0.0
 
 
+def reference_diffusion_grad(data, spacing):
+    """dE/du summed into zeros: per axis, the forward difference scaled by
+    2 / n_voxels / spacing, added to the upper slices and subtracted from
+    the lower ones."""
+    n = data.shape[0] * data.shape[1] * data.shape[2]
+    g = np.zeros(data.shape)
+    for ax in range(3):
+        inv = 1.0 / float(spacing[ax])
+        scaled = (2.0 / n) * inv * (np.diff(data, axis=ax) * inv)
+        head = (slice(None),) * ax
+        g[head + (slice(1, None),)] += scaled
+        g[head + (slice(0, -1),)] -= scaled
+    return g
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 6), (1, 4, 3), (3, 1, 1), (1, 1, 1)])
+def test_the_diffusion_gradient_is_the_sum_from_zero_bit_for_bit(dims):
+    """Signed zeros included: a -0.0 difference, and a product that
+    underflows to -0.0, add to 0.0 as +0.0 on the first axis.  The callable
+    gives the same gradient on every call."""
+    rng = np.random.default_rng(sum(dims))
+    data = rng.standard_normal(dims + (3,))
+    for value, share in ((0.0, 0.3), (-0.0, 0.3), (-1e-320, 0.1), (1e-320, 0.1)):
+        data[rng.random(data.shape) < share] = value
+    spacing = (1.5, 0.7, 2.2)
+    grad = _diffusion(data, spacing)[1]
+    want = reference_diffusion_grad(data, spacing)
+    assert_same_bits(grad(), want)
+    assert_same_bits(grad(), want)
+
+
 # ---------------------------------------------------------------------------
 # total loss
 # ---------------------------------------------------------------------------

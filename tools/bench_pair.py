@@ -28,12 +28,13 @@ fields, ``build_subspace(..., 0.99)``, a forced ``DrrOperator`` build and
 one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then
 ``register_subspace_2d`` of that pair at lam 0.1 and at most 200
 iterations, and reports the registration's iterations, a SHA-256 of its
-coefficients, field and loss trace, and its own ``ru_maxrss``.  Per stage
-the section holds each side's median and quartiles and how many pairs the
-change read lower, higher or equal, and it counts the complete pairs
-whose two registrations differ in that digest.  Three pairs are too few
-for the claim rule, so these figures are indicative only.  A child peaks
-near 1 GB.
+coefficients, field and loss trace, a SHA-256 of the set-up's data (the
+30 training fields, the stacked DRR matrix and its transpose, and every
+array of the pair) and its own ``ru_maxrss``.  Per stage the section
+holds each side's median and quartiles and how many pairs the change read
+lower, higher or equal, and it counts the complete pairs whose two sides
+differ in each digest.  Three pairs are too few for the claim rule, so
+these figures are indicative only.  A child peaks near 1 GB.
 """
 from __future__ import annotations
 
@@ -112,8 +113,8 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
 
 # the 64-cubed set-up and one projection registration, run from the root
 # of one checkout: argv[1] is the seed; prints one JSON object of stage
-# times (wall seconds), the registration's iterations, the digest of its
-# outputs and peak RSS
+# times (wall seconds), the registration's iterations, the digests of the
+# set-up's data and of the registration's outputs, and peak RSS
 SETUP64_CHILD = """
 import hashlib, json, resource, sys, time
 sys.path.insert(0, "src")
@@ -143,10 +144,21 @@ def forced_operator():
 
 fields = timed("train_fields_s", lambda: [
     gen_smooth_dvf(spec, seed=split_seed(seed, f"train{i}")) for i in range(30)])
+setup = hashlib.sha256()
+for field in fields:
+    setup.update(np.ascontiguousarray(field.data))
 sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
 op = timed("drr_build_s", forced_operator)
+for matrix in op._matrices():
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        setup.update(np.ascontiguousarray(part))
 pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
+for part in (pair.source.data, pair.target.data, pair.source_mask.data,
+             pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
+             pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data):
+    setup.update(np.ascontiguousarray(part))
+out["setup_sha256"] = setup.hexdigest()
 alpha, u, report = timed("register2d_s", lambda: register_subspace_2d(
     pair.source, pair.projections, pair.source_mask, sub, LossConfig(0.1, "sim2d"),
     OptimConfig(max_iters=200), drr_op=op))
@@ -161,8 +173,11 @@ print(json.dumps(out))
 SETUP64_PAIRS = 3
 SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pair_s",
                   "register2d_s", "register2d_iterations", "peak_rss_mb")
-# the child's digest of the registration's coefficients, field and loss trace
-SETUP64_DIGEST = "register2d_sha256"
+# the child's digests, each with the name of the count of complete pairs
+# whose two sides differ in it: of the registration's coefficients, field
+# and loss trace, and of the set-up's fields, DRR matrices and pair
+SETUP64_DIGESTS = {"register2d_sha256": "pairs_outputs_differ",
+                   "setup_sha256": "pairs_setup_differ"}
 
 
 def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
@@ -179,8 +194,8 @@ def run_setup64(checkout: Path, pair: int, side: str, seed: int) -> dict:
 def summarize_setup64(runs: list) -> dict:
     """Per stage of the complete 64-cubed pairs: each side's statistics and
     how many pairs the change read lower, higher or equal; the runs without
-    a result per side; and the number of complete pairs whose two
-    registrations' output digests differ."""
+    a result per side; and per digest the number of complete pairs whose
+    two sides differ in it."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["stages"]
@@ -189,8 +204,8 @@ def summarize_setup64(runs: list) -> dict:
            for name in SETUP64_STAGES}
     out["runs_without_result"] = {s: sum(r["side"] == s and r["stages"] is None
                                          for r in runs) for s in SIDES}
-    out["pairs_outputs_differ"] = sum(
-        len({p[s].get(SETUP64_DIGEST) for s in SIDES}) > 1 for p in pairs)
+    for digest, count in SETUP64_DIGESTS.items():
+        out[count] = sum(len({p[s].get(digest) for s in SIDES}) > 1 for p in pairs)
     return out
 
 
@@ -323,8 +338,10 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
                      "DrrOperator build, one make_pair and register_subspace_2d of "
                      "that pair (lam 0.1, max_iters 200); wall seconds, the "
                      "registration's iterations, a SHA-256 of its alpha, field and "
-                     "loss trace, and ru_maxrss.  Three pairs are too few for the "
-                     "claim rule, so these figures are indicative only"),
+                     "loss trace, a SHA-256 of the training fields, the DRR matrix "
+                     "and its transpose and every array of the pair, and "
+                     "ru_maxrss.  Three pairs are too few for the claim rule, so "
+                     "these figures are indicative only"),
             "summary": summarize_setup64(setup64),
             "runs": list(setup64),
         },
