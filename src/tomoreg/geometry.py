@@ -201,14 +201,16 @@ class DrrOperator:
     finite-difference checks of projection-domain losses consistent.
 
     The emitters' matrices are built on first use (``render_all`` forces
-    them) and stacked into one CSR matrix, kept with a CSR copy of its
-    transpose so that the adjoint is a row-wise product too.  The copy
-    also serves the projection loss, which renders and back-projects
-    through its rows at the voxels the warped volume does not zero,
-    sliced once per evaluation, instead of through the full products.
-    The copy doubles the matrices' memory.  With four emitters each of the two
-    takes about 7 MB at 32 cubed (40 x 40 pixels) and about 60 MB at 64
-    cubed (80 x 80 pixels), about 15 MB per emitter.
+    them), stacked pixel-major and kept as one column-stored matrix A:
+    ``forward`` is A times a volume and ``adjoint`` the product with A's
+    transpose, the same arrays read by row, so the two are exact
+    transposes by construction.  The projection loss renders and
+    back-projects through A's columns at the voxels the warped volume does
+    not zero, sliced once per evaluation, instead of through the full
+    products.  With four emitters A takes about 7 MB at 32 cubed (40 x 40
+    pixels) and about 56 MB at 64 cubed (80 x 80 pixels).  Each emitter's
+    count of stored entries is kept from the build, so ``_nnz`` reads no
+    entry.
     """
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
@@ -218,28 +220,31 @@ class DrrOperator:
         self.grid = grid
         self.geometry = geometry
         self.step_mm = step_mm
-        self._stack: tuple[sparse.csr_matrix, sparse.csr_matrix] | None = None
+        self._A = self._counts = None  # A and its per-emitter entry counts
 
-    def _matrices(self):
-        """The stacked matrix A and a CSR copy of its transpose, built once.
+    def _matrix(self) -> sparse.csc_matrix:
+        """The stacked matrix A in CSC form, built once.
 
         Row p * n_emitters + i of A is emitter i's matrix row for pixel p,
         so A @ volume is the ``ProjectionSet`` layout and the rows of each
         emitter are every n_emitters-th row.  Each row is ``_build``'s row,
         entry for entry, so A's products equal each emitter's own.
         """
-        if self._stack is None:
+        if self._A is None:
             n = self.geometry.n_emitters
-            A = sparse.vstack([self._build(i) for i in range(n)], format="csr")
-            npix = A.shape[0] // n
-            A = A[(np.arange(n) * npix + np.arange(npix)[:, None]).reshape(-1)]
-            self._stack = A, A.T.tocsr()
-        return self._stack
+            rows = sparse.vstack([self._build(i) for i in range(n)], format="csr")
+            npix = rows.shape[0] // n
+            # rebinding frees the unpermuted stack, so no more than two
+            # copies of A are alive at once, here and in tocsc
+            rows = rows[(np.arange(n) * npix + np.arange(npix)[:, None]).reshape(-1)]
+            self._counts = np.diff(rows.indptr).reshape(-1, n).sum(axis=0)
+            self._A = rows.tocsc()
+        return self._A
 
     def _nnz(self) -> np.ndarray:
-        """Stored entries of each emitter's matrix, read from A's row pointers."""
-        A = self._matrices()[0]
-        return np.diff(A.indptr).reshape(-1, self.geometry.n_emitters).sum(axis=0)
+        """Stored entries of each emitter's matrix, counted at the build."""
+        self._matrix()
+        return self._counts
 
     def _build(self, emitter_index: int):
         grid, geom, step = self.grid, self.geometry, self.step_mm
@@ -291,15 +296,13 @@ class DrrOperator:
         Returns ``detector_dims + (n_emitters,)``, the ``ProjectionSet``
         layout, from one sparse product.
         """
-        flat = np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
-        out = self._matrices()[0] @ flat
+        out = self._matrix() @ np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
         return out.reshape(self.geometry.detector_dims + (self.geometry.n_emitters,))
 
     def adjoint(self, pix_data: np.ndarray) -> np.ndarray:
         """Transpose map: ``detector_dims + (n_emitters,)`` pixel values back to
         (W,H,D) voxels, summed over the emitters in one sparse product."""
-        flat = np.ascontiguousarray(pix_data, dtype=np.float64).reshape(-1)
-        out = self._matrices()[1] @ flat
+        out = self._matrix().T @ np.ascontiguousarray(pix_data, dtype=np.float64).reshape(-1)
         return out.reshape(self.grid.dims)
 
     def render_all(self, vol: Image3D) -> ProjectionSet:

@@ -29,11 +29,11 @@ similarity: one warp at the given coordinates, which samples only the
 voxels whose coordinates lie in a cell where the masked source has support
 (the warped volume is +0.0 at every other voxel), and, for sim2d, one
 rendering of every emitter.  The rendering needs only the DRR matrix's
-columns at those supported voxels: it takes the rows of the operator's
-cached transpose there, once per evaluation, and renders from them.  It
+columns at those supported voxels: it slices them from the operator's
+column-stored matrix, once per evaluation, and renders from them.  It
 returns the similarity with a callable for the gradient phase, which
 gives, at the supported voxels only, d sim / d warped (for sim2d
-back-projected through the same rows), the voxels' indices and the
+back-projected through the same columns), the voxels' indices and the
 interpolant derivative at them in voxel units; d sim / d warped is never
 formed elsewhere, since the derivative there is zero.  The full
 ``DrrOperator.forward`` and ``adjoint`` products are not used by the loss.
@@ -60,8 +60,8 @@ nothing per evaluation and gathers and blends only the sample points in
 those cells.  A gradient callable holds its evaluation's state for as long
 as the caller keeps it: per sample point in a supported cell the eight
 gathered corners, three fractions, the two z-face planes of the
-interpolant and the point's index; for sim2d the row slice of the
-transpose, about 1.1 MB at 32 cubed with four emitters; the correlation
+interpolant and the point's index; for sim2d the column slice of the
+DRR matrix, about 1.1 MB at 32 cubed with four emitters; the correlation
 terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
 lam > 0 the three forward-difference arrays, about 9 floats per voxel;
 and, from ``evaluate``, the field itself.  On the benchmark scene 14-17 %
@@ -78,8 +78,8 @@ from the centred renderings among the correlation terms, it forms the
 matrix of the similarity.  The subspace objective's callable carries
 ``gauss_newton()``, that matrix in alpha plus the regulariser's exact
 2 lam G, which the descent factors once per registration as its initial
-inverse Hessian.  Its DRR product reuses the evaluation's row slice of
-the transpose, so it slices nothing again.
+inverse Hessian.  Its DRR product reuses the evaluation's column slice
+of the DRR matrix, so it slices nothing again.
 """
 from __future__ import annotations
 
@@ -153,7 +153,8 @@ def _forward_diffs(data: np.ndarray, spacing):
     """
     for ax in range(3):
         inv = 1.0 / float(spacing[ax])
-        yield ax, inv, np.diff(data, axis=ax) * inv
+        d = np.diff(data, axis=ax)
+        yield ax, inv, np.multiply(d, inv, out=d)  # in place: one array per axis
 
 
 def _diffusion(data: np.ndarray, spacing):
@@ -356,15 +357,15 @@ class LossContext:
         # the closure captures what it needs, never ``self``, so a gradient
         # callable the caller keeps does not keep its context alive
         n = len(self._measured)
-        # for sim2d, the rows of A's transpose at the supported voxels: A's
-        # columns there, the only ones the warped volume does not zero, so
-        # A @ warped is rows.T @ vals, each pixel summed in the same order
-        rows = None if self.drr_op is None else self.drr_op._matrices()[1][active]
-        if rows is None:  # the identity renders the warped volume
+        # for sim2d, A's columns at the supported voxels, the only ones the
+        # warped volume does not zero, so A @ warped is cols @ vals, each
+        # pixel summed in the same order
+        cols = None if self.drr_op is None else self.drr_op._matrix()[:, active]
+        if cols is None:  # the identity renders the warped volume
             rendered = np.zeros((coords.shape[0], 1))
             rendered[active, 0] = vals
         else:
-            rendered = (rows.T @ vals).reshape(-1, n)
+            rendered = (cols @ vals).reshape(-1, n)
         shape = rendered.shape
         sim = 0.0
         parts = []
@@ -377,7 +378,7 @@ class LossContext:
             gp = np.zeros(shape)
             for i, pi in enumerate(parts):
                 gp[:, i] += -_ncc_grad_b(pi) / n
-            s = gp[active, 0] if rows is None else rows @ gp.reshape(-1)
+            s = gp[active, 0] if cols is None else cols.T @ gp.reshape(-1)
             return s, active, warp_grad()
 
         def gauss_newton(jac):
@@ -391,10 +392,10 @@ class LossContext:
             q q^T, so only J's non-zero rows are needed: for sim3d, the
             supported voxels."""
             dw = jac(active, warp_grad())
-            if rows is None:  # J is dw at the supported voxels, zero elsewhere
+            if cols is None:  # J is dw at the supported voxels, zero elsewhere
                 J, nonzero = dw[:, None, :], active
             else:  # A[:, active] @ dw
-                J, nonzero = (rows.T @ dw).reshape(shape + (-1,)), slice(None)
+                J, nonzero = (cols @ dw).reshape(shape + (-1,)), slice(None)
             H = 0.0
             for i, (_, bc, sbb, _, _) in enumerate(parts):
                 w = sbb + _EPS

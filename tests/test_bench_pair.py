@@ -321,7 +321,7 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     default 64-cubed one, prints one JSON line with every stage, the
     registration's time and a whole, positive iteration count among them,
     the SHA-256 of the registration's alpha, field and loss trace, and the
-    SHA-256 of the training fields, the DRR matrices and the pair."""
+    SHA-256 of the training fields, the DRR products and the pair."""
     import sys
 
     import tomoreg
@@ -349,9 +349,11 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     op = tomoreg.DrrOperator(tomoreg.grid_for(small), tomoreg.geometry_for(small),
                              tomoreg.step_for(small))
     pair = tomoreg.make_pair(small, split_seed(7, "pair0"), drr_op=op)
-    A, At = op._matrices()
-    setup = [f.data for f in fields] + [A.data, A.indices, A.indptr,
-                                        At.data, At.indices, At.indptr]
+    rng = np.random.default_rng(7)
+    setup = [f.data for f in fields] + [
+        op.forward(rng.random(op.grid.dims)),
+        op.adjoint(rng.random(op.geometry.detector_dims + (op.geometry.n_emitters,))),
+        op._nnz()]
     setup += [pair.source.data, pair.target.data, pair.source_mask.data,
               pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
               pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data]

@@ -365,13 +365,31 @@ def test_operator_adjoint_matches_forward_inner_product(scene):
 
 @settings(max_examples=30, deadline=None)
 @given(scenes())
+def test_forward_and_adjoint_are_exact_transposes(scene):
+    """``forward`` of each unit volume gives a column of A and ``adjoint``
+    of each unit pixel a row of it: the two dense matrices are transposes
+    of each other bit for bit."""
+    grid, geom, step, _ = scene
+    op = DrrOperator(grid, geom, step_mm=step)
+    pix_shape = geom.detector_dims + (geom.n_emitters,)
+    cols = np.empty((grid.n_voxels, int(np.prod(pix_shape))))
+    rows = np.empty((cols.shape[1], grid.n_voxels))
+    for j, unit in enumerate(np.eye(grid.n_voxels)):
+        cols[j] = op.forward(unit.reshape(grid.dims)).reshape(-1)
+    for k, unit in enumerate(np.eye(cols.shape[1])):
+        rows[k] = op.adjoint(unit.reshape(pix_shape)).reshape(-1)
+    assert_array_equal(cols.T.view(np.int64), rows.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenes())
 def test_the_stacked_matrix_holds_each_emitters_rows_entry_for_entry(scene):
     """Row p * n + i of the stacked matrix is row p of emitter i's own
     matrix, with the same entries in the same order, so the all-emitter
     forward equals each emitter's own product bit for bit."""
     grid, geom, step, seed = scene
     op = DrrOperator(grid, geom, step_mm=step)
-    A, AT = op._matrices()
+    A = op._matrix().tocsr()
     n = geom.n_emitters
     vol = np.random.default_rng(seed).random(grid.dims)
     got = op.forward(vol)
@@ -384,8 +402,26 @@ def test_the_stacked_matrix_holds_each_emitters_rows_entry_for_entry(scene):
         assert_array_equal(rows.data.view(np.int64), own.data.view(np.int64))
         want = own @ vol.reshape(-1)
         assert_array_equal(got[..., i].reshape(-1).view(np.int64), want.view(np.int64))
-    assert (AT != A.T).nnz == 0
     assert_array_equal(op._nnz(), [op._build(i).nnz for i in range(n)])
+
+
+def test_the_operator_holds_its_matrix_once():
+    """After a build and a rendering the operator keeps one copy of its
+    matrix: what stays allocated is under 1.5 times the matrix's arrays."""
+    import tracemalloc
+
+    spec = replace(SPEC32, dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8))
+    grid, geom = grid_for(spec), geometry_for(spec)
+    vol = Image3D(grid.dims, grid.spacing, grid.origin, np.ones(grid.dims))
+    tracemalloc.start()
+    try:
+        op = DrrOperator(grid, geom, step_for(spec))
+        op.render_all(vol)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    A = op._matrix()
+    assert held < 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def test_the_emitter_whose_rays_all_miss_the_grid_is_named():

@@ -903,23 +903,22 @@ def test_the_supported_voxel_products_equal_the_full_operator_products(seed):
         assert d.shape == (active.size, 3)
 
 
-def test_a_projection_evaluation_slices_the_transpose_once(monkeypatch):
+def test_a_projection_evaluation_slices_the_matrix_once(monkeypatch):
     """A sim2d value, its gradient and its Gauss-Newton matrix share one
-    row slice of the operator's transpose, and none of them calls the
+    column slice of the operator's matrix, and none of them calls the
     full ``DrrOperator.forward`` or ``adjoint``."""
     from scipy import sparse
 
     _, ctx2, sub, alpha = fd_instance(7, **PARTIAL)
     op = ctx2.drr_op
-    A, At = op._matrices()
     slices = []
 
-    class CountingRows(sparse.csr_matrix):
+    class CountingColumns(sparse.csc_matrix):
         def __getitem__(self, key):
             slices.append(key)
             return super().__getitem__(key)
 
-    op._stack = (A, CountingRows(At))
+    op._A = CountingColumns(op._matrix())
     full = [counting(monkeypatch, DrrOperator, name) for name in ("forward", "adjoint")]
     loss, grad = ctx2._subspace_objective(sub)(alpha)
     g, H = grad(), grad.gauss_newton()

@@ -29,8 +29,9 @@ one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then
 ``register_subspace_2d`` of that pair at lam 0.1 and at most 200
 iterations, and reports the registration's iterations, a SHA-256 of its
 coefficients, field and loss trace, a SHA-256 of the set-up's data (the
-30 training fields, the stacked DRR matrix and its transpose, and every
-array of the pair) and its own ``ru_maxrss``.  Per stage the section
+30 training fields, the DRR operator's ``forward`` of a seeded volume,
+its ``adjoint`` of a seeded projection stack and its per-emitter entry
+counts, and every array of the pair) and its own ``ru_maxrss``.  Per stage the section
 holds each side's median and quartiles and how many pairs the change read
 lower, higher or equal, and it counts the complete pairs whose two sides
 differ in each digest.  Three pairs are too few for the claim rule, so
@@ -150,9 +151,12 @@ for field in fields:
 sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
 op = timed("drr_build_s", forced_operator)
-for matrix in op._matrices():
-    for part in (matrix.data, matrix.indices, matrix.indptr):
-        setup.update(np.ascontiguousarray(part))
+# the operator through its public products, which every checkout has
+rng = np.random.default_rng(seed)
+for part in (op.forward(rng.random(op.grid.dims)),
+             op.adjoint(rng.random(op.geometry.detector_dims + (op.geometry.n_emitters,))),
+             op._nnz()):
+    setup.update(np.ascontiguousarray(part))
 pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
 for part in (pair.source.data, pair.target.data, pair.source_mask.data,
              pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
@@ -175,7 +179,7 @@ SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pai
                   "register2d_s", "register2d_iterations", "peak_rss_mb")
 # the child's digests, each with the name of the count of complete pairs
 # whose two sides differ in it: of the registration's coefficients, field
-# and loss trace, and of the set-up's fields, DRR matrices and pair
+# and loss trace, and of the set-up's fields, DRR products and pair
 SETUP64_DIGESTS = {"register2d_sha256": "pairs_outputs_differ",
                    "setup_sha256": "pairs_setup_differ"}
 
@@ -338,8 +342,10 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
                      "DrrOperator build, one make_pair and register_subspace_2d of "
                      "that pair (lam 0.1, max_iters 200); wall seconds, the "
                      "registration's iterations, a SHA-256 of its alpha, field and "
-                     "loss trace, a SHA-256 of the training fields, the DRR matrix "
-                     "and its transpose and every array of the pair, and "
+                     "loss trace, a SHA-256 of the training fields, the DRR "
+                     "operator's forward of a seeded volume, adjoint of a seeded "
+                     "projection stack and per-emitter entry counts, and every "
+                     "array of the pair, and "
                      "ru_maxrss.  Three pairs are too few for the claim rule, so "
                      "these figures are indicative only"),
             "summary": summarize_setup64(setup64),
