@@ -44,8 +44,9 @@ SAMPLE_FILES = {
 def generate_dataset(spec: PhantomSpec, master_seed: int, n: int, out_dir: str) -> dict:
     """Write n independent samples plus a manifest; returns the manifest."""
     master_seed, n = _whole(master_seed, "master_seed"), _whole(n, "n", ">= 0")
-    # built (lazily, no matrix yet) even for n = 0, so a bad geometry fails here
-    drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec))
+    # built only when a pair renders through it, so an empty dataset pays
+    # no build; the spec has read its geometry fields with their bounds
+    drr_op = DrrOperator(grid_for(spec), geometry_for(spec), step_for(spec)) if n else None
     os.makedirs(out_dir, exist_ok=True)
     members = []
     for i in range(n):

@@ -200,17 +200,17 @@ class DrrOperator:
     back through the same interpolation weights, which keeps
     finite-difference checks of projection-domain losses consistent.
 
-    The emitters' matrices are built on first use (``render_all`` forces
-    them), stacked pixel-major and kept as one column-stored matrix A:
-    ``forward`` is A times a volume and ``adjoint`` the product with A's
-    transpose, the same arrays read by row, so the two are exact
-    transposes by construction.  The projection loss renders and
-    back-projects through A's columns at the voxels the warped volume does
-    not zero, sliced once per evaluation, instead of through the full
-    products.  With four emitters A takes about 7 MB at 32 cubed (40 x 40
-    pixels) and about 56 MB at 64 cubed (80 x 80 pixels).  Each emitter's
-    count of stored entries is kept from the build, so ``_nnz`` reads no
-    entry.
+    The emitters' matrices are built at construction, stacked pixel-major
+    and kept as one column-stored matrix ``_A``: row p * n_emitters + i is
+    emitter i's ``_build`` row for pixel p, entry for entry.  ``forward``
+    is A times a volume and ``adjoint`` the product with A's transpose,
+    the same arrays read by row, so the two are exact transposes by
+    construction.  The projection loss renders and back-projects through
+    A's columns at the voxels the warped volume does not zero, sliced once
+    per evaluation, instead of through the full products.  With four
+    emitters A takes about 7 MB at 32 cubed (40 x 40 pixels) and about
+    56 MB at 64 cubed (80 x 80 pixels).  ``_counts``, each emitter's count
+    of stored entries, is kept from the build.
     """
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
@@ -220,31 +220,14 @@ class DrrOperator:
         self.grid = grid
         self.geometry = geometry
         self.step_mm = step_mm
-        self._A = self._counts = None  # A and its per-emitter entry counts
-
-    def _matrix(self) -> sparse.csc_matrix:
-        """The stacked matrix A in CSC form, built once.
-
-        Row p * n_emitters + i of A is emitter i's matrix row for pixel p,
-        so A @ volume is the ``ProjectionSet`` layout and the rows of each
-        emitter are every n_emitters-th row.  Each row is ``_build``'s row,
-        entry for entry, so A's products equal each emitter's own.
-        """
-        if self._A is None:
-            n = self.geometry.n_emitters
-            rows = sparse.vstack([self._build(i) for i in range(n)], format="csr")
-            npix = rows.shape[0] // n
-            # rebinding frees the unpermuted stack, so no more than two
-            # copies of A are alive at once, here and in tocsc
-            rows = rows[(np.arange(n) * npix + np.arange(npix)[:, None]).reshape(-1)]
-            self._counts = np.diff(rows.indptr).reshape(-1, n).sum(axis=0)
-            self._A = rows.tocsc()
-        return self._A
-
-    def _nnz(self) -> np.ndarray:
-        """Stored entries of each emitter's matrix, counted at the build."""
-        self._matrix()
-        return self._counts
+        n = geometry.n_emitters
+        rows = sparse.vstack([self._build(i) for i in range(n)], format="csr")
+        npix = rows.shape[0] // n
+        # rebinding frees the unpermuted stack, so no more than two
+        # copies of A are alive at once, here and in tocsc
+        rows = rows[(np.arange(n) * npix + np.arange(npix)[:, None]).reshape(-1)]
+        self._counts = np.diff(rows.indptr).reshape(-1, n).sum(axis=0)
+        self._A = rows.tocsc()
 
     def _build(self, emitter_index: int):
         grid, geom, step = self.grid, self.geometry, self.step_mm
@@ -296,13 +279,13 @@ class DrrOperator:
         Returns ``detector_dims + (n_emitters,)``, the ``ProjectionSet``
         layout, from one sparse product.
         """
-        out = self._matrix() @ np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
+        out = self._A @ np.ascontiguousarray(vol_data, dtype=np.float64).reshape(-1)
         return out.reshape(self.geometry.detector_dims + (self.geometry.n_emitters,))
 
     def adjoint(self, pix_data: np.ndarray) -> np.ndarray:
         """Transpose map: ``detector_dims + (n_emitters,)`` pixel values back to
         (W,H,D) voxels, summed over the emitters in one sparse product."""
-        out = self._matrix().T @ np.ascontiguousarray(pix_data, dtype=np.float64).reshape(-1)
+        out = self._A.T @ np.ascontiguousarray(pix_data, dtype=np.float64).reshape(-1)
         return out.reshape(self.grid.dims)
 
     def render_all(self, vol: Image3D) -> ProjectionSet:

@@ -507,22 +507,17 @@ def _warp_coords(src_grid: GridSpec, grid: GridSpec, data: np.ndarray) -> np.nda
     return g.reshape(3, -1).T
 
 
-def warp_image(src, u: DisplacementField, interp: str = "trilinear"):
-    """Resample ``src`` at x + u(x) over the grid of ``u``.
-
-    Masks must be warped with ``interp="nearest"`` so values stay binary.
-    """
-    return _resample(src, u.grid, _warp_coords(src.grid, u.grid, u.data), interp)
+def warp_image(src, u: DisplacementField):
+    """Resample ``src`` at x + u(x) over the grid of ``u``: a ``Mask3D`` by
+    its nearest voxel, so values stay binary, any other image trilinearly."""
+    return _resample(src, u.grid, _warp_coords(src.grid, u.grid, u.data))
 
 
-def _resample(src, grid: GridSpec, g: np.ndarray, interp: str):
+def _resample(src, grid: GridSpec, g: np.ndarray):
     """``src`` sampled at source-voxel coords ``g``, one row per voxel of
-    ``grid`` in C order, as an image of its own type and dtype on ``grid``."""
-    if interp not in ("trilinear", "nearest"):
-        raise ValueError(f"unknown interpolation mode {interp!r}")
-    if isinstance(src, Mask3D) and interp != "nearest":
-        raise ValueError("Mask3D must be warped with nearest-neighbor interpolation")
-    sample = sample_trilinear if interp == "trilinear" else sample_nearest
+    ``grid`` in C order, as an image of its own type and dtype on ``grid``;
+    a ``Mask3D`` is sampled by its nearest voxel, any other trilinearly."""
+    sample = sample_nearest if isinstance(src, Mask3D) else sample_trilinear
     vals = sample(src.data.astype(np.float64, copy=False), g)
     out = vals.reshape(grid.dims).astype(src.data.dtype, copy=False)
     return type(src)(grid.dims, grid.spacing, grid.origin, out)

@@ -330,7 +330,7 @@ class LossContext:
             names = ["masked target"]
         else:
             names = [f"projection {i}" for i in range(n)]
-            for i, nnz in enumerate(op._nnz()):
+            for i, nnz in enumerate(op._counts):
                 # an emitter whose rays all miss the grid renders zero for every field
                 if nnz == 0:
                     raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
@@ -360,7 +360,7 @@ class LossContext:
         # for sim2d, A's columns at the supported voxels, the only ones the
         # warped volume does not zero, so A @ warped is cols @ vals, each
         # pixel summed in the same order
-        cols = None if self.drr_op is None else self.drr_op._matrix()[:, active]
+        cols = None if self.drr_op is None else self.drr_op._A[:, active]
         if cols is None:  # the identity renders the warped volume
             rendered = np.zeros((coords.shape[0], 1))
             rendered[active, 0] = vals

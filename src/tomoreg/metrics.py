@@ -85,7 +85,7 @@ def evaluate_registration(u: DisplacementField, lm_src: Landmarks,
     resid, notes = _landmark_residuals(u, lm_src, lm_tgt)
     per_axis = np.mean(np.abs(resid), axis=0)
     mtre_val = float(np.mean(np.linalg.norm(resid, axis=1)))
-    warped = warp_image(source_mask, u, interp="nearest")
+    warped = warp_image(source_mask, u)
     stats = jacobian_stats(u)
     return MetricsReport(
         mtre_mm=mtre_val,

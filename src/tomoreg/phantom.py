@@ -67,16 +67,19 @@ class AcquisitionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_emitters", _whole(self.n_emitters, "n_emitters", "count"))
-        for name in ("span_angle_deg", "source_detector_distance_mm", "step_mm"):
+        # with the bounds of the builders that read them, so an error names
+        # the field
+        for name, bound in (("span_angle_deg", "(0, 180)"),
+                            ("source_detector_distance_mm", "> 0"), ("step_mm", "> 0")):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _real(value, name))
+                object.__setattr__(self, name, _real(value, name, bound))
         # tuples, as the defaults are, so a spec read back from JSON lists
         # compares equal to the one that was written
-        for name in ("line_offset_mm", "detector_spacing_mm"):
+        for name, bound in (("line_offset_mm", None), ("detector_spacing_mm", "> 0")):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _entries(value, 2, _real, name))
+                object.__setattr__(self, name, _entries(value, 2, _real, name, bound))
         if self.detector_dims is not None:
             object.__setattr__(self, "detector_dims",
                                _dims(self.detector_dims, 2, "detector_dims", "pixels"))
@@ -362,7 +365,7 @@ def _solve_target_landmarks(u: DisplacementField, pts_src: np.ndarray) -> np.nda
     p = pts_src.copy()
     for _ in range(_LANDMARK_MAX_ITERS):
         p_new = pts_src - sample(grid.world_to_voxel(p))
-        if float(np.max(np.linalg.norm(p_new - p, axis=1))) < _LANDMARK_TOL_MM:
+        if float(np.max(np.linalg.norm(p_new - p, axis=1), initial=0.0)) < _LANDMARK_TOL_MM:
             return p_new
         p = p_new
     raise RuntimeError("landmark fixed-point iteration did not converge")
@@ -386,8 +389,8 @@ def make_pair(spec: PhantomSpec, seed: int,
 
     # both warps sample at the same coordinates, computed once
     g = _warp_coords(source.grid, u_true.grid, u_true.data)
-    target = _resample(source, u_true.grid, g, "trilinear")
-    target_mask = _resample(source_mask, u_true.grid, g, "nearest")
+    target = _resample(source, u_true.grid, g)
+    target_mask = _resample(source_mask, u_true.grid, g)
     lm_tgt_pts = _solve_target_landmarks(u_true, lm_src.points)
     lm_tgt = Landmarks(lm_src.ids.copy(), lm_tgt_pts)
 

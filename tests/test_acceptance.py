@@ -269,7 +269,7 @@ def test_criterion_05_recovery(pairs64, reg3d, capsys):
         reductions.append(red)
         n_red += red >= 0.70
         d0 = dice(pair.source_mask, pair.target_mask)
-        d1 = dice(warp_image(pair.source_mask, u, interp="nearest"),
+        d1 = dice(warp_image(pair.source_mask, u),
                   pair.target_mask)
         n_dice += d1 > d0
         n_fold += jacobian_stats(u).pct_negative < 0.5

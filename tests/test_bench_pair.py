@@ -353,7 +353,7 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     setup = [f.data for f in fields] + [
         op.forward(rng.random(op.grid.dims)),
         op.adjoint(rng.random(op.geometry.detector_dims + (op.geometry.n_emitters,))),
-        op._nnz()]
+        op._counts]
     setup += [pair.source.data, pair.target.data, pair.source_mask.data,
               pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
               pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data]

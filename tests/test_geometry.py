@@ -389,7 +389,7 @@ def test_the_stacked_matrix_holds_each_emitters_rows_entry_for_entry(scene):
     forward equals each emitter's own product bit for bit."""
     grid, geom, step, seed = scene
     op = DrrOperator(grid, geom, step_mm=step)
-    A = op._matrix().tocsr()
+    A = op._A.tocsr()
     n = geom.n_emitters
     vol = np.random.default_rng(seed).random(grid.dims)
     got = op.forward(vol)
@@ -402,7 +402,28 @@ def test_the_stacked_matrix_holds_each_emitters_rows_entry_for_entry(scene):
         assert_array_equal(rows.data.view(np.int64), own.data.view(np.int64))
         want = own @ vol.reshape(-1)
         assert_array_equal(got[..., i].reshape(-1).view(np.int64), want.view(np.int64))
-    assert_array_equal(op._nnz(), [op._build(i).nnz for i in range(n)])
+    assert_array_equal(op._counts, [op._build(i).nnz for i in range(n)])
+
+
+def test_the_operator_is_built_at_construction(monkeypatch):
+    """``DrrOperator(...)`` returns with its matrix and entry counts built,
+    one ``_build`` per emitter, and rendering builds nothing more."""
+    from scipy import sparse
+
+    spec = replace(SPEC32, dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8))
+    grid, geom = grid_for(spec), geometry_for(spec)
+    calls = []
+    build = DrrOperator._build
+    monkeypatch.setattr(DrrOperator, "_build",
+                        lambda op, i: calls.append(i) or build(op, i))
+    op = DrrOperator(grid, geom, step_for(spec))
+    assert calls == list(range(geom.n_emitters))
+    assert isinstance(op._A, sparse.csc_matrix)
+    assert op._A.shape == (geom.detector_dims[0] * geom.detector_dims[1] * geom.n_emitters,
+                           grid.n_voxels)
+    assert op._counts.sum() == op._A.nnz > 0
+    op.render_all(Image3D(grid.dims, grid.spacing, grid.origin, np.ones(grid.dims)))
+    assert len(calls) == geom.n_emitters
 
 
 def test_the_operator_holds_its_matrix_once():
@@ -420,7 +441,7 @@ def test_the_operator_holds_its_matrix_once():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    A = op._matrix()
+    A = op._A
     assert held < 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
@@ -435,7 +456,7 @@ def test_the_emitter_whose_rays_all_miss_the_grid_is_named():
                         detector_axes=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                         detector_dims=(8, 8), detector_spacing=(1.0, 1.0))
     op = DrrOperator(grid, geom)
-    nnz = op._nnz()
+    nnz = op._counts
     assert nnz[0] > 0 and nnz[1] == 0 and nnz[2] > 0
     rng = np.random.default_rng(4)
     ones = np.ones(grid.dims)

@@ -464,8 +464,10 @@ def test_zero_warp_is_bit_identical(dims, spacing, origin, dtype, seed):
     data = np.random.default_rng(seed).standard_normal(dims).astype(dtype)
     src = Image3D(dims, spacing, origin, data)
     u = zero_displacement(src.grid)
-    for interp in ("trilinear", "nearest"):
-        assert_same_bits(warp_image(src, u, interp).data, data)
+    assert_same_bits(warp_image(src, u).data, data)
+    # a mask is sampled by its nearest voxel
+    binary = (data > 0).astype(dtype)
+    assert_same_bits(warp_image(Mask3D(dims, spacing, origin, binary), u).data, binary)
     data64 = data.astype(np.float64)
     vals, _ = warp(data64, _warp_coords(src.grid, u.grid, u.data))
     assert_same_bits(vals, data.astype(np.float64).reshape(-1))
@@ -527,7 +529,7 @@ def test_nearest_mask_warp_stays_binary():
                   (rng.random((6, 6, 6)) > 0.5).astype(np.float64))
     u = DisplacementField((6, 6, 6), (1.5, 1.5, 1.5), (0, 0, 0),
                           0.8 * rng.standard_normal((6, 6, 6, 3)))
-    out = warp_image(mask, u, interp="nearest")
+    out = warp_image(mask, u)
     assert isinstance(out, Mask3D)
     assert set(np.unique(out.data)) <= {0.0, 1.0}
 
@@ -537,9 +539,12 @@ def test_nearest_mask_warp_stays_binary():
 def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
     """Voxel coordinates beyond the int64 range are bounded before the cast;
     at a sub-millimetre spacing +-1e308 mm overflows to an infinite voxel
-    coordinate, on the source's own grid and on another one."""
+    coordinate, on the source's own grid and on another one.  An image is
+    sampled trilinearly, a mask by its nearest voxel."""
     for spacing in (1.0, 0.5):
         src = rand_image(12, dims=(4, 4, 4), spacing=(spacing,) * 3)
+        if interp == "nearest":
+            src = Mask3D(src.dims, src.spacing, src.origin, np.ones(src.dims))
         for origin in (src.origin, np.add(src.origin, 0.25)):
             for axes in ([0], [0, 1, 2]):
                 data = np.zeros((4, 4, 4, 3))
@@ -547,18 +552,12 @@ def test_far_outside_displacements_read_zeros_without_warnings(interp, mm):
                 u = DisplacementField(src.dims, src.spacing, origin, data)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    out = warp_image(src, u, interp)
+                    out = warp_image(src, u)
                     if interp == "trilinear":
                         vals, gradient = warp(src.data, _warp_coords(src.grid, u.grid, u.data))
                         assert_array_equal(vals, 0.0)
                         assert gradient()[0].size == 0  # no point in a supported cell
                 assert_array_equal(out.data, 0.0)
-
-
-def test_mask_warp_requires_nearest_mode():
-    mask = Mask3D((4, 4, 4), (1, 1, 1), (0, 0, 0), np.ones((4, 4, 4)))
-    with pytest.raises(ValueError):
-        warp_image(mask, zero_displacement(mask.grid), interp="trilinear")
 
 
 def test_warp_rejects_nonfinite_displacement():

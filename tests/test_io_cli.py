@@ -21,7 +21,7 @@ from tomoreg import (DisplacementField, DrrOperator, GridSpec,
                      zero_displacement)
 from tomoreg import io as tio
 from tomoreg.cli import build_parser, generate_dataset, main
-from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
+from tomoreg.phantom import AcquisitionSpec, DeformationSpec, PhantomSpec, split_seed
 
 GRID = GridSpec((6, 5, 4), (1.5, 2.0, 1.0), (-1.0, 0.5, 3.0))
 
@@ -400,6 +400,23 @@ def test_generating_an_empty_dataset_is_allowed(tmp_path):
     assert manifest["members"] == []
 
 
+@pytest.mark.parametrize("n, builds", [(0, 0), (1, 2)])
+def test_phantom_gen_builds_the_drr_operator_only_to_render(tmp_path, monkeypatch, n, builds):
+    """An empty dataset builds no DRR matrix; one sample builds each of the
+    two emitters' matrices once."""
+    calls = []
+    build = DrrOperator._build
+    monkeypatch.setattr(DrrOperator, "_build",
+                        lambda op, i: calls.append(i) or build(op, i))
+    spec = PhantomSpec(dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8), n_vessels=1,
+                       geometry=AcquisitionSpec(n_emitters=2))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert main(["phantom", "gen", "--spec", str(path), "--n", str(n),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == list(range(builds))
+
+
 def test_a_negative_sample_count_exits_with_code_two(tmp_path, capsys):
     out = tmp_path / "neg"
     rc = main(["phantom", "gen", "--n", "-1", "--out", str(out)])
@@ -443,6 +460,11 @@ def test_register_flag_defaults_are_the_config_defaults(command):
     ({"geometry": {"detector_dims": [20.7, 20]}},
      "detector_dims must be a whole number, got 20.7"),
     ({"geometry": {"step_mm": 0}}, "step_mm must be positive and finite, got 0"),
+    ({"geometry": {"source_detector_distance_mm": -5}},
+     "source_detector_distance_mm must be positive and finite, got -5"),
+    ({"geometry": {"detector_spacing_mm": [-1, 1]}},
+     "detector_spacing_mm must be positive and finite, got -1"),
+    ({"geometry": {"span_angle_deg": 180}}, "span_angle_deg must lie in (0, 180), got 180"),
     ({"dims": [16, 16]}, "dims must have 3 entries, got 2"),
     ({"spacing": [2.0, 2.0, 2.0, 2.0]}, "spacing must have 3 entries, got 4"),
     ({"spacing": [True, "2.0", 2.0]}, "spacing must be a real number, got True"),
@@ -464,7 +486,8 @@ def test_register_flag_defaults_are_the_config_defaults(command):
         "infinite-smoothness", "nan-magnitude", "fractional-modes",
         "one-entry-offset", "fractional-dims", "fractional-seed",
         "fractional-vessels", "boolean-vessels", "fractional-emitters", "fractional-detector-dims",
-        "zero-step", "two-entry-dims", "four-entry-spacing", "boolean-spacing",
+        "zero-step", "negative-distance", "negative-detector-spacing", "flat-span",
+        "two-entry-dims", "four-entry-spacing", "boolean-spacing",
         "boolean-offset", "string-step", "boolean-step", "boolean-span",
         "boolean-distance", "boolean-magnitude", "string-magnitude",
         "boolean-smoothness"])
@@ -708,6 +731,30 @@ def test_register_dense_cli(dataset, tmp_path):
     rep = json.loads((tmp_path / "rd.json").read_text())
     assert rep["alpha"] is None
     assert rep["final_loss"] <= rep["loss_trace"][0]
+
+
+@pytest.mark.parametrize("command", ["subspace3d", "subspace2d", "dense"])
+def test_register_reruns_write_the_same_report_but_its_wall_time(
+        dataset, balanced_subspace, tmp_path, command):
+    """``wall_time_s`` is the one output byte a rerun may change."""
+    _, out = dataset
+    sd = sample_dir(out)
+    volume = ["--target", str(sd / "target.json"), "--target-mask", str(sd / "target_mask.json")]
+    subspace = ["--subspace", str(balanced_subspace)]
+    inputs = {"subspace3d": volume + subspace, "dense": volume,
+              "subspace2d": ["--projections", str(sd / "projections.json"),
+                             "--geometry", str(sd / "geometry.json")] + subspace}
+    args = ["register", command, "--source", str(sd / "source.json"),
+            "--source-mask", str(sd / "source_mask.json"), "--iters", "5", *inputs[command]]
+    reports, fields = [], []
+    for run in ("a", "b"):
+        report, dvf = tmp_path / f"report_{run}.json", tmp_path / f"u_{run}.json"
+        assert main(args + ["--report", str(report), "--out-dvf", str(dvf)]) == 0
+        reports.append(json.loads(report.read_text()))
+        fields.append((tmp_path / f"u_{run}.raw").read_bytes())
+    assert all(r.pop("wall_time_s") > 0.0 for r in reports)
+    assert reports[0] == reports[1]
+    assert fields[0] == fields[1]
 
 
 def test_written_field_matches_written_coefficients(dataset, balanced_subspace,

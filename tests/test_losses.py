@@ -918,7 +918,7 @@ def test_a_projection_evaluation_slices_the_matrix_once(monkeypatch):
             slices.append(key)
             return super().__getitem__(key)
 
-    op._A = CountingColumns(op._matrix())
+    op._A = CountingColumns(op._A)
     full = [counting(monkeypatch, DrrOperator, name) for name in ("forward", "adjoint")]
     loss, grad = ctx2._subspace_objective(sub)(alpha)
     g, H = grad(), grad.gauss_newton()

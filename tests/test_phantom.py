@@ -13,6 +13,7 @@ from tomoreg import (AcquisitionSpec, DeformationSpec, DrrOperator,
                      PhantomSpec, gen_phantom, gen_smooth_dvf, geometry_for,
                      grid_for, jacobian_stats, make_pair, mtre, step_for,
                      zero_displacement)
+from tomoreg import io as tio
 from tomoreg.cli import main
 from tomoreg.phantom import (_GRAD_CAP, _WAYPOINTS_PER_VESSEL, _deformation_modes,
                              _region_frame, split_seed)
@@ -132,6 +133,23 @@ def test_no_tubes_means_no_landmarks():
     spec = replace(SPEC32, n_vessels=0)
     _, _, lm = gen_phantom(spec)
     assert len(lm.ids) == 0
+
+
+def test_a_tube_free_pair_has_no_landmarks_on_either_side(tmp_path):
+    """``n_vessels`` may be 0: the pair then has no landmarks on either
+    side, and the dataset's landmark files hold their header only."""
+    spec = PhantomSpec(dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8), n_vessels=0,
+                       geometry=AcquisitionSpec(n_emitters=2))
+    pair = make_pair(spec, 3)
+    assert len(pair.lm_src) == len(pair.lm_tgt) == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert main(["phantom", "gen", "--spec", str(path), "--n", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    for side in ("source", "target"):
+        csv = tmp_path / "out" / "sample_000" / f"landmarks_{side}.csv"
+        assert csv.read_text() == "id,x,y,z\n"
+        assert len(tio.read_landmarks(str(csv))) == 0
 
 
 def test_spec_validation():

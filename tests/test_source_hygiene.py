@@ -9,6 +9,10 @@ unused.  The test and tool scripts get the import check only: tuple
 unpacking there often binds names a test does not read.  No module of
 ``src/tomoreg`` imports from another package's private parts, such as
 ``scipy.ndimage._filters``: those change without notice between releases.
+Every private name that a module of ``src/tomoreg`` defines at module level
+or in a class body there (a function, a class or a constant; dunders
+aside) is read somewhere in ``src/tomoreg``, so no helper outlives its
+last caller.
 """
 import ast
 from pathlib import Path
@@ -76,6 +80,31 @@ def private_imports(tree) -> list:
     return sorted(found)
 
 
+def _defined(tree) -> set:
+    """Names bound at module level or in a class body at module level."""
+    names = set()
+    for body in [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def unread_private_names(trees: dict) -> list:
+    """(module, name) for each private, non-dunder name a module of ``trees``
+    defines and no module reads, as a name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        read |= _loaded(tree) | {n.attr for n in ast.walk(tree)
+                                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _defined(tree) - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports_or_dead_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -86,6 +115,12 @@ def test_module_has_no_unused_imports_or_dead_locals(path):
 def test_module_imports_only_public_third_party_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert private_imports(tree) == []
+
+
+def test_every_private_name_has_a_reader():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(trees) == []
 
 
 @pytest.mark.parametrize("path", SCRIPTS,
@@ -117,6 +152,18 @@ def test_the_checks_see_what_they_look_for():
         "from .grids import _real\n")
     assert private_imports(tree) == ["numpy._core", "scipy.ndimage._filters.correlate1d",
                                      "scipy.ndimage._ni_support"]
+    tree = ast.parse(
+        "_USED, _UNUSED = 1, 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Operator:\n"
+        "    _step: float = 0.5\n"
+        "    def __init__(self):\n"
+        "        self._A = _Operator._step\n"
+        "    def _matrix(self):\n"
+        "        return self._A\n")
+    assert unread_private_names({"m.py": tree}) == [
+        ("m.py", "_UNUSED"), ("m.py", "_helper"), ("m.py", "_matrix")]
 
 
 def test_all_lists_exactly_the_names_the_package_imports():

@@ -155,7 +155,7 @@ op = timed("drr_build_s", forced_operator)
 rng = np.random.default_rng(seed)
 for part in (op.forward(rng.random(op.grid.dims)),
              op.adjoint(rng.random(op.geometry.detector_dims + (op.geometry.n_emitters,))),
-             op._nnz()):
+             op._counts):
     setup.update(np.ascontiguousarray(part))
 pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
 for part in (pair.source.data, pair.target.data, pair.source_mask.data,
