@@ -112,14 +112,6 @@ def _cmd_subspace_build(args) -> int:
     return 0
 
 
-def _loss_cfg(args, mode: str) -> LossConfig:
-    return LossConfig(lam=args.lam, loss_mode=mode)
-
-
-def _opt_cfg(args) -> OptimConfig:
-    return OptimConfig(max_iters=args.iters)
-
-
 def _write_reg_outputs(args, u, report, alpha=None) -> None:
     if args.out_dvf:
         tio.write_dvf(args.out_dvf, u)
@@ -136,8 +128,8 @@ def _cmd_register_subspace3d(args) -> int:
     tmask = tio.read_mask3d(args.target_mask)
     sub = tio.read_subspace(args.subspace)
     alpha, u, report = register_subspace_3d(source, target, smask, tmask, sub,
-                                            loss_cfg=_loss_cfg(args, "sim3d"),
-                                            opt_cfg=_opt_cfg(args))
+                                            LossConfig(args.lam, "sim3d"),
+                                            OptimConfig(args.iters))
     _write_reg_outputs(args, u, report, alpha)
     return 0
 
@@ -149,10 +141,9 @@ def _cmd_register_subspace2d(args) -> int:
     projs = tio.read_projections(args.projections, geom)
     sub = tio.read_subspace(args.subspace)
     alpha, u, report = register_subspace_2d(source, projs, smask, sub,
-                                            loss_cfg=_loss_cfg(args, "sim2d"),
-                                            opt_cfg=_opt_cfg(args),
-                                            drr_op=DrrOperator(source.grid, geom,
-                                                               args.step_mm))
+                                            LossConfig(args.lam, "sim2d"),
+                                            OptimConfig(args.iters),
+                                            DrrOperator(source.grid, geom, args.step_mm))
     _write_reg_outputs(args, u, report, alpha)
     return 0
 
@@ -163,8 +154,7 @@ def _cmd_register_dense(args) -> int:
     smask = tio.read_mask3d(args.source_mask)
     tmask = tio.read_mask3d(args.target_mask)
     u, report = register_dense_3d(source, target, smask, tmask,
-                                  loss_cfg=_loss_cfg(args, "sim3d"),
-                                  opt_cfg=_opt_cfg(args))
+                                  LossConfig(args.lam, "sim3d"), OptimConfig(args.iters))
     _write_reg_outputs(args, u, report)
     return 0
 

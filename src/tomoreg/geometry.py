@@ -210,7 +210,9 @@ class DrrOperator:
     per evaluation, instead of through the full products.  With four
     emitters A takes about 7 MB at 32 cubed (40 x 40 pixels) and about
     56 MB at 64 cubed (80 x 80 pixels).  ``_counts``, each emitter's count
-    of stored entries, is kept from the build.
+    of stored entries, and ``_reached``, its count of rays that reach the
+    volume's box, are kept from the build: an emitter whose rays reach the
+    box but store no entry has a step too long to sample the volume.
     """
 
     def __init__(self, grid: GridSpec, geometry: SdctGeometry,
@@ -221,6 +223,7 @@ class DrrOperator:
         self.geometry = geometry
         self.step_mm = step_mm
         n = geometry.n_emitters
+        self._reached = np.zeros(n, dtype=np.int64)  # set by _build
         rows = sparse.vstack([self._build(i) for i in range(n)], format="csr")
         npix = rows.shape[0] // n
         # rebinding frees the unpermuted stack, so no more than two
@@ -230,6 +233,8 @@ class DrrOperator:
         self._A = rows.tocsc()
 
     def _build(self, emitter_index: int):
+        """Emitter ``emitter_index``'s (pixels, voxels) CSR matrix; its count
+        of rays that reach the volume's box goes into ``_reached``."""
         grid, geom, step = self.grid, self.geometry, self.step_mm
         c = geom.emitter_positions[emitter_index]
         pix = geom.pixel_centers().reshape(-1, 3)
@@ -252,6 +257,7 @@ class DrrOperator:
         tmin, tmax = _segment_box_range(c, unit, length, lo, hi)
         # a ray parallel to an axis outside the box misses with infinite bounds
         hit = tmax > tmin
+        self._reached[emitter_index] = np.count_nonzero(hit)
         tmin, tmax = np.where(hit, tmin, 0.0), np.where(hit, tmax, 0.0)
 
         n_total = np.floor(length / step).astype(np.int64)

@@ -77,9 +77,21 @@ times ``jac`` to the parameters and pushed through the DRR matrix, and
 from the centred renderings among the correlation terms, it forms the
 matrix of the similarity.  The subspace objective's callable carries
 ``gauss_newton()``, that matrix in alpha plus the regulariser's exact
-2 lam G, which the descent factors once per registration as its initial
-inverse Hessian.  Its DRR product reuses the evaluation's column slice
-of the DRR matrix, so it slices nothing again.
+2 lam G.  Its DRR product reuses the evaluation's column slice of the DRR
+matrix, so it slices nothing again.
+
+Each objective also carries ``h0(grad_fn)``, the initial inverse Hessian
+H0 that the descent asks for once per registration, at the starting
+point's gradient callable, as (apply, scaled): ``apply`` maps a flat
+vector to H0 times it, the identity when None, and ``scaled`` says whether
+the descent scales H0 by gamma.  The subspace objective's checks the
+callable's Gauss-Newton matrix for finiteness and factors it by Cholesky:
+H^-1, unscaled, or gamma * I when H is not positive definite.  The dense
+objective's is a Gaussian filter of one voxel per axis with the "nearest"
+edge, scaled: three small matrix products, one per axis, each matrix
+holding the 1-D filter's weights, built when ``h0`` is called, so no
+plain evaluation builds it.  It equals ``scipy.ndimage.gaussian_filter``
+to rounding at the cost of a few BLAS calls.
 """
 from __future__ import annotations
 
@@ -87,6 +99,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.ndimage import gaussian_filter1d
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import (DisplacementField, Image3D, Mask3D, _cell_support, _pad,
@@ -95,6 +109,9 @@ from .subspace import DeformationSubspace, _coefficients
 
 _EPS = 1e-8
 _ORTHONORMAL_TOL = 1e-6  # on max |B B^T - I|
+# Gaussian filter of the dense descent direction, in voxels along each
+# axis; none across the three components
+_SMOOTH_SIGMA = 1.0
 
 LOSS_MODES = ("sim3d", "sim2d")
 
@@ -275,6 +292,19 @@ def _plan(sub: DeformationSubspace) -> _Plan:
     return sub._plan
 
 
+def _gauss_newton_h0(grad_fn):
+    """H^-1 by Cholesky, unscaled, for the Gauss-Newton matrix H that
+    ``grad_fn`` carries; (None, True), gamma * I, when H is not positive
+    definite."""
+    H = grad_fn.gauss_newton()
+    _check_finite(H, "Gauss-Newton matrix")
+    try:
+        factor = cho_factor(H)
+    except LinAlgError:
+        return None, True
+    return (lambda q: cho_solve(factor, q)), False
+
+
 # ---------------------------------------------------------------------------
 # loss context: precomputations shared across evaluations
 # ---------------------------------------------------------------------------
@@ -302,7 +332,7 @@ class LossContext:
 
         if cfg.loss_mode == "sim3d":
             if target is None or target_mask is None:
-                raise ValueError("sim3d needs a target volume and target mask")
+                raise ValueError("loss_mode 'sim3d' needs a target volume and target mask")
             if target.grid != self.grid or target_mask.grid != self.grid:
                 raise ValueError("target grids must match the source grid")
             self.drr_op = None
@@ -310,7 +340,7 @@ class LossContext:
             self._measured = fixed.reshape(1, -1)
         else:
             if projections is None:
-                raise ValueError("sim2d needs a projection set")
+                raise ValueError("loss_mode 'sim2d' needs a projection set")
             if drr_op is None:
                 drr_op = DrrOperator(self.grid, projections.geometry)
             else:
@@ -330,10 +360,13 @@ class LossContext:
             names = ["masked target"]
         else:
             names = [f"projection {i}" for i in range(n)]
-            for i, nnz in enumerate(op._counts):
-                # an emitter whose rays all miss the grid renders zero for every field
+            for i, (nnz, reached) in enumerate(zip(op._counts, op._reached)):
+                # an emitter with no entry renders zero for every field
                 if nnz == 0:
-                    raise ValueError(f"projection {i}: no ray of emitter {i} meets the volume")
+                    raise ValueError(f"projection {i}: " + (
+                        f"the rays of emitter {i} cross the volume, but no sample at "
+                        f"step_mm {op.step_mm} falls in it" if reached else
+                        f"no ray of emitter {i} meets the volume"))
         msrc = self._padded[2:-2, 2:-2, 2:-2]
         for name, arr in zip(["masked source", *names], [msrc, *self._measured]):
             if np.ptp(arr) == 0.0:
@@ -439,6 +472,7 @@ class LossContext:
                                          + (2.0 * lam) * plan.G)
             return loss, grad
 
+        objective.h0 = _gauss_newton_h0
         return objective
 
     def _dense_objective(self):
@@ -477,6 +511,23 @@ class LossContext:
 
             return total, grad
 
+        def h0(grad_fn):
+            """The Gaussian filter of the flat direction, scaled by gamma."""
+            # the filter along each axis as the matrix of its weights, the
+            # "nearest" edge folded in: K @ v filters v, so three small
+            # products filter the (W,H,D,3) direction
+            kx, ky, kz = (gaussian_filter1d(np.eye(n), _SMOOTH_SIGMA, axis=0, mode="nearest")
+                          for n in grid.dims)
+            nx, ny, nz = grid.dims
+
+            def smooth(gflat):
+                g = (kx @ gflat.reshape(nx, -1)).reshape(nx, ny, nz * 3)
+                g = np.matmul(ky, g).reshape(nx * ny, nz, 3)
+                return np.matmul(kz, g).reshape(-1)
+
+            return smooth, True
+
+        objective.h0 = h0
         return objective
 
     def loss(self, u: DisplacementField) -> float:

@@ -37,9 +37,12 @@ def _landmark_residuals(u: DisplacementField, lm_src: Landmarks,
     """Residuals (l_t + u(l_t)) - l_s over usable landmark pairs.
 
     Target landmarks outside the grid extent of u are excluded; the
-    returned warning list says how many were dropped.
+    returned warning list says how many were dropped.  Empty landmark sets
+    are refused as such, before any grid test.
     """
     p_src, p_tgt = _paired_points(lm_src, lm_tgt)
+    if p_src.shape[0] == 0:
+        raise ValueError("the landmark sets are empty, so there is no landmark error")
     inside = u.grid.contains(p_tgt)
     notes = []
     if not np.all(inside):

@@ -1,47 +1,41 @@
 """Registration drivers: subspace coefficients or dense fields by descent.
 
-Each driver descends one objective that its loss context builds: a
-function of a flat parameter vector that evaluates the total loss at a
-point and returns it with a callable for its analytic gradient there.  The
-subspace drivers descend the context's subspace objective in the
-coefficients, whose regulariser is a k-by-k quadratic and whose
-coordinates come from the subspace's evaluation plan.  The dense driver
-descends the context's dense objective in the flat per-voxel field, which
-evaluates the diffusion regulariser on the grid.  So no driver builds a
-field until the result, and only the loss layer knows how a vector lays
-out a field.  Each objective reads the regulariser weight from the
-context's ``LossConfig``.  The descent loop sees only the objective and
-the field's grid.
+Each driver builds a loss context, checks its operands' contrast and
+descends one objective that the context builds: a function of a flat
+parameter vector that evaluates the total loss at a point and returns it
+with a callable for its analytic gradient there.  The subspace drivers
+descend the context's subspace objective in the coefficients, whose
+regulariser is a k-by-k quadratic and whose coordinates come from the
+subspace's evaluation plan.  The dense driver descends the context's dense
+objective in the flat per-voxel field, which evaluates the diffusion
+regulariser on the grid.  So no driver builds a field until the result,
+and only the loss layer knows how a vector lays out a field.  Each
+objective reads the regulariser weight and the loss mode from the
+context's ``LossConfig``; a driver given a config of the other mode is
+refused by the context, which then lacks the operands that mode needs.
+The descent loop sees only the objective and the field's grid.
 
 The optimizer is limited-memory BFGS (Nocedal & Wright, Numerical
 Optimization, ch. 7) with an Armijo backtracking line search (c = 1e-4,
 shrink factor 0.5).  It keeps the last 7 curvature pairs (s, y) with
-s.y > 0.  Two kinds of initial inverse Hessian H0:
+s.y > 0.  The initial inverse Hessian H0 comes from the objective itself,
+as ``objective.h0(grad_fn)`` at the starting point (see ``losses``):
 
-* For the subspace drivers, the inverse of H, the k-by-k Gauss-Newton
-  matrix of the loss in alpha at alpha = 0: (1/n) sum over the n measured
-  operands of Jt^T Jt / |r - mean r|^2, plus the regulariser's exact
-  2 lam G.  J is the rendering's Jacobian in alpha, the warp's derivative
-  times the scaled basis rows pushed through the DRR matrix (the identity
-  for sim3d); Jt is J with its columns centred and the normalised centred
-  rendering r projected out.  H comes from the first evaluation's own
-  state, with no second warp and, for sim2d, no second slice of the DRR
-  matrix, and costs about a third of a value evaluation.  It has its own
-  scale, so it is not scaled by gamma and every first trial is the unit
-  step.  The projection loss is many times flatter along depth than in the
-  detector plane, the depth ambiguity of a limited-angle acquisition; H
-  gives that scale from the start instead of leaving L-BFGS to learn it,
-  so a projection registration needs about half the iterations.  An H that
-  is not positive definite, which takes lam = 0 and a direction no operand
-  sees, leaves the rule below.
-* Otherwise, gamma times the driver's smoothing of the direction, gamma
-  = s.y / y.y of the newest pair.  For the subspace drivers the smoothing
-  is the identity.  For the dense driver it is a Gaussian filter of one
-  voxel per axis with the "nearest" edge, applied as three small matrix
-  products, one per axis: each matrix holds the 1-D filter's weights,
-  built once per registration.  While no pair is stored the direction is
-  steepest (or smoothed) descent and its first trial moves the field by
-  one voxel RMS; once a pair is stored the first trial is the unit step.
+* The subspace objective's is the inverse of H, the k-by-k Gauss-Newton
+  matrix of the loss in alpha at alpha = 0, factored by Cholesky.  It has
+  its own scale, so it is not scaled by gamma and every first trial is the
+  unit step.  The projection loss is many times flatter along depth than
+  in the detector plane, the depth ambiguity of a limited-angle
+  acquisition; H gives that scale from the start instead of leaving L-BFGS
+  to learn it, so a projection registration needs about half the
+  iterations.  An H that is not positive definite, which takes lam = 0 and
+  a direction no operand sees, gives gamma * I instead.
+* The dense objective's is gamma times a Gaussian filter of one voxel per
+  axis with the "nearest" edge, gamma = s.y / y.y of the newest pair.
+
+With H0 scaled by gamma and no pair stored the direction is steepest (or
+smoothed) descent and its first trial moves the field by one voxel RMS;
+once a pair is stored the first trial is the unit step.
 
 The two-loop recursion updates one work vector in place with BLAS axpys.
 No step size is configured.  The history costs 2 * 7 floats per
@@ -60,9 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import daxpy, ddot, dscal
-from scipy.ndimage import gaussian_filter1d
 
 from .geometry import DrrOperator, ProjectionSet
 from .grids import DisplacementField, GridSpec, Image3D, Mask3D, _whole
@@ -80,9 +72,6 @@ _TOL_LOSS = 1e-8
 # converged_grad: every gradient entry is below this in magnitude.  Being
 # positive, it keeps the descent direction non-zero with a negative slope.
 _TOL_GRAD = 1e-9
-# Gaussian filter of the dense descent direction, in voxels along each
-# axis; none across the three components
-_SMOOTH_SIGMA = 1.0
 
 
 @dataclass
@@ -103,12 +92,12 @@ class RegistrationReport:
     wall_time_s: float
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs, smooth, scaled: bool = True) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, pairs, apply, scaled: bool = True) -> np.ndarray:
     """-H g by the two-loop recursion over ``pairs`` of (s, y, s.y), oldest first.
 
-    H0 is gamma * ``smooth`` (the identity when None), gamma = s.y / y.y of
+    H0 is gamma * ``apply`` (the identity when None), gamma = s.y / y.y of
     the newest pair, and 1 with no pair, so then the direction is -H0 g.
-    Unless ``scaled``, gamma is 1 throughout: ``smooth`` is then an inverse
+    Unless ``scaled``, gamma is 1 throughout: ``apply`` is then an inverse
     Hessian with its own scale.  One work vector is updated in place by
     BLAS axpys, scaled by gamma and negated, so no pair adds a temporary of
     the parameter's size.
@@ -119,7 +108,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs, smooth, scaled: bool = True) -> np
         a = ddot(s, q) / sy
         q = daxpy(y, q, a=-a)
         coefs.append(a)
-    r = q if smooth is None else smooth(q)
+    r = q if apply is None else apply(q)
     if pairs and scaled:
         _, y, sy = pairs[-1]
         r = dscal(sy / ddot(y, y), r)
@@ -128,24 +117,17 @@ def _lbfgs_direction(grad: np.ndarray, pairs, smooth, scaled: bool = True) -> np
     return np.negative(r, out=r)
 
 
-def _inverse(H: np.ndarray):
-    """q -> H^-1 q by ``H``'s Cholesky factor; None when ``H`` is not
-    positive definite."""
-    try:
-        factor = cho_factor(H)
-    except LinAlgError:
-        return None
-    return lambda q: cho_solve(factor, q)
-
-
-def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None,
-              smooth=None):
+def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None):
     """L-BFGS on a flat parameter vector x for the loss ``objective`` gives.
 
     ``objective(x)`` returns the loss at x and a zero-argument callable for
-    its gradient in x; ``smooth``, when given, filters the direction and
-    scaled by gamma is the initial inverse Hessian H0 (gamma * I without
-    it).  ``grid`` is the field's grid.  Returns x and the report (no alpha).
+    its gradient in x.  ``objective.h0(grad_fn)`` gives the initial inverse
+    Hessian H0 as (apply, scaled): ``apply`` maps a vector to H0 times it
+    (the identity when None), and H0 is scaled by gamma when ``scaled``.
+    It is called once, with the starting point's gradient callable, after
+    the start has passed the converged_grad test, and H0 stays for the
+    whole run.  ``grid`` is the field's grid.  Returns x and the report (no
+    alpha).
 
     The run stops as converged_grad once every gradient entry is below
     ``_TOL_GRAD``.  Otherwise the iteration takes d = -H g from the stored
@@ -153,18 +135,11 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     not descend, so d is non-zero with a negative slope.  An accepted
     step's pair (s, y) is stored only when s.y > 0, which keeps H positive
     definite; the last ``_MEMORY`` are kept, 2 * ``_MEMORY`` floats per
-    parameter.  With a pair stored the first trial is the unit step, the
-    natural scale of a quasi-Newton step.  An accepted trial that does not
-    lower the loss has lost the slope to rounding: a flat stretch, which
-    ends as line_search_failed.
-
-    A gradient callable may also carry ``gauss_newton``, a zero-argument
-    callable for the curvature matrix H of the loss at its point, as the
-    subspace objective's do.  Then, once the starting point has passed the
-    converged_grad test, H is built there and factored by Cholesky, and
-    H^-1 is H0 for the whole run, unscaled by gamma: it has its own scale,
-    so every first trial is the unit step.  An H that is not positive
-    definite (lam = 0 and a direction that no operand sees) leaves H0 = I.
+    parameter.  With a pair stored, or with an unscaled H0, which has its
+    own scale, the first trial is the unit step, the natural scale of a
+    quasi-Newton step.  An accepted trial that does not lower the loss has
+    lost the slope to rounding: a flat stretch, which ends as
+    line_search_failed.
 
     Precondition: x maps to the field by an isometry, so a step in x moves
     the field's (W,H,D,3) entries by the same Euclidean length.  Both
@@ -191,25 +166,19 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     t0 = time.perf_counter()
     loss, grad_fn = value(x)
     grad = gradient(grad_fn)
-    gauss_newton = getattr(grad_fn, "gauss_newton", None)
     trace = [float(loss)]
     stop = "max_iters"
     first_len = min(grid.spacing) * np.sqrt(grid.n_voxels)
     pairs = deque(maxlen=_MEMORY)
-    h0, scaled = smooth, True
+    h0 = None
     for _ in range(cfg.max_iters):
         if max(grad.max(), -grad.min()) < _TOL_GRAD:
             stop = "converged_grad"
             break
-        if gauss_newton is not None:  # the starting point's H, once
-            H = gauss_newton()
-            _check_finite(H, "Gauss-Newton matrix")
-            solve = _inverse(H)
-            if solve is not None:
-                h0, scaled = solve, False
-            gauss_newton = None
+        if h0 is None:  # the starting point's, once
+            apply, scaled = h0 = objective.h0(grad_fn)
 
-        d = _lbfgs_direction(grad, pairs, h0, scaled)
+        d = _lbfgs_direction(grad, pairs, apply, scaled)
         slope = float(grad @ d)
         if slope >= 0.0:  # not a descent direction; fall back
             d = -grad
@@ -252,14 +221,6 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     return x, report
 
 
-def _loss_config(cfg: LossConfig | None, mode: str, driver: str) -> LossConfig:
-    """``cfg``, or the default config of ``mode``; another mode is rejected."""
-    cfg = cfg or LossConfig(loss_mode=mode)
-    if cfg.loss_mode != mode:
-        raise ValueError(f"{driver} needs loss_mode {mode!r}, got {cfg.loss_mode!r}")
-    return cfg
-
-
 def _register_subspace(ctx: LossContext, sub: DeformationSubspace,
                        opt_cfg: OptimConfig | None):
     """Fit subspace coefficients by descending ``ctx``'s subspace objective."""
@@ -275,8 +236,8 @@ def register_subspace_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                          loss_cfg: LossConfig | None = None,
                          opt_cfg: OptimConfig | None = None):
     """Volume-to-volume registration restricted to the subspace."""
-    cfg = _loss_config(loss_cfg, "sim3d", "register_subspace_3d")
-    ctx = LossContext(cfg, source, source_mask, target=target, target_mask=target_mask)
+    ctx = LossContext(loss_cfg or LossConfig(loss_mode="sim3d"), source, source_mask,
+                      target=target, target_mask=target_mask)
     return _register_subspace(ctx, sub, opt_cfg)
 
 
@@ -286,8 +247,8 @@ def register_subspace_2d(source: Image3D, projections: ProjectionSet,
                          opt_cfg: OptimConfig | None = None,
                          drr_op: DrrOperator | None = None):
     """Projection-driven registration; no target volume is ever read."""
-    cfg = _loss_config(loss_cfg, "sim2d", "register_subspace_2d")
-    ctx = LossContext(cfg, source, source_mask, projections=projections, drr_op=drr_op)
+    ctx = LossContext(loss_cfg or LossConfig(loss_mode="sim2d"), source, source_mask,
+                      projections=projections, drr_op=drr_op)
     return _register_subspace(ctx, sub, opt_cfg)
 
 
@@ -296,31 +257,16 @@ def register_dense_3d(source: Image3D, target: Image3D, source_mask: Mask3D,
                       opt_cfg: OptimConfig | None = None):
     """Free-form registration of a per-voxel displacement field.
 
-    A Gaussian filter (sigma of one voxel per axis, "nearest" edge), scaled
-    by gamma, is the initial inverse Hessian of the L-BFGS steps.  It is
-    applied as three small matrix products, one per axis, so it costs a
-    few BLAS calls instead of a pass of ``scipy.ndimage.gaussian_filter``
-    and equals that filter to rounding.  The Armijo test still uses the raw
-    gradient's directional derivative so accepted steps always descend.
+    The dense objective's Gaussian filter, scaled by gamma, is the initial
+    inverse Hessian of the L-BFGS steps.  The Armijo test still uses the
+    raw gradient's directional derivative so accepted steps always descend.
     """
-    ctx = LossContext(_loss_config(loss_cfg, "sim3d", "register_dense_3d"),
-                      source, source_mask, target=target, target_mask=target_mask)
+    ctx = LossContext(loss_cfg or LossConfig(loss_mode="sim3d"), source, source_mask,
+                      target=target, target_mask=target_mask)
     grid = source.grid
-    # the filter along each axis as the matrix of its weights, the
-    # "nearest" edge folded in: K @ v filters v, so three small products
-    # filter the (W,H,D,3) direction
-    kx, ky, kz = (gaussian_filter1d(np.eye(n), _SMOOTH_SIGMA, axis=0, mode="nearest")
-                  for n in grid.dims)
-    nx, ny, nz = grid.dims
-
-    def smooth(gflat):
-        g = (kx @ gflat.reshape(nx, -1)).reshape(nx, ny, nz * 3)
-        g = np.matmul(ky, g).reshape(nx * ny, nz, 3)
-        return np.matmul(kz, g).reshape(-1)
-
     ctx.require_contrast()
     x, report = _minimize(ctx._dense_objective(), np.zeros(grid.n_voxels * 3), grid,
-                          opt_cfg, smooth)
+                          opt_cfg)
     return DisplacementField(grid.dims, grid.spacing, grid.origin,
                              x.reshape(grid.dims + (3,))), report
 

@@ -204,20 +204,24 @@ def test_an_empty_run_output_is_an_error(bench_pair):
 def canned_setup64():
     """Three 64-cubed pairs, sides alternating; the change is faster in every
     stage but the DRR build, which ties in pair 0 and loses in pair 2, and
-    its registration takes fewer iterations, with the same outputs in pair 0
-    and other ones in pair 2, from other set-up data in pair 0 and the same
-    in pair 2; its pair-1 parent child failed."""
-    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 940.0, "aa", "s0"),
-            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 960.0, "aa", "s1"),
-            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 950.0, "bb", "s2"), (1, "parent", None),
-            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 942.0, "cc", "s3"),
-            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 930.0, "dd", "s3")]
+    the dense registration, which ties in both; its projection registration
+    takes fewer iterations, with the same outputs in pair 0 and other ones
+    in pair 2, from other set-up data in pair 0 and the same in pair 2; its
+    pair-1 parent child failed."""
+    rows = [(0, "parent", 2.0, 5.0, 2.1, 1.0, 0.70, 11, 0.30, 8, 2.5, 30, 940.0, "aa", "s0"),
+            (0, "change", 1.1, 2.0, 2.1, 0.9, 0.40, 6, 0.20, 7, 2.5, 30, 960.0, "aa", "s1"),
+            (1, "change", 1.2, 2.1, 2.0, 0.8, 0.35, 5, 0.25, 7, 2.4, 30, 950.0, "bb", "s2"),
+            (1, "parent", None),
+            (2, "parent", 2.2, 5.4, 2.0, 1.2, 0.80, 12, 0.28, 9, 2.6, 30, 942.0, "cc", "s3"),
+            (2, "change", 1.0, 1.9, 2.2, 0.7, 0.45, 6, 0.18, 8, 2.6, 30, 930.0, "dd", "s3")]
     runs = []
     for pair, side, *values in rows:
         stages = (None if values == [None]
                   else dict(zip(["train_fields_s", "build_subspace_s", "drr_build_s",
                                  "make_pair_s", "register2d_s", "register2d_iterations",
-                                 "peak_rss_mb", "register2d_sha256", "setup_sha256"], values)))
+                                 "register3d_s", "register3d_iterations", "dense_s",
+                                 "dense_iterations", "peak_rss_mb", "outputs_sha256",
+                                 "setup_sha256"], values)))
         runs.append({"pair": pair, "side": side, "seed": 7, "stages": stages,
                      "returncode": 0 if stages else 1})
     return runs
@@ -247,6 +251,12 @@ def test_the_64_cubed_setup_section_holds_medians_and_pairs_won(bench_pair, tmp_
     iters = summary["register2d_iterations"]
     assert (iters["parent"]["median"], iters["change"]["median"]) == (11.5, 6.0)
     assert iters["pairs_change_lower"] == 2
+    assert summary["register3d_s"]["change"]["median"] == pytest.approx(0.19)
+    assert summary["register3d_iterations"]["pairs_change_lower"] == 2
+    dense = summary["dense_s"]
+    assert dense["parent"]["median"] == pytest.approx(2.55)
+    assert dense["pairs_tied"] == 2
+    assert summary["dense_iterations"]["pairs_tied"] == 2
     assert set(summary) == {*bench_pair.SETUP64_STAGES, "runs_without_result",
                             "pairs_outputs_differ", "pairs_setup_differ"}
     assert summary["runs_without_result"] == {"parent": 1, "change": 0}
@@ -277,7 +287,7 @@ def assert_counts_pairs_that_differ(bench_pair, digest, count):
 
 
 def test_pairs_whose_64_cubed_outputs_differ_are_counted(bench_pair):
-    assert_counts_pairs_that_differ(bench_pair, "register2d_sha256", "pairs_outputs_differ")
+    assert_counts_pairs_that_differ(bench_pair, "outputs_sha256", "pairs_outputs_differ")
 
 
 def test_pairs_whose_64_cubed_setups_differ_are_counted(bench_pair):
@@ -318,10 +328,11 @@ def test_runs_that_print_no_result_are_recorded_and_fail_the_exit_code(
 
 def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys):
     """The set-up child, run in process on a 16-cubed scene instead of the
-    default 64-cubed one, prints one JSON line with every stage, the
+    default 64-cubed one, prints one JSON line with every stage, each
     registration's time and a whole, positive iteration count among them,
-    the SHA-256 of the registration's alpha, field and loss trace, and the
-    SHA-256 of the training fields, the DRR products and the pair."""
+    one SHA-256 of the three registrations' alpha, fields and loss traces,
+    and the SHA-256 of the training fields, the DRR products and the
+    pair."""
     import sys
 
     import tomoreg
@@ -339,7 +350,8 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {*bench_pair.SETUP64_STAGES, *bench_pair.SETUP64_DIGESTS}
     assert all(out[name] > 0 for name in bench_pair.SETUP64_STAGES)
-    assert isinstance(out["register2d_iterations"], int)
+    assert all(isinstance(out[f"{name}_iterations"], int)
+               for name in ("register2d", "register3d", "dense"))
     # the digests are of the set-up and the registration the child ran:
     # rerun them here
     small = tomoreg.PhantomSpec()
@@ -359,9 +371,18 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
               pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data]
     assert out["setup_sha256"] == hashlib.sha256(
         b"".join(part.tobytes() for part in setup)).hexdigest()
-    alpha, u, report = tomoreg.register_subspace_2d(
+    alpha2, u2, report2 = tomoreg.register_subspace_2d(
         pair.source, pair.projections, pair.source_mask, sub,
         tomoreg.LossConfig(0.1, "sim2d"), tomoreg.OptimConfig(max_iters=200), drr_op=op)
-    want = hashlib.sha256(alpha.tobytes() + u.data.tobytes()
-                          + np.asarray(report.loss_trace).tobytes()).hexdigest()
-    assert out["register2d_sha256"] == want
+    alpha3, u3, report3 = tomoreg.register_subspace_3d(
+        pair.source, pair.target, pair.source_mask, pair.target_mask, sub,
+        tomoreg.LossConfig(0.1, "sim3d"), tomoreg.OptimConfig(max_iters=200))
+    ud, reportd = tomoreg.register_dense_3d(
+        pair.source, pair.target, pair.source_mask, pair.target_mask,
+        tomoreg.LossConfig(0.1, "sim3d"), tomoreg.OptimConfig(max_iters=30))
+    assert [out[f"{name}_iterations"] for name in ("register2d", "register3d", "dense")] == [
+        report2.iterations, report3.iterations, reportd.iterations]
+    outputs = [alpha2, u2.data, report2.loss_trace, alpha3, u3.data, report3.loss_trace,
+               ud.data, reportd.loss_trace]
+    want = hashlib.sha256(b"".join(np.asarray(part).tobytes() for part in outputs)).hexdigest()
+    assert out["outputs_sha256"] == want

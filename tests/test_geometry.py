@@ -511,6 +511,25 @@ def test_a_geometry_2e_3_mm_off_is_another_geometry():
         make_pair(SPEC32, 0, drr_op=op)
 
 
+def test_a_step_longer_than_the_rays_path_is_not_reported_as_a_miss():
+    """At a 300 mm step each ray of the 16-cubed scene that crosses the
+    volume does so between two samples, so no entry is stored.  The
+    operator still builds; the loss refuses it naming the step, not a
+    geometry that misses the volume."""
+    spec = replace(SPEC32, dims=(16, 16, 16), spacing=(8.8, 8.8, 8.8), n_vessels=0)
+    grid, geom = grid_for(spec), geometry_for(spec)
+    pair = make_pair(spec, 0)
+    op = DrrOperator(grid, geom, 300.0)
+    assert_array_equal(op._counts, np.zeros(geom.n_emitters))
+    assert np.all(op._reached > 0)
+    ctx = LossContext(LossConfig(loss_mode="sim2d"), pair.source, pair.source_mask,
+                      projections=pair.projections, drr_op=op)
+    with pytest.raises(ValueError, match=r"^projection 0: the rays of emitter 0 cross "
+                                         r"the volume, but no sample at step_mm 300\.0 "
+                                         r"falls in it$"):
+        ctx.require_contrast()
+
+
 def test_axis_parallel_ray_beside_the_grid_builds_without_warnings():
     # the central pixel lies straight below the emitter, so its ray is
     # parallel to x and y; the grid sits beside it in x

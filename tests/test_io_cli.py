@@ -1005,6 +1005,26 @@ def one_error_and_no_output(rc, capsys, out_path):
     return err[0]
 
 
+def test_evaluate_on_a_landmark_free_sample_names_the_empty_sets(tmp_path, capsys):
+    """A tube-free phantom has no landmarks, so ``evaluate`` on its sample
+    refuses the empty sets as such, not as landmarks outside the grid."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dims": [16, 16, 16], "spacing": [8.8, 8.8, 8.8],
+                                "n_vessels": 0}))
+    out = tmp_path / "data"
+    assert main(["phantom", "gen", "--spec", str(spec), "--n", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    sd = sample_dir(out)
+    rep = tmp_path / "rep.json"
+    rc = main(["evaluate", "--dvf", str(sd / "dvf_true.json"),
+               "--lm-src", str(sd / "landmarks_source.csv"),
+               "--lm-tgt", str(sd / "landmarks_target.csv"),
+               "--mask-src", str(sd / "source_mask.json"),
+               "--mask-tgt", str(sd / "target_mask.json"), "--out", str(rep)])
+    assert one_error_and_no_output(rc, capsys, rep) == (
+        "error: the landmark sets are empty, so there is no landmark error")
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 7.3 TiB for an array", ""])
 def test_running_out_of_memory_exits_with_code_two(dataset, tmp_path, capsys,
                                                    monkeypatch, message):

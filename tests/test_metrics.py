@@ -91,8 +91,16 @@ def test_targets_outside_the_grid_are_excluded_with_a_note():
 def test_all_targets_outside_the_grid_is_an_error():
     lm_t = landmarks([[100.0, 4.0, 4.0]])
     lm_s = landmarks([[4.0, 4.0, 4.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no landmarks left inside the displacement grid$"):
         mtre(zero_displacement(GRID), lm_s, lm_t)
+
+
+def test_empty_landmark_sets_are_an_error_that_names_them():
+    """Sets with no landmark at all are refused as empty, not as landmarks
+    that the grid excludes."""
+    empty = landmarks(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^the landmark sets are empty"):
+        mtre(zero_displacement(GRID), empty, empty)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from tomoreg import (DeformationSubspace, DisplacementField, GridSpec, Image3D,
                      per_axis_error, project, reconstruct, register_dense_3d,
                      register_subspace_2d, register_subspace_3d, warp_image,
                      zero_displacement)
-from tomoreg.losses import LossContext, _plan, grad_alpha
+from tomoreg.losses import LossContext, _plan, grad_alpha, grad_dense
 from tomoreg.phantom import DeformationSpec, PhantomSpec, split_seed
-from tomoreg import registration
+from tomoreg import losses, registration
 
 
 def masked(img, mask):
@@ -294,9 +294,10 @@ def test_a_singular_gauss_newton_matrix_leaves_the_identity(
         monkeypatch, pair32, sub32, op32, driver):
     """With lam = 0, a basis field that moves only voxel (0, 0, 0), where the
     masked source and its interpolant gradient are exactly zero, gives H a
-    zero row and column, so H is not positive definite: the run keeps
-    H0 = I.  It neither raises nor warns, its trace does not increase, and
-    the invisible coefficient stays 0 while the visible one moves."""
+    zero row and column, so H is not positive definite: the objective's H0
+    is gamma * I.  The run neither raises nor warns, its trace does not
+    increase, and the invisible coefficient stays 0 while the visible one
+    moves."""
     msrc = pair32.source.data * pair32.source_mask.data
     assert not msrc[:2, :2, :2].any()
     visible = sub32.basis[0].copy()
@@ -308,14 +309,14 @@ def test_a_singular_gauss_newton_matrix_leaves_the_identity(
                               origin=pair32.source.origin,
                               mean=np.zeros(pair32.source.dims + (3,)), basis=basis,
                               singular_values=np.ones(2), variance_fraction=1.0)
-    solvers = []
-    inverse = registration._inverse
+    h0s = []
+    h0 = losses._gauss_newton_h0
 
-    def recording(H):
-        solvers.append(inverse(H))
-        return solvers[-1]
+    def recording(grad_fn):
+        h0s.append(h0(grad_fn))
+        return h0s[-1]
 
-    monkeypatch.setattr(registration, "_inverse", recording)
+    monkeypatch.setattr(losses, "_gauss_newton_h0", recording)
     opt = OptimConfig(max_iters=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -327,7 +328,7 @@ def test_a_singular_gauss_newton_matrix_leaves_the_identity(
             alpha, _, rep = register_subspace_2d(
                 pair32.source, pair32.projections, pair32.source_mask, sub,
                 LossConfig(lam=0.0, loss_mode="sim2d"), opt, drr_op=op32)
-    assert solvers == [None]
+    assert h0s == [(None, True)]
     assert alpha[1] == 0.0 and alpha[0] != 0.0
     assert rep.iterations >= 1
     assert np.all(np.diff(rep.loss_trace) <= 0.0)
@@ -361,13 +362,16 @@ def test_a_single_voxel_grid_is_rejected_as_a_constant_source():
 # ---------------------------------------------------------------------------
 
 def quadratic_objective(diag):
-    """x^T diag(diag) x / 2 and its gradient, recording each evaluated point."""
+    """x^T diag(diag) x / 2 and its gradient, recording each evaluated
+    point; its H0 is gamma * I."""
     a = np.asarray(diag, dtype=np.float64)
     points = []
 
     def objective(x):
         points.append(x.copy())
         return 0.5 * float(x @ (a * x)), lambda: a * x
+
+    objective.h0 = lambda grad_fn: (None, True)
     return objective, points
 
 
@@ -382,17 +386,17 @@ def spy_directions(monkeypatch, points, replace_with=None):
     calls = []
     direction = registration._lbfgs_direction
 
-    def recording(grad, pairs, smooth, *scaled):
+    def recording(grad, pairs, apply, *scaled):
         calls.append((points[-1].copy(), grad.copy(), list(pairs), len(points)))
         if replace_with is not None and pairs:
             return replace_with(grad)
-        return direction(grad, pairs, smooth, *scaled)
+        return direction(grad, pairs, apply, *scaled)
 
     monkeypatch.setattr(registration, "_lbfgs_direction", recording)
     return calls
 
 
-def reference_direction(grad, pairs, smooth):
+def reference_direction(grad, pairs, apply):
     """The two-loop recursion written with temporaries, as in the textbook."""
     q = grad.copy()
     coefs = []
@@ -404,7 +408,7 @@ def reference_direction(grad, pairs, smooth):
     if pairs:
         _, y, sy = pairs[-1]
         gamma = sy / float(y @ y)
-    r = gamma * (q if smooth is None else smooth(q))
+    r = gamma * (q if apply is None else apply(q))
     for (s, y, sy), a in zip(pairs, reversed(coefs)):
         r = r + (a - float(y @ r) / sy) * s
     return -r
@@ -412,9 +416,9 @@ def reference_direction(grad, pairs, smooth):
 
 @pytest.mark.parametrize("n_pairs", [0, 1, 7])
 @pytest.mark.parametrize(
-    "smooth", [None, lambda v: np.convolve(v, [0.25, 0.5, 0.25], "same")],
+    "apply", [None, lambda v: np.convolve(v, [0.25, 0.5, 0.25], "same")],
     ids=["identity", "filter"])
-def test_the_in_place_recursion_is_the_two_loop_recursion(n_pairs, smooth):
+def test_the_in_place_recursion_is_the_two_loop_recursion(n_pairs, apply):
     """The BLAS recursion gives the reference direction to rounding and
     writes into neither the gradient nor the stored pairs."""
     rng = np.random.default_rng(n_pairs)
@@ -426,8 +430,8 @@ def test_the_in_place_recursion_is_the_two_loop_recursion(n_pairs, smooth):
         pairs.append((s, y, float(s @ y)))
     grad = rng.standard_normal(n)
     kept = [grad.copy()] + [a.copy() for s, y, _ in pairs for a in (s, y)]
-    got = registration._lbfgs_direction(grad, pairs, smooth)
-    want = reference_direction(grad, pairs, smooth)
+    got = registration._lbfgs_direction(grad, pairs, apply)
+    want = reference_direction(grad, pairs, apply)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert all(np.array_equal(a, b) for a, b in
                zip(kept, [grad] + [a for s, y, _ in pairs for a in (s, y)]))
@@ -440,19 +444,73 @@ def test_the_dense_initial_hessian_is_the_gaussian_filter(monkeypatch, dims, spa
     axis, none across components, with the "nearest" edge; on the second
     grid two axes are shorter than the filter's 4-voxel radius."""
     src, tgt, mask, _ = random_problem(dims, spacing, 2)
-    smooths = []
+    h0s = []
     direction = registration._lbfgs_direction
 
-    def recording(grad, pairs, smooth, *scaled):
-        smooths.append(smooth)
-        return direction(grad, pairs, smooth, *scaled)
+    def recording(grad, pairs, apply, *scaled):
+        h0s.append((apply, *scaled))
+        return direction(grad, pairs, apply, *scaled)
 
     monkeypatch.setattr(registration, "_lbfgs_direction", recording)
     register_dense_3d(src, tgt, mask, mask, opt_cfg=OptimConfig(max_iters=1))
+    apply, scaled = h0s[0]
+    assert scaled
     g = np.random.default_rng(8).standard_normal(dims + (3,))
     want = gaussian_filter(g, (1.0, 1.0, 1.0, 0.0), mode="nearest")
-    got = smooths[0](g.reshape(-1)).reshape(g.shape)
+    got = apply(g.reshape(-1)).reshape(g.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
+
+
+def test_the_dense_filter_is_built_once_per_registration(monkeypatch):
+    """The dense objective builds its filter's three matrices when the
+    descent asks for H0, once per registration, and a plain evaluation of
+    the loss or its gradient builds none."""
+    src, tgt, mask, _ = random_problem((7, 5, 9), (0.7, 1.3, 2.1), 2)
+    built = []
+    filt = losses.gaussian_filter1d
+
+    def recording(a, *args, **kwargs):
+        built.append(a.shape)
+        return filt(a, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "gaussian_filter1d", recording)
+    _, rep = register_dense_3d(src, tgt, mask, mask, opt_cfg=OptimConfig(max_iters=4))
+    assert rep.iterations >= 2
+    assert built == [(7, 7), (5, 5), (9, 9)]
+    built.clear()
+    ctx = LossContext(LossConfig(), src, mask, target=tgt, target_mask=mask)
+    u = zero_displacement(src.grid)
+    ctx.loss(u)
+    ctx.loss_and_grad(u)
+    grad_dense(ctx, u)
+    assert built == []
+
+
+def test_the_initial_inverse_hessian_is_asked_for_once_at_the_start():
+    """``_minimize`` calls ``objective.h0`` once, with the starting point's
+    gradient callable, after the start has passed the converged_grad test
+    and before any trial; a start that has already converged never asks."""
+    objective, points = quadratic_objective([1.0, 4.0])
+    grad_fns, calls = [], []
+
+    def recording(x):
+        loss, grad_fn = objective(x)
+        grad_fns.append(grad_fn)
+        return loss, grad_fn
+
+    def h0(grad_fn):
+        calls.append((grad_fn, len(points)))
+        return None, True
+
+    recording.h0 = h0
+    _, rep = registration._minimize(recording, np.array([1.0, 1.0]), SMALL_GRID,
+                                    OptimConfig(max_iters=5))
+    assert rep.iterations >= 2
+    assert calls == [(grad_fns[0], 1)]
+    _, rep = registration._minimize(recording, np.zeros(2), SMALL_GRID,
+                                    OptimConfig(max_iters=5))
+    assert (rep.iterations, rep.stop_reason) == (0, "converged_grad")
+    assert len(calls) == 1
 
 
 def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch):
@@ -504,6 +562,7 @@ def test_a_flat_problem_ends_in_line_search_failed(monkeypatch):
         loss, grad_fn = quadratic(x)
         return max(loss - 1.0, 0.0), grad_fn
 
+    objective.h0 = quadratic.h0
     calls = spy_directions(monkeypatch, points)
     _, rep = registration._minimize(objective, np.array([3.0, 3.0]),
                                     SMALL_GRID, OptimConfig(max_iters=50))
@@ -526,6 +585,7 @@ def test_a_flat_stretch_at_any_loss_is_not_convergence(floor):
         loss, grad_fn = quadratic(x)
         return max(loss - 1.0, 0.0) + floor, grad_fn
 
+    objective.h0 = quadratic.h0
     _, rep = registration._minimize(objective, np.array([3.0, 3.0]),
                                     SMALL_GRID, OptimConfig(max_iters=50))
     assert rep.stop_reason == "line_search_failed"
@@ -591,13 +651,14 @@ def test_non_finite_subspace_payload_aborts(identity_scene):
 
 def test_wrong_loss_mode_is_rejected(identity_scene):
     img, mask, sub, projs = identity_scene
-    with pytest.raises(ValueError, match="loss_mode"):
+    with pytest.raises(ValueError, match="^loss_mode 'sim2d' needs a projection set$"):
         register_subspace_3d(img, img, mask, mask, sub,
                              LossConfig(lam=0.1, loss_mode="sim2d"))
-    with pytest.raises(ValueError, match="loss_mode"):
+    with pytest.raises(ValueError, match="^loss_mode 'sim3d' needs a target volume "
+                                         "and target mask$"):
         register_subspace_2d(img, projs, mask, sub,
                              LossConfig(lam=0.1, loss_mode="sim3d"))
-    with pytest.raises(ValueError, match="loss_mode"):
+    with pytest.raises(ValueError, match="^loss_mode 'sim2d' needs a projection set$"):
         register_dense_3d(img, img, mask, mask,
                           LossConfig(lam=0.1, loss_mode="sim2d"))
 

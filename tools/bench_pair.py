@@ -24,18 +24,20 @@ parent's by more than the metric's bound).
 The record also holds a 64-cubed section, ``setup64``.  For three
 alternating pairs, on the first three seeds, a child process per checkout,
 with that checkout's ``src`` first on ``sys.path``, times 30 training
-fields, ``build_subspace(..., 0.99)``, a forced ``DrrOperator`` build and
-one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then
-``register_subspace_2d`` of that pair at lam 0.1 and at most 200
-iterations, and reports the registration's iterations, a SHA-256 of its
-coefficients, field and loss trace, a SHA-256 of the set-up's data (the
-30 training fields, the DRR operator's ``forward`` of a seeded volume,
-its ``adjoint`` of a seeded projection stack and its per-emitter entry
-counts, and every array of the pair) and its own ``ru_maxrss``.  Per stage the section
-holds each side's median and quartiles and how many pairs the change read
-lower, higher or equal, and it counts the complete pairs whose two sides
-differ in each digest.  Three pairs are too few for the claim rule, so
-these figures are indicative only.  A child peaks near 1 GB.
+fields, ``build_subspace(..., 0.99)``, the ``DrrOperator(...)`` call and
+one ``make_pair`` on the default ``PhantomSpec()`` (64 cubed), then three
+registrations of that pair at lam 0.1: ``register_subspace_2d`` and
+``register_subspace_3d`` at most 200 iterations each, and
+``register_dense_3d`` at most 30.  It reports each registration's
+iterations, one SHA-256 of the three registrations' coefficients, fields
+and loss traces, a SHA-256 of the set-up's data (the 30 training fields,
+the DRR operator's ``forward`` of a seeded volume, its ``adjoint`` of a
+seeded projection stack and its per-emitter entry counts, and every array
+of the pair) and its own ``ru_maxrss``.  Per stage the section holds each
+side's median and quartiles and how many pairs the change read lower,
+higher or equal, and it counts the complete pairs whose two sides differ
+in each digest.  Three pairs are too few for the claim rule, so these
+figures are indicative only.  A child peaks near 1 GB.
 """
 from __future__ import annotations
 
@@ -112,17 +114,17 @@ def run_one(checkout: Path, pair: int, side: str, workload: str, seed: int,
             "result": result, "environment": env, "error": error}
 
 
-# the 64-cubed set-up and one projection registration, run from the root
-# of one checkout: argv[1] is the seed; prints one JSON object of stage
-# times (wall seconds), the registration's iterations, the digests of the
-# set-up's data and of the registration's outputs, and peak RSS
+# the 64-cubed set-up and three registrations, run from the root of one
+# checkout: argv[1] is the seed; prints one JSON object of stage times
+# (wall seconds), the registrations' iterations, the digests of the
+# set-up's data and of the registrations' outputs, and peak RSS
 SETUP64_CHILD = """
 import hashlib, json, resource, sys, time
 sys.path.insert(0, "src")
 import numpy as np
-from tomoreg import (DrrOperator, Image3D, LossConfig, OptimConfig, PhantomSpec,
-                     build_subspace, gen_smooth_dvf, geometry_for, grid_for, make_pair,
-                     register_subspace_2d, step_for)
+from tomoreg import (DrrOperator, LossConfig, OptimConfig, PhantomSpec, build_subspace,
+                     gen_smooth_dvf, geometry_for, grid_for, make_pair, register_dense_3d,
+                     register_subspace_2d, register_subspace_3d, step_for)
 from tomoreg.phantom import split_seed
 
 seed, spec, out = int(sys.argv[1]), PhantomSpec(), {}
@@ -135,14 +137,6 @@ def timed(name, fn):
     return value
 
 
-def forced_operator():
-    grid = grid_for(spec)
-    op = DrrOperator(grid, geometry_for(spec), step_for(spec))
-    op.render_all(Image3D(grid.dims, grid.spacing, grid.origin,
-                          np.zeros(grid.dims, dtype=np.float32)))
-    return op
-
-
 fields = timed("train_fields_s", lambda: [
     gen_smooth_dvf(spec, seed=split_seed(seed, f"train{i}")) for i in range(30)])
 setup = hashlib.sha256()
@@ -150,7 +144,8 @@ for field in fields:
     setup.update(np.ascontiguousarray(field.data))
 sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
-op = timed("drr_build_s", forced_operator)
+op = timed("drr_build_s", lambda: DrrOperator(grid_for(spec), geometry_for(spec),
+                                              step_for(spec)))
 # the operator through its public products, which every checkout has
 rng = np.random.default_rng(seed)
 for part in (op.forward(rng.random(op.grid.dims)),
@@ -163,24 +158,39 @@ for part in (pair.source.data, pair.target.data, pair.source_mask.data,
              pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data):
     setup.update(np.ascontiguousarray(part))
 out["setup_sha256"] = setup.hexdigest()
-alpha, u, report = timed("register2d_s", lambda: register_subspace_2d(
+outputs = hashlib.sha256()
+
+
+def registered(name, fn):
+    # (alpha,) field, report: the time, the iterations, and alpha, the
+    # field and the loss trace into the outputs digest
+    *values, report = timed(name + "_s", fn)
+    out[name + "_iterations"] = report.iterations
+    for part in (*values[:-1], values[-1].data, report.loss_trace):
+        outputs.update(np.ascontiguousarray(part).tobytes())
+
+
+registered("register2d", lambda: register_subspace_2d(
     pair.source, pair.projections, pair.source_mask, sub, LossConfig(0.1, "sim2d"),
     OptimConfig(max_iters=200), drr_op=op))
-out["register2d_iterations"] = report.iterations
-digest = hashlib.sha256()
-for part in (alpha, u.data, report.loss_trace):
-    digest.update(np.ascontiguousarray(part).tobytes())
-out["register2d_sha256"] = digest.hexdigest()
+registered("register3d", lambda: register_subspace_3d(
+    pair.source, pair.target, pair.source_mask, pair.target_mask, sub,
+    LossConfig(0.1, "sim3d"), OptimConfig(max_iters=200)))
+registered("dense", lambda: register_dense_3d(
+    pair.source, pair.target, pair.source_mask, pair.target_mask,
+    LossConfig(0.1, "sim3d"), OptimConfig(max_iters=30)))
+out["outputs_sha256"] = outputs.hexdigest()
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
 """
 SETUP64_PAIRS = 3
 SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pair_s",
-                  "register2d_s", "register2d_iterations", "peak_rss_mb")
+                  "register2d_s", "register2d_iterations", "register3d_s",
+                  "register3d_iterations", "dense_s", "dense_iterations", "peak_rss_mb")
 # the child's digests, each with the name of the count of complete pairs
-# whose two sides differ in it: of the registration's coefficients, field
-# and loss trace, and of the set-up's fields, DRR products and pair
-SETUP64_DIGESTS = {"register2d_sha256": "pairs_outputs_differ",
+# whose two sides differ in it: of the three registrations' coefficients,
+# fields and loss traces, and of the set-up's fields, DRR products and pair
+SETUP64_DIGESTS = {"outputs_sha256": "pairs_outputs_differ",
                    "setup_sha256": "pairs_setup_differ"}
 
 
@@ -338,11 +348,14 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
         "setup64": {
             "what": ("The default 64-cubed PhantomSpec's set-up, one child process "
                      "per side and pair with that checkout's src first on sys.path: "
-                     "30 training fields, build_subspace(fields, 0.99), a forced "
-                     "DrrOperator build, one make_pair and register_subspace_2d of "
-                     "that pair (lam 0.1, max_iters 200); wall seconds, the "
-                     "registration's iterations, a SHA-256 of its alpha, field and "
-                     "loss trace, a SHA-256 of the training fields, the DRR "
+                     "30 training fields, build_subspace(fields, 0.99), the "
+                     "DrrOperator(...) call, one make_pair, and three registrations "
+                     "of that pair at lam 0.1: register_subspace_2d and "
+                     "register_subspace_3d (max_iters 200 each) and "
+                     "register_dense_3d (max_iters 30); wall seconds, each "
+                     "registration's iterations, one SHA-256 of the three "
+                     "registrations' alpha, fields and loss traces, a SHA-256 "
+                     "of the training fields, the DRR "
                      "operator's forward of a seeded volume, adjoint of a seeded "
                      "projection stack and per-emitter entry counts, and every "
                      "array of the pair, and "
