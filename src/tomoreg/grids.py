@@ -11,7 +11,10 @@ Array conventions used across the package:
 * interpolation uses a zero-padding convention: contributions from corner
   voxels outside the grid are zero.  Every grid read of the package (the
   warp, the DRR matrix weights, the lift's detector reads) goes through
-  ``_pad`` and ``_padded_index``;
+  ``_pad`` and ``_padded_index``, and every trilinear read (the loss warp,
+  ``sample_trilinear``, the landmark solve, the lift) through one corner
+  gather, ``warp_scalar_with_gradient``, which samples every point when it
+  is given no support table;
 * sample coordinates are (n, 3) arrays of any strides, and every pass over
   all of them (the warp's coordinates, the snapped cell index, its bounds
   and the flat index) runs one axis at a time, on (n,) columns with scalar
@@ -357,20 +360,6 @@ def _cell_steps(dims) -> np.ndarray:
     return (_CELL_Z_FASTEST @ np.array([(dims[1] + 4) * sy, sy, 1]))[:, None]
 
 
-def _gather_corners(padded: np.ndarray, g: np.ndarray):
-    """The 8 cell corners around each voxel coord g (n,3), in one gather
-    from ``padded``, which is ``_pad(data, 0.0)``.
-
-    Returns the corners (8, n) or (8, n, C), ordered with z fastest
-    (c000, c001, c010, c011, c100, ...), and the snapped fractions (n, 3).
-    A cell with any corner outside the grid reads zeros there.
-    """
-    dims = _unpadded(padded)
-    base, frac = _snap_index(dims, np.asarray(g, dtype=np.float64))
-    flat = padded.reshape((-1,) + padded.shape[3:])
-    return flat.take(base + _cell_steps(dims), axis=0), _snap(frac)
-
-
 def _unpadded(padded: np.ndarray) -> tuple:
     """The dims of the grid that ``_pad`` padded into ``padded``."""
     return tuple(n - 4 for n in padded.shape[:3])
@@ -444,20 +433,12 @@ def sample_trilinear(data: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Trilinear sampling of (W,H,D) or (W,H,D,C) data at voxel coords g (n,3).
 
     Returns values (n,) or (n,C).  Corners outside the grid contribute zero.
-    All eight corners of every point come from one gather over a copy of
-    ``data`` zero-padded by two voxels, which materializes 8 values per
-    point (and channel).  For the interpolant's spatial derivative, use
-    ``warp_scalar_with_gradient``, which keeps the corners so that a caller
-    can ask for it later, or never.
+    This is ``warp_scalar_with_gradient`` with no support table, on a copy
+    of ``data`` zero-padded by two voxels: one gather of all eight corners
+    of every point, 8 values per point (and channel).  A caller that samples
+    one volume many times pads it once and calls that gather itself.
     """
-    return _trilinear_sampler(data)(g)
-
-
-def _trilinear_sampler(data: np.ndarray):
-    """``sample_trilinear`` of ``data`` as a callable of g alone, which pads
-    ``data`` once for every call it serves."""
-    padded = _pad(data, 0.0)
-    return lambda g: _interpolate(*_gather_corners(padded, g))[0]
+    return warp_scalar_with_gradient(_pad(data, 0.0), np.asarray(g, dtype=np.float64))[1]
 
 
 def sample_nearest(data: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -540,28 +521,30 @@ def _cell_support(padded: np.ndarray) -> np.ndarray:
     return cell.reshape(-1)
 
 
-def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.ndarray):
-    """Trilinear values of a (W,H,D) ``data`` at the voxel coords g (n,3),
-    of any strides, that lie in a supported cell, plus a callable for their
-    spatial derivative.
+def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support=None):
+    """Trilinear values of a (W,H,D) or (W,H,D,C) ``data`` at the float64
+    voxel coords g (n,3), of any strides, that lie in a supported cell, plus
+    a callable for their spatial derivative.  The package's one trilinear
+    gather: ``sample_trilinear``, the landmark solve and the loss warp all
+    read through it.
 
-    ``padded`` is ``_pad(data, 0.0)`` and ``support`` is
+    ``padded`` is ``_pad(data, 0.0)`` and ``support``, when given, is
     ``_cell_support(padded)``, both built once by the caller and read, not
     copied, on every call.  This is the value phase: it snaps the base index
     of every point, one axis at a time, and looks its cell up in
     ``support``, then snaps the fractions of the points in a supported cell,
     one axis at a time from a gather of that axis's raw fractions, and
     gathers their eight corners once, from that same base index.  It
-    returns the indices of
-    those points, ascending, and their (m,) values; every other point's
-    value is +0.0, which is what blending eight +0.0 corners gives.  The
-    returned zero-argument callable is the gradient phase: the (m,3)
-    derivative in voxel units at those points, from the same corners and
-    the two z-face planes the values were blended from; the derivative is
-    +0.0 at every other point.  So a caller that needs only values never
-    pays for it.  The closure holds the corners, the fractions and the
-    planes, 13 floats per supported point, for as long as the caller keeps
-    it.
+    returns the indices of those points, ascending, and their values, (m,)
+    or (m, C); every other point's value is +0.0, which is what blending
+    eight +0.0 corners gives.  With no support table every point is
+    sampled and the indices are ``slice(None)``.  The returned zero-argument
+    callable is the gradient phase: the (m,3[,C]) derivative in voxel units
+    at those points, from the same corners and the two z-face planes the
+    values were blended from; the derivative is +0.0 at every other point.
+    So a caller that needs only values never pays for it.  The closure
+    holds the corners, the fractions and the planes, 13 floats per
+    supported point (and channel), for as long as the caller keeps it.
 
     The derivative is the exact spatial derivative of the trilinear
     interpolant at the sample points, so finite differences of downstream
@@ -569,9 +552,10 @@ def warp_scalar_with_gradient(padded: np.ndarray, g: np.ndarray, support: np.nda
     """
     dims = _unpadded(padded)
     base, frac = _snap_index(dims, g)
-    active = np.flatnonzero(support.take(base))
-    f = _snap(frac, active)
-    corners = padded.reshape(-1).take(base[active] + _cell_steps(dims))
+    active = slice(None) if support is None else np.flatnonzero(support.take(base))
+    f = _snap(frac, None if support is None else active)
+    flat = padded.reshape((-1,) + padded.shape[3:])
+    corners = flat.take(base[active] + _cell_steps(dims), axis=0)
     vals, planes = _interpolate(corners, f)
     return active, vals, lambda: _interpolant_gradient(corners, f, planes)
 

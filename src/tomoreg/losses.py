@@ -66,9 +66,9 @@ terms, two floats per voxel (sim3d) or per detector pixel (sim2d); with
 lam > 0 the three forward-difference arrays, about 9 floats per voxel;
 and, from ``evaluate``, the field itself.  On the benchmark scene 14-17 %
 of the points sit in supported cells, so the warp's share is about 2
-floats per voxel instead of 13.  A line search keeps the callable of each
-trial until the next one and calls it only for the trial it accepts, so
-each point a registration evaluates is warped once.
+floats per voxel instead of 13.  A line search drops the callable of each
+trial before it evaluates the next and calls it only for the trial it
+accepts, so each point a registration evaluates is warped once.
 
 The same state gives the Gauss-Newton matrix of the loss, with nothing
 more kept.  The coordinate core's gradient callable carries

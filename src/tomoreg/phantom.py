@@ -23,8 +23,8 @@ from scipy.ndimage import gaussian_filter
 from .geometry import (DrrOperator, ProjectionSet, SdctGeometry,
                        build_sdct_geometry, default_step_mm)
 from .grids import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
-                    _dims, _entries, _real, _resample, _trilinear_sampler,
-                    _warp_coords, _whole)
+                    _dims, _entries, _pad, _real, _resample, _warp_coords, _whole,
+                    warp_scalar_with_gradient)
 
 _WAYPOINTS_PER_VESSEL = 5
 _GRAD_CAP = 0.45  # max forward-difference row sum of grad(u); < 1 forbids folds
@@ -360,11 +360,11 @@ class PhantomPair:
 
 def _solve_target_landmarks(u: DisplacementField, pts_src: np.ndarray) -> np.ndarray:
     """Fixed-point solve of p + u(p) = l_s for each source landmark."""
-    sample = _trilinear_sampler(u.data)  # pads the field once per solve
+    padded = _pad(u.data, 0.0)  # once per solve
     grid = u.grid
     p = pts_src.copy()
     for _ in range(_LANDMARK_MAX_ITERS):
-        p_new = pts_src - sample(grid.world_to_voxel(p))
+        p_new = pts_src - warp_scalar_with_gradient(padded, grid.world_to_voxel(p))[1]
         if float(np.max(np.linalg.norm(p_new - p, axis=1), initial=0.0)) < _LANDMARK_TOL_MM:
             return p_new
         p = p_new

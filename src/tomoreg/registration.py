@@ -148,7 +148,10 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
     with no pair stored, of length min(spacing) * sqrt(n_voxels) in x,
     moves the field by one voxel RMS without a warp to find that out.
     Each trial is evaluated once; the gradient callable of the accepted
-    trial gives the next gradient.
+    trial gives the next gradient.  A gradient callable holds its
+    evaluation's state (see ``losses``), so each is dropped as soon as it
+    has served: after ``h0``, after the accepted trial's gradient, and
+    before the next trial is evaluated.
     """
     cfg = cfg or OptimConfig()
 
@@ -177,6 +180,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
             break
         if h0 is None:  # the starting point's, once
             apply, scaled = h0 = objective.h0(grad_fn)
+            grad_fn = None
 
         d = _lbfgs_direction(grad, pairs, apply, scaled)
         slope = float(grad @ d)
@@ -186,6 +190,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
         t = 1.0 if pairs or not scaled else first_len / float(np.linalg.norm(d))
 
         for _ in range(_MAX_BACKTRACKS):
+            grad_fn = None  # the last trial's state goes before the next is evaluated
             cand = np.multiply(d, t)
             cand += x
             cand_loss, grad_fn = value(cand)
@@ -203,6 +208,7 @@ def _minimize(objective, x0: np.ndarray, grid: GridSpec, cfg: OptimConfig | None
         x, loss = cand, cand_loss
         trace.append(float(loss))
         new_grad = gradient(grad_fn)
+        grad_fn = None
         y = new_grad - grad
         grad = new_grad
         sy = float(s @ y)

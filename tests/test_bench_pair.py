@@ -330,9 +330,9 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     """The set-up child, run in process on a 16-cubed scene instead of the
     default 64-cubed one, prints one JSON line with every stage, each
     registration's time and a whole, positive iteration count among them,
-    one SHA-256 of the three registrations' alpha, fields and loss traces,
-    and the SHA-256 of the training fields, the DRR products and the
-    pair."""
+    one SHA-256 of the three registrations' alpha, fields and loss traces
+    and of the dense field's evaluation report, and the SHA-256 of the
+    training fields, the DRR products, the pair and its lift."""
     import sys
 
     import tomoreg
@@ -368,7 +368,8 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
         op._counts]
     setup += [pair.source.data, pair.target.data, pair.source_mask.data,
               pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
-              pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data]
+              pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data,
+              tomoreg.lift3d(pair.projections, pair.source.grid).data]
     assert out["setup_sha256"] == hashlib.sha256(
         b"".join(part.tobytes() for part in setup)).hexdigest()
     alpha2, u2, report2 = tomoreg.register_subspace_2d(
@@ -384,5 +385,8 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
         report2.iterations, report3.iterations, reportd.iterations]
     outputs = [alpha2, u2.data, report2.loss_trace, alpha3, u3.data, report3.loss_trace,
                ud.data, reportd.loss_trace]
-    want = hashlib.sha256(b"".join(np.asarray(part).tobytes() for part in outputs)).hexdigest()
+    evaluation = tomoreg.evaluate_registration(ud, pair.lm_src, pair.lm_tgt,
+                                               pair.source_mask, pair.target_mask)
+    want = hashlib.sha256(b"".join(np.asarray(part).tobytes() for part in outputs)
+                          + json.dumps(evaluation.to_dict()).encode()).hexdigest()
     assert out["outputs_sha256"] == want

@@ -10,8 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from tomoreg import (DisplacementField, GridSpec, Image3D, Landmarks, Mask3D,
                      gen_smooth_dvf, jacobian_stats, sample_displacement,
                      warp_image, zero_displacement)
-from tomoreg.grids import (_ALIGN_EPS, _cell_support, _gather_corners,
-                           _interpolant_gradient, _interpolate, _pad, _padded_index, _snap,
+from tomoreg.grids import (_ALIGN_EPS, _cell_support, _pad, _padded_index, _snap,
                            _snap_index, _warp_coords, sample_nearest, sample_trilinear,
                            trilinear_weights, warp_scalar_with_gradient)
 
@@ -381,11 +380,13 @@ def test_one_gather_sampler_matches_the_eight_corner_reference(case):
     data = sparse_source(rng, dims + ((channels,) if channels else ()), support)
     assert_same_bits(sample_trilinear(data, g), reference_trilinear(data, g))
     assert_same_bits(sample_nearest(data, g), reference_nearest(data, g))
-    # the derivative, from the same corners and planes the warp keeps
-    corners, f = _gather_corners(_pad(data, 0.0), g)
-    planes = _interpolate(corners, f)[1]
-    assert_same_bits(_interpolant_gradient(corners, f, planes),
-                     reference_trilinear(data, g, with_gradient=True)[1])
+    # the one gather with no support table samples every point: values and
+    # the derivative from the same corners and planes
+    active, vals, gradient = warp_scalar_with_gradient(_pad(data, 0.0), g)
+    want_vals, want_grad = reference_trilinear(data, g, with_gradient=True)
+    assert active == slice(None)
+    assert_same_bits(vals, want_vals)
+    assert_same_bits(gradient(), want_grad)
 
     origin = (-3.0, 2.0, 0.5)
     grid = GridSpec(dims, spacing, origin)

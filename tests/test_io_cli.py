@@ -1045,6 +1045,20 @@ def test_running_out_of_memory_exits_with_code_two(dataset, tmp_path, capsys,
     assert err == f"error: out of memory: {message or 'an allocation failed'}"
 
 
+def test_a_ray_step_no_address_space_holds_exits_with_code_two(dataset, tmp_path, capsys):
+    """Unmocked: at a 1e-9 mm step the first emitter's sample list of the
+    24-cubed scene asks for about 640 TiB, past the 2^47-byte user address
+    space, so the allocation is refused before any page is touched, and the
+    run ends in one error line and exit 2 with nothing written."""
+    _, out = dataset
+    sd = sample_dir(out)
+    proj = tmp_path / "proj.json"
+    rc = main(["drr", "render", "--volume", str(sd / "source.json"), "--geometry",
+               str(sd / "geometry.json"), "--step-mm", "1e-9", "--out", str(proj)])
+    assert one_error_and_no_output(rc, capsys, proj).startswith(
+        "error: out of memory: Unable to allocate ")
+
+
 @pytest.mark.parametrize("name, field, value", [
     ("source.json", "dims", 5),
     ("source.json", "channels", None),

@@ -1,6 +1,7 @@
 """Registration drivers: coefficient search and dense descent."""
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -511,6 +512,28 @@ def test_the_initial_inverse_hessian_is_asked_for_once_at_the_start():
                                     OptimConfig(max_iters=5))
     assert (rep.iterations, rep.stop_reason) == (0, "converged_grad")
     assert len(calls) == 1
+
+
+def test_each_gradient_callable_is_gone_before_the_next_trial_is_evaluated():
+    """A gradient callable holds its evaluation's state, so ``_minimize``
+    keeps none past its use: when a trial is evaluated, the callable of
+    every earlier evaluation, the start's, a rejected trial's or an accepted
+    one's, is gone."""
+    objective, points = quadratic_objective([1.0, 4.0])
+    refs = []
+
+    def spying(x):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        loss, grad_fn = objective(x)
+        refs.append(weakref.ref(grad_fn))
+        return loss, grad_fn
+
+    spying.h0 = objective.h0
+    # the first trial, two units long, overshoots the minimum near the start
+    _, rep = registration._minimize(spying, np.array([0.1, 0.1]), SMALL_GRID,
+                                    OptimConfig(max_iters=5))
+    assert rep.iterations >= 2
+    assert len(points) > rep.iterations + 1  # some trials were rejected
 
 
 def test_a_pair_without_positive_curvature_is_not_stored(monkeypatch):

@@ -30,13 +30,14 @@ registrations of that pair at lam 0.1: ``register_subspace_2d`` and
 ``register_subspace_3d`` at most 200 iterations each, and
 ``register_dense_3d`` at most 30.  It reports each registration's
 iterations, one SHA-256 of the three registrations' coefficients, fields
-and loss traces, a SHA-256 of the set-up's data (the 30 training fields,
-the DRR operator's ``forward`` of a seeded volume, its ``adjoint`` of a
-seeded projection stack and its per-emitter entry counts, and every array
-of the pair) and its own ``ru_maxrss``.  Per stage the section holds each
-side's median and quartiles and how many pairs the change read lower,
-higher or equal, and it counts the complete pairs whose two sides differ
-in each digest.  Three pairs are too few for the claim rule, so these
+and loss traces and of the JSON of ``evaluate_registration`` of the dense
+field, a SHA-256 of the set-up's data (the 30 training fields, the DRR
+operator's ``forward`` of a seeded volume, its ``adjoint`` of a seeded
+projection stack and its per-emitter entry counts, every array of the pair
+and ``lift3d`` of the pair's projections) and its own ``ru_maxrss``.  Per
+stage the section holds each side's median and quartiles and how many
+pairs the change read lower, higher or equal, and it counts the complete
+pairs whose two sides differ in each digest.  Three pairs are too few for the claim rule, so these
 figures are indicative only.  A child peaks near 1 GB.
 """
 from __future__ import annotations
@@ -123,8 +124,9 @@ import hashlib, json, resource, sys, time
 sys.path.insert(0, "src")
 import numpy as np
 from tomoreg import (DrrOperator, LossConfig, OptimConfig, PhantomSpec, build_subspace,
-                     gen_smooth_dvf, geometry_for, grid_for, make_pair, register_dense_3d,
-                     register_subspace_2d, register_subspace_3d, step_for)
+                     evaluate_registration, gen_smooth_dvf, geometry_for, grid_for, lift3d,
+                     make_pair, register_dense_3d, register_subspace_2d,
+                     register_subspace_3d, step_for)
 from tomoreg.phantom import split_seed
 
 seed, spec, out = int(sys.argv[1]), PhantomSpec(), {}
@@ -155,7 +157,8 @@ for part in (op.forward(rng.random(op.grid.dims)),
 pair = timed("make_pair_s", lambda: make_pair(spec, split_seed(seed, "pair0"), drr_op=op))
 for part in (pair.source.data, pair.target.data, pair.source_mask.data,
              pair.target_mask.data, pair.projections.data, pair.lm_src.ids,
-             pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data):
+             pair.lm_src.points, pair.lm_tgt.ids, pair.lm_tgt.points, pair.u_true.data,
+             lift3d(pair.projections, pair.source.grid).data):
     setup.update(np.ascontiguousarray(part))
 out["setup_sha256"] = setup.hexdigest()
 outputs = hashlib.sha256()
@@ -163,11 +166,12 @@ outputs = hashlib.sha256()
 
 def registered(name, fn):
     # (alpha,) field, report: the time, the iterations, and alpha, the
-    # field and the loss trace into the outputs digest
+    # field and the loss trace into the outputs digest; returns the field
     *values, report = timed(name + "_s", fn)
     out[name + "_iterations"] = report.iterations
     for part in (*values[:-1], values[-1].data, report.loss_trace):
         outputs.update(np.ascontiguousarray(part).tobytes())
+    return values[-1]
 
 
 registered("register2d", lambda: register_subspace_2d(
@@ -176,9 +180,12 @@ registered("register2d", lambda: register_subspace_2d(
 registered("register3d", lambda: register_subspace_3d(
     pair.source, pair.target, pair.source_mask, pair.target_mask, sub,
     LossConfig(0.1, "sim3d"), OptimConfig(max_iters=200)))
-registered("dense", lambda: register_dense_3d(
+dense = registered("dense", lambda: register_dense_3d(
     pair.source, pair.target, pair.source_mask, pair.target_mask,
     LossConfig(0.1, "sim3d"), OptimConfig(max_iters=30)))
+# the dense field's evaluation, which reads the landmarks by trilinear sampling
+outputs.update(json.dumps(evaluate_registration(
+    dense, pair.lm_src, pair.lm_tgt, pair.source_mask, pair.target_mask).to_dict()).encode())
 out["outputs_sha256"] = outputs.hexdigest()
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
@@ -189,7 +196,8 @@ SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pai
                   "register3d_iterations", "dense_s", "dense_iterations", "peak_rss_mb")
 # the child's digests, each with the name of the count of complete pairs
 # whose two sides differ in it: of the three registrations' coefficients,
-# fields and loss traces, and of the set-up's fields, DRR products and pair
+# fields and loss traces and the dense field's evaluation, and of the
+# set-up's fields, DRR products, pair and lift
 SETUP64_DIGESTS = {"outputs_sha256": "pairs_outputs_differ",
                    "setup_sha256": "pairs_setup_differ"}
 
@@ -354,11 +362,12 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
                      "register_subspace_3d (max_iters 200 each) and "
                      "register_dense_3d (max_iters 30); wall seconds, each "
                      "registration's iterations, one SHA-256 of the three "
-                     "registrations' alpha, fields and loss traces, a SHA-256 "
-                     "of the training fields, the DRR "
+                     "registrations' alpha, fields and loss traces and of the "
+                     "JSON of evaluate_registration of the dense field, a "
+                     "SHA-256 of the training fields, the DRR "
                      "operator's forward of a seeded volume, adjoint of a seeded "
-                     "projection stack and per-emitter entry counts, and every "
-                     "array of the pair, and "
+                     "projection stack and per-emitter entry counts, every "
+                     "array of the pair and lift3d of its projections, and "
                      "ru_maxrss.  Three pairs are too few for the claim rule, so "
                      "these figures are indicative only"),
             "summary": summarize_setup64(setup64),
