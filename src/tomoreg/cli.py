@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 from . import io as tio
 from .geometry import DrrOperator, lift3d
@@ -102,11 +103,25 @@ def _cmd_lift3d_export(args) -> int:
     return 0
 
 
+class _Dvfs(Sequence):
+    """Displacement containers read one per index, so that iterating holds
+    one field at a time."""
+
+    def __init__(self, paths: list):
+        self._paths = paths
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, i):
+        return tio.read_dvf(self._paths[i])
+
+
 def _cmd_subspace_build(args) -> int:
     names = sorted(fn for fn in os.listdir(args.dvf_dir) if fn.endswith(".json"))
-    fields = [tio.read_dvf(os.path.join(args.dvf_dir, fn)) for fn in names]
-    if not fields:
+    if not names:
         raise ValueError(f"no displacement containers (*.json) found in {args.dvf_dir!r}")
+    fields = _Dvfs([os.path.join(args.dvf_dir, fn) for fn in names])
     sub = build_subspace(fields, args.variance)
     tio.write_subspace(args.out, sub)
     return 0

@@ -2,10 +2,12 @@
 
 A displacement field is modelled as u = u_mean + sum_i alpha_i * e_i where
 the e_i are orthonormal principal directions of a set of training fields.
-The decomposition is an economy SVD of the tall mean-centered matrix, one
-flattened field per column, whose left singular vectors are the e_i; no
-Gram matrix is formed.  Singular values are kept untouched so the
-discarded-energy identity
+The e_i are the left singular vectors of the tall mean-centred matrix, one
+flattened field per column, found by Chan's R-SVD with one copy of the
+training set: a QR in place, whose Q overwrites the matrix, the SVD of the
+n_fields x n_fields factor R, and Q times only the kept columns of R's
+left singular vectors.  No Gram matrix is formed.  Singular values are
+kept untouched so the discarded-energy identity
 
     sum_k ||u_k - reconstruct(project(u_k))||^2 = sum_{i > N_e} sigma_i^2
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .grids import DisplacementField, GridContainer, _array, _real
 
@@ -68,13 +71,40 @@ class DeformationSubspace(GridContainer):
         return int(self.basis.shape[0])
 
 
-def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspace:
+def _training_matrix(fields) -> tuple:
+    """The fields' shared grid and a (len(fields), 3 * n_voxels) float64
+    matrix holding one field per row, filled in one pass as they arrive."""
+    n_fields = len(fields)
+    if n_fields == 0:
+        raise ValueError("at least one displacement field is required")
+    X = grid = None
+    n_read = 0
+    for f in fields:
+        if n_read == n_fields:
+            raise ValueError(f"fields yielded more than its length, {n_fields}")
+        if X is None:
+            grid = f.grid
+            X = np.empty((n_fields, grid.n_voxels * 3))
+        elif f.grid != grid:
+            raise ValueError("all displacement fields must share one grid")
+        X[n_read] = f.data.reshape(-1)
+        n_read += 1
+    if n_read != n_fields:
+        raise ValueError(f"fields yielded {n_read}, fewer than its length, {n_fields}")
+    return grid, X
+
+
+def build_subspace(fields, variance_fraction: float) -> DeformationSubspace:
     """PCA of displacement fields sharing one grid.
 
-    The fields are stacked as the rows of one float64 matrix and centred in
-    place; its transpose, (3 * n_voxels) x n_fields and Fortran-ordered, is
-    factored by LAPACK without a copy and overwritten.  Its left singular
-    vectors are the basis rows.
+    ``fields`` is any sized iterable, read in one pass: each field is
+    written into its row of one float64 matrix as it arrives, so the caller
+    need not hold them all.  The matrix is centred in place, and its
+    transpose, (3 * n_voxels) x n_fields and Fortran-ordered, is factored
+    by QR in place: Q overwrites the training matrix, which is the only
+    copy of it.  The SVD of the small factor R gives the singular values
+    and R's left singular vectors; only the kept columns of Q times those
+    are formed, and they are the basis rows.
 
     Keeps the smallest basis count whose cumulative squared-singular-value
     fraction reaches ``variance_fraction`` (the vector that crosses the
@@ -82,24 +112,15 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
     times the largest are rank noise and always dropped.
     """
     variance_fraction = _real(variance_fraction, "variance_fraction", "(0, 1]")
-    if len(fields) == 0:
-        raise ValueError("at least one displacement field is required")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("all displacement fields must share one grid")
-
-    X = np.empty((len(fields), grid.n_voxels * 3))
-    for row, f in zip(X, fields):
-        row[:] = f.data.reshape(-1)
+    grid, X = _training_matrix(fields)
     mean = X.mean(axis=0)
     X -= mean
 
-    # economy SVD of the tall X.T, whose columns are the centred fields;
-    # columns of U are candidate basis vectors
-    U, s, _ = linalg.svd(X.T, full_matrices=False, overwrite_a=True,
-                         lapack_driver="gesdd")
+    # X.T = Q R with Q in X's memory, then R = U_R diag(s) V^T: the columns
+    # of Q U_R are the left singular vectors of the centred fields
+    Q, R = linalg.qr(X.T, overwrite_a=True, mode="economic")
     del X
+    U_R, s, _ = linalg.svd(R, full_matrices=False, lapack_driver="gesdd")
 
     # s descends, so the kept columns are the leading ones
     s = s[s > (_RANK_RTOL * s[0] if s.size and s[0] > 0.0 else 0.0)]
@@ -111,10 +132,18 @@ def build_subspace(fields: list, variance_fraction: float) -> DeformationSubspac
         n_keep = int(np.searchsorted(energy, variance_fraction - 1e-12) + 1)
         n_keep = min(n_keep, s.size)
 
+    # BLAS gemm for any column count, as LAPACK forms U; numpy's matmul
+    # takes gemv for one column, which differs in the last bit
+    if n_keep:
+        basis = blas.dgemm(1.0, Q, U_R[:, :n_keep]).T
+    else:
+        basis = np.empty((0, grid.n_voxels * 3))
+    del Q
+
     return DeformationSubspace(
         dims=grid.dims, spacing=grid.spacing, origin=grid.origin,
         mean=mean.reshape(grid.dims + (3,)),
-        basis=U[:, :n_keep].T,
+        basis=basis,
         singular_values=s[:n_keep],
         variance_fraction=variance_fraction,
     )

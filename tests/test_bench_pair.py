@@ -332,7 +332,8 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     registration's time and a whole, positive iteration count among them,
     one SHA-256 of the three registrations' alpha, fields and loss traces
     and of the dense field's evaluation report, and the SHA-256 of the
-    training fields, the DRR products, the pair and its lift."""
+    training fields, the subspace's mean, basis and singular values, the
+    DRR products, the pair and its lift."""
     import sys
 
     import tomoreg
@@ -363,6 +364,7 @@ def test_the_64_cubed_child_reports_every_stage(bench_pair, monkeypatch, capsys)
     pair = tomoreg.make_pair(small, split_seed(7, "pair0"), drr_op=op)
     rng = np.random.default_rng(7)
     setup = [f.data for f in fields] + [
+        sub.mean, sub.basis, sub.singular_values,
         op.forward(rng.random(op.grid.dims)),
         op.adjoint(rng.random(op.geometry.detector_dims + (op.geometry.n_emitters,))),
         op._counts]

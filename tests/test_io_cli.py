@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -620,6 +621,37 @@ def test_subspace_build_cli(dataset, balanced_subspace, tmp_path):
     empty.mkdir()
     assert main(["subspace", "build", "--dvf-dir", str(empty),
                  "--out", one_out]) == 2
+
+
+def test_subspace_build_cli_holds_at_most_two_fields(tmp_path, monkeypatch):
+    """``subspace build`` reads one container per step: no more than two
+    fields are alive at once (the one just read and the one before it), and
+    the subspace it writes is byte-equal to the one built from every field
+    held in a list."""
+    rng = np.random.default_rng(17)
+    dvf_dir = tmp_path / "dvfs"
+    dvf_dir.mkdir()
+    paths = [str(dvf_dir / f"f{i}.json") for i in range(6)]
+    for path in paths:
+        tio.write_dvf(path, rand_dvf(rng))
+    read, refs, alive = tio.read_dvf, [], []
+
+    def spy(path):
+        field = read(path)
+        refs.append(weakref.ref(field))
+        alive.append(sum(ref() is not None for ref in refs))
+        return field
+
+    monkeypatch.setattr(tio, "read_dvf", spy)
+    out = tmp_path / "sub.json"
+    assert main(["subspace", "build", "--dvf-dir", str(dvf_dir),
+                 "--variance", "0.9", "--out", str(out)]) == 0
+    assert len(alive) == len(paths) and max(alive) <= 2
+    ref = tmp_path / "ref.json"
+    tio.write_subspace(str(ref), build_subspace([read(p) for p in paths], 0.9))
+    for suffix in (".json", ".raw"):
+        assert (out.with_suffix(suffix).read_bytes()
+                == ref.with_suffix(suffix).read_bytes())
 
 
 def test_register_subspace3d_cli_identity(dataset, balanced_subspace, tmp_path):

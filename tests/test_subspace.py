@@ -1,4 +1,6 @@
 """Mean/basis construction, projection and reconstruction of field spaces."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,94 @@ def test_the_tall_factorization_matches_the_samples_as_rows_one(case):
         sign = np.sign(np.sum(sub.basis * Vt, axis=1))
         assert np.all(sign != 0)
         assert np.max(np.abs(sub.basis - sign[:, None] * Vt)) <= 1e-10
+
+
+TALL = GridSpec((10, 8, 6), GRID.spacing, GRID.origin)
+
+
+@pytest.mark.parametrize("n_fields, seed", [(12, 40), (30, 70)])
+def test_the_small_factors_svd_gives_gesdds_basis_bit_for_bit(monkeypatch, n_fields, seed):
+    """On a tall case every SVD ``build_subspace`` takes is of the
+    n_fields x n_fields factor, and for each kept count from 1 to the rank
+    the basis rows and singular values are the leading columns of the
+    economy gesdd of the centred transpose, bit for bit; keeping none gives
+    an empty basis of the grid's width."""
+    fields = [rand_field(seed + i, TALL) for i in range(n_fields)]
+    X = np.stack([f.data.reshape(-1) for f in fields])
+    X -= X.mean(axis=0)
+    U, s, _ = linalg.svd(X.T, full_matrices=False, lapack_driver="gesdd")
+    rank = int(np.sum(s > _RANK_RTOL * s[0]))
+    assert rank == n_fields - 1
+    energy = np.cumsum(s[:rank] ** 2) / np.sum(s[:rank] ** 2)
+
+    shapes, svd = [], linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "svd", spy)
+    for k in range(1, rank + 1):
+        sub = build_subspace(fields, energy[k - 1])
+        assert sub.n_components == k
+        assert_array_equal(sub.basis, U[:, :k].T)
+        assert_array_equal(sub.singular_values, s[:k])
+    assert set(shapes) == {(n_fields, n_fields)}
+    assert build_subspace(fields[:1], 0.9).basis.shape == (0, TALL.n_voxels * 3)
+
+
+def test_the_build_allocates_one_training_matrix_and_the_kept_basis():
+    """Above its input list, ``build_subspace`` allocates the training
+    matrix and the kept basis, and at most a quarter of the matrix more:
+    no full set of left singular vectors beside the matrix."""
+    grid = GridSpec((12, 12, 12), GRID.spacing, GRID.origin)
+    rng = np.random.default_rng(8)
+    modes = rng.standard_normal((2,) + grid.dims + (3,))
+    fields = [DisplacementField(grid.dims, grid.spacing, grid.origin,
+                                a * modes[0] + b * modes[1]
+                                + 1e-3 * rng.standard_normal(grid.dims + (3,)))
+              for a, b in rng.standard_normal((24, 2)) * (3.0, 2.0)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sub = build_subspace(fields, 0.9)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sub.n_components == 2
+    x_bytes = len(fields) * grid.n_voxels * 3 * 8
+    assert peak <= x_bytes + sub.basis.nbytes + 0.25 * x_bytes
+
+
+def test_the_fields_are_read_in_one_pass_of_a_sized_iterable():
+    """Any sized iterable is read once, field by field; one whose length
+    disagrees with what it yields is an error, not rows left unwritten."""
+    fields = [rand_field(i) for i in range(4)]
+
+    class Once:
+        def __init__(self, items, length):
+            self.items, self.length, self.passes = items, length, 0
+
+        def __len__(self):
+            return self.length
+
+        def __iter__(self):
+            self.passes += 1
+            return iter(self.items)
+
+    once = Once(fields, 4)
+    sub = build_subspace(once, 0.99)
+    assert once.passes == 1
+    ref = build_subspace(fields, 0.99)
+    for name in ("mean", "basis", "singular_values"):
+        assert_array_equal(getattr(sub, name), getattr(ref, name))
+    with pytest.raises(ValueError, match="fewer than its length, 5"):
+        build_subspace(Once(fields, 5), 0.99)
+    with pytest.raises(ValueError, match="more than its length, 3"):
+        build_subspace(Once(fields, 3), 0.99)
+    other = GridSpec((5, 4, 3), (1.5, 2.0, 1.1), (-1.0, 0.0, 2.0))
+    with pytest.raises(ValueError, match="all displacement fields must share one grid"):
+        build_subspace(Once(fields[:2] + [rand_field(9, grid=other)], 3), 0.99)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ registrations of that pair at lam 0.1: ``register_subspace_2d`` and
 ``register_dense_3d`` at most 30.  It reports each registration's
 iterations, one SHA-256 of the three registrations' coefficients, fields
 and loss traces and of the JSON of ``evaluate_registration`` of the dense
-field, a SHA-256 of the set-up's data (the 30 training fields, the DRR
-operator's ``forward`` of a seeded volume, its ``adjoint`` of a seeded
-projection stack and its per-emitter entry counts, every array of the pair
-and ``lift3d`` of the pair's projections) and its own ``ru_maxrss``.  Per
+field, a SHA-256 of the set-up's data (the 30 training fields, the
+subspace's mean, basis and singular values, the DRR operator's ``forward``
+of a seeded volume, its ``adjoint`` of a seeded projection stack and its
+per-emitter entry counts, every array of the pair and ``lift3d`` of the
+pair's projections) and its own ``ru_maxrss``.  Per
 stage the section holds each side's median and quartiles and how many
 pairs the change read lower, higher or equal, and it counts the complete
 pairs whose two sides differ in each digest.  Three pairs are too few for the claim rule, so these
@@ -146,6 +147,8 @@ for field in fields:
     setup.update(np.ascontiguousarray(field.data))
 sub = timed("build_subspace_s", lambda: build_subspace(fields, 0.99))
 del fields
+for part in (sub.mean, sub.basis, sub.singular_values):
+    setup.update(np.ascontiguousarray(part))
 op = timed("drr_build_s", lambda: DrrOperator(grid_for(spec), geometry_for(spec),
                                               step_for(spec)))
 # the operator through its public products, which every checkout has
@@ -197,7 +200,7 @@ SETUP64_STAGES = ("train_fields_s", "build_subspace_s", "drr_build_s", "make_pai
 # the child's digests, each with the name of the count of complete pairs
 # whose two sides differ in it: of the three registrations' coefficients,
 # fields and loss traces and the dense field's evaluation, and of the
-# set-up's fields, DRR products, pair and lift
+# set-up's fields, subspace, DRR products, pair and lift
 SETUP64_DIGESTS = {"outputs_sha256": "pairs_outputs_differ",
                    "setup_sha256": "pairs_setup_differ"}
 
@@ -364,7 +367,8 @@ def record(runs: list, spec: dict, parent: str, seeds: dict,
                      "registration's iterations, one SHA-256 of the three "
                      "registrations' alpha, fields and loss traces and of the "
                      "JSON of evaluate_registration of the dense field, a "
-                     "SHA-256 of the training fields, the DRR "
+                     "SHA-256 of the training fields, the subspace's mean, "
+                     "basis and singular values, the DRR "
                      "operator's forward of a seeded volume, adjoint of a seeded "
                      "projection stack and per-emitter entry counts, every "
                      "array of the pair and lift3d of its projections, and "
